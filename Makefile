@@ -19,7 +19,8 @@ check-docs:
 	$(PYTHON) scripts/check_docs.py
 
 # Assert every public KeyValueStore op on the instrumented wrappers
-# records a metric (see scripts/check_instrumentation.py).
+# records a metric, and that one observed cache hit stays within its
+# call-count budget (see scripts/check_instrumentation.py).
 check-obs:
 	$(PYTHON) scripts/check_instrumentation.py
 

@@ -20,8 +20,9 @@ collector, so ``results/BENCH_obs_overhead.json`` carries p50/p95/p99 per
 configuration.  The shape test asserts the headline contract from
 ``docs/anomaly.md``: the anomaly engine adds **under 5% p50 overhead** on
 top of plain observability (plus a 2 us absolute epsilon so a sub-
-microsecond baseline cannot fail on timer noise).  x is the configuration
-index, not object size.
+microsecond baseline cannot fail on timer noise), and the watching budget
+from ``docs/observability.md``: ``obs_on`` p50 at most **2.8x** ``obs_off``
+(plus 1 us).  x is the configuration index, not object size.
 """
 
 from __future__ import annotations
@@ -69,32 +70,39 @@ def build(variant: str):
     return client, hook
 
 
-def drive(variant: str) -> list[float]:
-    """Per-op latency samples (seconds) for one configuration."""
-    client, hook = build(variant)
+def drive() -> dict[str, list[float]]:
+    """Per-op latency samples (seconds) per configuration.
+
+    Sample rounds are interleaved -- one timed batch on each configuration
+    in turn -- so a slow phase of the machine lands on all three alike
+    instead of on whichever happened to be running.
+    """
     keys = [f"k{i:04d}" for i in range(KEY_SPACE)]
-    for key in keys:
-        client.put(key, b"x" * 64)
-    for i in range(WARMUP_OPS):
-        client.get(keys[i % KEY_SPACE])
-        if hook is not None:
-            hook()
-    samples: list[float] = []
-    position = 0
-    for _ in range(SAMPLES):
-        begin = time.perf_counter()
-        for _ in range(BATCH):
-            client.get(keys[position % KEY_SPACE])
-            position += 1
+    built = {variant: build(variant) for variant in VARIANTS}
+    for client, hook in built.values():
+        for key in keys:
+            client.put(key, b"x" * 64)
+        for i in range(WARMUP_OPS):
+            client.get(keys[i % KEY_SPACE])
             if hook is not None:
                 hook()
-        samples.append((time.perf_counter() - begin) / BATCH)
+    samples: dict[str, list[float]] = {variant: [] for variant in VARIANTS}
+    position = 0
+    for _ in range(SAMPLES):
+        for variant, (client, hook) in built.items():
+            begin = time.perf_counter()
+            for offset in range(BATCH):
+                client.get(keys[(position + offset) % KEY_SPACE])
+                if hook is not None:
+                    hook()
+            samples[variant].append((time.perf_counter() - begin) / BATCH)
+        position += BATCH
     return samples
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {variant: drive(variant) for variant in VARIANTS}
+    return drive()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -128,6 +136,11 @@ def test_obs_overhead_shape(benchmark, sweeps):
         f"anomaly engine p50 {p50['obs_anomaly'] * 1e6:.2f}us exceeds "
         f"budget {budget * 1e6:.2f}us (obs_on p50 {p50['obs_on'] * 1e6:.2f}us)"
     )
-    # Sanity: instrumentation itself costs something but not orders of
-    # magnitude (a regression guard for the NULL_OBS fast path design).
-    assert p50["obs_on"] <= p50["obs_off"] * 50 + 5e-5
+    # The watching budget (docs/observability.md "What watching costs"):
+    # two stage spans, two histogram observations and four counter
+    # increments may cost at most 2.8x the unobserved hit (+1 us of noise).
+    budget = p50["obs_off"] * 2.8 + 1e-6
+    assert p50["obs_on"] <= budget, (
+        f"observed hit p50 {p50['obs_on'] * 1e6:.2f}us exceeds budget "
+        f"{budget * 1e6:.2f}us (obs_off p50 {p50['obs_off'] * 1e6:.2f}us)"
+    )

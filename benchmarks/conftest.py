@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 import shutil
 import tempfile
 from collections import defaultdict
@@ -269,7 +271,15 @@ class FigureCollector:
             "unit": unit,
             "x_is_size": x_is_size,
             "note": self.notes.get(figure),
-            "config": {"time_scale": TIME_SCALE, "sizes": list(SIZES), "rounds": ROUNDS},
+            "config": {
+                "time_scale": TIME_SCALE,
+                "sizes": list(SIZES),
+                "rounds": ROUNDS,
+                # Wall-clock figures only compare on the same interpreter and
+                # machine size; say which this file came from.
+                "python": platform.python_version(),
+                "cpus": os.cpu_count(),
+            },
             "series": series_out,
         }
         (self.results_dir / f"BENCH_{figure}.json").write_text(

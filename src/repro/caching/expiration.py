@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from ..errors import ConfigurationError
 from .entry import CacheEntry
@@ -43,9 +42,9 @@ class Freshness(enum.Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of :meth:`ExpiringCache.lookup`."""
+class LookupResult(NamedTuple):
+    """Outcome of :meth:`ExpiringCache.lookup` (immutable; a tuple so that
+    building one per lookup costs an allocation, not two ``__setattr__``)."""
 
     freshness: Freshness
     entry: CacheEntry | None = None

@@ -100,7 +100,8 @@ class DSCL:
         with self.obs.stage("cache.lookup", metric=self._m_cache_lookup) as span:
             result = self.expiring.lookup(key)
             if span is not None:
-                span.set_attribute("freshness", result.freshness.value)
+                # ``_value_``: Enum's ``.value`` is a two-call descriptor.
+                span.attributes["freshness"] = result.freshness._value_
             return result
 
     def cache_refresh(

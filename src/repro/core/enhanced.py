@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..caching.entry import CacheEntry
@@ -36,7 +35,7 @@ from ..compression.interface import Compressor
 from ..delta.encoder import DEFAULT_WINDOW_SIZE
 from ..errors import ConfigurationError, KeyNotFoundError
 from ..kv.interface import NOT_MODIFIED, KeyValueStore
-from ..obs import Observability
+from ..obs import Counter, Observability
 from ..security.interface import Encryptor
 from ..serialization import Serializer
 from .dscl import DSCL
@@ -59,21 +58,39 @@ class WritePolicy(enum.Enum):
 CacheConsistency = WritePolicy
 
 
-@dataclass
-class ClientCounters:
-    """How the client satisfied its requests (monotonic counters)."""
+def _counter_field(field: str, doc: str | None = None) -> property:
+    return property(lambda self: self._by_field[field].value, doc=doc)
 
-    cache_hits: int = 0
-    cache_misses: int = 0
-    store_reads: int = 0
-    store_writes: int = 0
-    revalidations: int = 0
-    revalidated_not_modified: int = 0
-    revalidated_modified: int = 0
-    #: misses satisfied by another thread's in-flight fetch (single-flight)
-    coalesced_misses: int = 0
-    #: expired entries served anyway because the origin was unreachable
-    stale_serves: int = 0
+
+class ClientCounters:
+    """How the client satisfied its requests (monotonic counters).
+
+    Private to one client even when several share an ``Observability``:
+    each field reads its own :class:`~repro.obs.metrics.Counter`.
+    """
+
+    cache_hits = _counter_field("cache_hits")
+    cache_misses = _counter_field("cache_misses")
+    store_reads = _counter_field("store_reads")
+    store_writes = _counter_field("store_writes")
+    revalidations = _counter_field("revalidations")
+    revalidated_not_modified = _counter_field("revalidated_not_modified")
+    revalidated_modified = _counter_field("revalidated_modified")
+    coalesced_misses = _counter_field(
+        "coalesced_misses",
+        "misses satisfied by another thread's in-flight fetch (single-flight)",
+    )
+    stale_serves = _counter_field(
+        "stale_serves",
+        "expired entries served anyway because the origin was unreachable",
+    )
+
+    def __init__(self) -> None:
+        self._by_field = {field: Counter(field) for field in _COUNTER_METRICS}
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={c.value}" for f, c in self._by_field.items())
+        return f"ClientCounters({fields})"
 
     @property
     def reads(self) -> int:
@@ -211,7 +228,10 @@ class EnhancedDataStoreClient:
         self._inflight: dict[str, threading.Lock] = {}
         self._inflight_lock = threading.Lock()
         self.counters = ClientCounters()
-        self._counters_lock = threading.Lock()
+        #: field -> the ``inc`` of every storage that counts it (the private
+        #: counter, plus the registry series when observed); see _count.
+        self._incs: dict[str, tuple[Callable[[int], None], ...]] = {}
+        self._stale_lock = threading.Lock()
         self.name = f"enhanced({store.name})"
         self._m_store = f"store.{store.name}"
         self._m_store_get = self._m_store + ".get"
@@ -269,9 +289,17 @@ class EnhancedDataStoreClient:
     # Counter recording (client counters + the shared metrics registry)
     # ------------------------------------------------------------------
     def _count(self, field: str, amount: int = 1) -> None:
-        with self._counters_lock:
-            setattr(self.counters, field, getattr(self.counters, field) + amount)
-        self._obs.inc(_COUNTER_METRICS[field], amount)
+        try:
+            incs = self._incs[field]
+        except KeyError:
+            # First use: the registry series is created here, not at
+            # construction, so a field never counted never appears in it.
+            incs = (self.counters._by_field[field].inc,)
+            if self._obs.enabled:
+                incs += (self._obs.counter(_COUNTER_METRICS[field]).inc,)
+            self._incs[field] = incs
+        for inc in incs:
+            inc(amount)
 
     # ------------------------------------------------------------------
     # Read path
@@ -351,7 +379,7 @@ class EnhancedDataStoreClient:
 
     def _schedule_stale_revalidation(self, key: str) -> None:
         """Refresh a stale-served key in the background (deduplicated)."""
-        with self._counters_lock:
+        with self._stale_lock:
             if key in self._stale_revalidating:
                 return
             self._stale_revalidating.add(key)
@@ -362,7 +390,7 @@ class EnhancedDataStoreClient:
             except Exception:  # noqa: BLE001 - origin still down; keep the entry
                 pass
             finally:
-                with self._counters_lock:
+                with self._stale_lock:
                     self._stale_revalidating.discard(key)
 
         if self._stale_revalidator is not None:

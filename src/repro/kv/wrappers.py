@@ -16,7 +16,7 @@ backends.  These wrappers are used throughout the library and are public API:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import DataStoreError
 from .interface import KeyValueStore, NotModified
@@ -179,6 +179,16 @@ class TransformingStore(_DelegatingStore):
 
     def put(self, key: str, value: Any) -> None:
         self._inner.put(key, self._encode(value))
+
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        """One inner batch read (one MGET on a remote store), decoded per value."""
+        decode = self._decode
+        return {key: decode(value) for key, value in self._inner.get_many(keys).items()}
+
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        """Encode per value, then one inner batch write."""
+        encode = self._encode
+        self._inner.put_many({key: encode(value) for key, value in items.items()})
 
     def put_with_version(self, key: str, value: Any) -> str | None:
         return self._inner.put_with_version(key, self._encode(value))

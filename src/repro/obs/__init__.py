@@ -80,24 +80,6 @@ class _NullContext:
 _NULL_CONTEXT = _NullContext()
 
 
-class _StageContext:
-    """A span whose duration is also observed into a latency histogram."""
-
-    __slots__ = ("_span", "_histogram")
-
-    def __init__(self, span: Span, histogram: Histogram) -> None:
-        self._span = span
-        self._histogram = histogram
-
-    def __enter__(self) -> Span:
-        return self._span.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        result = self._span.__exit__(exc_type, exc, tb)
-        self._histogram.observe(self._span.duration)
-        return result
-
-
 class Observability:
     """A metrics registry plus a tracer, handed through constructors.
 
@@ -142,6 +124,10 @@ class Observability:
             lambda: registry_ref.counter("obs.traces.dropped")
         )
         self.tracer = Tracer(self.collector)
+        # Name -> handle, resolved through the registry (the only
+        # get-or-create) on first use; reset() keeps metric objects live.
+        self._stage_histograms: dict[str, Histogram] = {}
+        self._counters: dict[str, Counter] = {}
         if events is None and slow_op_threshold is not None:
             events = EventLog()
         self.events = events
@@ -161,8 +147,14 @@ class Observability:
         """A span that also records its duration into the histogram
         ``<metric or name>.seconds`` -- the standard way to instrument one
         pipeline stage so traces and metrics always agree."""
-        histogram = self.registry.histogram((metric if metric is not None else name) + ".seconds")
-        return _StageContext(self.tracer.span(name, **attributes), histogram)
+        key = metric if metric is not None else name
+        try:
+            histogram = self._stage_histograms[key]
+        except KeyError:
+            histogram = self._stage_histograms[key] = self.registry.histogram(key + ".seconds")
+        span = Span(name, self.tracer, attributes)
+        span._histogram = histogram
+        return span
 
     def event(self, name: str, **attributes: Any) -> None:
         """Annotate the current span (no-op when no span is open)."""
@@ -206,7 +198,11 @@ class Observability:
         return self.registry.histogram(name)
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(name).inc(amount)
+        try:
+            counter = self._counters[name]
+        except KeyError:
+            counter = self._counters[name] = self.registry.counter(name)
+        counter.inc(amount)
 
     def observe(self, name: str, value: float) -> None:
         self.registry.histogram(name).observe(value)

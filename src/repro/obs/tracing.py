@@ -62,41 +62,58 @@ class Span:
     Entering the span makes it the current span (child spans nest under
     it); exiting records the end time, captures any exception as an
     ``exception`` event, and -- for root spans -- hands the finished tree to
-    the tracer's collector.
+    the tracer's collector.  A stage span (one made by
+    :meth:`repro.obs.Observability.stage`) then observes its duration into
+    the stage's latency histogram.
     """
 
     __slots__ = (
         "name",
         "attributes",
-        "events",
-        "children",
+        "_events",
+        "_children",
         "parent",
         "start_time",
         "end_time",
         "error",
         "_tracer",
         "_token",
+        "_histogram",
     )
 
     def __init__(
         self,
         name: str,
-        *,
         tracer: "Tracer | None" = None,
         attributes: dict[str, Any] | None = None,
     ) -> None:
         self.name = name
         self.attributes = attributes if attributes is not None else {}
-        self.events: list[SpanEvent] = []
-        self.children: list[Span] = []
+        # Most spans never get a child or an event: each list is allocated
+        # by its first append or its first reader, not per span.
+        self._events: list[SpanEvent] | None = None
+        self._children: list[Span] | None = None
         self.parent: Span | None = None
         self.start_time = 0.0
         self.end_time = 0.0
         self.error: str | None = None
         self._tracer = tracer
         self._token = None
+        self._histogram = None  # set by Observability.stage
 
     # ------------------------------------------------------------------
+    @property
+    def events(self) -> list[SpanEvent]:
+        if self._events is None:
+            self._events = []
+        return self._events
+
+    @property
+    def children(self) -> "list[Span]":
+        if self._children is None:
+            self._children = []
+        return self._children
+
     @property
     def duration(self) -> float:
         """Seconds from enter to exit (0.0 while still open)."""
@@ -117,15 +134,19 @@ class Span:
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
         current = _CURRENT.get()
-        if current is not None and self._tracer is not None and current._tracer is self._tracer:
+        tracer = self._tracer
+        if current is not None and tracer is not None and current._tracer is tracer:
             self.parent = current
-            current.children.append(self)
+            if current._children is None:
+                current._children = [self]
+            else:
+                current._children.append(self)
         self._token = _CURRENT.set(self)
         self.start_time = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.end_time = time.perf_counter()
+        end = self.end_time = time.perf_counter()
         if exc_type is not None:
             self.error = exc_type.__name__
             self.add_event("exception", type=exc_type.__name__, message=str(exc))
@@ -134,6 +155,8 @@ class Span:
             self._token = None
         if self.parent is None and self._tracer is not None:
             self._tracer.collector.add(self)
+        if self._histogram is not None:
+            self._histogram.observe(end - self.start_time)
         return False  # never swallow exceptions
 
     # ------------------------------------------------------------------
@@ -228,17 +251,21 @@ class TraceCollector:
         self._dropped = 0
         self._dropped_counter = None
         self._dropped_counter_factory: Callable[[], Any] | None = None
-        self._listeners: list[Callable[[Span], None]] = []
+        # A tuple, replaced (never mutated) by add_listener, so add() can
+        # iterate it without a per-span copy.
+        self._listeners: tuple[Callable[[Span], None], ...] = ()
 
     def add(self, span: Span) -> None:
+        roots = self._roots
+        counter = None
         with self._lock:
-            if self._roots.maxlen is not None and len(self._roots) == self._roots.maxlen:
+            if len(roots) == roots.maxlen:
                 self._dropped += 1
-                counter = self._resolve_dropped_counter_locked()
-            else:
-                counter = None
-            self._roots.append(span)
-            listeners = list(self._listeners)
+                counter = self._dropped_counter
+                if counter is None:
+                    counter = self._resolve_dropped_counter_locked()
+            roots.append(span)
+            listeners = self._listeners
         if counter is not None:
             counter.inc()
         for listener in listeners:
@@ -280,7 +307,7 @@ class TraceCollector:
         and never let them raise.
         """
         with self._lock:
-            self._listeners.append(listener)
+            self._listeners = (*self._listeners, listener)
 
     # ------------------------------------------------------------------
     def roots(self) -> list[Span]:
@@ -330,7 +357,7 @@ class Tracer:
         self.collector = collector if collector is not None else TraceCollector()
 
     def span(self, name: str, **attributes: Any) -> Span:
-        return Span(name, tracer=self, attributes=attributes)
+        return Span(name, self, attributes)
 
     def current(self) -> Span | None:
         """This tracer's active span in the current context, if any."""

@@ -51,6 +51,15 @@ class TestFreshness:
         with pytest.raises(LookupError):
             _ = expired.value
 
+    def test_lookup_result_is_immutable(self):
+        cache = make()
+        cache.put("k", "v")
+        result = cache.lookup("k")
+        with pytest.raises(AttributeError):
+            result.freshness = Freshness.MISS
+        freshness, entry = result  # a plain tuple underneath
+        assert freshness is Freshness.FRESH and entry.value == "v"
+
     def test_no_ttl_never_expires(self):
         cache = make()
         cache.put("k", "v", ttl=None, now=0.0)

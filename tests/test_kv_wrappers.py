@@ -107,3 +107,53 @@ class TestTransformingStore:
         backend = InMemoryStore()
         wrapper = TransformingStore(backend, encode=lambda v: v, decode=lambda v: v)
         assert wrapper.inner is backend
+
+    def test_batched_ops_cost_one_inner_call_each(self):
+        """N keys through gzip + AES-GCM are one inner batch op (one MGET /
+        MSET round trip on a remote store), not N single-key ones."""
+        from repro.compression import GzipCompressor
+        from repro.core import EnhancedDataStoreClient
+        from repro.security import AesGcmEncryptor, generate_key
+
+        class CountingStore(InMemoryStore):
+            """Records each entry point; native batch ops like a remote store's."""
+
+            def __init__(self):
+                super().__init__(serializer=None)
+                self.calls = []
+
+            def get(self, key):
+                self.calls.append("get")
+                return super().get(key)
+
+            def put(self, key, value):
+                self.calls.append("put")
+                super().put(key, value)
+
+            def get_many(self, keys):
+                self.calls.append("get_many")
+                return {k: self._data[k] for k in keys if k in self._data}
+
+            def put_many(self, items):
+                self.calls.append("put_many")
+                self._data.update(items)
+
+        backend = CountingStore()
+        client = EnhancedDataStoreClient(
+            backend,
+            compressor=GzipCompressor(),
+            encryptor=AesGcmEncryptor(generate_key()),
+        )
+        values = {f"k{i}": {"n": i, "text": "abc" * 50} for i in range(5)}
+        client.store.put_many(values)
+        assert backend.calls == ["put_many"]
+        assert all(isinstance(backend._data[key], bytes) for key in values)
+
+        backend.calls.clear()
+        assert client.store.get_many([*values, "absent"]) == values
+        assert backend.calls == ["get_many"]
+
+        # The enhanced client's documented promise: misses fetched in ONE call.
+        backend.calls.clear()
+        assert client.get_many([*values, "absent"]) == values
+        assert backend.calls == ["get_many"]
