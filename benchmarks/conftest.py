@@ -19,7 +19,6 @@ this.
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import shutil
@@ -37,6 +36,7 @@ from repro.kv import (
     SimulatedCloudStore,
 )
 from repro.net import ServerHandle
+from repro.obs.metrics import percentile
 from repro.udsm.report import ascii_loglog_chart, format_table, write_dat
 
 #: WAN latency scale for simulated cloud stores (documented in all output).
@@ -52,13 +52,6 @@ ROUNDS = 4
 STORE_NAMES = ("file", "sql", "cloud1", "cloud2", "redis")
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of raw samples (matches the metrics layer)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
 
 
 def size_id(size: int) -> str:

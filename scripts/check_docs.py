@@ -16,6 +16,10 @@ the docs part of the test surface:
 * each file executes in its own temporary working directory, so examples
   may create files without polluting the repository.
 
+It also holds ``docs/protocol.md`` to the server's command table: the set of
+command names in that file's command tables must equal the keys of
+``repro.net.server.COMMANDS``, in both directions.
+
 Run it directly or via ``make check-docs``.  Exit status is non-zero if any
 block fails, with the offending file, block number, and source line printed.
 """
@@ -87,6 +91,26 @@ def check_file(path: Path) -> list[str]:
     return failures
 
 
+_COMMAND_ROW = re.compile(r"^\| `(?P<name>[A-Z]+)[ `]", re.MULTILINE)
+
+
+def check_command_tables(path: Path) -> list[str]:
+    """The command tables of *path* (``docs/protocol.md``) vs ``COMMANDS``."""
+    from repro.net.server import COMMANDS
+
+    text = path.read_text(encoding="utf-8")
+    section = text[text.index("\n## Commands"):text.index("\n## Pipelining")]
+    documented = set(_COMMAND_ROW.findall(section))
+    served = {name.decode("ascii") for name in COMMANDS}
+    failures = []
+    if served - documented:
+        failures.append(f"{_display(path)}: no table row for {sorted(served - documented)}")
+    if documented - served:
+        failures.append(f"{_display(path)}: documents {sorted(documented - served)}, "
+                        "which the server's command table does not have")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -94,12 +118,14 @@ def main(argv: list[str] | None = None) -> int:
     all_failures: list[str] = []
     for path in paths:
         failures = check_file(path)
+        if path == DOCS_DIR / "protocol.md":
+            failures += check_command_tables(path)
         status = "FAIL" if failures else "ok"
         count = len(extract_blocks(path.read_text(encoding="utf-8")))
         print(f"{status:4}  {_display(path)}  ({count} python blocks)")
         all_failures.extend(failures)
     if all_failures:
-        print(f"\n{len(all_failures)} failing block(s):", file=sys.stderr)
+        print(f"\n{len(all_failures)} failure(s):", file=sys.stderr)
         for failure in all_failures:
             print(f"\n{failure}", file=sys.stderr)
         return 1

@@ -97,6 +97,7 @@ from .kv import (
     SimulatedCloudStore,
     SQLStore,
 )
+from .net.server import add_serve_arguments, serve
 from .security import AesCbcEncryptor, AesGcmEncryptor, generate_key
 from .udsm.report import format_table
 from .udsm.workload import CachedReadSpec, WorkloadGenerator
@@ -192,20 +193,7 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
 # Commands
 # ----------------------------------------------------------------------
 def cmd_serve(options: argparse.Namespace) -> int:
-    from .net import server as server_module
-
-    argv = ["--host", options.host, "--port", str(options.port)]
-    if options.max_entries is not None:
-        argv += ["--max-entries", str(options.max_entries)]
-    if options.snapshot:
-        argv += ["--snapshot", options.snapshot]
-    if options.backend != "cache":
-        argv += ["--backend", options.backend, "--database", options.database]
-    if options.engine != "threaded":
-        argv += ["--engine", options.engine]
-    if options.max_clients is not None:
-        argv += ["--max-clients", str(options.max_clients)]
-    server_module.main(argv)
+    serve(options)
     return 0
 
 
@@ -1152,19 +1140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    serve = commands.add_parser("serve", help="run a cache or store server")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0)
-    serve.add_argument("--max-entries", type=int, default=None)
-    serve.add_argument("--snapshot", default=None)
-    serve.add_argument("--backend", choices=("cache", "sql", "lsm"), default="cache")
-    serve.add_argument("--database", default=":memory:",
-                       help="sqlite path (sql) / data directory (lsm)")
-    serve.add_argument("--engine", choices=("threaded", "async"), default="threaded",
-                       help="thread-per-connection or event-loop serving engine")
-    serve.add_argument("--max-clients", type=int, default=None,
-                       help="concurrent-connection bound (default: per-engine)")
-    serve.set_defaults(handler=cmd_serve)
+    serve_parser = commands.add_parser("serve", help="run a cache or store server")
+    add_serve_arguments(serve_parser)
+    serve_parser.set_defaults(handler=cmd_serve)
 
     bench = commands.add_parser("bench", help="read/write latency sweep")
     _add_store_options(bench)

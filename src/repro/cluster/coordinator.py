@@ -24,6 +24,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+from ..net.server import build_server
 from ..obs import Observability, resolve_obs
 from .rebalancer import RebalanceReport, rebalance
 from .topology import ClusterTopology, ShardInfo
@@ -138,15 +139,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def _build_server(self, store: "KeyValueStore"):
-        if self._engine == "async":
-            from ..net.aio import AsyncStoreServer
-
-            return AsyncStoreServer(store, self._host, 0)
-        from ..net.server import StoreServer
-
-        return StoreServer(store, self._host, 0)
-
     def add_shard(self, name: str, store: "KeyValueStore") -> RebalanceReport | None:
         """Scale out: boot a server for *store*, bump the epoch, pull only
         the moved key ranges over -- all while existing shards keep serving.
@@ -158,7 +150,7 @@ class ClusterCoordinator:
                 raise ConfigurationError("coordinator is stopped")
             if name in self._servers:
                 raise ConfigurationError(f"shard {name!r} already exists")
-            server = self._build_server(store)
+            server = build_server(self._engine, store, self._host, 0)
             host, port = server.start()
             self._servers[name] = server
             self._stores[name] = store

@@ -13,11 +13,13 @@ answered with one batched write.
 Design notes (the long-form story is ``docs/serving.md``):
 
 * **Same protocol, same commands.**  The engine does not reimplement the
-  command set.  It owns a :class:`~repro.net.server.CacheServer` (or
-  :class:`~repro.net.server.StoreServer`) as its *command core* and calls
-  its ``_dispatch`` for every parsed request, so GET/SET semantics, STATS,
-  pub/sub, and per-command observability are byte-identical across
-  engines, and every existing synchronous client works unchanged.
+  command set.  It owns a :class:`~repro.net.server.StoreServer` (or its
+  :class:`~repro.net.server.CacheServer` subclass) as its *command core*
+  and calls ``core.dispatch(command, connection)`` for every parsed
+  request, so GET/SET semantics, STATS, pub/sub, and per-command
+  observability are byte-identical across engines, and every existing
+  synchronous client works unchanged.  The engine touches the core only
+  through its public names (``docs/serving.md`` lists them).
 * **Sync facade.**  The loop runs on a dedicated daemon thread;
   :meth:`AsyncServerEngine.start`/:meth:`~AsyncServerEngine.stop` look
   exactly like the threaded server's, so :class:`~repro.net.server.ServerHandle`,
@@ -138,7 +140,7 @@ class AsyncServerEngine:
     """Run a threaded-server command core on an asyncio event loop.
 
     Generic over the core: pass any constructed (but not started)
-    :class:`~repro.net.server.CacheServer` subclass instance.  The
+    :class:`~repro.net.server.StoreServer` (or subclass) instance.  The
     convenience classes :class:`AsyncCacheServer` and
     :class:`AsyncStoreServer` build the usual cores for you.
 
@@ -152,14 +154,12 @@ class AsyncServerEngine:
 
     engine = "async"
 
-    def __init__(self, core: CacheServer, *, max_clients: int = ASYNC_MAX_CLIENTS) -> None:
+    def __init__(self, core: StoreServer, *, max_clients: int = ASYNC_MAX_CLIENTS) -> None:
         if max_clients <= 0:
             raise ConfigurationError("max_clients must be positive")
-        core.engine = self.engine
-        core.connection_counter = self._connection_count
-        core._max_clients = max_clients  # STATS reports the engine's bound
+        core.carrier = self  # STATS reports this engine's label, bound and connections
         self._core = core
-        self._max_clients = max_clients
+        self.max_clients = max_clients
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -177,7 +177,7 @@ class AsyncServerEngine:
         return self._core.obs
 
     @property
-    def core(self) -> CacheServer:
+    def core(self) -> StoreServer:
         """The command core executing this engine's requests."""
         return self._core
 
@@ -201,7 +201,7 @@ class AsyncServerEngine:
     def cluster_topology(self):
         return self._core.cluster_topology
 
-    def _connection_count(self) -> int:
+    def connection_count(self) -> int:
         return len(self._connections)
 
     # ------------------------------------------------------------------
@@ -218,7 +218,7 @@ class AsyncServerEngine:
             if self._stopped:
                 raise ConfigurationError("engine already stopped; build a new one")
             self._started = True
-        self._core._prepare()
+        self._core.prepare()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._run_loop, name="aio-server-loop", daemon=True
@@ -230,13 +230,12 @@ class AsyncServerEngine:
         except Exception:
             self._teardown_loop()
             raise
-        self._core.address = self.address
         if self.obs.enabled:
             self.obs.emit(
                 "aio_server_started",
                 host=self.address[0],
                 port=self.address[1],
-                max_clients=self._max_clients,
+                max_clients=self.max_clients,
             )
         return self.address
 
@@ -247,7 +246,7 @@ class AsyncServerEngine:
         with self._lifecycle_lock:
             already = self._stopped or not self._started
             self._stopped = True
-        self._core._shutdown.set()  # unblocks serve_forever()
+        self._core.stop()  # unblocks serve_forever(), closes cluster peers
         if already:
             return
         loop = self._loop
@@ -263,7 +262,7 @@ class AsyncServerEngine:
 
     def serve_forever(self) -> None:
         """Block until the engine is shut down (CLI entry point)."""
-        self._core._shutdown.wait()
+        self._core.serve_forever()
 
     def __enter__(self) -> "AsyncServerEngine":
         return self
@@ -304,9 +303,9 @@ class AsyncServerEngine:
     async def _open_listener(self) -> tuple[str, int]:
         self._server = await asyncio.start_server(
             self._handle_connection,
-            self._core._host,
-            self._core._requested_port,
-            backlog=min(self._max_clients, 1024),
+            self._core.host,
+            self._core.port,
+            backlog=min(self.max_clients, 1024),
         )
         return self._server.sockets[0].getsockname()
 
@@ -323,12 +322,10 @@ class AsyncServerEngine:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         core, obs = self._core, self._core.obs
-        if len(self._connections) >= self._max_clients:
-            core.rejected_clients += 1
+        if len(self._connections) >= self.max_clients:
+            writer.write(core.refuse())
             if obs.enabled:
-                obs.inc("server.rejected_clients")
                 obs.inc("net.aio.rejected")
-            writer.write(protocol.encode_error("ERR max number of clients reached"))
             try:
                 await writer.drain()
             except (ConnectionError, OSError):
@@ -337,17 +334,15 @@ class AsyncServerEngine:
             return
         connection = _AsyncConnection(writer)
         self._connections.add(writer)
+        core.connected()
         if obs.enabled:
-            obs.inc("server.connections_total")
-            obs.gauge("server.connections").inc()
             obs.gauge("net.aio.connections").inc()
         try:
             await self._connection_loop(reader, writer, connection)
         finally:
-            core._drop_subscriber(connection)
+            core.disconnected(connection)
             self._connections.discard(writer)
             if obs.enabled:
-                obs.gauge("server.connections").dec()
                 obs.gauge("net.aio.connections").dec()
             if not writer.is_closing():
                 writer.close()
@@ -379,11 +374,7 @@ class AsyncServerEngine:
                 if parsed is None:
                     break  # incomplete tail; wait for the next read
                 command, position = parsed
-                # The core reads the requesting connection out of its
-                # thread-local; every dispatch runs on the loop thread, so
-                # point it at this connection for the duration.
-                core._conn_local.context = connection
-                reply, keep_open = core._dispatch(command)
+                reply, keep_open = core.dispatch(command, connection)
                 replies.append(reply)
                 if not keep_open:
                     closing = True
@@ -398,7 +389,7 @@ class AsyncServerEngine:
                     await writer.drain()  # backpressure: suspend this peer only
                 except (ConnectionError, OSError):
                     return
-            if core._shutdown.is_set():
+            if core.stopping.is_set():
                 # A SHUTDOWN command was dispatched on this loop; the
                 # engine must be stopped from *outside* the loop thread.
                 threading.Thread(target=self.stop, daemon=True).start()

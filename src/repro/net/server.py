@@ -1,10 +1,17 @@
 """Remote-process cache server (the evaluation's Redis stand-in).
 
-A standalone TCP key-value cache server built from scratch: threaded
-connection handling, a bounded LRU keyspace, optional TTLs, and optional
-snapshot persistence -- the feature set Section III of the paper relies on
-when it discusses remote-process caches (shared by multiple clients, data
-serialized over IPC, optional persistence for warm restarts).
+A standalone TCP key-value server built from scratch.  There is **one
+command core**: :class:`StoreServer` executes the wire commands against any
+:class:`~repro.kv.interface.KeyValueStore`, and :class:`CacheServer` is a
+``StoreServer`` whose store is a private in-memory keyspace with a bounded
+LRU, optional TTLs and optional snapshot persistence -- the feature set
+Section III of the paper relies on when it discusses remote-process caches
+("via the key-value interface, any data store can serve as a cache").
+
+The command set is data: :data:`COMMANDS` holds one row per wire command
+(its handler, its arity, which arguments are routing keys).  Dispatch,
+arity errors, cluster routing and the ``docs/protocol.md`` check
+(``make check-docs``) all derive from that table.
 
 The server can run three ways:
 
@@ -13,12 +20,6 @@ The server can run three ways:
 * as a separate OS process (:meth:`ServerHandle.spawn_process`) -- a true
   *remote-process* cache, used by the benchmarks so that IPC costs are real;
 * from the command line: ``python -m repro.net.server --port 7379``.
-
-Supported commands (case-insensitive): PING, GET, SET, SETEX, DEL, EXISTS,
-KEYS, DBSIZE, FLUSHALL, TTL, GETVER, SAVE, STATS, QUIT, SHUTDOWN, plus a
-small pub/sub facility (SUBSCRIBE, UNSUBSCRIBE, PUBLISH) used by the cache
-coherence layer (:mod:`repro.consistency`) to broadcast invalidations to
-every client sharing the server.
 
 The server is itself observable: every dispatched command is counted and
 timed into a per-server :class:`~repro.obs.Observability` bundle
@@ -39,25 +40,30 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from contextlib import suppress
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Callable, Iterator, NamedTuple
 
-from ..errors import ConfigurationError, ProtocolError, StoreConnectionError
+from ..errors import (
+    ConfigurationError,
+    DataStoreError,
+    KeyNotFoundError,
+    ProtocolError,
+    StoreConnectionError,
+)
 from ..obs import Observability
 from . import protocol
 from .client import ClusterAwareClient, parse_moved
+from ..kv.interface import KeyValueStore, content_version
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Callable
-
-    from ..kv.interface import KeyValueStore
-
-__all__ = ["CacheServer", "StoreServer", "ServerHandle", "THREADED_MAX_CLIENTS"]
-
-#: Commands whose first argument is the routing key (cluster serving).
-_SINGLE_KEY_COMMANDS = frozenset({"GET", "SET", "SETEX", "EXISTS", "TTL", "GETVER"})
-#: Commands whose arguments are all routing keys.
-_MULTI_KEY_COMMANDS = frozenset({"DEL", "MGET"})
+__all__ = [
+    "CacheServer",
+    "StoreServer",
+    "ServerHandle",
+    "COMMANDS",
+    "build_server",
+    "THREADED_MAX_CLIENTS",
+]
 
 #: Default concurrent-connection bound for the threaded engine.  Every
 #: connection costs one OS thread (stack reservation, scheduler load), so a
@@ -66,6 +72,17 @@ _MULTI_KEY_COMMANDS = frozenset({"DEL", "MGET"})
 #: a connection for the price of a socket and a read buffer and therefore
 #: defaults ~32x higher.
 THREADED_MAX_CLIENTS = 128
+
+
+_OK = protocol.encode_simple("OK")
+_NIL = protocol.encode_nil()
+_NOT_BYTES = protocol.encode_error("ERR stored value is not bytes")
+
+
+def _key(raw: bytes) -> str:
+    """Wire key -> store key (and cluster routing key).  ``surrogateescape``
+    is lossless, so one ``str``-keyed keyspace serves arbitrary binary keys."""
+    return raw.decode("utf-8", errors="surrogateescape")
 
 
 class _Entry:
@@ -81,30 +98,195 @@ class _Entry:
         return self.expires_at is not None and now >= self.expires_at
 
 
-class CacheServer:
-    """Threaded TCP cache server with LRU eviction and snapshotting."""
+class _CacheKeyspace(KeyValueStore):
+    """The cache server's store: a bounded LRU with lazy TTL expiry.
 
-    #: Engine label reported by ``STATS`` (``server.engine``).  The async
-    #: engine reuses this class as its command core and overwrites it.
+    A plain :class:`~repro.kv.interface.KeyValueStore` plus the three things
+    only a cache has -- ``put(..., ttl=)``, :meth:`ttl` and
+    :meth:`save`/:meth:`load` -- which is why it is the one store that
+    accepts ``SETEX``/``TTL``/``SAVE``.
+    """
+
+    name = "cache-keyspace"
+
+    def __init__(
+        self, max_entries: int | None = None, snapshot_path: str | Path | None = None
+    ) -> None:
+        if max_entries is not None and max_entries <= 0:
+            raise ConfigurationError("max_entries must be positive")
+        self._max_entries = max_entries
+        self.snapshot_path = Path(snapshot_path) if snapshot_path else None
+        self._data: OrderedDict[str, _Entry] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _live_entry(self, key: str) -> _Entry | None:
+        """Return the unexpired entry for *key*, lazily purging an expired one.
+
+        Caller must hold ``self._lock``.
+        """
+        entry = self._data.get(key)
+        if entry is None:
+            return None
+        if entry.expired(time.monotonic()):
+            del self._data[key]
+            return None
+        return entry
+
+    def get_or_default(self, key: str, default=None):
+        with self._lock:
+            entry = self._live_entry(key)
+            if entry is None:
+                return default
+            self._data.move_to_end(key)  # a read refreshes LRU recency
+            return entry.value
+
+    def get(self, key: str) -> bytes:
+        value = self.get_or_default(key)
+        if value is None:
+            raise KeyNotFoundError(key)
+        return value
+
+    def get_with_version(self, key: str) -> tuple[bytes, str]:
+        value = self.get(key)
+        return value, content_version(value)
+
+    def put(self, key: str, value: bytes, ttl: float | None = None) -> None:
+        expires_at = None if ttl is None else time.monotonic() + ttl
+        with self._lock:
+            self._data[key] = _Entry(value, expires_at)
+            self._data.move_to_end(key)
+            if self._max_entries is not None:
+                while len(self._data) > self._max_entries:
+                    self._data.popitem(last=False)  # LRU victim
+
+    def delete(self, key: str) -> bool:
+        with self._lock:
+            return self._data.pop(key, None) is not None
+
+    def contains(self, key: str) -> bool:
+        with self._lock:
+            return self._live_entry(key) is not None
+
+    def keys(self) -> Iterator[str]:
+        now = time.monotonic()
+        with self._lock:
+            return iter([k for k, e in self._data.items() if not e.expired(now)])
+
+    def clear(self) -> int:
+        with self._lock:
+            count = len(self._data)
+            self._data.clear()
+            return count
+
+    def close(self) -> None:
+        pass
+
+    def ttl(self, key: str) -> int:
+        """Whole seconds until *key* expires; ``-1`` no TTL, ``-2`` missing."""
+        with self._lock:
+            entry = self._live_entry(key)
+            if entry is None:
+                return -2
+            if entry.expires_at is None:
+                return -1
+            return max(0, int(entry.expires_at - time.monotonic()))
+
+    def save(self) -> None:
+        """Atomically persist ``{bytes key: (value, remaining_ttl)}``."""
+        now = time.monotonic()
+        with self._lock:
+            # Persist remaining TTL (monotonic clocks don't survive restarts).
+            snapshot = {
+                key.encode("utf-8", errors="surrogateescape"): (
+                    entry.value,
+                    None if entry.expires_at is None else max(0.0, entry.expires_at - now),
+                )
+                for key, entry in self._data.items()
+                if not entry.expired(now)
+            }
+        tmp = self.snapshot_path.with_suffix(".tmp")
+        with open(tmp, "wb") as handle:
+            pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(self.snapshot_path)
+
+    def load(self) -> None:
+        """Warm-load the snapshot file, if one is configured and exists."""
+        if self.snapshot_path is None or not self.snapshot_path.exists():
+            return
+        with open(self.snapshot_path, "rb") as handle:
+            snapshot = pickle.load(handle)
+        now = time.monotonic()
+        with self._lock:
+            for key, (value, remaining_ttl) in snapshot.items():
+                expires_at = None if remaining_ttl is None else now + remaining_ttl
+                self._data[_key(key)] = _Entry(value, expires_at)
+
+
+#: Which arguments of a command are routing keys (a slice of its arguments).
+FIRST, ALL, PAIRS = slice(0, 1), slice(None), slice(None, -1, 2)
+
+
+class _Command(NamedTuple):
+    """One row of :data:`COMMANDS`: everything the server knows about a command."""
+
+    name: str
+    #: ``handler(server, args, connection) -> encoded_reply``
+    handler: Callable
+    #: ``(min, max)`` argument count; ``max=None`` is unbounded.
+    arity: tuple[int, int | None] = (0, None)
+    #: Routing keys among the arguments (:data:`FIRST`/:data:`ALL`/:data:`PAIRS`).
+    keys: slice | None = None
+    #: Set on the commands only the cache keyspace supports: the error a
+    #: server over any other store answers instead.
+    needs_cache: str | None = None
+    #: The connection is closed once the reply is sent.
+    closes: bool = False
+
+    def arity_error(self, count: int) -> str | None:
+        low, high = self.arity
+        paired = self.keys is PAIRS
+        if low <= count and (high is None or count <= high) and not (paired and count % 2):
+            return None
+        if paired:
+            return "expected an even, non-zero number"
+        if low == high:
+            return f"expected {low}, got {count}"
+        return f"expected at least {low}" if high is None else f"expected {low} or {high}"
+
+
+class StoreServer:
+    """Host any :class:`~repro.kv.interface.KeyValueStore` over the wire protocol.
+
+    The paper's MySQL data store is client-server: every operation crosses a
+    socket to the database process.  Our sqlite substrate is in-process, so
+    benchmarks wrap it in a ``StoreServer`` to restore the client-server
+    shape.  This class is also the **command core**: every handler below is
+    written once against ``self._store`` and shared, unmodified, by
+    :class:`CacheServer` and both serving engines.
+
+    Values must be bytes on the wire (the remote client serializes before
+    sending).  ``SETEX``/``TTL``/``SAVE`` need the cache keyspace
+    (:class:`CacheServer`); over any other store they are refused -- data
+    stores own their durability.  A store failure (any
+    :class:`~repro.errors.DataStoreError`) is answered
+    ``-ERR <TypeName>: <message>`` and the connection stays open.
+    """
+
+    #: Engine label reported by ``STATS`` (``server.engine``).
     engine = "threaded"
 
     def __init__(
         self,
+        store: KeyValueStore,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_entries: int | None = None,
-        snapshot_path: str | Path | None = None,
         max_clients: int | None = THREADED_MAX_CLIENTS,
         obs: Observability | None = None,
     ) -> None:
         """Create a server (not yet listening; call :meth:`start`).
 
         :param port: TCP port; 0 picks a free port (see :attr:`address`).
-        :param max_entries: LRU-evict beyond this many keys (``None`` =
-            unbounded, like a default Redis instance).
-        :param snapshot_path: if set, ``SAVE`` persists the keyspace here
-            and :meth:`start` warm-loads from it when it exists.
         :param max_clients: concurrent-connection bound; connections beyond
             it are refused with ``-ERR max number of clients reached`` and
             closed (``None`` = unbounded).  Defaults to
@@ -116,64 +298,54 @@ class CacheServer:
             observed; ``STATS`` must always have numbers to report) -- pass
             a shared bundle to merge its registry with other components.
         """
-        if max_entries is not None and max_entries <= 0:
-            raise ConfigurationError("max_entries must be positive")
         if max_clients is not None and max_clients <= 0:
             raise ConfigurationError("max_clients must be positive")
         self.obs = obs if obs is not None else Observability()
+        self.host = host
+        self.port = port
+        self.max_clients = max_clients
+        #: Whatever carries this core's connections and therefore answers
+        #: ``engine`` / ``max_clients`` / ``connection_count()`` for ``STATS``:
+        #: the server itself, or the async engine wrapping it.
+        self.carrier = self
+        self._store = store
+        self._is_cache = isinstance(store, _CacheKeyspace)
         self._cmd_handles: dict[str, tuple] = {}
-        self._cmd_handles_lock = threading.Lock()
         self._started_at: float | None = None
-        self._host = host
-        self._requested_port = port
-        self._max_entries = max_entries
-        self._max_clients = max_clients
-        self._snapshot_path = Path(snapshot_path) if snapshot_path else None
-        self._data: OrderedDict[bytes, _Entry] = OrderedDict()
-        self._lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
-        # Pub/sub: channel -> set of connection contexts; contexts carry a
-        # write lock because publishers push frames concurrently with the
+        # Pub/sub: channel -> set of connections; threaded connections carry
+        # a write lock because publishers push frames concurrently with the
         # connection's own reply stream.
-        self._subscribers: dict[bytes, set["_ConnectionContext"]] = {}
+        self._subscribers: dict[bytes, set] = {}
         self._subscribers_lock = threading.Lock()
-        self._conn_local = threading.local()
-        self._shutdown = threading.Event()
-        # Cluster membership (see repro.cluster): a duck-typed topology
-        # object (epoch / owner(key) / address(name) / encode()) plus this
-        # server's shard name.  ``None`` = standalone server, zero overhead.
-        self.cluster_topology = None
-        self.cluster_self: str | None = None
-        self._peers: dict[tuple[str, int], ClusterAwareClient] = {}
-        self._peers_lock = threading.Lock()
+        #: Set once the server is shutting down (``SHUTDOWN`` or :meth:`stop`).
+        self.stopping = threading.Event()
+        # Cluster routing (see repro.cluster); ``None`` = standalone server.
+        self._router: _ClusterRouter | None = None
         self.address: tuple[str, int] | None = None
         #: total commands served (diagnostics)
         self.commands_served = 0
         #: connections refused because ``max_clients`` was reached
         self.rejected_clients = 0
-        #: optional override for the live-connection count reported by
-        #: ``STATS`` -- the async engine owns its own connection set and
-        #: plugs its counter in here.
-        self.connection_counter: "Callable[[], int] | None" = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _prepare(self) -> None:
+    def prepare(self) -> None:
         """Shared start-up work (both engines): clock + snapshot warm load."""
         self._started_at = time.monotonic()
-        if self._snapshot_path and self._snapshot_path.exists():
-            self._load_snapshot()
+        if self._is_cache:
+            self._store.load()
 
     def start(self) -> tuple[str, int]:
         """Bind, warm-load any snapshot, and begin accepting connections."""
-        self._prepare()
+        self.prepare()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
+        listener.bind((self.host, self.port))
         listener.listen(64)
         self._listener = listener
         self.address = listener.getsockname()
@@ -184,70 +356,81 @@ class CacheServer:
         return self.address
 
     def stop(self) -> None:
-        """Stop accepting, close the listener and every live connection.
-        Idempotent."""
-        self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
+        """Stop accepting, close the listener, every live connection and
+        every cluster peer connection.  Idempotent."""
+        self.stopping.set()
+        self._close_listener()
         with self._connections_lock:
             live = list(self._connections)
             self._connections.clear()
         for conn in live:
-            try:
+            with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
-        with self._peers_lock:
-            peers, self._peers = list(self._peers.values()), {}
-        for peer in peers:
-            try:
-                peer.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+        if self._router is not None:
+            self._router.close()
+
+    def _close_listener(self) -> None:
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            with suppress(OSError):
+                listener.close()
 
     def serve_forever(self) -> None:
         """Block until the server is shut down (CLI entry point)."""
-        self._shutdown.wait()
+        self.stopping.wait()
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
-        while not self._shutdown.is_set():
+        while not self.stopping.is_set():
             try:
                 conn, _peer = self._listener.accept()
             except OSError:
                 break  # listener closed
-            if self._max_clients is not None:
-                with self._connections_lock:
-                    at_capacity = len(self._connections) >= self._max_clients
-                if at_capacity:
-                    self._reject_connection(conn)
-                    continue
+            if self.max_clients is not None and self.connection_count() >= self.max_clients:
+                with suppress(OSError):
+                    conn.sendall(self.refuse())
+                with suppress(OSError):
+                    conn.close()
+                continue
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
             thread.start()
 
-    def _reject_connection(self, conn: socket.socket) -> None:
-        """Refuse a connection beyond ``max_clients`` (error frame, close)."""
+    def connection_count(self) -> int:
+        with self._connections_lock:
+            return len(self._connections)
+
+    # ------------------------------------------------------------------
+    # What a serving engine calls as connections come and go
+    # ------------------------------------------------------------------
+    def refuse(self) -> bytes:
+        """Count a connection refused at ``max_clients``; returns the error
+        frame to send before closing it."""
         self.rejected_clients += 1
         if self.obs.enabled:
             self.obs.inc("server.rejected_clients")
-        try:
-            conn.sendall(protocol.encode_error("ERR max number of clients reached"))
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        return protocol.encode_error("ERR max number of clients reached")
+
+    def connected(self) -> None:
+        if self.obs.enabled:
+            self.obs.inc("server.connections_total")
+            self.obs.gauge("server.connections").inc()
+
+    def disconnected(self, connection) -> None:
+        """Forget *connection*: drop its subscriptions, count it gone."""
+        self._drop_subscriber(connection)
+        if self.obs.enabled:
+            self.obs.gauge("server.connections").dec()
+
+    def _drop_subscriber(self, connection) -> None:
+        with self._subscribers_lock:
+            for channel in list(self._subscribers):
+                self._subscribers[channel].discard(connection)
+                if not self._subscribers[channel]:
+                    del self._subscribers[channel]
 
     # ------------------------------------------------------------------
     # Per-connection protocol loop
@@ -256,27 +439,22 @@ class CacheServer:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._connections_lock:
             self._connections.add(conn)
-        if self.obs.enabled:
-            self.obs.inc("server.connections_total")
-            self.obs.gauge("server.connections").inc()
+        self.connected()
         stream = conn.makefile("rwb")
         context = _ConnectionContext(stream)
-        self._conn_local.context = context
         reader = protocol.FrameReader(stream)
         try:
-            while not self._shutdown.is_set():
+            while not self.stopping.is_set():
                 try:
                     command = reader.read_command()
                 except Exception:
                     # Malformed framing: report once, then drop the peer.
-                    try:
+                    with suppress(OSError):
                         context.send(protocol.encode_error("ERR protocol error"))
-                    except OSError:
-                        pass
                     return
                 if command is None:
                     return  # clean disconnect
-                reply, keep_open = self._dispatch(command)
+                reply, keep_open = self.dispatch(command, context)
                 try:
                     context.send(reply)
                 except OSError:
@@ -284,54 +462,35 @@ class CacheServer:
                 if not keep_open:
                     return
         finally:
-            self._drop_subscriber(context)
-            if self.obs.enabled:
-                self.obs.gauge("server.connections").dec()
+            self.disconnected(context)
             with self._connections_lock:
                 self._connections.discard(conn)
-            try:
+            with suppress(OSError):
                 stream.close()
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # Command dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, command: list[bytes]) -> tuple[bytes, bool]:
+    def dispatch(self, command: list[bytes], connection) -> tuple[bytes, bool]:
         """Execute one command; returns ``(encoded_reply, keep_connection)``.
 
-        When the server is part of a cluster (:meth:`install_topology`),
-        keyed commands are first routed: keys this shard does not own are
-        answered with a ``-MOVED`` redirect (level-3 connections) or proxied
-        to the owning peer (everyone else), and replies to connections that
-        declared a stale epoch get the current epoch piggybacked as a
-        ``^<epoch>`` header.  Standalone servers skip all of it.
+        *connection* is the requesting connection's write side (``None`` for
+        internal calls); ``CEPOCH`` and pub/sub record state on it.  When
+        the server is part of a cluster (:meth:`install_topology`) the
+        command goes through the cluster router first; standalone servers
+        skip all of it.
         """
-        topology = self.cluster_topology
-        if topology is None:
-            return self._dispatch_local(command)
-        name = command[0].upper().decode("ascii", errors="replace")
-        routed = self._cluster_route(name, command[1:])
-        if routed is not None:
-            self.commands_served += 1
-            reply, keep_open = routed, True
-        else:
-            reply, keep_open = self._dispatch_local(command)
-        context = getattr(self._conn_local, "context", None)
-        if (
-            context is not None
-            and getattr(context, "cluster_level", 1) >= 2
-            and context.cluster_epoch != topology.epoch
-        ):
-            reply = protocol.encode_epoch(topology.epoch) + reply
-        return reply, keep_open
+        if self._router is not None:
+            return self._router.dispatch(command, connection)
+        return self.dispatch_local(command, connection)
 
-    def _dispatch_local(self, command: list[bytes]) -> tuple[bytes, bool]:
-        """Execute one command against this server's own keyspace.
+    def dispatch_local(self, command: list[bytes], connection) -> tuple[bytes, bool]:
+        """Execute one command against this server's own store -- the one
+        place a command runs: table lookup, capability, arity, handler, and
+        a failing store turned into an error reply instead of a dead
+        connection.
 
         Every dispatch is counted and timed into the server's registry
         (``server.cmd.<name>.calls`` / ``.seconds``; error replies also
@@ -339,60 +498,47 @@ class CacheServer:
         exporter report.
         """
         self.commands_served += 1
-        name = command[0].upper().decode("ascii", errors="replace")
-        args = command[1:]
-        handler = getattr(self, f"_cmd_{name.lower()}", None)
-        if handler is None:
-            if self.obs.enabled:
+        observed = self.obs.enabled
+        row = COMMANDS.get(command[0].upper())
+        if row is None:
+            if observed:
                 self.obs.inc("server.cmd.unknown.calls")
                 self.obs.inc("server.errors")
+            name = command[0].upper().decode("ascii", errors="replace")
             return protocol.encode_error(f"ERR unknown command '{name}'"), True
-        if not self.obs.enabled:
-            try:
-                return handler(args)
-            except _Arity as exc:
-                return protocol.encode_error(
-                    f"ERR wrong number of arguments for '{name}': {exc}"
-                ), True
-        calls, seconds = self._handles_for(name.lower())
-        calls.inc()
-        start = time.perf_counter()
-        try:
-            reply, keep_open = handler(args)
-        except _Arity as exc:
+        if observed:
+            handles = self._cmd_handles.get(row.name)
+            if handles is None:  # racing threads get the same registry objects
+                prefix = f"server.cmd.{row.name.lower()}"
+                handles = self._cmd_handles[row.name] = (
+                    self.obs.counter(prefix + ".calls"),
+                    self.obs.histogram(prefix + ".seconds"),
+                )
+            handles[0].inc()
+            start = time.perf_counter()
+        args = command[1:]
+        keep_open = True
+        if row.needs_cache is not None and not self._is_cache:
+            reply = protocol.encode_error(row.needs_cache)
+        elif (problem := row.arity_error(len(args))) is not None:
             reply = protocol.encode_error(
-                f"ERR wrong number of arguments for '{name}': {exc}"
+                f"ERR wrong number of arguments for '{row.name}': {problem}"
             )
-            keep_open = True
-        finally:
-            seconds.observe(time.perf_counter() - start)
-        if reply.startswith(b"-"):
-            self.obs.inc("server.errors")
+        else:
+            try:
+                reply = row.handler(self, args, connection)
+                keep_open = not row.closes
+            except DataStoreError as exc:
+                reply = protocol.encode_error(f"ERR {type(exc).__name__}: {exc}")
+        if observed:
+            handles[1].observe(time.perf_counter() - start)
+            if reply.startswith(b"-"):
+                self.obs.inc("server.errors")
         return reply, keep_open
-
-    def _handles_for(self, command: str) -> tuple:
-        """Cached (calls counter, latency histogram) pair for *command*."""
-        handles = self._cmd_handles.get(command)
-        if handles is None:
-            with self._cmd_handles_lock:
-                handles = self._cmd_handles.get(command)
-                if handles is None:
-                    prefix = f"server.cmd.{command}"
-                    handles = (
-                        self.obs.counter(prefix + ".calls"),
-                        self.obs.histogram(prefix + ".seconds"),
-                    )
-                    self._cmd_handles[command] = handles
-        return handles
 
     # ------------------------------------------------------------------
     # Cluster serving (see repro.cluster and docs/cluster.md)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cluster_key(raw: bytes) -> str:
-        """Wire key -> routing key (must agree with StoreServer._store_key)."""
-        return raw.decode("utf-8", errors="surrogateescape")
-
     def install_topology(self, topology, self_name: str) -> None:
         """Join a cluster or adopt a newer topology version.
 
@@ -402,319 +548,185 @@ class CacheServer:
         Epochs are monotonic: installing an older version than the current
         one is a coordination bug and is refused.
         """
-        current = self.cluster_topology
-        if current is not None and topology.epoch < current.epoch:
-            raise ConfigurationError(
-                f"refusing to install topology epoch {topology.epoch} over "
-                f"newer epoch {current.epoch}"
-            )
-        self.cluster_topology = topology
-        self.cluster_self = self_name
-        if self.obs.enabled:
-            self.obs.gauge("cluster.epoch").set(topology.epoch)
-            self.obs.inc("cluster.topology_installs")
-            self.obs.emit(
-                "topology_changed",
-                epoch=topology.epoch,
-                shard=self_name,
-                members=list(topology.members),
-            )
+        if self._router is None:
+            self._router = _ClusterRouter(self)
+        self._router.install(topology, self_name)
 
-    def _cmd_topology(self, args: list[bytes]) -> tuple[bytes, bool]:
+    @property
+    def cluster_topology(self):
+        return None if self._router is None else self._router.topology
+
+    # ------------------------------------------------------------------
+    # Handlers: (args, connection) -> encoded reply.  Arity is already
+    # checked against the command's COMMANDS row.
+    # ------------------------------------------------------------------
+    def _cmd_ping(self, args, connection):
+        if args:
+            return protocol.encode_bulk(args[0])
+        return protocol.encode_simple("PONG")
+
+    def _cmd_get(self, args, connection):
+        value = self._store.get_or_default(_key(args[0]))
+        if value is None:
+            return _NIL
+        if not isinstance(value, (bytes, bytearray)):
+            return _NOT_BYTES
+        return protocol.encode_bulk(bytes(value))
+
+    def _cmd_set(self, args, connection):
+        self._store.put(_key(args[0]), args[1])
+        return _OK
+
+    def _cmd_setex(self, args, connection):
+        try:
+            ttl = float(args[1])
+        except ValueError:
+            ttl = 0.0
+        if ttl <= 0:
+            return protocol.encode_error("ERR invalid TTL")
+        self._store.put(_key(args[0]), args[2], ttl=ttl)
+        return _OK
+
+    def _cmd_del(self, args, connection):
+        removed = self._store.delete_many([_key(key) for key in args])
+        return protocol.encode_integer(removed)
+
+    def _cmd_mget(self, args, connection):
+        """Fetch many keys in one round trip; absent keys come back nil."""
+        frames = []
+        for key in args:
+            value = self._store.get_or_default(_key(key))
+            if isinstance(value, (bytes, bytearray)):
+                frames.append(protocol.encode_bulk(bytes(value)))
+            else:
+                frames.append(_NIL)
+        return protocol.encode_array(frames)
+
+    def _cmd_mset(self, args, connection):
+        """Store many (key, value) pairs in one round trip."""
+        self._store.put_many(
+            {_key(args[index]): args[index + 1] for index in range(0, len(args), 2)}
+        )
+        return _OK
+
+    def _cmd_exists(self, args, connection):
+        present = self._store.contains(_key(args[0]))
+        return protocol.encode_integer(1 if present else 0)
+
+    def _cmd_keys(self, args, connection):
+        frames = [
+            protocol.encode_bulk(key.encode("utf-8", errors="surrogateescape"))
+            for key in self._store.keys()
+        ]
+        return protocol.encode_array(frames)
+
+    def _cmd_dbsize(self, args, connection):
+        return protocol.encode_integer(self._store.size())
+
+    def _cmd_flushall(self, args, connection):
+        self._store.clear()
+        return _OK
+
+    def _cmd_ttl(self, args, connection):
+        return protocol.encode_integer(self._store.ttl(_key(args[0])))
+
+    def _cmd_getver(self, args, connection):
+        """Version token for a key (content hash) -- used for revalidation."""
+        value = self._store.get_or_default(_key(args[0]))
+        if value is None:
+            return _NIL
+        if not isinstance(value, (bytes, bytearray)):
+            return _NOT_BYTES
+        digest = hashlib.sha1(bytes(value)).hexdigest().encode("ascii")
+        return protocol.encode_bulk(digest)
+
+    def _cmd_save(self, args, connection):
+        if self._store.snapshot_path is None:
+            return protocol.encode_error("ERR no snapshot path configured")
+        self._store.save()
+        return _OK
+
+    def _cmd_topology(self, args, connection):
         """The cluster's shard map + epoch as a JSON bulk string."""
         topology = self.cluster_topology
         if topology is None:
-            return protocol.encode_error("ERR this server is not part of a cluster"), True
-        return protocol.encode_bulk(topology.encode()), True
+            return protocol.encode_error("ERR this server is not part of a cluster")
+        return protocol.encode_bulk(topology.encode())
 
-    def _cmd_cepoch(self, args: list[bytes]) -> tuple[bytes, bool]:
+    def _cmd_cepoch(self, args, connection):
         """Declare this connection's cluster intelligence: CEPOCH <epoch> [<level>]."""
-        if len(args) not in (1, 2):
-            raise _Arity("expected 1 or 2")
         try:
             epoch = int(args[0])
             level = int(args[1]) if len(args) == 2 else 3
         except ValueError:
-            return protocol.encode_error("ERR invalid CEPOCH arguments"), True
+            return protocol.encode_error("ERR invalid CEPOCH arguments")
         if epoch < 0 or not 1 <= level <= 3:
-            return protocol.encode_error(
-                "ERR CEPOCH wants epoch >= 0 and level 1..3"
-            ), True
-        context = getattr(self._conn_local, "context", None)
-        if context is not None:
-            context.cluster_epoch = epoch
-            context.cluster_level = level
-        return protocol.encode_simple("OK"), True
+            return protocol.encode_error("ERR CEPOCH wants epoch >= 0 and level 1..3")
+        if connection is not None:
+            connection.cluster_epoch = epoch
+            connection.cluster_level = level
+        return _OK
 
-    def _cluster_route(self, name: str, args: list[bytes]) -> bytes | None:
-        """Cluster routing for one keyed command.
+    def _cmd_stats(self, args, connection):
+        """Live server statistics as a flat array of key/value bulk strings."""
+        frames: list[bytes] = []
+        for key, value in self.stats_pairs():
+            frames.append(protocol.encode_bulk(key.encode("ascii")))
+            frames.append(protocol.encode_bulk(value.encode("ascii")))
+        return protocol.encode_array(frames)
 
-        Returns ``None`` when every key is owned locally (or the command is
-        not keyed) -- execute normally.  Otherwise returns the encoded
-        reply: a ``-MOVED`` redirect for level-3 connections, or the merged
-        result of proxying the misrouted keys to their owners.
-        """
-        topology = self.cluster_topology
-        if topology is None or self.cluster_self is None:
-            return None
-        if name in _SINGLE_KEY_COMMANDS:
-            if not args:
-                return None  # let the handler raise the arity error
-            keys = args[:1]
-        elif name in _MULTI_KEY_COMMANDS:
-            keys = list(args)
-        elif name == "MSET":
-            keys = [args[index] for index in range(0, len(args) - 1, 2)]
-        else:
-            return None
-        owners = {key: topology.owner(self._cluster_key(key)) for key in keys}
-        if all(owner == self.cluster_self for owner in owners.values()):
-            return None
-        context = getattr(self._conn_local, "context", None)
-        if context is not None and getattr(context, "cluster_level", 1) >= 3:
-            # A hash-routing client got here with a stale table: redirect it
-            # to the first misrouted key's owner instead of masking the miss.
-            for key in keys:
-                owner = owners[key]
-                if owner != self.cluster_self:
-                    host, port = topology.address(owner)
-                    if self.obs.enabled:
-                        self.obs.inc("cluster.moved_replies")
-                    return protocol.encode_error(
-                        f"MOVED {topology.epoch} {owner} {host}:{port}"
-                    )
-        try:
-            return self._cluster_forward(name, args, owners, topology)
-        except (OSError, ProtocolError, StoreConnectionError, ConfigurationError) as exc:
-            if self.obs.enabled:
-                self.obs.inc("server.errors")
-            return protocol.encode_error(f"ERR cluster forward failed: {exc}")
+    def _cmd_subscribe(self, args, connection):
+        with self._subscribers_lock:
+            self._subscribers.setdefault(args[0], set()).add(connection)
+            count = sum(1 for members in self._subscribers.values() if connection in members)
+        return protocol.encode_array(
+            [
+                protocol.encode_bulk(b"subscribe"),
+                protocol.encode_bulk(args[0]),
+                protocol.encode_integer(count),
+            ]
+        )
 
-    def _cluster_forward(self, name, args, owners, topology) -> bytes:
-        """Proxy misrouted keys to their owners and merge the replies.
+    def _cmd_unsubscribe(self, args, connection):
+        with self._subscribers_lock:
+            members = self._subscribers.get(args[0])
+            if members is not None:
+                members.discard(connection)
+                if not members:
+                    del self._subscribers[args[0]]
+        return _OK
 
-        This is the level-1 service: any shard accepts any command and the
-        cluster looks like one big server.  Multi-key commands scatter to
-        every involved owner and gather in argument order.
-        """
-        if self.obs.enabled:
-            self.obs.inc("cluster.forwarded")
-        name_b = name.encode("ascii")
-        if name in _SINGLE_KEY_COMMANDS:
-            frame = self._peer_call(topology, owners[args[0]], [name_b, *args])
-            return protocol.encode_frame(frame)
-        if name == "MGET":
-            frames: list[bytes | None] = [None] * len(args)
-            remote: dict[str, list[int]] = {}
-            for index, key in enumerate(args):
-                owner = owners[key]
-                if owner == self.cluster_self:
-                    frames[index] = self._cmd_get([key])[0]
-                else:
-                    remote.setdefault(owner, []).append(index)
-            for owner, indexes in remote.items():
-                reply = self._peer_call(
-                    topology, owner, [b"MGET", *[args[i] for i in indexes]]
-                )
-                if not isinstance(reply, list) or len(reply) != len(indexes):
-                    raise ProtocolError("peer MGET returned a malformed array")
-                for index, member in zip(indexes, reply):
-                    frames[index] = protocol.encode_frame(member)
-            return protocol.encode_array([frame for frame in frames if frame is not None])
-        if name == "DEL":
-            local = [key for key in args if owners[key] == self.cluster_self]
-            remote = {}
-            for key in args:
-                if owners[key] != self.cluster_self:
-                    remote.setdefault(owners[key], []).append(key)
-            removed = 0
-            if local:
-                removed += int(self._cmd_del(local)[0][1:-2])
-            for owner, keys in remote.items():
-                reply = self._peer_call(topology, owner, [b"DEL", *keys])
-                if isinstance(reply, protocol.WireError):
-                    raise ProtocolError(f"peer DEL failed: {reply}")
-                removed += int(reply)
-            return protocol.encode_integer(removed)
-        if name == "MSET":
-            local: list[bytes] = []
-            remote = {}
-            for index in range(0, len(args) - 1, 2):
-                key, value = args[index], args[index + 1]
-                if owners[key] == self.cluster_self:
-                    local.extend((key, value))
-                else:
-                    remote.setdefault(owners[key], []).extend((key, value))
-            if local:
-                self._cmd_mset(local)
-            for owner, flat in remote.items():
-                reply = self._peer_call(topology, owner, [b"MSET", *flat])
-                if isinstance(reply, protocol.WireError):
-                    raise ProtocolError(f"peer MSET failed: {reply}")
-            return protocol.encode_simple("OK")
-        raise ProtocolError(f"command {name} is not forwardable")  # pragma: no cover
+    def _cmd_publish(self, args, connection):
+        channel, payload = args
+        message = protocol.encode_array(
+            [
+                protocol.encode_bulk(b"message"),
+                protocol.encode_bulk(channel),
+                protocol.encode_bulk(payload),
+            ]
+        )
+        with self._subscribers_lock:
+            targets = list(self._subscribers.get(channel, ()))
+        delivered = 0
+        for target in targets:
+            try:
+                target.send(message)
+                delivered += 1
+            except OSError:
+                self._drop_subscriber(target)
+        return protocol.encode_integer(delivered)
 
-    def _peer_call(self, topology, owner: str, command: list[bytes]):
-        """One round trip to the peer shard *owner*, following one MOVED hop.
+    def _cmd_quit(self, args, connection):
+        return _OK
 
-        Peer connections declare level 3, so a peer with a newer topology
-        answers MOVED rather than forwarding onward -- forwarding chains
-        (and cycles, during a topology install) are impossible by
-        construction.
-        """
-        address = topology.address(owner)
-        frame = self._peer(address).call(command)
-        if isinstance(frame, protocol.WireError):
-            moved = parse_moved(str(frame))
-            if moved is not None:
-                frame = self._peer(moved.address).call(command)
-        return frame
-
-    def _peer(self, address: tuple[str, int]) -> ClusterAwareClient:
-        with self._peers_lock:
-            peer = self._peers.get(address)
-            if peer is None:
-                peer = ClusterAwareClient(
-                    address[0],
-                    address[1],
-                    level=3,
-                    epoch_source=lambda: (
-                        self.cluster_topology.epoch if self.cluster_topology else 0
-                    ),
-                )
-                self._peers[address] = peer
-            return peer
-
-    # Each handler returns (encoded_reply, keep_connection).
-
-    def _cmd_ping(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if args:
-            return protocol.encode_bulk(args[0]), True
-        return protocol.encode_simple("PONG"), True
-
-    def _cmd_get(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        with self._lock:
-            entry = self._live_entry(args[0])
-            if entry is None:
-                return protocol.encode_nil(), True
-            self._data.move_to_end(args[0])
-            return protocol.encode_bulk(entry.value), True
-
-    def _cmd_set(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 2)
-        self._store(args[0], args[1], ttl=None)
-        return protocol.encode_simple("OK"), True
-
-    def _cmd_setex(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 3)
-        try:
-            ttl = float(args[1])
-        except ValueError:
-            return protocol.encode_error("ERR invalid TTL"), True
-        if ttl <= 0:
-            return protocol.encode_error("ERR invalid TTL"), True
-        self._store(args[0], args[2], ttl=ttl)
-        return protocol.encode_simple("OK"), True
-
-    def _cmd_del(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if not args:
-            raise _Arity("expected at least 1")
-        removed = 0
-        with self._lock:
-            for key in args:
-                if self._data.pop(key, None) is not None:
-                    removed += 1
-        return protocol.encode_integer(removed), True
-
-    def _cmd_mget(self, args: list[bytes]) -> tuple[bytes, bool]:
-        """Fetch many keys in one round trip; absent keys come back nil."""
-        if not args:
-            raise _Arity("expected at least 1")
-        frames = []
-        with self._lock:
-            for key in args:
-                entry = self._live_entry(key)
-                if entry is None:
-                    frames.append(protocol.encode_nil())
-                else:
-                    self._data.move_to_end(key)
-                    frames.append(protocol.encode_bulk(entry.value))
-        return protocol.encode_array(frames), True
-
-    def _cmd_mset(self, args: list[bytes]) -> tuple[bytes, bool]:
-        """Store many (key, value) pairs in one round trip."""
-        if not args or len(args) % 2:
-            raise _Arity("expected an even, non-zero number")
-        for index in range(0, len(args), 2):
-            self._store(args[index], args[index + 1], ttl=None)
-        return protocol.encode_simple("OK"), True
-
-    def _cmd_exists(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        with self._lock:
-            return protocol.encode_integer(1 if self._live_entry(args[0]) else 0), True
-
-    def _cmd_keys(self, args: list[bytes]) -> tuple[bytes, bool]:
-        now = time.monotonic()
-        with self._lock:
-            live = [k for k, e in self._data.items() if not e.expired(now)]
-        return protocol.encode_array([protocol.encode_bulk(k) for k in live]), True
-
-    def _cmd_dbsize(self, args: list[bytes]) -> tuple[bytes, bool]:
-        now = time.monotonic()
-        with self._lock:
-            count = sum(1 for e in self._data.values() if not e.expired(now))
-        return protocol.encode_integer(count), True
-
-    def _cmd_flushall(self, args: list[bytes]) -> tuple[bytes, bool]:
-        with self._lock:
-            self._data.clear()
-        return protocol.encode_simple("OK"), True
-
-    def _cmd_ttl(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        now = time.monotonic()
-        with self._lock:
-            entry = self._live_entry(args[0])
-            if entry is None:
-                return protocol.encode_integer(-2), True
-            if entry.expires_at is None:
-                return protocol.encode_integer(-1), True
-            return protocol.encode_integer(max(0, int(entry.expires_at - now))), True
-
-    def _cmd_getver(self, args: list[bytes]) -> tuple[bytes, bool]:
-        """Version token for a key (content hash) -- used for revalidation."""
-        _require(args, 1)
-        with self._lock:
-            entry = self._live_entry(args[0])
-            if entry is None:
-                return protocol.encode_nil(), True
-            digest = hashlib.sha1(entry.value).hexdigest().encode("ascii")
-            return protocol.encode_bulk(digest), True
-
-    def _cmd_save(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if self._snapshot_path is None:
-            return protocol.encode_error("ERR no snapshot path configured"), True
-        self._save_snapshot()
-        return protocol.encode_simple("OK"), True
+    def _cmd_shutdown(self, args, connection):
+        self.stopping.set()
+        self._close_listener()
+        return _OK
 
     # ------------------------------------------------------------------
     # Server-side observability (the STATS wire command)
     # ------------------------------------------------------------------
-    def _keyspace_size(self) -> int:
-        """Live key count (overridden by :class:`StoreServer`)."""
-        now = time.monotonic()
-        with self._lock:
-            return sum(1 for e in self._data.values() if not e.expired(now))
-
-    def _connection_count(self) -> int:
-        """Live connections, whichever engine is carrying them."""
-        if self.connection_counter is not None:
-            return self.connection_counter()
-        with self._connections_lock:
-            return len(self._connections)
-
     def stats_pairs(self) -> list[tuple[str, str]]:
         """The ``STATS`` payload as (key, value) string pairs.
 
@@ -728,19 +740,20 @@ class CacheServer:
         ``server.errors``.
         """
         uptime = 0.0 if self._started_at is None else time.monotonic() - self._started_at
+        carrier = self.carrier
         pairs: list[tuple[str, str]] = [
             ("server.uptime_seconds", f"{uptime:.3f}"),
             ("server.commands_served", str(self.commands_served)),
-            ("server.connections", str(self._connection_count())),
-            ("server.keys", str(self._keyspace_size())),
-            ("server.engine", self.engine),
-            ("server.max_clients", str(self._max_clients or 0)),
+            ("server.connections", str(carrier.connection_count())),
+            ("server.keys", str(self._store.size())),
+            ("server.engine", carrier.engine),
+            ("server.max_clients", str(carrier.max_clients or 0)),
             ("server.rejected_clients", str(self.rejected_clients)),
         ]
-        topology = self.cluster_topology
-        if topology is not None:
+        if self._router is not None:
+            topology = self._router.topology
             pairs.append(("cluster.epoch", str(topology.epoch)))
-            pairs.append(("cluster.self", self.cluster_self or ""))
+            pairs.append(("cluster.self", self._router.self_name or ""))
             pairs.append(("cluster.shards", str(len(topology.members))))
         if self.obs.enabled:
             snapshot = self.obs.registry.snapshot()
@@ -760,249 +773,263 @@ class CacheServer:
                     )
         return pairs
 
-    def _cmd_stats(self, args: list[bytes]) -> tuple[bytes, bool]:
-        """Live server statistics as a flat array of key/value bulk strings."""
-        frames: list[bytes] = []
-        for key, value in self.stats_pairs():
-            frames.append(protocol.encode_bulk(key.encode("ascii")))
-            frames.append(protocol.encode_bulk(value.encode("ascii")))
-        return protocol.encode_array(frames), True
 
-    # ------------------------------------------------------------------
-    # Pub/sub (cache-coherence transport)
-    # ------------------------------------------------------------------
-    def _cmd_subscribe(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        context: _ConnectionContext = self._conn_local.context
-        with self._subscribers_lock:
-            self._subscribers.setdefault(args[0], set()).add(context)
-            count = sum(1 for members in self._subscribers.values() if context in members)
-        return (
-            protocol.encode_array(
-                [
-                    protocol.encode_bulk(b"subscribe"),
-                    protocol.encode_bulk(args[0]),
-                    protocol.encode_integer(count),
-                ]
-            ),
-            True,
-        )
-
-    def _cmd_unsubscribe(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        context: _ConnectionContext = self._conn_local.context
-        with self._subscribers_lock:
-            members = self._subscribers.get(args[0])
-            if members is not None:
-                members.discard(context)
-                if not members:
-                    del self._subscribers[args[0]]
-        return protocol.encode_simple("OK"), True
-
-    def _cmd_publish(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 2)
-        channel, payload = args
-        message = protocol.encode_array(
-            [
-                protocol.encode_bulk(b"message"),
-                protocol.encode_bulk(channel),
-                protocol.encode_bulk(payload),
-            ]
-        )
-        with self._subscribers_lock:
-            targets = list(self._subscribers.get(channel, ()))
-        delivered = 0
-        for context in targets:
-            try:
-                context.send(message)
-                delivered += 1
-            except OSError:
-                self._drop_subscriber(context)
-        return protocol.encode_integer(delivered), True
-
-    def _drop_subscriber(self, context: "_ConnectionContext") -> None:
-        with self._subscribers_lock:
-            for channel in list(self._subscribers):
-                self._subscribers[channel].discard(context)
-                if not self._subscribers[channel]:
-                    del self._subscribers[channel]
-
-    def _cmd_quit(self, args: list[bytes]) -> tuple[bytes, bool]:
-        return protocol.encode_simple("OK"), False
-
-    def _cmd_shutdown(self, args: list[bytes]) -> tuple[bytes, bool]:
-        self._shutdown.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        return protocol.encode_simple("OK"), False
-
-    # ------------------------------------------------------------------
-    # Keyspace internals (callers hold no lock unless noted)
-    # ------------------------------------------------------------------
-    def _live_entry(self, key: bytes) -> _Entry | None:
-        """Return the unexpired entry for *key*, lazily purging an expired one.
-
-        Caller must hold ``self._lock``.
-        """
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        if entry.expired(time.monotonic()):
-            del self._data[key]
-            return None
-        return entry
-
-    def _store(self, key: bytes, value: bytes, *, ttl: float | None) -> None:
-        expires_at = None if ttl is None else time.monotonic() + ttl
-        with self._lock:
-            self._data[key] = _Entry(value, expires_at)
-            self._data.move_to_end(key)
-            if self._max_entries is not None:
-                while len(self._data) > self._max_entries:
-                    self._data.popitem(last=False)  # LRU victim
-
-    def _save_snapshot(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            # Persist remaining TTL (monotonic clocks don't survive restarts).
-            snapshot = {
-                key: (entry.value, None if entry.expires_at is None else max(0.0, entry.expires_at - now))
-                for key, entry in self._data.items()
-                if not entry.expired(now)
-            }
-        assert self._snapshot_path is not None
-        tmp = self._snapshot_path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(self._snapshot_path)
-
-    def _load_snapshot(self) -> None:
-        assert self._snapshot_path is not None
-        with open(self._snapshot_path, "rb") as handle:
-            snapshot = pickle.load(handle)
-        now = time.monotonic()
-        with self._lock:
-            for key, (value, remaining_ttl) in snapshot.items():
-                expires_at = None if remaining_ttl is None else now + remaining_ttl
-                self._data[key] = _Entry(value, expires_at)
-
-
-class StoreServer(CacheServer):
-    """Host any :class:`~repro.kv.interface.KeyValueStore` over the wire protocol.
-
-    The paper's MySQL data store is client-server: every operation crosses a
-    socket to the database process.  Our sqlite substrate is in-process, so
-    benchmarks wrap it in a ``StoreServer`` to restore the client-server
-    shape -- the same protocol the cache server speaks, but the keyspace
-    commands are executed against a real store instead of an in-memory dict.
-
-    Values must be bytes on the wire (the remote client serializes before
-    sending); TTL and snapshot commands are not supported -- data stores own
-    their durability.
-    """
+class CacheServer(StoreServer):
+    """Threaded TCP cache server with LRU eviction and snapshotting: a
+    :class:`StoreServer` over the in-memory cache keyspace."""
 
     def __init__(
         self,
-        store: "KeyValueStore",
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        max_entries: int | None = None,
+        snapshot_path: str | Path | None = None,
         max_clients: int | None = THREADED_MAX_CLIENTS,
         obs: Observability | None = None,
     ) -> None:
-        super().__init__(host, port, max_clients=max_clients, obs=obs)
-        self._store = store
+        """See :class:`StoreServer` for *port*, *max_clients* and *obs*.
 
-    # -- keyspace commands re-routed to the hosted store -----------------
-    @staticmethod
-    def _store_key(raw: bytes) -> str:
-        return raw.decode("utf-8", errors="surrogateescape")
+        :param max_entries: LRU-evict beyond this many keys (``None`` =
+            unbounded, like a default Redis instance).
+        :param snapshot_path: if set, ``SAVE`` persists the keyspace here
+            and :meth:`start` warm-loads from it when it exists.
+        """
+        super().__init__(
+            _CacheKeyspace(max_entries, snapshot_path),
+            host,
+            port,
+            max_clients=max_clients,
+            obs=obs,
+        )
 
-    def _cmd_get(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        value = self._store.get_or_default(self._store_key(args[0]))
-        if value is None:
-            return protocol.encode_nil(), True
-        if not isinstance(value, (bytes, bytearray)):
-            return protocol.encode_error("ERR stored value is not bytes"), True
-        return protocol.encode_bulk(bytes(value)), True
 
-    def _cmd_set(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 2)
-        self._store.put(self._store_key(args[0]), args[1])
-        return protocol.encode_simple("OK"), True
+_NO_TTL = "ERR TTLs are not supported by a store server"
+_NO_SAVE = "ERR the hosted store owns its durability"
 
-    def _cmd_setex(self, args: list[bytes]) -> tuple[bytes, bool]:
-        return protocol.encode_error("ERR TTLs are not supported by a store server"), True
+#: The command set, as data: the only registry of what a command is.
+#: A handler plus its row is all a new command needs to be dispatched,
+#: arity-checked, cluster-routed and required in ``docs/protocol.md``.
+COMMANDS: dict[bytes, _Command] = {
+    row.name.encode("ascii"): row
+    for row in (
+        _Command("PING", StoreServer._cmd_ping),
+        _Command("GET", StoreServer._cmd_get, (1, 1), FIRST),
+        _Command("SET", StoreServer._cmd_set, (2, 2), FIRST),
+        _Command("SETEX", StoreServer._cmd_setex, (3, 3), FIRST, needs_cache=_NO_TTL),
+        _Command("DEL", StoreServer._cmd_del, (1, None), ALL),
+        _Command("MGET", StoreServer._cmd_mget, (1, None), ALL),
+        _Command("MSET", StoreServer._cmd_mset, (2, None), PAIRS),
+        _Command("EXISTS", StoreServer._cmd_exists, (1, 1), FIRST),
+        _Command("KEYS", StoreServer._cmd_keys),
+        _Command("DBSIZE", StoreServer._cmd_dbsize),
+        _Command("FLUSHALL", StoreServer._cmd_flushall),
+        _Command("TTL", StoreServer._cmd_ttl, (1, 1), FIRST, needs_cache=_NO_TTL),
+        _Command("GETVER", StoreServer._cmd_getver, (1, 1), FIRST),
+        _Command("SAVE", StoreServer._cmd_save, needs_cache=_NO_SAVE),
+        _Command("STATS", StoreServer._cmd_stats),
+        _Command("TOPOLOGY", StoreServer._cmd_topology),
+        _Command("CEPOCH", StoreServer._cmd_cepoch, (1, 2)),
+        _Command("SUBSCRIBE", StoreServer._cmd_subscribe, (1, 1)),
+        _Command("UNSUBSCRIBE", StoreServer._cmd_unsubscribe, (1, 1)),
+        _Command("PUBLISH", StoreServer._cmd_publish, (2, 2)),
+        _Command("QUIT", StoreServer._cmd_quit, closes=True),
+        _Command("SHUTDOWN", StoreServer._cmd_shutdown, closes=True),
+    )
+}
 
-    def _cmd_del(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if not args:
-            raise _Arity("expected at least 1")
-        removed = sum(1 for key in args if self._store.delete(self._store_key(key)))
-        return protocol.encode_integer(removed), True
 
-    def _cmd_exists(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        present = self._store.contains(self._store_key(args[0]))
-        return protocol.encode_integer(1 if present else 0), True
+class _ClusterRouter:
+    """Cluster routing, composed around one server's local dispatch.
 
-    def _cmd_mget(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if not args:
-            raise _Arity("expected at least 1")
-        frames = []
-        for key in args:
-            value = self._store.get_or_default(self._store_key(key))
-            if isinstance(value, (bytes, bytearray)):
-                frames.append(protocol.encode_bulk(bytes(value)))
-            else:
-                frames.append(protocol.encode_nil())
-        return protocol.encode_array(frames), True
+    Created by :meth:`StoreServer.install_topology`, so a standalone server
+    carries no peer map and pays no per-command topology test.  Keyed
+    commands (rows with ``keys``) whose keys this shard does not own are
+    answered with a ``-MOVED`` redirect (level-3 connections) or proxied to
+    the owning peer (everyone else), and replies to connections that
+    declared a stale epoch get the current epoch piggybacked as a
+    ``^<epoch>`` header.
+    """
 
-    def _cmd_mset(self, args: list[bytes]) -> tuple[bytes, bool]:
-        if not args or len(args) % 2:
-            raise _Arity("expected an even, non-zero number")
-        items = {
-            self._store_key(args[index]): args[index + 1]
-            for index in range(0, len(args), 2)
-        }
-        self._store.put_many(items)
-        return protocol.encode_simple("OK"), True
+    def __init__(self, server: StoreServer) -> None:
+        self._server = server
+        # A duck-typed topology object (epoch / owner(key) / address(name) /
+        # encode()) plus this server's shard name.
+        self.topology = None
+        self.self_name: str | None = None
+        self._peers: dict[tuple[str, int], ClusterAwareClient] = {}
+        self._peers_lock = threading.Lock()
 
-    def _cmd_keys(self, args: list[bytes]) -> tuple[bytes, bool]:
-        frames = [
-            protocol.encode_bulk(key.encode("utf-8", errors="surrogateescape"))
-            for key in self._store.keys()
-        ]
-        return protocol.encode_array(frames), True
+    def install(self, topology, self_name: str) -> None:
+        current = self.topology
+        if current is not None and topology.epoch < current.epoch:
+            raise ConfigurationError(
+                f"refusing to install topology epoch {topology.epoch} over "
+                f"newer epoch {current.epoch}"
+            )
+        self.topology = topology
+        self.self_name = self_name
+        obs = self._server.obs
+        if obs.enabled:
+            obs.gauge("cluster.epoch").set(topology.epoch)
+            obs.inc("cluster.topology_installs")
+            obs.emit(
+                "topology_changed",
+                epoch=topology.epoch,
+                shard=self_name,
+                members=list(topology.members),
+            )
 
-    def _cmd_dbsize(self, args: list[bytes]) -> tuple[bytes, bool]:
-        return protocol.encode_integer(self._store.size()), True
+    def close(self) -> None:
+        with self._peers_lock:
+            peers, self._peers = list(self._peers.values()), {}
+        for peer in peers:
+            try:
+                peer.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
 
-    def _cmd_flushall(self, args: list[bytes]) -> tuple[bytes, bool]:
-        self._store.clear()
-        return protocol.encode_simple("OK"), True
+    def dispatch(self, command: list[bytes], connection) -> tuple[bytes, bool]:
+        topology = self.topology
+        row = COMMANDS.get(command[0].upper())
+        routed = None
+        if row is not None and row.keys is not None:
+            routed = self._route(row, command[1:], connection, topology)
+        if routed is not None:
+            self._server.commands_served += 1
+            reply, keep_open = routed, True
+        else:
+            reply, keep_open = self._server.dispatch_local(command, connection)
+        if (
+            connection is not None
+            and connection.cluster_level >= 2
+            and connection.cluster_epoch != topology.epoch
+        ):
+            reply = protocol.encode_epoch(topology.epoch) + reply
+        return reply, keep_open
 
-    def _cmd_ttl(self, args: list[bytes]) -> tuple[bytes, bool]:
-        return protocol.encode_error("ERR TTLs are not supported by a store server"), True
+    def _route(self, row: _Command, args: list[bytes], connection, topology) -> bytes | None:
+        """Cluster routing for one keyed command.
 
-    def _cmd_getver(self, args: list[bytes]) -> tuple[bytes, bool]:
-        _require(args, 1)
-        value = self._store.get_or_default(self._store_key(args[0]))
-        if value is None:
-            return protocol.encode_nil(), True
-        if not isinstance(value, (bytes, bytearray)):
-            return protocol.encode_error("ERR stored value is not bytes"), True
-        digest = hashlib.sha1(bytes(value)).hexdigest().encode("ascii")
-        return protocol.encode_bulk(digest), True
+        Returns ``None`` when every key is owned locally (an arity error
+        included: no keys, so the local handler reports it) -- execute
+        normally.  Otherwise returns the encoded reply: a ``-MOVED``
+        redirect for level-3 connections, or the merged result of proxying
+        the misrouted keys to their owners.
+        """
+        obs = self._server.obs
+        keys = args[row.keys]
+        owners = {key: topology.owner(_key(key)) for key in keys}
+        if all(owner == self.self_name for owner in owners.values()):
+            return None
+        if connection is not None and connection.cluster_level >= 3:
+            # A hash-routing client got here with a stale table: redirect it
+            # to the first misrouted key's owner instead of masking the miss.
+            owner = next(owners[key] for key in keys if owners[key] != self.self_name)
+            host, port = topology.address(owner)
+            if obs.enabled:
+                obs.inc("cluster.moved_replies")
+            return protocol.encode_error(f"MOVED {topology.epoch} {owner} {host}:{port}")
+        try:
+            return self._forward(row, args, owners, topology)
+        except (OSError, DataStoreError) as exc:
+            if obs.enabled:
+                obs.inc("server.errors")
+            return protocol.encode_error(f"ERR cluster forward failed: {exc}")
 
-    def _cmd_save(self, args: list[bytes]) -> tuple[bytes, bool]:
-        return protocol.encode_error("ERR the hosted store owns its durability"), True
+    def _forward(self, row: _Command, args, owners, topology) -> bytes:
+        """Proxy misrouted keys to their owners and merge the replies.
 
-    def _keyspace_size(self) -> int:
-        return self._store.size()
+        This is the level-1 service: any shard accepts any command and the
+        cluster looks like one big server.  Single-key commands relay
+        verbatim; ``MGET``/``DEL``/``MSET`` scatter to every involved owner
+        (the local part runs through the table's own handlers) and gather
+        in argument order.
+        """
+        if self._server.obs.enabled:
+            self._server.obs.inc("cluster.forwarded")
+        if row.keys is FIRST:
+            frame = self._peer_call(
+                topology, owners[args[0]], [row.name.encode("ascii"), *args]
+            )
+            return protocol.encode_frame(frame)
+
+        def local(name: bytes, local_args: list[bytes]) -> bytes:
+            return COMMANDS[name].handler(self._server, local_args, None)
+
+        if row.name == "MGET":
+            frames: list[bytes] = [b""] * len(args)
+            remote: dict[str, list[int]] = {}
+            for index, key in enumerate(args):
+                if owners[key] == self.self_name:
+                    frames[index] = local(b"GET", [key])
+                else:
+                    remote.setdefault(owners[key], []).append(index)
+            for owner, indexes in remote.items():
+                reply = self._peer_call(
+                    topology, owner, [b"MGET", *[args[i] for i in indexes]]
+                )
+                if not isinstance(reply, list) or len(reply) != len(indexes):
+                    raise ProtocolError("peer MGET returned a malformed array")
+                for index, member in zip(indexes, reply):
+                    frames[index] = protocol.encode_frame(member)
+            return protocol.encode_array(frames)
+
+        def group(width: int) -> dict[str, list[bytes]]:
+            groups: dict[str, list[bytes]] = {}
+            for index in range(0, len(args) - width + 1, width):
+                groups.setdefault(owners[args[index]], []).extend(args[index:index + width])
+            return groups
+
+        def peer(owner: str, command: list[bytes]):
+            reply = self._peer_call(topology, owner, command)
+            if isinstance(reply, protocol.WireError):
+                raise ProtocolError(f"peer {row.name} failed: {reply}")
+            return reply
+
+        if row.name == "DEL":
+            removed = 0
+            for owner, keys in group(1).items():
+                if owner == self.self_name:
+                    removed += int(local(b"DEL", keys)[1:-2])
+                else:
+                    removed += int(peer(owner, [b"DEL", *keys]))
+            return protocol.encode_integer(removed)
+        if row.name == "MSET":
+            for owner, flat in group(2).items():
+                if owner == self.self_name:
+                    local(b"MSET", flat)
+                else:
+                    peer(owner, [b"MSET", *flat])
+            return protocol.encode_simple("OK")
+        raise ProtocolError(f"command {row.name} is not forwardable")  # pragma: no cover
+
+    def _peer_call(self, topology, owner: str, command: list[bytes]):
+        """One round trip to the peer shard *owner*, following one MOVED hop.
+
+        Peer connections declare level 3, so a peer with a newer topology
+        answers MOVED rather than forwarding onward -- forwarding chains
+        (and cycles, during a topology install) are impossible by
+        construction.
+        """
+        frame = self._peer(topology.address(owner)).call(command)
+        if isinstance(frame, protocol.WireError):
+            moved = parse_moved(str(frame))
+            if moved is not None:
+                frame = self._peer(moved.address).call(command)
+        return frame
+
+    def _peer(self, address: tuple[str, int]) -> ClusterAwareClient:
+        with self._peers_lock:
+            peer = self._peers.get(address)
+            if peer is None:
+                peer = self._peers[address] = ClusterAwareClient(
+                    address[0],
+                    address[1],
+                    level=3,
+                    epoch_source=lambda: self.topology.epoch,
+                )
+            return peer
 
 
 class _ConnectionContext:
@@ -1028,13 +1055,51 @@ class _ConnectionContext:
             self._stream.flush()
 
 
-class _Arity(Exception):
-    """Internal: wrong number of arguments for a command."""
+def build_server(
+    engine: str,
+    store: KeyValueStore | None = None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    *,
+    max_entries: int | None = None,
+    snapshot_path: str | Path | None = None,
+    max_clients: int | None = None,
+    obs: Observability | None = None,
+):
+    """The one place an (engine, backend) pair becomes a server object.
 
+    :param engine: ``"threaded"`` (one thread per connection) or ``"async"``
+        (one event loop multiplexing every connection --
+        :mod:`repro.net.aio`).  Both speak the same wire protocol, so any
+        client works against either.
+    :param store: host this store; ``None`` = the in-memory cache keyspace
+        (which is what *max_entries* / *snapshot_path* configure).
+    :param max_clients: concurrent-connection bound; ``None`` keeps the
+        engine's default (:data:`THREADED_MAX_CLIENTS` /
+        :data:`repro.net.aio.ASYNC_MAX_CLIENTS`).
+    """
+    if engine == "async":
+        from . import aio
 
-def _require(args: list[bytes], count: int) -> None:
-    if len(args) != count:
-        raise _Arity(f"expected {count}, got {len(args)}")
+        cache_class, store_class = aio.AsyncCacheServer, aio.AsyncStoreServer
+        default_clients = aio.ASYNC_MAX_CLIENTS
+    elif engine == "threaded":
+        cache_class, store_class = CacheServer, StoreServer
+        default_clients = THREADED_MAX_CLIENTS
+    else:
+        raise ConfigurationError(f"unknown server engine {engine!r}")
+    if max_clients is None:
+        max_clients = default_clients
+    if store is not None:
+        return store_class(store, host, port, max_clients=max_clients, obs=obs)
+    return cache_class(
+        host,
+        port,
+        max_entries=max_entries,
+        snapshot_path=snapshot_path,
+        max_clients=max_clients,
+        obs=obs,
+    )
 
 
 class ServerHandle:
@@ -1063,33 +1128,14 @@ class ServerHandle:
         max_clients: int | None = None,
         engine: str = "threaded",
     ) -> "ServerHandle":
-        """Run a server on a daemon thread in this process (tests).
-
-        :param engine: ``"threaded"`` (one thread per connection) or
-            ``"async"`` (one event loop multiplexing every connection --
-            :mod:`repro.net.aio`).  Both speak the same wire protocol, so
-            any client works against either.
-        :param max_clients: concurrent-connection bound; ``None`` keeps the
-            engine's default (:data:`THREADED_MAX_CLIENTS` /
-            :data:`repro.net.aio.ASYNC_MAX_CLIENTS`).
-        """
-        server: "CacheServer | object"
-        if engine == "async":
-            from .aio import ASYNC_MAX_CLIENTS, AsyncCacheServer
-
-            server = AsyncCacheServer(
-                max_entries=max_entries,
-                snapshot_path=snapshot_path,
-                max_clients=max_clients if max_clients is not None else ASYNC_MAX_CLIENTS,
-            )
-        elif engine == "threaded":
-            server = CacheServer(
-                max_entries=max_entries,
-                snapshot_path=snapshot_path,
-                max_clients=max_clients if max_clients is not None else THREADED_MAX_CLIENTS,
-            )
-        else:
-            raise ConfigurationError(f"unknown server engine {engine!r}")
+        """Run a cache server on a daemon thread in this process (tests);
+        the parameters are :func:`build_server`'s."""
+        server = build_server(
+            engine,
+            max_entries=max_entries,
+            snapshot_path=snapshot_path,
+            max_clients=max_clients,
+        )
         host, port = server.start()
         return cls(host, port, server=server)
 
@@ -1116,7 +1162,7 @@ class ServerHandle:
             benchmarks to mimic MySQL), or ``"lsm"`` (a :class:`StoreServer`
             over an :class:`~repro.lsm.LSMStore` rooted at *database*).
         :param engine: ``"threaded"`` or ``"async"`` (see
-            :meth:`start_in_thread`).
+            :func:`build_server`).
         """
         cmd = [sys.executable, "-m", "repro.net.server", "--port", str(port)]
         if max_entries is not None:
@@ -1167,9 +1213,9 @@ class ServerHandle:
         self.stop()
 
 
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point: run a cache server in the foreground."""
-    parser = argparse.ArgumentParser(description="repro remote-process cache server")
+def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """The serve flags, declared once for ``python -m repro.net.server`` and
+    ``python -m repro serve``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 = pick a free port")
     parser.add_argument("--max-entries", type=int, default=None)
@@ -1196,7 +1242,11 @@ def main(argv: list[str] | None = None) -> None:
         "--metrics-port", type=int, default=None,
         help="also serve /metrics (Prometheus text) over HTTP on this port (0 = free port)",
     )
-    options = parser.parse_args(argv)
+
+
+def serve(options: argparse.Namespace) -> None:
+    """Run the server *options* (:func:`add_serve_arguments`) describe, in
+    the foreground, until it is shut down."""
     store = None
     if options.backend == "sql":
         from ..kv.sqlstore import SQLStore
@@ -1206,36 +1256,15 @@ def main(argv: list[str] | None = None) -> None:
         from ..lsm.store import LSMStore
 
         store = LSMStore(options.database)
-    if options.engine == "async":
-        from .aio import ASYNC_MAX_CLIENTS, AsyncCacheServer, AsyncStoreServer
-
-        max_clients = options.max_clients or ASYNC_MAX_CLIENTS
-        if store is not None:
-            server = AsyncStoreServer(
-                store, options.host, options.port, max_clients=max_clients
-            )
-        else:
-            server = AsyncCacheServer(
-                options.host,
-                options.port,
-                max_entries=options.max_entries,
-                snapshot_path=options.snapshot,
-                max_clients=max_clients,
-            )
-    else:
-        max_clients = options.max_clients or THREADED_MAX_CLIENTS
-        if store is not None:
-            server = StoreServer(
-                store, options.host, options.port, max_clients=max_clients
-            )
-        else:
-            server = CacheServer(
-                options.host,
-                options.port,
-                max_entries=options.max_entries,
-                snapshot_path=options.snapshot,
-                max_clients=max_clients,
-            )
+    server = build_server(
+        options.engine,
+        store,
+        options.host,
+        options.port,
+        max_entries=options.max_entries,
+        snapshot_path=options.snapshot,
+        max_clients=options.max_clients or None,
+    )
     host, port = server.start()
     print(f"LISTENING {host} {port}", flush=True)
     exporter = None
@@ -1251,6 +1280,13 @@ def main(argv: list[str] | None = None) -> None:
     finally:
         if exporter is not None:
             exporter.stop()
+
+
+def main(argv: list[str] | None = None) -> None:
+    """CLI entry point: run a cache server in the foreground."""
+    parser = argparse.ArgumentParser(description="repro remote-process cache server")
+    add_serve_arguments(parser)
+    serve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

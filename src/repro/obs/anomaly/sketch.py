@@ -34,6 +34,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from ...errors import ConfigurationError
+from ..metrics import percentile
 
 __all__ = ["DecayedMeanVar", "WindowedQuantileSketch", "FrequentDirections"]
 
@@ -138,11 +139,7 @@ class WindowedQuantileSketch:
         """Nearest-rank quantile of the retained window (0.0 when empty)."""
         if not 0.0 <= fraction <= 1.0:
             raise ConfigurationError("quantile fraction must be within [0, 1]")
-        if not self._ring:
-            return 0.0
-        ordered = sorted(self._ring)
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(self._ring, fraction)
 
     def recent(self, count: int | None = None) -> list[float]:
         """Newest-last copy of the retained values (the exemplar window)."""

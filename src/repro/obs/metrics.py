@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "snapshot_delta",
     "bucket_percentile",
+    "percentile",
 ]
 
 #: Default histogram bucket upper bounds, in seconds: 1 microsecond to 10
@@ -206,18 +207,7 @@ class Histogram:
     def percentile(self, fraction: float) -> float:
         """Bucket-resolution percentile estimate (the bucket's upper bound,
         clamped to the observed maximum)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError("percentile fraction must be within [0, 1]")
-        with self._lock:
-            if not self._count:
-                return 0.0
-            rank = max(1, math.ceil(fraction * self._count))
-            running = 0
-            for bound, count in zip((*self._bounds, math.inf), self._buckets):
-                running += count
-                if running >= rank:
-                    return min(bound, self._max)
-            return self._max  # pragma: no cover - unreachable
+        return bucket_percentile(self.bucket_counts(), fraction, maximum=self.maximum)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
@@ -476,13 +466,28 @@ def snapshot_delta(previous: dict[str, Any] | None, current: dict[str, Any]) -> 
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
-def bucket_percentile(buckets: Iterable[tuple[Any, int]], fraction: float) -> float:
+def percentile(samples: Iterable[float], fraction: float) -> float:
+    """Nearest-rank percentile of raw samples (``0.0`` when there are none).
+
+    The one raw-sample routine: callers keep their own range check and
+    error type.
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
+
+
+def bucket_percentile(
+    buckets: Iterable[tuple[Any, int]], fraction: float, *, maximum: float | None = None
+) -> float:
     """Nearest-rank percentile from cumulative ``(bound, count)`` pairs.
 
-    The plain-data sibling of :meth:`Histogram.percentile`, usable on
-    snapshot/delta bucket lists (including scraped ones with a ``"+inf"``
-    overflow label).  Returns the upper bound of the bucket holding the
-    rank; when the rank lands in the overflow bucket, returns the last
+    The one bucket routine, behind :meth:`Histogram.percentile` and usable
+    on snapshot/delta bucket lists (including scraped ones with a
+    ``"+inf"`` overflow label).  Returns the upper bound of the bucket
+    holding the rank, clamped to *maximum* (the observed maximum) when it
+    is given; without it, a rank in the overflow bucket returns the last
     finite bound (the histogram cannot resolve beyond it).
     """
     if not 0.0 <= fraction <= 1.0:
@@ -490,12 +495,13 @@ def bucket_percentile(buckets: Iterable[tuple[Any, int]], fraction: float) -> fl
     pairs = [(_bound_key(bound), count) for bound, count in buckets]
     if not pairs or pairs[-1][1] <= 0:
         return 0.0
-    total = pairs[-1][1]
-    rank = max(1, math.ceil(fraction * total))
+    rank = max(1, math.ceil(fraction * pairs[-1][1]))
     last_finite = 0.0
     for bound, cumulative in pairs:
         if math.isfinite(bound):
             last_finite = bound
         if cumulative >= rank:
+            if maximum is not None:
+                return min(bound, maximum)
             return bound if math.isfinite(bound) else last_finite
     return last_finite  # pragma: no cover - cumulative covers total

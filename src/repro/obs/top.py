@@ -27,12 +27,11 @@ What a frame shows:
 from __future__ import annotations
 
 import json
-import math
 import time
 import urllib.request
 from typing import Any, Iterable
 
-from .metrics import MetricsRegistry, snapshot_delta
+from .metrics import MetricsRegistry, _bound_key, bucket_percentile, snapshot_delta
 
 __all__ = [
     "normalize_buckets",
@@ -51,32 +50,12 @@ CLEAR_SCREEN = "\x1b[2J\x1b[H"
 def normalize_buckets(buckets: Iterable[Iterable[Any]]) -> list[tuple[float, int]]:
     """Bucket pairs from either a live snapshot (``math.inf`` bound) or the
     JSON export (``"+inf"`` label) as uniform ``(float, int)`` tuples."""
-    normalized: list[tuple[float, int]] = []
-    for bound, cumulative in buckets:
-        if isinstance(bound, str):
-            bound = math.inf if bound.lstrip("+") == "inf" else float(bound)
-        normalized.append((float(bound), int(cumulative)))
-    return normalized
+    return [(_bound_key(bound), int(cumulative)) for bound, cumulative in buckets]
 
 
-def percentile_from_buckets(
-    buckets: list[tuple[float, int]], fraction: float, *, maximum: float | None = None
-) -> float:
-    """Bucket-resolution percentile estimate from cumulative ``le`` pairs
-    (the same estimate :meth:`~repro.obs.metrics.Histogram.percentile`
-    computes, but from exported plain data)."""
-    if not buckets:
-        return 0.0
-    total = buckets[-1][1]
-    if not total:
-        return 0.0
-    rank = max(1, math.ceil(fraction * total))
-    for bound, cumulative in buckets:
-        if cumulative >= rank:
-            if maximum is not None:
-                return min(bound, maximum)
-            return bound
-    return buckets[-1][0]  # pragma: no cover - cumulative counts reach total
+#: The bucket-resolution estimate :meth:`~repro.obs.metrics.Histogram.percentile`
+#: computes, from exported plain data.
+percentile_from_buckets = bucket_percentile
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +176,7 @@ class Dashboard:
             else:
                 increment = delta_histograms.get(name, {}).get("count", 0)
                 rate = f"{max(0, increment) / interval:.1f}"
-            buckets = normalize_buckets(data.get("buckets", []))
+            buckets = data.get("buckets", [])  # bucket_percentile takes either bound form
             maximum = float(data.get("max", 0.0))
             rows.append(
                 (
@@ -205,8 +184,8 @@ class Dashboard:
                     str(count),
                     rate,
                     f"{float(data['mean']) * 1e3:.3f}",
-                    f"{percentile_from_buckets(buckets, 0.50, maximum=maximum) * 1e3:.3f}",
-                    f"{percentile_from_buckets(buckets, 0.99, maximum=maximum) * 1e3:.3f}",
+                    f"{bucket_percentile(buckets, 0.50, maximum=maximum) * 1e3:.3f}",
+                    f"{bucket_percentile(buckets, 0.99, maximum=maximum) * 1e3:.3f}",
                     f"{maximum * 1e3:.3f}",
                 )
             )

@@ -44,6 +44,7 @@ from queue import SimpleQueue
 from typing import Any, Callable, Sequence
 
 from ..errors import WorkloadError
+from ..obs.metrics import percentile
 from .workload import random_payload
 
 __all__ = [
@@ -178,11 +179,7 @@ class LoadResult:
 
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile of the latency samples (seconds)."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(self.latencies, fraction)
 
     @property
     def p50(self) -> float:

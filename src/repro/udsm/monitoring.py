@@ -34,7 +34,7 @@ from ..kv.circuit import CircuitBreaker, CircuitState
 from ..kv.interface import KeyValueStore, NotModified
 from ..kv.wrappers import _DelegatingStore
 from ..obs.events import EventLog
-from ..obs.metrics import Counter, Histogram, MetricsRegistry
+from ..obs.metrics import Counter, Histogram, MetricsRegistry, percentile
 
 __all__ = ["OperationStats", "PerformanceMonitor", "MonitoredStore", "StoreHealth"]
 
@@ -142,11 +142,8 @@ class OperationStats:
         if not 0.0 <= fraction <= 1.0:
             raise MonitoringError("percentile fraction must be within [0, 1]")
         with self._lock:
-            if not self._recent:
-                return 0.0
-            ordered = sorted(self._recent)
-            rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-            return ordered[rank]
+            recent = list(self._recent)
+        return percentile(recent, fraction)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -154,6 +154,30 @@ class TestServeCommand:
             process.terminate()
             process.wait(timeout=5)
 
+    def test_serve_metrics_port(self):
+        """`repro serve` and `python -m repro.net.server` share one parser,
+        so the documented --metrics-port works from both entry points."""
+        import subprocess
+        import sys
+        import urllib.request
+
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--metrics-port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert process.stdout.readline().startswith(b"LISTENING")
+            line = process.stdout.readline()
+            assert line.startswith(b"METRICS")
+            _token, host, port = line.decode().split()
+            with urllib.request.urlopen(f"http://{host}:{port}/metrics", timeout=5) as reply:
+                assert reply.status == 200
+        finally:
+            process.terminate()
+            process.wait(timeout=5)
+            process.stdout.close()
+
     def test_serve_parser_defaults(self):
         options = build_parser().parse_args(["serve"])
         assert options.backend == "cache"

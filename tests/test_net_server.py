@@ -143,6 +143,23 @@ class TestEviction:
         finally:
             srv.stop()
 
+    def test_getver_refreshes_recency(self):
+        """A revalidation is a use: GETVER reads through the same store
+        ``get`` as GET, so it keeps the key off the LRU victim list."""
+        srv = CacheServer(max_entries=2)
+        srv.start()
+        try:
+            c = CacheClient(*srv.address)
+            c.set(b"a", b"1")
+            c.set(b"b", b"2")
+            assert c.getver(b"a") is not None  # a becomes most recent
+            c.set(b"c", b"3")                  # evicts b
+            assert c.get(b"a") == b"1"
+            assert c.get(b"b") is None
+            c.close()
+        finally:
+            srv.stop()
+
 
 class TestSnapshot:
     def test_save_and_warm_restart(self, tmp_path):
