@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster all
+.PHONY: test unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster bench-e2e bench-compare all
 
 all: test
 
@@ -59,3 +59,19 @@ check-anomaly:
 # convergence without a single client reconnect (see docs/cluster.md).
 check-cluster:
 	$(PYTHON) scripts/check_cluster.py
+
+# The e2e measurement spine (BENCHMARK.json, benchmarks/e2e/README.md).
+# `make bench-e2e` runs all five workloads interleaved plus one traced run
+# each and writes benchmarks/e2e/out/result.json; `make bench-e2e
+# WORKLOAD=cold_read_threaded [SEED=7] [TRACE=1]` runs one workload the way
+# the driver does (~20 s; the last stdout line is its JSON result).
+SEED ?= 20170419
+TRACE ?= 0
+bench-e2e:
+	python3 benchmarks/e2e/run.py --seed $(SEED) $(if $(WORKLOAD),--workload $(WORKLOAD) --trace $(TRACE))
+
+# Compare two result.json files against BENCHMARK.json's bounds:
+# `make bench-compare A=parent/result.json B=benchmarks/e2e/out/result.json`
+# (A is the reference; exits non-zero when a bound is exceeded).
+bench-compare:
+	python3 benchmarks/e2e/compare.py $(A) $(B)

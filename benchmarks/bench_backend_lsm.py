@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.caching.bloom import BloomFilter
 from repro.kv import FileSystemStore, LSMStore, SQLStore
 from repro.obs import EventLog, Observability
 
@@ -35,6 +36,10 @@ FSYNC_ROUNDS = 7
 FSYNC_PER_OP_OPS = 200       # per round (25 per writer, one sync each)
 FSYNC_GROUP_OPS = 400        # per round (50 per writer, batched syncs)
 FSYNC_VALUE_SIZE = 128       # durability-bound workloads are small records
+
+BULK_BATCH = 500             # records per put_many (the spine's MSET size)
+BULK_BATCHES = 20
+BLOOM_KEY_COUNTS = (1_000, 30_000)
 
 NOTE = (
     f"Embedded durable backends, {OPERATIONS} ops of {VALUE_SIZE} B values; "
@@ -53,7 +58,14 @@ NOTE = (
     "aggregate per-op cost whose derived throughput is the multi-writer "
     "number; lsm_fsync_speedup = per-op/group median ratio, "
     "dimensionless (target >= 3x, enforced only under BENCH_LSM_STRICT "
-    "-- wall-clock ratios are hardware claims and CI disks are noisy)."
+    "-- wall-clock ratios are hardware claims and CI disks are noisy).  "
+    f"lsm_put_many / lsm_put_many_fsync = bulk load, one sample per "
+    f"put_many of {BULK_BATCH} x {VALUE_SIZE} B records, y = batch "
+    "wall-clock / records (so throughput_ops_per_s is records/s), "
+    "memtable flushes and compactions included.  bloom_add / "
+    "bloom_probe_hit / bloom_probe_miss: x = keys in a 1 % filter (not "
+    "a value size), y = mean per call over that many keys -- flat in x "
+    "since the bit array became a bytearray."
 )
 
 # Written by test_fsync_write_path, asserted by the shape test below --
@@ -202,6 +214,57 @@ def test_write_path(benchmark, collector, tmp_path, name):
     benchmark.pedantic(run, rounds=1)
     collector.note(FIGURE, NOTE)
     store.close()
+
+
+@pytest.mark.parametrize("fsync", (False, True), ids=("fsync_off", "fsync_on"))
+def test_bulk_load(benchmark, collector, tmp_path, fsync):
+    """``put_many`` of 500 x 1 KiB: one WAL commit per chunk, not per key."""
+    obs = Observability()
+    store = LSMStore(tmp_path / "bulk.lsm", fsync=fsync, obs=obs)
+    series = "lsm_put_many_fsync" if fsync else "lsm_put_many"
+    benchmark.group = "backend-lsm-write"
+
+    def run() -> None:
+        for batch in range(BULK_BATCHES):
+            items = {
+                f"bulk-{batch:03d}-{i:04d}": payload_for(i) for i in range(BULK_BATCH)
+            }
+            start = time.perf_counter()
+            store.put_many(items)
+            collector.record(FIGURE, series, VALUE_SIZE,
+                             (time.perf_counter() - start) / BULK_BATCH)
+
+    benchmark.pedantic(run, rounds=1)
+    appends = obs.registry.counter("lsm.wal.appends").value
+    commits = obs.registry.counter("lsm.wal.group_commits").value
+    assert appends == BULK_BATCH * BULK_BATCHES
+    assert commits * 8 < appends  # batched: far fewer commits than records
+    assert store.size() == BULK_BATCH * BULK_BATCHES
+    store.close()
+
+
+@pytest.mark.parametrize("count", BLOOM_KEY_COUNTS)
+def test_bloom_cost_by_filter_size(benchmark, collector, count):
+    """Per-call cost of the filter in front of every SSTable read."""
+    present = [b"key:%08d" % i for i in range(count)]
+    absent = [b"nope:%08d" % i for i in range(count)]
+    bloom = BloomFilter(count, 0.01)
+    benchmark.group = "backend-lsm-read"
+
+    def timed(series, call, keys) -> None:
+        start = time.perf_counter()
+        for key in keys:
+            call(key)
+        collector.record(FIGURE, series, count,
+                         (time.perf_counter() - start) / len(keys))
+
+    def run() -> None:
+        timed("bloom_add", bloom.add, present)
+        timed("bloom_probe_hit", bloom.might_contain, present)
+        timed("bloom_probe_miss", bloom.might_contain, absent)
+
+    benchmark.pedantic(run, rounds=1)
+    assert all(bloom.might_contain(key) for key in present[:100])
 
 
 @pytest.mark.parametrize("name", BACKENDS)

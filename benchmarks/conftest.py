@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import shutil
+import subprocess
 import tempfile
 from collections import defaultdict
 from pathlib import Path
@@ -111,6 +112,26 @@ def bench_stores(bench_server, bench_sql_server):
             pass
         store.close()
     shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _filesystem_type(path: str) -> str:
+    """Filesystem under *path* (where ``tmp_path`` stores live), as ``stat -f`` names it."""
+    try:
+        return subprocess.run(
+            ["stat", "-f", "-c", "%T", path], capture_output=True, text=True, timeout=10
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +293,8 @@ class FigureCollector:
                 # machine size; say which this file came from.
                 "python": platform.python_version(),
                 "cpus": os.cpu_count(),
+                "cpu": _cpu_model(),
+                "tmp_filesystem": _filesystem_type(tempfile.gettempdir()),
             },
             "series": series_out,
         }

@@ -25,6 +25,10 @@ a fresh store over the copy serves every acknowledged write:
 * power loss in the middle of a group-commit sync (concurrent
   ``fsync=True`` writers) loses no write acknowledged before the crash
   point, including when the snapshot's WAL tail is additionally torn;
+* power loss inside a multi-record ``put_many`` batch (written, not yet
+  synced, so never acknowledged) recovers every earlier acknowledged write
+  plus a *prefix* of the batch -- never a later record without the ones
+  before it -- wherever the copied WAL tail is torn;
 * a failed sync poisons the WAL segment (fsyncgate: never retried), the
   store rejects further mutations, the failed write is NOT resurrected
   by recovery, and a reopened store accepts writes again.
@@ -451,6 +455,82 @@ def check_group_commit_mid_batch_crash() -> list[str]:
     return errors
 
 
+def check_multi_record_batch_crash() -> list[str]:
+    """Power loss inside one ``put_many`` commit: the batch was never
+    acknowledged, so recovery owes it nothing -- but what it does recover
+    must be a prefix of the batch in WAL order, on top of every write
+    acknowledged before it.
+
+    The snapshot is taken as the batch's sync starts (all of its frames
+    written, none durable).  Recovery then runs over that copy with the
+    WAL cut at every frame boundary of the batch and in the middle of
+    every frame, which is every shape the tail can take after power loss.
+    """
+    errors: list[str] = []
+    workdir = Path(tempfile.mkdtemp(prefix="check-lsm-"))
+    try:
+        store = LSMStore(workdir / "db", fsync=True)
+        acked: dict[str, object] = {}
+        for i in range(10):
+            store.put(f"acked-{i}", i)
+            acked[f"acked-{i}"] = i
+        # The batch overwrites one acknowledged key and adds eight new ones.
+        batch: dict[str, object] = {f"batch-{i}": i for i in range(4)}
+        batch["acked-3"] = "overwritten"
+        batch.update({f"batch-{i}": i for i in range(4, 8)})
+        (wal_path,) = store.native().glob("wal-*.log")
+        acked_length = wal_path.stat().st_size
+        snapshot = workdir / "crashed"
+
+        def snapping_fsync(fd: int) -> None:
+            if not snapshot.exists():
+                shutil.copytree(store.native(), snapshot)
+            os.fsync(fd)
+
+        wal_module._fsync = snapping_fsync
+        try:
+            store.put_many(batch)
+        finally:
+            wal_module._fsync = os.fsync
+        _expect(errors, store.stats()["group_commit"]["largest_batch"] == len(batch),
+                "batch crash: put_many did not commit as one multi-record batch")
+        store.close()
+        _expect(errors, snapshot.exists(), "batch crash: the batch's sync never ran")
+        if errors:
+            return errors
+        (snap_wal,) = snapshot.glob("wal-*.log")
+        replay = wal_module.WriteAheadLog.replay(snap_wal)
+        _expect(errors, len(replay.records) == len(acked) + len(batch) and not replay.torn,
+                "batch crash: snapshot lacks the batch's frames")
+        # Frame ends inside the batch: offsets where a whole prefix survives.
+        ends = [acked_length]
+        framing = wal_module._HEADER.size + wal_module._PREFIX.size
+        for record in replay.records[len(acked):]:
+            ends.append(ends[-1] + framing + len(record.key) + len(record.value))
+        _expect(errors, ends[-1] == snap_wal.stat().st_size,
+                "batch crash: frame arithmetic does not add up to the file")
+        ordered = list(batch.items())
+        cuts = [(end, survivors) for survivors, end in enumerate(ends)]
+        cuts += [(end - 3, survivors) for survivors, end in enumerate(ends[1:])]
+        for cut, survivors in cuts:
+            torn = workdir / f"crashed-{cut}"
+            shutil.copytree(snapshot, torn)
+            with open(next(torn.glob("wal-*.log")), "rb+") as handle:
+                handle.truncate(cut)
+            expected = dict(acked)
+            expected.update(ordered[:survivors])
+            with LSMStore(torn) as recovered:
+                _verify_exact_contents(
+                    errors, recovered, expected,
+                    f"batch crash, WAL cut at {cut} ({survivors} of {len(batch)} records)",
+                )
+            shutil.rmtree(torn)
+    finally:
+        wal_module._fsync = os.fsync
+        shutil.rmtree(workdir, ignore_errors=True)
+    return errors
+
+
 def check_poisoned_sync() -> list[str]:
     """A failed sync must poison the WAL: the store stops accepting
     mutations (never retries -- fsyncgate), the failed write is not
@@ -525,6 +605,7 @@ CHECKS = [
     ("orphan tmp sweep", check_orphan_tmp_sweep),
     ("manifest migration", check_manifest_migration),
     ("group-commit mid-batch crash", check_group_commit_mid_batch_crash),
+    ("multi-record batch crash", check_multi_record_batch_crash),
     ("poisoned sync", check_poisoned_sync),
 ]
 

@@ -30,10 +30,13 @@ from .interface import MISS, Cache
 __all__ = ["BloomFilter", "BloomFrontedCache"]
 
 _BLOOM_HEADER = struct.Struct("<III")  # size_bits, hash_count, items
+_HASH_PAIR = struct.Struct(">QQ")  # h1, h2: the digest's first 16 bytes
 
 
 class BloomFilter:
-    """Plain Bloom filter over strings or bytes (bit array packed into an int)."""
+    """Plain Bloom filter over strings or bytes; bits live in a ``bytearray``
+    (bit *i* = byte ``i // 8``, bit ``i % 8``), so setting or testing one
+    costs the same whatever the filter's size."""
 
     def __init__(self, expected_items: int = 10_000, fp_rate: float = 0.01) -> None:
         """Size the filter for *expected_items* at *fp_rate* false positives.
@@ -47,37 +50,45 @@ class BloomFilter:
             raise ConfigurationError("fp_rate must be in (0, 1)")
         self.size_bits = max(8, int(-expected_items * math.log(fp_rate) / math.log(2) ** 2))
         self.hash_count = max(1, round(self.size_bits / expected_items * math.log(2)))
-        self._bits = 0
+        self._bits = bytearray((self.size_bits + 7) // 8)
         self._items = 0
 
-    def _positions(self, key: "str | bytes") -> Iterator[int]:
-        # Double hashing: two independent 64-bit values combine into k
-        # positions (Kirsch-Mitzenmacher).
+    def _walk(self, key: "str | bytes") -> tuple[int, int]:
+        # Double hashing (Kirsch-Mitzenmacher): position i is (h1 + i * h2)
+        # mod m.  Returns the first position and the step, both reduced
+        # mod m, so callers advance with an add and a conditional subtract.
         data = key if isinstance(key, bytes) else key.encode("utf-8")
-        digest = hashlib.sha256(data).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1
-        for i in range(self.hash_count):
-            yield (h1 + i * h2) % self.size_bits
+        h1, h2 = _HASH_PAIR.unpack_from(hashlib.sha256(data).digest())
+        return h1 % self.size_bits, (h2 | 1) % self.size_bits
 
     def add(self, key: "str | bytes") -> None:
-        for position in self._positions(key):
-            self._bits |= 1 << position
+        position, step = self._walk(key)
+        bits, size = self._bits, self.size_bits
+        for _ in range(self.hash_count):
+            bits[position >> 3] |= 1 << (position & 7)
+            position += step
+            if position >= size:
+                position -= size
         self._items += 1
 
     def might_contain(self, key: "str | bytes") -> bool:
         """False = definitely absent; True = possibly present."""
-        return all(self._bits >> position & 1 for position in self._positions(key))
+        position, step = self._walk(key)
+        bits, size = self._bits, self.size_bits
+        for _ in range(self.hash_count):
+            if not bits[position >> 3] >> (position & 7) & 1:
+                return False
+            position += step
+            if position >= size:
+                position -= size
+        return True
 
     # ------------------------------------------------------------------
     # Persistence (used by the LSM engine to embed a filter per SSTable)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize sizing + bit array; inverse of :meth:`from_bytes`."""
-        width = (self.size_bits + 7) // 8
-        return _BLOOM_HEADER.pack(self.size_bits, self.hash_count, self._items) + (
-            self._bits.to_bytes(width, "little")
-        )
+        return _BLOOM_HEADER.pack(self.size_bits, self.hash_count, self._items) + self._bits
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "BloomFilter":
@@ -92,11 +103,11 @@ class BloomFilter:
         instance.size_bits = size_bits
         instance.hash_count = hash_count
         instance._items = items
-        instance._bits = int.from_bytes(payload[_BLOOM_HEADER.size :], "little")
+        instance._bits = bytearray(payload[_BLOOM_HEADER.size :])
         return instance
 
     def clear(self) -> None:
-        self._bits = 0
+        self._bits = bytearray(len(self._bits))
         self._items = 0
 
     @property
@@ -107,7 +118,7 @@ class BloomFilter:
     @property
     def saturation(self) -> float:
         """Fraction of bits set; above ~0.5 the FP rate degrades."""
-        return self._bits.bit_count() / self.size_bits
+        return int.from_bytes(self._bits, "little").bit_count() / self.size_bits
 
 
 class BloomFrontedCache(Cache):

@@ -50,6 +50,7 @@ from .sstable import SSTable
 __all__ = [
     "SizeTieredPolicy",
     "merge_tables",
+    "merge_runs",
     "InlineScheduler",
     "ManualScheduler",
     "BackgroundScheduler",
@@ -127,33 +128,41 @@ def merge_tables(
 ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
     """K-way merge of *tables* (oldest first) into one sorted entry stream.
 
-    For duplicate keys the entry from the newest table wins.  Tombstones
+    fill_cache=False: a merge sweeps every block of its inputs exactly
+    once, and the inputs are about to be retired -- letting that sweep
+    populate the block cache would evict the hot read working set for
+    blocks nobody will ever look up again.
+    """
+    runs = [table.items(fill_cache=False) for table in tables]
+    return merge_runs(runs, drop_tombstones=drop_tombstones)
+
+
+def merge_runs(
+    runs: Sequence[Iterator[tuple[bytes, "bytes | Tombstone"]]], *, drop_tombstones: bool
+) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
+    """K-way merge of sorted *runs* (oldest first) into one sorted stream.
+
+    For duplicate keys the entry from the newest run wins.  Tombstones
     pass through unless *drop_tombstones* is true, which is only safe when
     the merge includes the store's oldest run (nothing below could still
     hold a shadowed version).
     """
-    # Heap entries: (key, -age, generator). Newer tables get a smaller
+    # Heap entries: (key, -age, value, iterator). Newer runs get a smaller
     # second element, so for equal keys the newest source pops first and
     # older duplicates are skipped.
-    #
-    # fill_cache=False: a merge sweeps every block of its inputs exactly
-    # once, and the inputs are about to be retired -- letting that sweep
-    # populate the block cache would evict the hot read working set for
-    # blocks nobody will ever look up again.
-    iterators = [iter(table.items(fill_cache=False)) for table in tables]
-    heap: list[tuple[bytes, int, Iterator]] = []
-    for age, iterator in enumerate(iterators):
+    heap: list[tuple[bytes, int, "bytes | Tombstone", Iterator]] = []
+    for age, iterator in enumerate(runs):
         first = next(iterator, None)
         if first is not None:
-            heapq.heappush(heap, (first[0], -age, first[1], iterator))  # type: ignore[arg-type]
+            heapq.heappush(heap, (first[0], -age, first[1], iterator))
     previous: bytes | None = None
     while heap:
-        key, neg_age, value, iterator = heapq.heappop(heap)  # type: ignore[misc]
+        key, neg_age, value, iterator = heapq.heappop(heap)
         following = next(iterator, None)
         if following is not None:
-            heapq.heappush(heap, (following[0], neg_age, following[1], iterator))  # type: ignore[arg-type]
+            heapq.heappush(heap, (following[0], neg_age, following[1], iterator))
         if key == previous:
-            continue  # an older table's version of a key already emitted
+            continue  # an older run's version of a key already emitted
         previous = key
         if isinstance(value, Tombstone):
             if not drop_tombstones:

@@ -59,6 +59,9 @@ _RECORD = struct.Struct("<II")            # key_len, value_len
 _INDEX_ENTRY_TAIL = struct.Struct("<Q")   # file offset
 _FOOTER = struct.Struct("<QQQ8s")         # index_off, bloom_off, records, magic
 _TOMBSTONE_LEN = 0xFFFFFFFF
+#: write_sstable joins encoded records up to about this many bytes per
+#: ``write``: few syscalls without holding a second copy of the table.
+_WRITE_BUFFER_BYTES = 64 * 1024
 
 
 class _Missing:
@@ -96,8 +99,6 @@ def write_sstable(
     """
     path = Path(path)
     entries = list(entries)
-    if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
-        raise DataStoreError("SSTable entries must be strictly sorted by key")
     bloom = BloomFilter(
         expected_items if expected_items is not None else max(1, len(entries)),
         bloom_fp_rate,
@@ -108,16 +109,28 @@ def write_sstable(
             out.write(_MAGIC)
             offset = len(_MAGIC)
             index: list[tuple[bytes, int]] = []
+            pack, add = _RECORD.pack, bloom.add
+            pieces: list[bytes] = []  # header, key[, value] of unwritten records
+            written = offset
+            previous: bytes | None = None
             for position, (key, value) in enumerate(entries):
+                if previous is not None and key <= previous:
+                    raise DataStoreError("SSTable entries must be strictly sorted by key")
+                previous = key
                 if position % index_interval == 0:
                     index.append((key, offset))
-                bloom.add(key)
+                add(key)
                 if isinstance(value, Tombstone):
-                    frame = _RECORD.pack(len(key), _TOMBSTONE_LEN) + key
+                    pieces += (pack(len(key), _TOMBSTONE_LEN), key)
+                    offset += _RECORD.size + len(key)
                 else:
-                    frame = _RECORD.pack(len(key), len(value)) + key + value
-                out.write(frame)
-                offset += len(frame)
+                    pieces += (pack(len(key), len(value)), key, value)
+                    offset += _RECORD.size + len(key) + len(value)
+                if offset - written >= _WRITE_BUFFER_BYTES:
+                    out.write(b"".join(pieces))
+                    pieces.clear()
+                    written = offset
+            out.write(b"".join(pieces))
             index_off = offset
             out.write(_U32.pack(len(index)))
             for key, record_offset in index:
@@ -223,17 +236,20 @@ class SSTable:
         return len(self._index_offsets)
 
     def _load_block(
-        self, slot: int, *, fill_cache: bool = True
+        self, slot: int, *, fill_cache: bool = True, values: bool = True
     ) -> "tuple[tuple[bytes, bytes | Tombstone], ...]":
         """Decoded records of block *slot*, via the cache when attached.
 
         One ``pread`` fetches the whole block on a miss (the old
         record-at-a-time path issued two syscalls per record); the
         decoded tuple is immutable, so cached blocks are shared between
-        readers without copying.
+        readers without copying.  ``values=False`` (key scans) decodes
+        keys and tombstones only -- live values come back as ``b""``,
+        never sliced out of the block -- and stays out of the cache.
         """
-        if self._cache is not None:
-            cached = self._cache.get(self.table_id, slot)
+        cache = self._cache if values else None
+        if cache is not None:
+            cached = cache.get(self.table_id, slot)
             if cached is not None:
                 return cached
         start = self._index_offsets[slot]
@@ -256,12 +272,12 @@ class SSTable:
                 records.append((key, TOMBSTONE))
                 nbytes += key_len + RECORD_OVERHEAD
             else:
-                records.append((key, blob[offset : offset + value_len]))
+                records.append((key, blob[offset : offset + value_len] if values else b""))
                 offset += value_len
                 nbytes += key_len + value_len + RECORD_OVERHEAD
         block = tuple(records)
-        if self._cache is not None and fill_cache and not self.defunct:
-            self._cache.put(self.table_id, slot, block, nbytes)
+        if cache is not None and fill_cache and not self.defunct:
+            cache.put(self.table_id, slot, block, nbytes)
         return block
 
     def items(
@@ -277,14 +293,15 @@ class SSTable:
             yield from self._load_block(slot, fill_cache=fill_cache)
 
     def items_from(
-        self, start: bytes, *, fill_cache: bool = True
+        self, start: bytes, *, fill_cache: bool = True, values: bool = True
     ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
-        """Records with ``key >= start`` in key order (sparse-index seek)."""
+        """Records with ``key >= start`` in key order (sparse-index seek);
+        ``values=False`` is the key scan of :meth:`_load_block`."""
         if not self._index_keys:
             return
         first = max(0, bisect_right(self._index_keys, start) - 1)
         for slot in range(first, len(self._index_offsets)):
-            for key, value in self._load_block(slot, fill_cache=fill_cache):
+            for key, value in self._load_block(slot, fill_cache=fill_cache, values=values):
                 if key >= start:
                     yield key, value
 

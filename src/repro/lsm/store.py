@@ -60,9 +60,8 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
-from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import (
     ConfigurationError,
@@ -75,9 +74,9 @@ from ..kv.interface import KeyValueStore, content_version
 from ..obs import Observability, resolve_obs
 from ..serialization import Serializer, default_serializer
 from .blockcache import BlockCache
-from .compaction import InlineScheduler, SizeTieredPolicy, merge_tables
+from .compaction import InlineScheduler, SizeTieredPolicy, merge_runs, merge_tables
 from .manifest import MANIFEST_NAME, Manifest, require_tables_on_disk
-from .memtable import Memtable, Tombstone
+from .memtable import ENTRY_OVERHEAD, Memtable, Tombstone
 from .sstable import MISSING, SSTable, write_sstable
 from .wal import OP_DELETE, OP_PUT, CommitPipeline, WriteAheadLog, encode_record
 
@@ -135,8 +134,8 @@ class LSMStore(KeyValueStore):
             ``BackgroundScheduler`` for true background work.
         :param auto_compact: consult the policy after every flush.
         :param block_cache_bytes: byte budget for the shared LRU cache of
-            decoded SSTable blocks (default 8 MiB); hot point reads and
-            prefix scans are served from memory instead of ``pread``.
+            decoded SSTable blocks (default 8 MiB); hot point reads are
+            served from memory instead of ``pread`` (key scans bypass it).
             ``0`` disables the cache.
         :param fsync: fsync the WAL on every commit batch (durable
             against OS crashes, not just process crashes; slower).  Also
@@ -144,9 +143,10 @@ class LSMStore(KeyValueStore):
             directory fsync).  Group commit amortizes the sync across
             concurrent writers: N writers in flight pay ~one sync per
             batch, not one each.
-        :param wal_batch_records: most records one commit batch may
-            carry (bounds how long any single waiter can be held).
-        :param wal_batch_bytes: byte bound per commit batch.
+        :param wal_batch_records: most records one commit batch -- and so
+            one ``put_many`` chunk -- may carry (bounds how long any
+            single waiter can be held).
+        :param wal_batch_bytes: byte bound per commit batch and chunk.
         :param wal_gather_window_s: how long a commit leader may wait
             for more concurrent writers before syncing a batch.  Only
             paid when the previous batch actually had company, so a
@@ -176,6 +176,7 @@ class LSMStore(KeyValueStore):
         self._owns_scheduler = scheduler is None
         self._auto_compact = auto_compact
         self._fsync = fsync
+        self._chunk_bounds = (wal_batch_records, wal_batch_bytes)
         self._clock = clock if clock is not None else time.monotonic
         self.obs = resolve_obs(obs)
         self._lock = threading.RLock()
@@ -408,61 +409,97 @@ class LSMStore(KeyValueStore):
     def put(self, key: str, value: Any) -> None:
         # Same write path as put_with_version, minus the version-token
         # hash nobody asked for.
-        self._submit_put(_encode_key(key), self._serializer.dumps(value))
+        self._write(OP_PUT, [(_encode_key(key), self._serializer.dumps(value))])
 
     def put_with_version(self, key: str, value: Any) -> str:
         payload = self._serializer.dumps(value)
-        self._submit_put(_encode_key(key), payload)
+        self._write(OP_PUT, [(_encode_key(key), payload)])
         return content_version(payload)
 
-    def _submit_put(self, raw: bytes, payload: bytes) -> None:
-        frame = encode_record(OP_PUT, raw, payload)
-        self._check_writable()
-        # The caller thread holds no lock while waiting: the commit
-        # pipeline's leader batches this frame with its neighbours (one
-        # WAL write + one fsync for the whole batch) and then applies the
-        # memtable insert in batch order, so visibility order always
-        # matches WAL replay order.
-        self._pipeline.submit(
-            frame, lambda: self._apply_record(OP_PUT, raw, payload)
-        )
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        """All-or-error, one WAL commit per chunk; not atomic for readers, and
+        a batch whose call did not return may survive a crash as a prefix."""
+        dumps = self._serializer.dumps
+        self._write(OP_PUT, ((_encode_key(k), dumps(v)) for k, v in items.items()))
 
     def delete(self, key: str) -> bool:
-        raw = _encode_key(key)
-        frame = encode_record(OP_DELETE, raw)
+        return self._write(OP_DELETE, [(_encode_key(key), b"")]) == 1
+
+    def delete_many(self, keys: Iterable[str]) -> int:
+        return self._write(OP_DELETE, ((_encode_key(key), b"") for key in keys))
+
+    def _write(self, op: int, records: Iterable[tuple[bytes, bytes]]) -> int:
+        """The one mutation path: frame, chunk, commit, apply.
+
+        Every record gets its own CRC frame; frames ride the commit
+        pipeline as multi-record tickets cut at the ``wal_batch_*``
+        bounds (a ticket never outgrows a commit batch) and where the
+        memtable's budget runs out, so a batch seals where the same
+        records written one by one would have.  The caller thread holds
+        no lock while waiting.  Returns how many deleted keys existed
+        (0 for puts).
+        """
         self._check_writable()
-        outcome: dict[str, Any] = {}
+        max_records, max_bytes = self._chunk_bounds
+        existed = size = room = 0
+        chunk: list[tuple[bytes, bytes]] = []
+        frames: list[bytes] = []
+        for raw, payload in records:
+            frame = encode_record(op, raw, payload)
+            if frames and (
+                len(frames) == max_records or size + len(frame) > max_bytes or room <= 0
+            ):
+                existed += self._commit_chunk(op, frames, chunk)
+                chunk, frames, size = [], [], 0
+            if not frames:  # unlocked read: a stale budget only moves a cut
+                room = self._memtable_bytes - self._memtable.approximate_bytes
+            chunk.append((raw, payload))
+            frames.append(frame)
+            size += len(frame)
+            room -= len(raw) + len(payload) + ENTRY_OVERHEAD
+        if frames:
+            existed += self._commit_chunk(op, frames, chunk)
+        return existed
+
+    def _commit_chunk(
+        self, op: int, frames: list[bytes], chunk: list[tuple[bytes, bytes]]
+    ) -> int:
+        """One ticket: one WAL write (+ fsync), one apply under one lock."""
+        existed = 0
+        unseen: list[bytes] = []  # deleted keys no memory level knew
+        tables: list[SSTable] = []  # snapshot from before the tombstones
 
         def apply() -> None:
-            # The "existed" return value needs a pre-tombstone lookup.
-            # The memory levels are O(1) dict hits, checked under the
-            # lock in the apply stream (so the check-and-tombstone pair
-            # stays atomic under concurrency); the SSTable probes (Bloom
-            # gate + pread per table) run later in the caller's thread,
-            # off the lock, against a snapshot taken before the tombstone
-            # landed, so slow disk probes never stall writers.
+            # Runs in the leader thread, in batch order, so visibility
+            # order always matches WAL replay order.  Never seals: see
+            # _seal_after_batch.
+            nonlocal existed, tables
             with self._lock:
-                found = self._memtable.get(raw)
-                if found is None:
-                    for memtable, _wal, _seq in reversed(self._immutables):
-                        found = memtable.get(raw)
-                        if found is not None:
-                            break
-                outcome["found"] = found
-                outcome["tables"] = [] if found is not None else list(self._tables)
-                self._memtable.delete(raw)
+                memtable = self._memtable
+                if op == OP_PUT:
+                    for raw, payload in chunk:
+                        memtable.put(raw, payload)
+                    return
+                # The "existed" return value needs a pre-tombstone lookup.
+                # The memory levels are O(1) dict hits, checked here so
+                # each check-and-tombstone pair stays atomic; the SSTable
+                # probes run later in the caller's thread, off the lock,
+                # against a snapshot taken before the tombstones landed,
+                # so slow disk probes never stall writers.
+                for raw, _payload in chunk:
+                    found = self._find_in_memory(raw)[0]
+                    if found is None:
+                        unseen.append(raw)
+                    elif not isinstance(found, Tombstone):
+                        existed += 1
+                    memtable.delete(raw)
+                tables = list(self._tables)
 
-        self._pipeline.submit(frame, apply)
-        found = outcome["found"]
-        if found is not None:
-            return not isinstance(found, Tombstone)
-        for table in reversed(outcome["tables"]):
-            if not table.might_contain(raw):
-                continue
-            hit = table.get(raw)
-            if hit is not MISSING:
-                return not isinstance(hit, Tombstone)
-        return False
+        self._pipeline.submit(frames, apply)
+        for raw in unseen:
+            if isinstance(self._find_in_tables(raw, tables), bytes):
+                existed += 1
+        return existed
 
     # ------------------------------------------------------------------
     # Group commit internals (leader-thread code)
@@ -505,55 +542,37 @@ class LSMStore(KeyValueStore):
             self.obs.observe("lsm.wal.batch_records", float(len(frames)))
             self.obs.observe("lsm.wal.batch_bytes", float(written))
 
-    def _apply_record(self, op: int, raw: bytes, payload: bytes) -> None:
-        """Make one committed record visible (leader thread, batch order).
-
-        Never seals: a seal here could land between two applies of the
-        same committed batch, splitting the batch across WAL segments
-        (the pre-seal segment holds the frames, the post-seal memtable
-        the applies -- and flushing the sealed memtable unlinks the only
-        durable copy of the rest of the batch).  Size-triggered seals
-        run in :meth:`_seal_after_batch` instead.
-        """
-        with self._lock:
-            if op == OP_PUT:
-                self._memtable.put(raw, payload)
-            else:
-                self._memtable.delete(raw)
-
     def _seal_after_batch(self) -> None:
         """Pipeline end-of-batch hook: seal at a batch boundary only.
 
         Runs in the leader thread after the last apply of each committed
         batch, so the memtable it seals contains *every* record of every
-        batch committed to the active WAL segment -- a seal can never
-        strand part of an acknowledged batch in a segment that the
-        sealed memtable's flush is about to unlink.  The memtable may
-        overshoot its budget by up to one batch; that slack is bounded
-        by ``wal_batch_bytes``.
+        batch committed to the active WAL segment.  A seal between two
+        applies of one batch would split it across segments: the pre-seal
+        segment holds the frames, the post-seal memtable the applies, and
+        flushing the sealed memtable unlinks the only durable copy of the
+        rest of the batch.  The memtable may overshoot its budget by up
+        to one batch; that slack is bounded by ``wal_batch_bytes``.
         """
         with self._lock:
             if not self._closed:
                 self._maybe_seal()
 
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        keys = list(keys)
+        payloads = self._probe([_encode_key(key) for key in keys])
+        loads = self._serializer.loads
+        return {k: loads(p) for k, p in zip(keys, payloads) if p is not None}
+
     def keys(self) -> Iterator[str]:
-        return (
-            _decode_key(raw) for raw, _payload in self._merged_entries()
-        )
+        return map(_decode_key, self._merged_keys())
 
     def keys_with_prefix(self, prefix: str) -> Iterator[str]:
         """Prefix scan by seeking every sorted run to *prefix* (no full scan)."""
-        raw = _encode_key(prefix)
-        return (
-            _decode_key(key) for key, _payload in self._merged_entries(prefix=raw)
-        )
+        return map(_decode_key, self._merged_keys(_encode_key(prefix)))
 
     def contains(self, key: str) -> bool:
-        try:
-            self._read_payload(_encode_key(key), key)
-        except KeyNotFoundError:
-            return False
-        return True
+        return self._probe((_encode_key(key),))[0] is not None
 
     def close(self) -> None:
         with self._lock:
@@ -602,85 +621,73 @@ class LSMStore(KeyValueStore):
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _probe(self, raw: bytes) -> "bytes | None":
-        """Newest-wins lookup; ``None`` means absent (or tombstoned).
+    def _probe(self, raws: "tuple[bytes, ...] | list[bytes]") -> "list[bytes | None]":
+        """Newest-wins lookups; ``None`` means absent (or tombstoned).
 
-        Caller holds no lock: the table list is snapshotted under the lock
-        and every snapshotted structure is immutable or append-only.
+        The memory levels are read and the table list snapshotted under one
+        lock acquisition; the SSTable probes then run with no lock held,
+        since every snapshotted structure is immutable or append-only.
         """
         with self._lock:
             self._check_open()
-            found = self._memtable.get(raw)
-            if found is not None:
-                self._count_hit("memtable")
-                return None if isinstance(found, Tombstone) else found
-            for memtable, _wal, _seq in reversed(self._immutables):
-                found = memtable.get(raw)
-                if found is not None:
-                    self._count_hit("immutable")
-                    return None if isinstance(found, Tombstone) else found
+            hits = [self._find_in_memory(raw) for raw in raws]
             tables = list(self._tables)
-        for table in reversed(tables):
-            if not table.might_contain(raw):
-                continue
-            found = table.get(raw)
-            if found is not MISSING:
-                self._count_hit("sstable")
-                return None if isinstance(found, Tombstone) else found
-        if self.obs.enabled:
-            self.obs.inc("lsm.read.misses")
-        return None
+        payloads: "list[bytes | None]" = []
+        for raw, (found, level) in zip(raws, hits):
+            if found is None:
+                found, level = self._find_in_tables(raw, tables), "sstable"
+            if self.obs.enabled:
+                self.obs.inc(
+                    "lsm.read.misses" if found is MISSING else f"lsm.read.level_hits.{level}"
+                )
+            payloads.append(found if isinstance(found, bytes) else None)
+        return payloads
 
-    def _count_hit(self, level: str) -> None:
-        if self.obs.enabled:
-            self.obs.inc(f"lsm.read.level_hits.{level}")
+    def _find_in_memory(self, raw: bytes) -> "tuple[bytes | Tombstone | None, str]":
+        """Newest entry for *raw* in the memtables and its level (caller holds the lock)."""
+        found = self._memtable.get(raw)
+        if found is not None:
+            return found, "memtable"
+        for memtable, _wal, _seq in reversed(self._immutables):
+            found = memtable.get(raw)
+            if found is not None:
+                return found, "immutable"
+        return None, ""
+
+    @staticmethod
+    def _find_in_tables(raw: bytes, tables: list[SSTable]) -> Any:
+        """Newest entry for *raw* in *tables* (oldest first), or :data:`MISSING`."""
+        for table in reversed(tables):
+            if table.might_contain(raw):
+                found = table.get(raw)
+                if found is not MISSING:
+                    return found
+        return MISSING
 
     def _read_payload(self, raw: bytes, key: str) -> bytes:
-        payload = self._probe(raw)
+        payload = self._probe((raw,))[0]
         if payload is None:
             raise KeyNotFoundError(key, self.name)
         return payload
 
-    def _merged_entries(
-        self, prefix: bytes | None = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Live ``(key, payload)`` pairs in key order across every level.
+    def _merged_keys(self, prefix: bytes = b"") -> Iterator[bytes]:
+        """Live keys starting with *prefix*, in key order across every level
+        (newest version wins, tombstones suppress everything older).
 
-        K-way heap merge over the sorted runs; for duplicate keys the
-        newest source wins and tombstones suppress everything older.
+        A key scan: the tables are read with ``values=False``, so a
+        ``STATS`` / ``DBSIZE`` / ``KEYS`` over a store larger than the
+        block cache neither slices a value nor evicts the hot set.
         """
         with self._lock:
             self._check_open()
-            sources: list[Iterator[tuple[bytes, "bytes | Tombstone"]]] = [
-                table.items() if prefix is None else table.items_from(prefix)
-                for table in self._tables
-            ]
-            for memtable, _wal, _seq in self._immutables:
-                sources.append(iter(list(memtable.items())))
-            sources.append(iter(list(self._memtable.items())))
-        # Heap entries: (key, -source_age, value, iterator); bigger source
-        # index = newer source, so for equal keys the newest pops first.
-        heap: list = []
-        for age, iterator in enumerate(sources):
-            entry = next(iterator, None)
-            if entry is not None:
-                heappush(heap, (entry[0], -age, entry[1], iterator))
-        previous: bytes | None = None
-        while heap:
-            key, neg_age, value, iterator = heappop(heap)
-            entry = next(iterator, None)
-            if entry is not None:
-                heappush(heap, (entry[0], neg_age, entry[1], iterator))
-            if key == previous:
-                continue
-            if prefix is not None and not key.startswith(prefix):
-                if key > prefix:
-                    break  # sorted: nothing after can match the prefix
-                continue
-            previous = key
-            if isinstance(value, Tombstone):
-                continue
-            yield key, value
+            runs = [table.items_from(prefix, values=False) for table in self._tables]
+            runs += [iter(list(m.items())) for m, _wal, _seq in self._immutables]
+            runs.append(iter(list(self._memtable.items())))
+        for key, _value in merge_runs(runs, drop_tombstones=True):
+            if key.startswith(prefix):
+                yield key
+            elif key > prefix:
+                break  # sorted: nothing after can match the prefix
 
     # ------------------------------------------------------------------
     # Flush

@@ -315,7 +315,8 @@ class WriteAheadLog:
 
 
 class _Ticket:
-    """One queued commit: a framed record, its visibility callback, and
+    """One queued commit: its framed records (one for a ``put``, a chunk
+    for ``put_many``, none for a barrier), its visibility callback, and
     the gate its writer is parked on.
 
     The gate is a raw pre-acquired lock, not a ``threading.Event``: a
@@ -326,10 +327,11 @@ class _Ticket:
     queue before returning, so the leader never waits on itself.
     """
 
-    __slots__ = ("frame", "apply", "gate", "error")
+    __slots__ = ("frames", "size", "apply", "gate", "error")
 
-    def __init__(self, frame: bytes, apply: "Callable[[], None] | None") -> None:
-        self.frame = frame
+    def __init__(self, frames: list[bytes], apply: "Callable[[], None] | None") -> None:
+        self.frames = frames
+        self.size = sum(map(len, frames))
         self.apply = apply
         self.gate: threading.Lock | None = None
         self.error: BaseException | None = None
@@ -338,8 +340,9 @@ class _Ticket:
 class CommitPipeline:
     """Group commit: concurrent writers share one durable sync per batch.
 
-    Writers call :meth:`submit` with an encoded frame; the first writer
-    to find no leader becomes the leader (Rocks/LevelDB-style -- no
+    Writers call :meth:`submit` with an encoded frame (or a list of them:
+    one multi-record ticket, committed and applied as a unit); the first
+    writer to find no leader becomes the leader (Rocks/LevelDB-style -- no
     dedicated commit thread), drains the queue up to
     ``max_batch_records``/``max_batch_bytes``, hands every frame of the
     batch to *commit* (one write + one sync), then runs each waiter's
@@ -390,7 +393,7 @@ class CommitPipeline:
             raise) before returning.
         :param max_batch_records: most frames a single batch may carry.
         :param max_batch_bytes: byte bound per batch (a single oversized
-            frame still commits, alone).
+            ticket still commits, alone).
         :param on_batch_applied: called by the leader after the last
             apply of each successfully committed batch -- the one point
             where the owning store may seal (swap memtable + WAL)
@@ -446,13 +449,20 @@ class CommitPipeline:
         self._enqueue_hook: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
-    def submit(self, frame: bytes, apply: "Callable[[], None] | None" = None) -> None:
+    def submit(
+        self, frame: "bytes | list[bytes]", apply: "Callable[[], None] | None" = None
+    ) -> None:
         """Enqueue one frame and block until it is durable and applied.
+
+        A list of frames is one ticket: every frame lands in the same
+        batch (one write, one sync) and *apply* runs once for all of them.
 
         Raises whatever the batch commit raised (every waiter of the
         batch sees it), or whatever this waiter's own *apply* raised, or
         :class:`~repro.errors.StoreClosedError` after :meth:`close`.
         """
+        if isinstance(frame, bytes):
+            frame = [frame] if frame else []
         ticket = _Ticket(frame, apply)
         with self._mutex:
             if self._shutdown:
@@ -515,34 +525,36 @@ class CommitPipeline:
                             break
                     self._goal = sys.maxsize
                 batch = [self._queue.popleft()]
-                size = len(batch[0].frame)
+                size = batch[0].size
+                records = len(batch[0].frames)
                 # A barrier (empty frame) commits alone: its apply may
                 # seal -- swap the memtable *and* the active WAL -- and a
                 # data frame batched behind it would be durable only in
                 # the pre-seal segment while its apply landed in the
                 # post-seal memtable (flushing the sealed memtable then
                 # unlinks the acknowledged write's only durable copy).
-                if batch[0].frame:
+                if records:
                     while (
                         self._queue
-                        and self._queue[0].frame  # never batch across a barrier
-                        and len(batch) < self._max_records
-                        and size + len(self._queue[0].frame) <= self._max_bytes
+                        and self._queue[0].frames  # never batch across a barrier
+                        and records + len(self._queue[0].frames) <= self._max_records
+                        and size + self._queue[0].size <= self._max_bytes
                     ):
                         ticket = self._queue.popleft()
                         batch.append(ticket)
-                        size += len(ticket.frame)
+                        size += ticket.size
+                        records += len(ticket.frames)
                 self._batches += 1
-                self._committed += len(batch)
-                self._largest_batch = max(self._largest_batch, len(batch))
-                cut_short = batch[0].frame and not (
-                    self._queue and not self._queue[0].frame
+                self._committed += records or 1  # a barrier counts as one
+                self._largest_batch = max(self._largest_batch, records or 1)
+                cut_short = records and not (
+                    self._queue and not self._queue[0].frames
                 )
                 if len(batch) < goal and cut_short:
                     # Writers left (not a barrier cut): stop waiting for
                     # them.
                     self._peak = len(batch)
-            frames = [ticket.frame for ticket in batch if ticket.frame]
+            frames = [frame for ticket in batch for frame in ticket.frames]
             error: BaseException | None = None
             if frames:
                 try:

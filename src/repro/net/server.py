@@ -593,9 +593,11 @@ class StoreServer:
 
     def _cmd_mget(self, args, connection):
         """Fetch many keys in one round trip; absent keys come back nil."""
+        keys = [_key(key) for key in args]
+        found = self._store.get_many(keys)
         frames = []
-        for key in args:
-            value = self._store.get_or_default(_key(key))
+        for key in keys:
+            value = found.get(key)
             if isinstance(value, (bytes, bytearray)):
                 frames.append(protocol.encode_bulk(bytes(value)))
             else:

@@ -9,6 +9,9 @@ cache, and the delta chain manager.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.caching import MISS, ExpiringCache, Freshness, InProcessCache
 from repro.delta import DeltaStoreManager
 from repro.errors import KeyNotFoundError
-from repro.kv import InMemoryStore, NamespacedStore, SQLStore
+from repro.kv import InMemoryStore, LSMStore, NamespacedStore, SQLStore
 
 KEYS = st.sampled_from([f"k{i}" for i in range(8)])
 VALUES = st.one_of(
@@ -59,6 +62,24 @@ class StoreModelMachine(RuleBasedStateMachine):
         assert self.store.delete(key) == (key in self.model)
         self.model.pop(key, None)
 
+    @rule(items=st.dictionaries(KEYS, VALUES, max_size=8))
+    def put_many(self, items):
+        self.store.put_many(items)
+        self.model.update(items)
+
+    @rule(keys=st.lists(KEYS, max_size=8))
+    def delete_many(self, keys):
+        # Duplicates count once: the second delete finds the key gone.
+        assert self.store.delete_many(keys) == len(set(keys) & set(self.model))
+        for key in keys:
+            self.model.pop(key, None)
+
+    @rule(keys=st.lists(KEYS, max_size=8))
+    def get_many(self, keys):
+        assert self.store.get_many(keys) == {
+            key: self.model[key] for key in keys if key in self.model
+        }
+
     @rule(key=KEYS)
     def contains(self, key):
         assert self.store.contains(key) == (key in self.model)
@@ -95,10 +116,33 @@ class NamespacedStoreMachine(StoreModelMachine):
         return NamespacedStore(InMemoryStore(), "ns")
 
 
+class LSMStoreMachine(StoreModelMachine):
+    """Tiny memtable and three-record chunks: batches span chunk cuts,
+    seals, flushes and compactions within a few steps."""
+
+    def make_store(self):
+        self.root = tempfile.mkdtemp(prefix="lsm-stateful-")
+        return LSMStore(self.root, memtable_bytes=256, wal_batch_records=3)
+
+    @rule()
+    def flush(self):
+        self.store.flush()
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+
 TestInMemoryStoreModel = StoreModelMachine.TestCase
 TestSQLStoreModel = SQLStoreMachine.TestCase
 TestNamespacedStoreModel = NamespacedStoreMachine.TestCase
-for case in (TestInMemoryStoreModel, TestSQLStoreModel, TestNamespacedStoreModel):
+TestLSMStoreModel = LSMStoreMachine.TestCase
+for case in (
+    TestInMemoryStoreModel,
+    TestSQLStoreModel,
+    TestNamespacedStoreModel,
+    TestLSMStoreModel,
+):
     case.settings = settings(max_examples=25, stateful_step_count=30, deadline=None)
 
 
