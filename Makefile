@@ -1,14 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster bench-e2e bench-compare all
+.PHONY: test unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster check-imports bench-e2e bench-compare all
 
 all: test
 
 # The default gate: unit suite + doc snippets + instrumentation coverage
 # + fault-tolerance contract + LSM durability contract + serving-plane
-# smoke gate + anomaly-detection contract + cluster serving contract.
-test: unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster
+# smoke gate + anomaly-detection contract + cluster serving contract +
+# import-footprint contract.
+test: unit check-docs check-obs check-resilience check-quorum check-lsm check-serving check-anomaly check-cluster check-imports
 
 unit:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +60,14 @@ check-anomaly:
 # convergence without a single client reconnect (see docs/cluster.md).
 check-cluster:
 	$(PYTHON) scripts/check_cluster.py
+
+# In fresh interpreters, assert what a process loads: `import repro` is the
+# lazy surface only, the serving closure stays free of sqlite3/cryptography
+# and the layers it does not compose, the threaded server never loads
+# asyncio, and a served request imports nothing (structural asserts, no
+# wall-clock; see docs/architecture.md and scripts/check_imports.py).
+check-imports:
+	$(PYTHON) scripts/check_imports.py
 
 # The e2e measurement spine (BENCHMARK.json, benchmarks/e2e/README.md).
 # `make bench-e2e` runs all five workloads interleaved plus one traced run

@@ -1,0 +1,208 @@
+#!/usr/bin/env python
+"""Import-footprint gate (``make check-imports``).
+
+Guards the "what a process loads" contract of ``docs/architecture.md`` with
+structural asserts only -- module sets, never wall-clock:
+
+* ``import repro`` loads the package and its lazy-export helper, nothing
+  else (at most :data:`ROOT_BUDGET` ``repro.*`` modules);
+* the **serving closure** (``repro.lsm.store`` + ``repro.net.server``, and
+  the same plus ``repro.net.aio``) stays within :data:`SERVING_BUDGET`
+  ``repro.*`` modules and loads none of :data:`FORBIDDEN` -- no sqlite3, no
+  ``cryptography``, no replication, cluster, UDSM, txn, delta, consistency,
+  security or compression layer;
+* ``python -m repro.net.server --backend lsm`` with the default engine
+  never imports ``asyncio``, not even while serving;
+* a **served request imports nothing**: ``sys.modules`` is identical before
+  and after a GET/SET/MGET/MSET/DEL/STATS round against a started
+  ``StoreServer`` and ``AsyncStoreServer`` over an ``LSMStore`` -- laziness
+  is paid at first attribute access on a package, never on a request path.
+
+Every probe runs in a fresh interpreter.  Exit status 0 when every check
+holds; 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ROOT_BUDGET = 3
+SERVING_BUDGET = 40  # the eager package surfaces loaded 85
+
+#: Top-level modules and ``repro`` layers a serving child must not load.
+FORBIDDEN = (
+    "sqlite3",
+    "cryptography",
+    "repro.kv.quorum",
+    "repro.kv.resilience",
+    "repro.kv.cloudsim",
+    "repro.kv.sqlstore",
+    "repro.kv.filesystem",
+    "repro.udsm",
+    "repro.cluster",
+    "repro.txn",
+    "repro.delta",
+    "repro.consistency",
+    "repro.security",
+    "repro.compression",
+)
+
+SERVING_IMPORTS = "from repro.lsm.store import LSMStore; from repro.net.server import StoreServer"
+
+#: Child program: start a server over an LSMStore, connect a client, then
+#: diff ``sys.modules`` around one round of every hot command.
+REQUEST_ROUND = """
+import json, sys, tempfile
+from repro.lsm.store import LSMStore
+from repro.net.client import CacheClient
+from repro.net.server import build_server
+
+with tempfile.TemporaryDirectory() as root:
+    store = LSMStore(root)
+    server = build_server(sys.argv[1], store)
+    host, port = server.start()
+    client = CacheClient(host, port)
+    client.ping()
+    before = set(sys.modules)
+    client.set(b"k1", b"v1")
+    client.mset({b"k2": b"v2", b"k3": b"v3"})
+    got = [client.get(b"k1"), client.get(b"absent"), *client.mget([b"k2", b"k3"])]
+    deleted = client.delete(b"k1", b"k2")
+    stats = client.stats()
+    imported = sorted(set(sys.modules) - before)
+    client.close()
+    server.stop()
+    store.close()
+print(json.dumps({"imported": imported, "got": [None if v is None else v.decode() for v in got],
+                  "deleted": deleted, "engine": stats.get("server.engine")}))
+"""
+
+
+def _environment() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def _probe(code: str, *argv: str) -> str:
+    """Run *code* in a fresh interpreter; return its stdout."""
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=_environment(), capture_output=True, text=True, timeout=120,
+    )
+    if result.returncode != 0:
+        raise RuntimeError(f"probe failed:\n{result.stderr}")
+    return result.stdout
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """Every module in ``sys.modules`` after running *statement*."""
+    return json.loads(_probe(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"))
+
+
+def _repro_modules(modules: list[str]) -> list[str]:
+    return [name for name in modules if name.split(".")[0] == "repro"]
+
+
+def _forbidden_in(modules: list[str], banned: tuple[str, ...]) -> list[str]:
+    return [
+        name for name in modules
+        if any(name == bad or name.startswith(bad + ".") for bad in banned)
+    ]
+
+
+def _expect(errors: list[str], condition: bool, message: str) -> None:
+    if not condition:
+        errors.append(message)
+        print(f"  FAIL {message}")
+    else:
+        print(f"  ok   {message}")
+
+
+def check_root(errors: list[str]) -> None:
+    print("[1/4] `import repro` loads the surface, not the catalogue")
+    loaded = _repro_modules(_loaded_after("import repro"))
+    _expect(errors, len(loaded) <= ROOT_BUDGET,
+            f"{len(loaded)} repro.* modules <= {ROOT_BUDGET} ({', '.join(loaded)})")
+
+
+def check_serving_closure(errors: list[str]) -> None:
+    print("[2/4] the serving closure loads only the layers it composes")
+    for label, statement, banned in (
+        ("threaded", SERVING_IMPORTS, FORBIDDEN + ("asyncio",)),
+        ("async", SERVING_IMPORTS + "; import repro.net.aio", FORBIDDEN),
+    ):
+        modules = _loaded_after(statement)
+        count = len(_repro_modules(modules))
+        _expect(errors, count <= SERVING_BUDGET,
+                f"{label}: {count} repro.* modules <= {SERVING_BUDGET}")
+        forbidden = _forbidden_in(modules, banned)
+        _expect(errors, not forbidden,
+                f"{label}: no forbidden layer loaded" + (f" (found {forbidden})" if forbidden else ""))
+
+
+def check_server_module(errors: list[str]) -> None:
+    print("[3/4] `python -m repro.net.server --backend lsm` never imports asyncio")
+    with tempfile.TemporaryDirectory() as root:
+        process = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro.net.server",
+             "--backend", "lsm", "--database", str(Path(root) / "kv.lsm"), "--port", "0"],
+            env=_environment(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            line = process.stdout.readline()
+            _expect(errors, line.startswith("LISTENING"), "server child announced LISTENING")
+            if line.startswith("LISTENING"):
+                _token, host, port = line.split()
+                _probe(
+                    "import sys\n"
+                    "from repro.net.client import CacheClient\n"
+                    "client = CacheClient(sys.argv[1], int(sys.argv[2]))\n"
+                    "client.set(b'k', b'v')\n"
+                    "assert client.get(b'k') == b'v' and client.stats()\n"
+                    "client.close()\n",
+                    host, port,
+                )
+        finally:
+            process.terminate()
+            _out, import_log = process.communicate(timeout=30)
+    imported = [entry.rsplit("|", 1)[-1].strip() for entry in import_log.splitlines()
+                if entry.startswith("import time:")]
+    _expect(errors, "repro.lsm.store" in imported, "import log captured (repro.lsm.store seen)")
+    forbidden = _forbidden_in(imported, FORBIDDEN + ("asyncio",))
+    _expect(errors, not forbidden,
+            "neither asyncio nor a forbidden layer in the child's import log, start-up "
+            "through requests" + (f" (found {forbidden})" if forbidden else ""))
+
+
+def check_request_round(errors: list[str]) -> None:
+    print("[4/4] a served request imports nothing")
+    for engine in ("threaded", "async"):
+        outcome = json.loads(_probe(REQUEST_ROUND, engine))
+        _expect(errors, outcome["engine"] == engine and outcome["got"] == ["v1", None, "v2", "v3"]
+                and outcome["deleted"] == 2, f"{engine}: request round answered correctly")
+        _expect(errors, not outcome["imported"],
+                f"{engine}: sys.modules unchanged by GET/SET/MGET/MSET/DEL/STATS"
+                + (f" (imported {outcome['imported']})" if outcome["imported"] else ""))
+
+
+def main() -> int:
+    errors: list[str] = []
+    check_root(errors)
+    check_serving_closure(errors)
+    check_server_module(errors)
+    check_request_round(errors)
+    if errors:
+        print(f"\ncheck_imports: {len(errors)} check(s) FAILED")
+        return 1
+    print("\ncheck_imports: all checks passed")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -20,28 +20,33 @@ prescribes: not every cache supports TTLs, and expired entries must be
 re-fetched in full.
 """
 
-from .interface import MISS, Cache, Miss
-from .entry import CacheEntry
-from .stats import CacheStats
-from .policies import (
-    ClockPolicy,
-    EvictionPolicy,
-    FIFOPolicy,
-    GreedyDualSizePolicy,
-    LFUPolicy,
-    LRUPolicy,
-    make_policy,
-)
-from .inprocess import InProcessCache
-from .remote import RemoteProcessCache
-from .expiration import ExpiringCache, Freshness, LookupResult
-from .tiered import TieredCache
-from .kvadapter import KeyValueStoreCache
-from .warmup import load_cache, save_cache
-from .sharded import HashRing, ShardedCache
-from .profiling import StackDistanceProfiler
-from .bloom import BloomFilter, BloomFrontedCache
-from .stale import ServeStaleStore
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .interface import MISS, Cache, Miss
+    from .entry import CacheEntry
+    from .stats import CacheStats
+    from .policies import (
+        ClockPolicy,
+        EvictionPolicy,
+        FIFOPolicy,
+        GreedyDualSizePolicy,
+        LFUPolicy,
+        LRUPolicy,
+        make_policy,
+    )
+    from .inprocess import InProcessCache
+    from .remote import RemoteProcessCache
+    from .expiration import ExpiringCache, Freshness, LookupResult
+    from .tiered import TieredCache
+    from .kvadapter import KeyValueStoreCache
+    from .warmup import load_cache, save_cache
+    from .sharded import HashRing, ShardedCache
+    from .profiling import StackDistanceProfiler
+    from .bloom import BloomFilter, BloomFrontedCache
+    from .stale import ServeStaleStore
 
 __all__ = [
     "Cache",
@@ -72,3 +77,36 @@ __all__ = [
     "BloomFrontedCache",
     "ServeStaleStore",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "Cache": ".interface",
+    "Miss": ".interface",
+    "MISS": ".interface",
+    "CacheEntry": ".entry",
+    "CacheStats": ".stats",
+    "EvictionPolicy": ".policies",
+    "LRUPolicy": ".policies",
+    "FIFOPolicy": ".policies",
+    "LFUPolicy": ".policies",
+    "ClockPolicy": ".policies",
+    "GreedyDualSizePolicy": ".policies",
+    "make_policy": ".policies",
+    "InProcessCache": ".inprocess",
+    "RemoteProcessCache": ".remote",
+    "ExpiringCache": ".expiration",
+    "Freshness": ".expiration",
+    "LookupResult": ".expiration",
+    "TieredCache": ".tiered",
+    "KeyValueStoreCache": ".kvadapter",
+    "save_cache": ".warmup",
+    "load_cache": ".warmup",
+    "HashRing": ".sharded",
+    "ShardedCache": ".sharded",
+    "StackDistanceProfiler": ".profiling",
+    "BloomFilter": ".bloom",
+    "BloomFrontedCache": ".bloom",
+    "ServeStaleStore": ".stale",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -15,7 +15,7 @@ because there is only one counter.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..obs.metrics import Counter, MetricsRegistry
 
@@ -24,8 +24,7 @@ __all__ = ["CacheStats", "StatsSnapshot"]
 _FIELDS = ("hits", "misses", "puts", "deletes", "evictions", "expired_hits")
 
 
-@dataclass(frozen=True)
-class StatsSnapshot:
+class StatsSnapshot(NamedTuple):
     """Immutable copy of a cache's counters at one instant."""
 
     hits: int

@@ -79,28 +79,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .caching import InProcessCache, RemoteProcessCache
-from .compression import GzipCompressor, LzmaCompressor, ZlibCompressor
-from .core import EnhancedDataStoreClient
 from .errors import ConfigurationError, DataStoreError
-from .kv import (
-    CLOUD_STORE_1,
-    CLOUD_STORE_2,
-    FileSystemStore,
-    InMemoryStore,
-    KeyValueStore,
-    LSMStore,
-    RemoteKeyValueStore,
-    SimulatedCloudStore,
-    SQLStore,
-)
 from .net.server import add_serve_arguments, serve
-from .security import AesCbcEncryptor, AesGcmEncryptor, generate_key
 from .udsm.report import format_table
-from .udsm.workload import CachedReadSpec, WorkloadGenerator
+
+# Backends, caches, codecs and the workload generator are imported by the
+# sub-command that uses them: building the parser (``--help``, ``serve``,
+# ``top``, ``lsm``) must not load sqlite3 or ``cryptography``.
+if TYPE_CHECKING:
+    from .core.enhanced import EnhancedDataStoreClient
+    from .kv.interface import KeyValueStore
 
 __all__ = ["main"]
 
@@ -114,23 +106,35 @@ def build_store(options: argparse.Namespace) -> KeyValueStore:
     """Instantiate the store selected by ``--store`` and its options."""
     kind = options.store
     if kind == "memory":
+        from .kv.memory import InMemoryStore
+
         return InMemoryStore()
     if kind == "file":
         if not options.path:
             raise DataStoreError("--store file requires --path")
+        from .kv.filesystem import FileSystemStore
+
         return FileSystemStore(options.path)
     if kind == "sql":
+        from .kv.sqlstore import SQLStore
+
         return SQLStore(options.path or ":memory:")
     if kind == "lsm":
         if not options.path:
             raise DataStoreError("--store lsm requires --path")
+        from .lsm.store import LSMStore
+
         return LSMStore(options.path)
     if kind in ("cloud1", "cloud2"):
+        from .kv.cloudsim import CLOUD_STORE_1, CLOUD_STORE_2, SimulatedCloudStore
+
         profile = CLOUD_STORE_1 if kind == "cloud1" else CLOUD_STORE_2
         return SimulatedCloudStore(profile, time_scale=options.time_scale)
     if kind == "redis":
         if not options.port:
             raise DataStoreError("--store redis requires --port")
+        from .kv.remote import RemoteKeyValueStore
+
         return RemoteKeyValueStore(options.host, options.port)
     raise DataStoreError(f"unknown store kind {kind!r}")
 
@@ -198,6 +202,8 @@ def cmd_serve(options: argparse.Namespace) -> int:
 
 
 def cmd_bench(options: argparse.Namespace) -> int:
+    from .udsm.workload import WorkloadGenerator
+
     store = build_store(options)
     generator = WorkloadGenerator(sizes=parse_sizes(options.sizes), repeats=options.repeats)
     print(f"benchmarking store {store.name!r} "
@@ -228,6 +234,10 @@ def cmd_bench(options: argparse.Namespace) -> int:
 
 
 def cmd_cached_bench(options: argparse.Namespace) -> int:
+    from .caching.inprocess import InProcessCache
+    from .caching.remote import RemoteProcessCache
+    from .udsm.workload import CachedReadSpec, WorkloadGenerator
+
     store = build_store(options)
     if options.cache == "remote":
         if not options.cache_port:
@@ -259,17 +269,31 @@ def cmd_cached_bench(options: argparse.Namespace) -> int:
     return 0
 
 
+#: codec name -> (defining module, class); imported when a command asks for it.
 _CODECS = {
-    "gzip": lambda: GzipCompressor(),
-    "zlib": lambda: ZlibCompressor(),
-    "lzma": lambda: LzmaCompressor(),
-    "aes-gcm": lambda: AesGcmEncryptor(generate_key()),
-    "aes-cbc": lambda: AesCbcEncryptor(generate_key()),
+    "gzip": (".compression.codecs", "GzipCompressor"),
+    "zlib": (".compression.codecs", "ZlibCompressor"),
+    "lzma": (".compression.codecs", "LzmaCompressor"),
+    "aes-gcm": (".security.aes", "AesGcmEncryptor"),
+    "aes-cbc": (".security.aes", "AesCbcEncryptor"),
 }
 
 
+def _build_codec(name: str) -> Any:
+    """Instantiate the compressor or (freshly keyed) encryptor called *name*."""
+    module, class_name = _CODECS[name]
+    codec = getattr(import_module(module, __package__), class_name)
+    if module == ".security.aes":
+        from .security.keys import generate_key
+
+        return codec(generate_key())
+    return codec()
+
+
 def cmd_codec_bench(options: argparse.Namespace) -> int:
-    codec = _CODECS[options.codec]()
+    from .udsm.workload import WorkloadGenerator
+
+    codec = _build_codec(options.codec)
     generator = WorkloadGenerator(sizes=parse_sizes(options.sizes), repeats=options.repeats)
     if options.codec.startswith("aes"):
         timing = generator.measure_encryptor(codec)
@@ -302,6 +326,10 @@ def cmd_codec_bench(options: argparse.Namespace) -> int:
 
 
 def cmd_mixed_bench(options: argparse.Namespace) -> int:
+    from .caching.inprocess import InProcessCache
+    from .core.enhanced import EnhancedDataStoreClient
+    from .udsm.workload import WorkloadGenerator
+
     store = build_store(options)
     generator = WorkloadGenerator(sizes=(options.value_size,))
     target: Any = store
@@ -335,6 +363,8 @@ def _build_observed_client(
     options: argparse.Namespace,
 ) -> "tuple[Any, EnhancedDataStoreClient]":
     """Store + observability-enabled enhanced client for stats/trace."""
+    from .caching.inprocess import InProcessCache
+    from .core.enhanced import EnhancedDataStoreClient
     from .obs import EventLog, Observability
 
     store = build_store(options)
@@ -346,8 +376,8 @@ def _build_observed_client(
         )
     else:
         obs = Observability()
-    compressor = _CODECS[options.compress]() if options.compress else None
-    encryptor = _CODECS[options.encrypt]() if options.encrypt else None
+    compressor = _build_codec(options.compress) if options.compress else None
+    encryptor = _build_codec(options.encrypt) if options.encrypt else None
     client = EnhancedDataStoreClient(
         store,
         cache=InProcessCache(),
@@ -513,7 +543,7 @@ def cmd_top(options: argparse.Namespace) -> int:
 
 
 def cmd_migrate(options: argparse.Namespace) -> int:
-    from .tools import copy_store, verify_stores
+    from .tools.migration import copy_store, verify_stores
 
     source = parse_store_spec(options.source)
     destination = parse_store_spec(options.dest)
@@ -552,7 +582,12 @@ def cmd_chaos(options: argparse.Namespace) -> int:
         return _chaos_partition(options)
     import time as _time
 
-    from .kv import CircuitBreakerStore, FlakyStore, RetryingStore, deadline_scope
+    from .caching.inprocess import InProcessCache
+    from .core.enhanced import EnhancedDataStoreClient
+    from .kv.chaos import FlakyStore
+    from .kv.circuit import CircuitBreakerStore
+    from .kv.deadline import deadline_scope
+    from .kv.resilience import RetryingStore
     from .obs import EventLog, Observability
 
     obs = Observability(events=EventLog())
@@ -647,7 +682,8 @@ def cmd_chaos(options: argparse.Namespace) -> int:
 def _chaos_partition(options: argparse.Namespace) -> int:
     """Network-partition scenario: sever, refuse symmetrically, flap, heal."""
     from .errors import StoreUnavailableError
-    from .kv import PartitionedStore, RetryingStore
+    from .kv.chaos import PartitionedStore
+    from .kv.resilience import RetryingStore
     from .obs import EventLog, Observability
 
     obs = Observability(events=EventLog())
@@ -764,7 +800,8 @@ def cmd_quorum(options: argparse.Namespace) -> int:
 def _quorum_demo(options: argparse.Namespace) -> int:
     """Scripted quorum walkthrough: degrade, fail fast, heal, converge."""
     from .errors import QuorumWriteError
-    from .kv import InMemoryStore, PartitionedStore
+    from .kv.chaos import PartitionedStore
+    from .kv.memory import InMemoryStore
     from .kv.quorum import QuorumReplicatedStore
     from .obs import EventLog, Observability
 
@@ -848,7 +885,7 @@ def cmd_cluster(options: argparse.Namespace) -> int:
 
 def _cluster_status(options: argparse.Namespace) -> int:
     """Fetch the topology from a live shard and print the shard map."""
-    from .cluster import ClusterTopology
+    from .cluster.topology import ClusterTopology
     from .net.client import CacheClient
     from .net.protocol import WireError
 
@@ -901,7 +938,7 @@ def _cluster_status(options: argparse.Namespace) -> int:
 
 def _cluster_membership_demo(options: argparse.Namespace) -> int:
     """Scripted membership change over real sockets: seed, change, verify."""
-    from .cluster import ClusterCoordinator
+    from .cluster.coordinator import ClusterCoordinator
 
     specs = options.member or ["memory", "memory", "memory"]
     if len(specs) < 2:
@@ -1089,6 +1126,8 @@ def cmd_anomaly(options: argparse.Namespace) -> int:
 
 def cmd_lsm(options: argparse.Namespace) -> int:
     """Inspect or compact an on-disk LSM store directory."""
+    from .lsm.store import LSMStore
+
     store = LSMStore(options.path, auto_compact=False, create=False)
     try:
         if options.action == "compact":

@@ -19,10 +19,15 @@ data store from the client side) applied to horizontal scale:
 Start at ``docs/cluster.md``; the wire grammar is in ``docs/protocol.md``.
 """
 
-from .client import ClusterStoreClient
-from .coordinator import ClusterCoordinator
-from .rebalancer import RebalanceReport, copy_moved_keys, moved_pairs, purge_stale_keys, rebalance
-from .topology import ClusterTopology, ShardInfo
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .client import ClusterStoreClient
+    from .coordinator import ClusterCoordinator
+    from .rebalancer import RebalanceReport, copy_moved_keys, moved_pairs, purge_stale_keys, rebalance
+    from .topology import ClusterTopology, ShardInfo
 
 __all__ = [
     "ClusterTopology",
@@ -35,3 +40,18 @@ __all__ = [
     "copy_moved_keys",
     "purge_stale_keys",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "ClusterTopology": ".topology",
+    "ShardInfo": ".topology",
+    "ClusterCoordinator": ".coordinator",
+    "ClusterStoreClient": ".client",
+    "RebalanceReport": ".rebalancer",
+    "rebalance": ".rebalancer",
+    "moved_pairs": ".rebalancer",
+    "copy_moved_keys": ".rebalancer",
+    "purge_stale_keys": ".rebalancer",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,9 +7,14 @@ stores (and bills for), and what the cache holds.  The paper benchmarks gzip
 and LZMA codecs from the standard library.
 """
 
-from .interface import Compressor, NullCompressor
-from .codecs import GzipCompressor, LzmaCompressor, ZlibCompressor
-from .adaptive import AdaptiveCompressor
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .interface import Compressor, NullCompressor
+    from .codecs import GzipCompressor, LzmaCompressor, ZlibCompressor
+    from .adaptive import AdaptiveCompressor
 
 __all__ = [
     "Compressor",
@@ -19,3 +24,15 @@ __all__ = [
     "LzmaCompressor",
     "AdaptiveCompressor",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "Compressor": ".interface",
+    "NullCompressor": ".interface",
+    "GzipCompressor": ".codecs",
+    "ZlibCompressor": ".codecs",
+    "LzmaCompressor": ".codecs",
+    "AdaptiveCompressor": ".adaptive",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

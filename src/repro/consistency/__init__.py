@@ -15,7 +15,20 @@ the cache server's SUBSCRIBE/PUBLISH commands -- no data store changes,
 in keeping with the paper's philosophy.
 """
 
-from .bus import InvalidationBus
-from .coherent import CoherentClient
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bus import InvalidationBus
+    from .coherent import CoherentClient
 
 __all__ = ["InvalidationBus", "CoherentClient"]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "InvalidationBus": ".bus",
+    "CoherentClient": ".coherent",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

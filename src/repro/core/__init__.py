@@ -12,9 +12,14 @@ and enhanced data store clients.
   origin, and run values through the pipeline.
 """
 
-from .pipeline import ValuePipeline
-from .dscl import DSCL
-from .enhanced import CacheConsistency, EnhancedDataStoreClient, WritePolicy
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .pipeline import ValuePipeline
+    from .dscl import DSCL
+    from .enhanced import CacheConsistency, EnhancedDataStoreClient, WritePolicy
 
 __all__ = [
     "ValuePipeline",
@@ -23,3 +28,14 @@ __all__ = [
     "WritePolicy",
     "CacheConsistency",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "ValuePipeline": ".pipeline",
+    "DSCL": ".dscl",
+    "EnhancedDataStoreClient": ".enhanced",
+    "WritePolicy": ".enhanced",
+    "CacheConsistency": ".enhanced",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,10 +16,15 @@ and deletes the chain; reads fetch the base plus every delta and reconstruct.
 over any :class:`~repro.kv.interface.KeyValueStore`.
 """
 
-from .rolling_hash import RollingHash
-from .ops import CopyOp, LiteralOp, parse_delta, serialize_delta
-from .encoder import DeltaCodec, apply_delta, encode_delta
-from .manager import DeltaStoreManager
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .rolling_hash import RollingHash
+    from .ops import CopyOp, LiteralOp, parse_delta, serialize_delta
+    from .encoder import DeltaCodec, apply_delta, encode_delta
+    from .manager import DeltaStoreManager
 
 __all__ = [
     "RollingHash",
@@ -32,3 +37,18 @@ __all__ = [
     "DeltaCodec",
     "DeltaStoreManager",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "RollingHash": ".rolling_hash",
+    "CopyOp": ".ops",
+    "LiteralOp": ".ops",
+    "serialize_delta": ".ops",
+    "parse_delta": ".ops",
+    "encode_delta": ".encoder",
+    "apply_delta": ".encoder",
+    "DeltaCodec": ".encoder",
+    "DeltaStoreManager": ".manager",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -9,29 +9,29 @@ other, and features implemented once against the interface (asynchronous
 access, monitoring, workload generation) apply to all stores automatically.
 """
 
-from .interface import NOT_MODIFIED, KeyValueStore, NotModified
-from .memory import InMemoryStore
-from .filesystem import FileSystemStore
-from .sqlstore import SQLStore
-from .cloudsim import CLOUD_STORE_1, CLOUD_STORE_2, CloudStoreProfile, SimulatedCloudStore
-from .remote import RemoteKeyValueStore
-from .wrappers import NamespacedStore, ReadOnlyStore, TransformingStore
-from .chaos import FlakyStore, LaggyStore, PartitionedStore
-from .circuit import CircuitBreaker, CircuitBreakerStore, CircuitState
-from .deadline import Deadline, current_deadline, deadline_scope
-from .resilience import ReplicatedStore, RetryingStore
-from .quorum import (
-    AntiEntropyReport,
-    MerkleTree,
-    QuorumReplicatedStore,
-    VersionStamp,
-)
+from typing import TYPE_CHECKING
 
-# The LSM engine lives in its own package (repro.lsm) but registers here as
-# a first-class backend alongside the other stores.  Imported last: its
-# modules pull in repro.caching (for the Bloom filter), which in turn reads
-# kv submodules defined above.
-from ..lsm.store import LSMStore
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .interface import NOT_MODIFIED, KeyValueStore, NotModified
+    from .memory import InMemoryStore
+    from .filesystem import FileSystemStore
+    from .sqlstore import SQLStore
+    from .cloudsim import CLOUD_STORE_1, CLOUD_STORE_2, CloudStoreProfile, SimulatedCloudStore
+    from .remote import RemoteKeyValueStore
+    from .wrappers import NamespacedStore, ReadOnlyStore, TransformingStore
+    from .chaos import FlakyStore, LaggyStore, PartitionedStore
+    from .circuit import CircuitBreaker, CircuitBreakerStore, CircuitState
+    from .deadline import Deadline, current_deadline, deadline_scope
+    from .resilience import ReplicatedStore, RetryingStore
+    from .quorum import (
+        AntiEntropyReport,
+        MerkleTree,
+        QuorumReplicatedStore,
+        VersionStamp,
+    )
+    from ..lsm.store import LSMStore
 
 __all__ = [
     "LSMStore",
@@ -65,3 +65,39 @@ __all__ = [
     "deadline_scope",
     "current_deadline",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "LSMStore": "..lsm.store",
+    "KeyValueStore": ".interface",
+    "NotModified": ".interface",
+    "NOT_MODIFIED": ".interface",
+    "InMemoryStore": ".memory",
+    "FileSystemStore": ".filesystem",
+    "SQLStore": ".sqlstore",
+    "SimulatedCloudStore": ".cloudsim",
+    "CloudStoreProfile": ".cloudsim",
+    "CLOUD_STORE_1": ".cloudsim",
+    "CLOUD_STORE_2": ".cloudsim",
+    "RemoteKeyValueStore": ".remote",
+    "NamespacedStore": ".wrappers",
+    "ReadOnlyStore": ".wrappers",
+    "TransformingStore": ".wrappers",
+    "FlakyStore": ".chaos",
+    "LaggyStore": ".chaos",
+    "PartitionedStore": ".chaos",
+    "RetryingStore": ".resilience",
+    "ReplicatedStore": ".resilience",
+    "QuorumReplicatedStore": ".quorum",
+    "MerkleTree": ".quorum",
+    "VersionStamp": ".quorum",
+    "AntiEntropyReport": ".quorum",
+    "CircuitBreaker": ".circuit",
+    "CircuitBreakerStore": ".circuit",
+    "CircuitState": ".circuit",
+    "Deadline": ".deadline",
+    "deadline_scope": ".deadline",
+    "current_deadline": ".deadline",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,19 +12,24 @@ generator, ``StoreServer`` -- works on it unchanged.
 Formats and the recovery procedure are documented in ``docs/lsm.md``.
 """
 
-from .blockcache import BlockCache
-from .compaction import (
-    BackgroundScheduler,
-    InlineScheduler,
-    ManualScheduler,
-    SizeTieredPolicy,
-    merge_tables,
-)
-from .manifest import MANIFEST_NAME, Manifest
-from .memtable import TOMBSTONE, Memtable
-from .sstable import MISSING, SSTable, write_sstable
-from .store import LSMStore
-from .wal import OP_DELETE, OP_PUT, CommitPipeline, WalRecord, WriteAheadLog
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .blockcache import BlockCache
+    from .compaction import (
+        BackgroundScheduler,
+        InlineScheduler,
+        ManualScheduler,
+        SizeTieredPolicy,
+        merge_tables,
+    )
+    from .manifest import MANIFEST_NAME, Manifest
+    from .memtable import TOMBSTONE, Memtable
+    from .sstable import MISSING, SSTable, write_sstable
+    from .store import LSMStore
+    from .wal import OP_DELETE, OP_PUT, CommitPipeline, WalRecord, WriteAheadLog
 
 __all__ = [
     "LSMStore",
@@ -47,3 +52,28 @@ __all__ = [
     "ManualScheduler",
     "BackgroundScheduler",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "LSMStore": ".store",
+    "WriteAheadLog": ".wal",
+    "CommitPipeline": ".wal",
+    "WalRecord": ".wal",
+    "OP_PUT": ".wal",
+    "OP_DELETE": ".wal",
+    "Memtable": ".memtable",
+    "TOMBSTONE": ".memtable",
+    "SSTable": ".sstable",
+    "MISSING": ".sstable",
+    "write_sstable": ".sstable",
+    "BlockCache": ".blockcache",
+    "Manifest": ".manifest",
+    "MANIFEST_NAME": ".manifest",
+    "SizeTieredPolicy": ".compaction",
+    "merge_tables": ".compaction",
+    "InlineScheduler": ".compaction",
+    "ManualScheduler": ".compaction",
+    "BackgroundScheduler": ".compaction",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

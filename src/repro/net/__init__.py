@@ -14,16 +14,21 @@ Two things live here:
   multiplexes thousands of pipelined connections (see ``docs/serving.md``).
 """
 
-from .latency import Clock, LatencyModel, RealClock, VirtualClock
-from .client import CacheClient, ClusterAwareClient, MovedRedirect, parse_moved
-from .server import CacheServer, ServerHandle, StoreServer, THREADED_MAX_CLIENTS
-from .aio import (
-    ASYNC_MAX_CLIENTS,
-    AsyncCacheServer,
-    AsyncServerEngine,
-    AsyncStoreServer,
-    probe_fd_budget,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .latency import Clock, LatencyModel, RealClock, VirtualClock
+    from .client import CacheClient, ClusterAwareClient, MovedRedirect, parse_moved
+    from .server import CacheServer, ServerHandle, StoreServer, THREADED_MAX_CLIENTS
+    from .aio import (
+        ASYNC_MAX_CLIENTS,
+        AsyncCacheServer,
+        AsyncServerEngine,
+        AsyncStoreServer,
+        probe_fd_budget,
+    )
 
 __all__ = [
     "Clock",
@@ -44,3 +49,26 @@ __all__ = [
     "ASYNC_MAX_CLIENTS",
     "probe_fd_budget",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "Clock": ".latency",
+    "RealClock": ".latency",
+    "VirtualClock": ".latency",
+    "LatencyModel": ".latency",
+    "CacheClient": ".client",
+    "ClusterAwareClient": ".client",
+    "MovedRedirect": ".client",
+    "parse_moved": ".client",
+    "CacheServer": ".server",
+    "StoreServer": ".server",
+    "ServerHandle": ".server",
+    "AsyncServerEngine": ".aio",
+    "AsyncCacheServer": ".aio",
+    "AsyncStoreServer": ".aio",
+    "THREADED_MAX_CLIENTS": ".server",
+    "ASYNC_MAX_CLIENTS": ".aio",
+    "probe_fd_budget": ".aio",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

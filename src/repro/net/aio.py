@@ -355,6 +355,7 @@ class AsyncServerEngine:
     ) -> None:
         core, obs = self._core, self._core.obs
         buffer = bytearray()
+        parser = protocol.CommandParser()
         while True:
             data = await reader.read(READ_CHUNK)
             if not data:
@@ -365,15 +366,16 @@ class AsyncServerEngine:
             closing = False
             while not closing:
                 try:
-                    parsed = protocol.try_parse_command(buffer, position)
+                    command, position = parser.feed(buffer, position)
                 except ProtocolError:
                     # Malformed framing: report once, then drop the peer.
                     replies.append(protocol.encode_error("ERR protocol error"))
                     closing = True
                     break
-                if parsed is None:
-                    break  # incomplete tail; wait for the next read
-                command, position = parsed
+                if command is None:
+                    # Incomplete tail: the parser keeps the arguments it has
+                    # copied out, so the bytes before `position` can go.
+                    break
                 reply, keep_open = core.dispatch(command, connection)
                 replies.append(reply)
                 if not keep_open:

@@ -19,6 +19,7 @@ import threading
 from typing import Any, NamedTuple
 
 from ..errors import DeadlineExceededError, ProtocolError, StoreConnectionError
+from ..kv.deadline import current_deadline
 from ..obs import Observability, resolve_obs
 from . import protocol
 from .protocol import NIL, SimpleString, WireError
@@ -63,17 +64,6 @@ def parse_moved(message: str) -> MovedRedirect | None:
         return MovedRedirect(int(parts[1]), parts[2], host, int(port))
     except ValueError:
         return None
-
-
-def _ambient_deadline():
-    """The caller's :class:`~repro.kv.deadline.Deadline`, if any.
-
-    Imported lazily: ``repro.kv`` imports this module (via the remote store
-    adapter), so a top-level import would be circular.
-    """
-    from ..kv.deadline import current_deadline
-
-    return current_deadline()
 
 
 class CacheClient:
@@ -156,7 +146,7 @@ class CacheClient:
             if self._closed:
                 raise StoreConnectionError("client is closed")
             last_error: Exception | None = None
-            deadline = _ambient_deadline()
+            deadline = current_deadline()
             for attempt in range(2):
                 if deadline is not None and deadline.expired:
                     # The budget ran out (e.g. the first attempt timed out);

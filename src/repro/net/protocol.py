@@ -49,6 +49,7 @@ __all__ = [
     "encode_epoch",
     "encode_frame",
     "FrameReader",
+    "CommandParser",
     "try_parse_command",
 ]
 
@@ -265,39 +266,34 @@ def _parse_length(line: bytes, what: str) -> int:
         raise ProtocolError(f"invalid {what}: {line[:40]!r}") from None
 
 
-def try_parse_command(buffer: "bytes | bytearray", pos: int = 0):
-    """Try to parse one request starting at *pos* of *buffer*.
-
-    The non-blocking counterpart of :meth:`FrameReader.read_command`, used
-    by the event-loop server (:mod:`repro.net.aio`): a reactor cannot block
-    mid-frame, so it accumulates socket reads into a buffer and repeatedly
-    asks this function for the next complete request.
-
-    Returns ``(args, next_pos)`` when a whole request (an array of bulk
-    strings) lies in ``buffer[pos:]``, or ``None`` when the data so far is
-    a valid *prefix* of a request (read more and retry).  Malformed input
-    raises :class:`~repro.errors.ProtocolError` immediately -- a bad prefix
-    can never become a good request.
-    """
-    end = buffer.find(b"\r\n", pos)
-    if end < 0:
-        if len(buffer) - pos > _MAX_HEADER:
-            raise ProtocolError("request header line too long")
-        return None
-    line = bytes(buffer[pos:end])
-    if not line.startswith(b"*"):
-        raise ProtocolError(f"request must be an array, got {line[:40]!r}")
-    argc = _parse_length(line[1:], "array length")
-    if argc <= 0 or argc > 1_000_000:
-        raise ProtocolError(f"unreasonable request array length {argc}")
-    cursor = end + 2
-    args: list[bytes] = []
-    for _ in range(argc):
-        end = buffer.find(b"\r\n", cursor)
+def _parse_command(
+    buffer: "bytes | bytearray", cursor: int, argc: int, args: "list[bytes]"
+) -> "tuple[bool, int, int]":
+    """The one request-parsing routine: resume at *cursor* with *argc*
+    announced arguments (0 = array header not read yet) of which *args*
+    are already copied out; appends to *args* and returns
+    ``(complete, cursor, argc)``.  Bytes before the returned cursor are
+    consumed.  Malformed input raises :class:`~repro.errors.ProtocolError`
+    immediately -- a bad prefix can never become a good request."""
+    if not argc:
+        end = buffer.find(_CRLF, cursor)
+        if end < 0:
+            if len(buffer) - cursor > _MAX_HEADER:
+                raise ProtocolError("request header line too long")
+            return False, cursor, 0
+        line = bytes(buffer[cursor:end])
+        if not line.startswith(b"*"):
+            raise ProtocolError(f"request must be an array, got {line[:40]!r}")
+        argc = _parse_length(line[1:], "array length")
+        if argc <= 0 or argc > 1_000_000:
+            raise ProtocolError(f"unreasonable request array length {argc}")
+        cursor = end + 2
+    for _ in range(argc - len(args)):
+        end = buffer.find(_CRLF, cursor)
         if end < 0:
             if len(buffer) - cursor > _MAX_HEADER:
                 raise ProtocolError("bulk length line too long")
-            return None
+            return False, cursor, argc
         line = bytes(buffer[cursor:end])
         if not line.startswith(b"$"):
             raise ProtocolError("request array members must be bulk strings")
@@ -306,9 +302,63 @@ def try_parse_command(buffer: "bytes | bytearray", pos: int = 0):
             raise ProtocolError(f"unreasonable bulk length {length}")
         start = end + 2
         if len(buffer) < start + length + 2:
-            return None
+            return False, cursor, argc
         if bytes(buffer[start + length:start + length + 2]) != _CRLF:
             raise ProtocolError("bulk string not CRLF-terminated")
         args.append(bytes(buffer[start:start + length]))
         cursor = start + length + 2
-    return args, cursor
+    return True, cursor, argc
+
+
+class CommandParser:
+    """Resumable request parser: one command's progress survives short reads.
+
+    The event-loop server (:mod:`repro.net.aio`) cannot block mid-frame, so
+    it accumulates socket reads into a buffer and asks for the next complete
+    request after each read.  A large request (a 500-pair ``MSET`` is
+    ~520 KB) arrives over many reads; the parser keeps how many arguments
+    the array announced and the ones already copied out, so every argument
+    is sliced once however the bytes were split -- re-parsing from the
+    command's first byte after every read is quadratic in the command size.
+    """
+
+    __slots__ = ("_argc", "_args")
+
+    def __init__(self) -> None:
+        self._argc = 0
+        self._args: list[bytes] = []
+
+    def feed(
+        self, buffer: "bytes | bytearray", pos: int = 0
+    ) -> "tuple[list[bytes] | None, int]":
+        """Continue the current request at *pos* of *buffer*.
+
+        Returns ``(args, next_pos)`` once a whole request (an array of bulk
+        strings) has been seen; the parser is then ready for the next one.
+        While the data so far is a valid prefix of a request it returns
+        ``(None, resume_pos)``: everything before ``resume_pos`` is consumed
+        (the caller may drop it) and the next call must pass the position
+        those bytes moved to.  Raises :class:`~repro.errors.ProtocolError`
+        on malformed input.
+        """
+        args = self._args
+        complete, cursor, argc = _parse_command(buffer, pos, self._argc, args)
+        if complete:
+            self._argc, self._args = 0, []
+            return args, cursor
+        self._argc = argc
+        return None, cursor
+
+
+def try_parse_command(buffer: "bytes | bytearray", pos: int = 0):
+    """Try to parse one whole request starting at *pos* of *buffer*.
+
+    The one-shot form of :meth:`CommandParser.feed`: returns
+    ``(args, next_pos)`` when a complete request lies in ``buffer[pos:]``,
+    ``None`` when the data so far is a valid prefix of one (no progress is
+    kept), and raises :class:`~repro.errors.ProtocolError` on malformed
+    input.
+    """
+    args: list[bytes] = []
+    complete, cursor, _argc = _parse_command(buffer, pos, 0, args)
+    return (args, cursor) if complete else None

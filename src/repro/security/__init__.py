@@ -9,10 +9,15 @@ AES-128-GCM (authenticated, the recommended default) and AES-128-CBC
 and password-based key derivation helpers.
 """
 
-from .interface import Encryptor, NullEncryptor
-from .aes import AesCbcEncryptor, AesGcmEncryptor
-from .keys import derive_key, generate_key
-from .rotation import RotatingEncryptor
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .interface import Encryptor, NullEncryptor
+    from .aes import AesCbcEncryptor, AesGcmEncryptor
+    from .keys import derive_key, generate_key
+    from .rotation import RotatingEncryptor
 
 __all__ = [
     "Encryptor",
@@ -23,3 +28,16 @@ __all__ = [
     "generate_key",
     "derive_key",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "Encryptor": ".interface",
+    "NullEncryptor": ".interface",
+    "AesGcmEncryptor": ".aes",
+    "AesCbcEncryptor": ".aes",
+    "RotatingEncryptor": ".rotation",
+    "generate_key": ".keys",
+    "derive_key": ".keys",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

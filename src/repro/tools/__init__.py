@@ -6,6 +6,20 @@ once and work across any pair of backends (the substitutability argument
 of paper Section II.A, applied to operations).
 """
 
-from .migration import MigrationReport, copy_store, verify_stores
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .migration import MigrationReport, copy_store, verify_stores
 
 __all__ = ["copy_store", "verify_stores", "MigrationReport"]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "copy_store": ".migration",
+    "verify_stores": ".migration",
+    "MigrationReport": ".migration",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,8 +18,13 @@ The protocol needs nothing from the stores beyond ``put``/``get``/``delete``,
 staying true to the paper's client-side philosophy: no server changes.
 """
 
-from .log import TransactionLog, TransactionRecord, TransactionState
-from .twophase import TwoPhaseCommitCoordinator, atomic_put_many
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .log import TransactionLog, TransactionRecord, TransactionState
+    from .twophase import TwoPhaseCommitCoordinator, atomic_put_many
 
 __all__ = [
     "TransactionState",
@@ -28,3 +33,14 @@ __all__ = [
     "TwoPhaseCommitCoordinator",
     "atomic_put_many",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "TransactionState": ".log",
+    "TransactionRecord": ".log",
+    "TransactionLog": ".log",
+    "TwoPhaseCommitCoordinator": ".twophase",
+    "atomic_put_many": ".twophase",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -18,28 +18,33 @@ interface, each automatically gaining:
   popularity, for throughput-vs-latency curves against the serving plane.
 """
 
-from .futures import FutureState, ListenableFuture
-from .pool import ThreadPool
-from .async_api import AsyncKeyValue
-from .monitoring import MonitoredStore, OperationStats, PerformanceMonitor, StoreHealth
-from .manager import UniversalDataStoreManager
-from .workload import (
-    CachedReadSpec,
-    CodecTiming,
-    HitRateCurve,
-    SweepPoint,
-    SweepResult,
-    WorkloadGenerator,
-    compressible_payload,
-    random_payload,
-)
-from .loadgen import (
-    LoadResult,
-    OpenLoopLoadGenerator,
-    OpenLoopSpec,
-    Request,
-    RVConfig,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .futures import FutureState, ListenableFuture
+    from .pool import ThreadPool
+    from .async_api import AsyncKeyValue
+    from .monitoring import MonitoredStore, OperationStats, PerformanceMonitor, StoreHealth
+    from .manager import UniversalDataStoreManager
+    from .workload import (
+        CachedReadSpec,
+        CodecTiming,
+        HitRateCurve,
+        SweepPoint,
+        SweepResult,
+        WorkloadGenerator,
+        compressible_payload,
+        random_payload,
+    )
+    from .loadgen import (
+        LoadResult,
+        OpenLoopLoadGenerator,
+        OpenLoopSpec,
+        Request,
+        RVConfig,
+    )
 
 __all__ = [
     "RVConfig",
@@ -65,3 +70,31 @@ __all__ = [
     "random_payload",
     "compressible_payload",
 ]
+
+#: name -> defining module; resolved on first access (see ``repro._lazy``).
+_EXPORTS = {
+    "RVConfig": ".loadgen",
+    "Request": ".loadgen",
+    "OpenLoopSpec": ".loadgen",
+    "OpenLoopLoadGenerator": ".loadgen",
+    "LoadResult": ".loadgen",
+    "ListenableFuture": ".futures",
+    "FutureState": ".futures",
+    "ThreadPool": ".pool",
+    "AsyncKeyValue": ".async_api",
+    "PerformanceMonitor": ".monitoring",
+    "MonitoredStore": ".monitoring",
+    "OperationStats": ".monitoring",
+    "StoreHealth": ".monitoring",
+    "UniversalDataStoreManager": ".manager",
+    "WorkloadGenerator": ".workload",
+    "SweepPoint": ".workload",
+    "SweepResult": ".workload",
+    "HitRateCurve": ".workload",
+    "CachedReadSpec": ".workload",
+    "CodecTiming": ".workload",
+    "random_payload": ".workload",
+    "compressible_payload": ".workload",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

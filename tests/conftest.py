@@ -8,7 +8,14 @@ nothing actually sleeps.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.kv import (
     CLOUD_STORE_1,
@@ -22,6 +29,23 @@ from repro.kv import (
 )
 from repro.net import ServerHandle, VirtualClock
 from repro.net.client import CacheClient
+
+
+@pytest.fixture(scope="session")
+def fresh_interpreter():
+    """``run(code) -> stdout``: execute *code* in a new interpreter that sees
+    this checkout's ``repro`` -- for anything that must observe a *first*
+    import (pytest's own process has long since loaded everything)."""
+
+    def run(code: str) -> str:
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,39 @@ class TestParsing:
             build_parser().parse_args([])
 
 
+class TestParserImportsNoBackend:
+    """Building the parser (``--help``, ``serve``, ``top``, ``lsm``) loads
+    no store backend or codec; a sub-command imports what it uses."""
+
+    def test_build_parser_and_help(self, fresh_interpreter):
+        fresh_interpreter(
+            "import sys\n"
+            "from repro.cli import build_parser, main\n"
+            "build_parser()\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0\n"
+            "heavy = {'sqlite3', 'cryptography', 'repro.kv.sqlstore', 'repro.security.aes',\n"
+            "         'repro.kv.quorum', 'repro.udsm.workload', 'repro.lsm.store'}\n"
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+        )
+
+    def test_a_command_loads_its_own_closure_only(self, fresh_interpreter, tmp_path):
+        fresh_interpreter(
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main(['lsm', 'stats', '--path', {str(tmp_path / 'missing')!r}]) == 2\n"
+            "assert 'repro.lsm.store' in sys.modules\n"
+            "assert main(['stats', '--store', 'memory', '--keys', '2', '--reads', '1']) == 0\n"
+            "assert 'repro.core.enhanced' in sys.modules\n"
+            "assert not {'sqlite3', 'cryptography'} & set(sys.modules)\n"
+            "assert main(['stats', '--store', 'memory', '--keys', '2', '--reads', '1',\n"
+            "             '--encrypt', 'aes-gcm']) == 0\n"
+            "assert 'cryptography' in sys.modules and 'sqlite3' not in sys.modules\n"
+        )
+
+
 class TestBuildStore:
     def parse(self, *argv):
         return build_parser().parse_args(["bench", *argv])

@@ -189,6 +189,21 @@ class TestPipelining:
         assert reader.read_frame() == b"x" * 1000
         sock.close()
 
+    def test_command_spanning_many_reads_then_pipelined_tail(self, server):
+        """A ~600 KB MSET arrives over many socket reads; the engine keeps
+        its parse progress, answers once, and still serves the GET that
+        shares the last segment."""
+        sock = socket.create_connection(server.address, timeout=5)
+        args: list[bytes] = [b"MSET"]
+        for i in range(600):
+            args += [f"big{i:04d}".encode(), bytes([i % 251]) * 1000]
+        tail = protocol.encode_command(["GET", b"big0599"])
+        sock.sendall(protocol.encode_command(args) + tail)
+        reader = protocol.FrameReader(sock.makefile("rb"))
+        assert reader.read_frame() == protocol.SimpleString("OK")
+        assert reader.read_frame() == bytes([599 % 251]) * 1000
+        sock.close()
+
     def test_pipeline_error_does_not_poison_batch(self, client):
         replies = client.execute_pipeline(
             [["SET", b"a", b"1"], ["NOSUCH"], ["GET", b"a"]]

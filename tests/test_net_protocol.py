@@ -242,3 +242,99 @@ class TestFuzzing:
         with pytest.raises(ProtocolError):
             while reader.read_frame() is not None:
                 pass
+
+
+class _CountingBuffer(bytearray):
+    """A bytearray that counts the slices taken of the given lengths."""
+
+    counted_lengths: frozenset = frozenset()
+    slices = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.stop - index.start in self.counted_lengths:
+            self.slices += 1
+        return super().__getitem__(index)
+
+
+def _feed_in_slices(parser, payload: bytes, size: int, buffer: bytearray):
+    """Drive *parser* the way the event loop does: append a slice, take
+    every complete command, drop the consumed bytes."""
+    commands = []
+    for offset in range(0, len(payload), size):
+        buffer += payload[offset:offset + size]
+        position = 0
+        while True:
+            command, position = parser.feed(buffer, position)
+            if command is None:
+                break
+            commands.append(command)
+        del buffer[:position]
+    return commands
+
+
+class TestCommandParser:
+    """The resumable request parser behind the event-loop engine."""
+
+    def test_large_command_in_small_slices_slices_each_argument_once(self):
+        """2 000-pair MSET fed 4 KiB at a time: progress is kept, so the
+        work is linear in the command, not slices x command."""
+        args: list[bytes] = [b"MSET"]
+        for i in range(2000):
+            args += [b"key-%07d" % i, b"%037d" % i]  # 11- and 37-byte payloads
+        payload = protocol.encode_command(args)
+        buffer = _CountingBuffer()
+        buffer.counted_lengths = frozenset({4, 11, 37})
+        commands = _feed_in_slices(protocol.CommandParser(), payload, 4096, buffer)
+        assert commands == [args]
+        assert len(payload) > 20 * 4096
+        assert len(args) <= buffer.slices <= 2 * len(args)
+        assert not buffer  # every consumed byte was dropped along the way
+
+    def test_malformed_continuation_of_a_valid_prefix(self):
+        parser = protocol.CommandParser()
+        buffer = bytearray(b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nab")
+        command, position = parser.feed(buffer, 0)
+        assert command is None and buffer[position:] == b"$5\r\nab"
+        del buffer[:position]
+        buffer += b"cdeXX"  # five bytes, then no CRLF
+        with pytest.raises(ProtocolError):
+            parser.feed(buffer, 0)
+        for bad in (b"+OK\r\n", b"*0\r\n", b"*1\r\n:1\r\n", b"*1\r\n$-2\r\n", b"*" + b"9" * 80):
+            with pytest.raises(ProtocolError):
+                protocol.CommandParser().feed(bad, 0)
+
+    def test_pipelined_tail_after_a_resumed_command(self):
+        big = protocol.encode_command([b"SET", b"k", b"v" * 10_000])
+        ping = protocol.encode_command([b"PING"])
+        get = protocol.encode_command([b"GET", b"k"])
+        parser = protocol.CommandParser()
+        buffer = bytearray(big[:5000])
+        command, position = parser.feed(buffer, 0)
+        assert command is None
+        del buffer[:position]
+        buffer += big[5000:] + ping + get[:-3]
+        command, position = parser.feed(buffer, 0)
+        assert command == [b"SET", b"k", b"v" * 10_000]
+        command, position = parser.feed(buffer, position)
+        assert command == [b"PING"]
+        command, position = parser.feed(buffer, position)
+        assert command is None
+        del buffer[:position]
+        buffer += get[-3:]
+        assert parser.feed(buffer, 0) == ([b"GET", b"k"], len(buffer))
+
+    @given(
+        st.lists(st.lists(st.binary(max_size=40), min_size=1, max_size=5), min_size=1, max_size=4),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=150)
+    def test_any_split_parses_like_the_one_shot_form(self, commands, size):
+        payload = b"".join(protocol.encode_command(args) for args in commands)
+        assert _feed_in_slices(protocol.CommandParser(), payload, size, bytearray()) == commands
+        one_shot, position = [], 0
+        while position < len(payload):
+            args, position = protocol.try_parse_command(payload, position)
+            one_shot.append(args)
+        assert one_shot == commands
+        assert protocol.try_parse_command(payload[:-1], len(payload) - len(
+            protocol.encode_command(commands[-1]))) is None
