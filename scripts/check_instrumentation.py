@@ -3,7 +3,7 @@
 
 Guards the observability contract of ``docs/observability.md``: every public
 :class:`repro.kv.interface.KeyValueStore` operation, when performed through
-an instrumented wrapper, must record at least one metric.  Three failure
+an instrumented wrapper, must record at least one metric.  Four failure
 modes are caught:
 
 1. **A silent gap** -- an operation driven through
@@ -15,7 +15,13 @@ modes are caught:
    interface without either a driver in the contract table below or an
    explicit exemption.  Adding an operation then forces a decision about
    its instrumentation instead of silently skipping it.
-3. **A watching-cost regression** -- one cache-hit ``get`` on the enhanced
+3. **A changed shape** -- an operation driven through any interceptor
+   (monitor, retry, circuit breaker, fault injection, partition) reaches a
+   counting inner store under another name or more than once, e.g. a
+   ``put_many`` exploded into per-key ``put`` calls.  The op list comes
+   from the interface, so an operation added to it cannot be forwarded by
+   some decorators and exploded by others.
+4. **A watching-cost regression** -- one cache-hit ``get`` on the enhanced
    client is counted with :func:`sys.setprofile`, observed and unobserved,
    against :data:`HIT_CALL_BUDGET`.  Calls are counted, not timed: the
    counts repeat exactly, so the budget holds in CI with no wall clock.
@@ -35,7 +41,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.caching import InProcessCache  # noqa: E402
 from repro.core import EnhancedDataStoreClient  # noqa: E402
-from repro.kv import InMemoryStore  # noqa: E402
+from repro.kv import (  # noqa: E402
+    CircuitBreakerStore,
+    FlakyStore,
+    InMemoryStore,
+    PartitionedStore,
+    RetryingStore,
+)
 from repro.kv.interface import KeyValueStore  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
@@ -60,17 +72,29 @@ DRIVERS = {
     "size": lambda s: s.size(),
     "clear": lambda s: s.clear(),
     "get_with_version": lambda s: s.get_with_version("seed-1"),
-    "get_if_modified": lambda s: s.get_if_modified(
-        "seed-1", s.get_with_version("seed-1")[1]
-    ),
+    "get_if_modified": lambda s: s.get_if_modified("seed-1", "stale-token"),
     "put_with_version": lambda s: s.put_with_version("seed-1", b"value-2"),
-    "check_version": lambda s: s.check_version(
-        "seed-1", s.get_with_version("seed-1")[1]
-    ),
+    "check_version": lambda s: s.check_version("seed-1", "stale-token"),
     "get_or_default": lambda s: s.get_or_default("absent", None),
     "get_many": lambda s: s.get_many(["seed-1", "seed-2"]),
     "put_many": lambda s: s.put_many({"many-1": b"a", "many-2": b"b"}),
     "delete_many": lambda s: s.delete_many(["seed-1", "seed-2"]),
+}
+
+#: Derived operations reach the inner store as the primitive they are
+#: defined by; every other operation must arrive under its own name.
+REACHES_INNER_AS = {"check_version": "get_if_modified", "get_or_default": "get"}
+
+#: name -> factory(inner, registry): every interceptor, configured to let
+#: the operation through.
+INTERCEPTORS = {
+    "MonitoredStore": lambda inner, registry: MonitoredStore(
+        inner, PerformanceMonitor(registry=registry), name="checked"
+    ),
+    "RetryingStore": lambda inner, registry: RetryingStore(inner),
+    "CircuitBreakerStore": lambda inner, registry: CircuitBreakerStore(inner),
+    "FlakyStore": lambda inner, registry: FlakyStore(inner, failure_rate=0.0),
+    "PartitionedStore": lambda inner, registry: PartitionedStore(inner),
 }
 
 #: EnhancedDataStoreClient public ops with a ``client.<op>.seconds`` stage.
@@ -106,8 +130,37 @@ def registry_observations(registry: MetricsRegistry) -> int:
     )
 
 
-def check_monitored_store() -> list[str]:
-    """Drive every public op through MonitoredStore; return failures."""
+class CountingStore(InMemoryStore):
+    """Records each operation that reaches it from outside, by name (not
+    the calls its own default implementations then make on itself)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[str] = []
+        self._depth = 0
+
+
+def _counted(op: str):
+    def operation(self, *args):
+        if self._depth == 0:
+            self.calls.append(op)
+        self._depth += 1
+        try:
+            result = getattr(InMemoryStore, op)(self, *args)
+            # finish a lazy key scan while its nested calls still count as nested
+            return list(result) if op.startswith("keys") else result
+        finally:
+            self._depth -= 1
+
+    return operation
+
+
+for _op in public_interface_ops() - set(EXEMPT):
+    setattr(CountingStore, _op, _counted(_op))
+
+
+def check_interceptors() -> list[str]:
+    """Drive every public op through every interceptor; return failures."""
     failures: list[str] = []
     ops = public_interface_ops()
     uncovered = ops - set(DRIVERS) - set(EXEMPT)
@@ -125,21 +178,26 @@ def check_monitored_store() -> list[str]:
             + ", ".join(sorted(stale))
         )
     for op in sorted(set(DRIVERS) & ops):
-        registry = MetricsRegistry()
-        monitor = PerformanceMonitor(registry=registry)
-        store = MonitoredStore(InMemoryStore(), monitor, name="checked")
-        store.inner.put("seed-1", b"value-1")
-        store.inner.put("seed-2", b"value-2")
-        before = registry_observations(registry)
-        try:
-            DRIVERS[op](store)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the check
-            failures.append(f"MonitoredStore.{op} raised {type(exc).__name__}: {exc}")
-            continue
-        if registry_observations(registry) <= before:
-            failures.append(
-                f"MonitoredStore.{op} recorded no metric (registry unchanged)"
-            )
+        for name, build in INTERCEPTORS.items():
+            registry = MetricsRegistry()
+            inner = CountingStore()
+            inner.put_many({"seed-1": b"value-1", "seed-2": b"value-2"})
+            inner.calls.clear()
+            try:
+                DRIVERS[op](build(inner, registry))
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the check
+                failures.append(f"{name}.{op} raised {type(exc).__name__}: {exc}")
+                continue
+            expected = [REACHES_INNER_AS.get(op, op)]
+            if inner.calls != expected:
+                failures.append(
+                    f"{name}.{op} reached the inner store as {inner.calls}, "
+                    f"not as {expected}"
+                )
+            if name == "MonitoredStore" and not registry_observations(registry):
+                failures.append(
+                    f"MonitoredStore.{op} recorded no metric (registry unchanged)"
+                )
     return failures
 
 
@@ -212,11 +270,12 @@ def check_hit_call_budget() -> list[str]:
 
 
 def main() -> int:
-    failures = check_monitored_store() + check_enhanced_client() + check_hit_call_budget()
+    failures = check_interceptors() + check_enhanced_client() + check_hit_call_budget()
     covered = sorted(set(DRIVERS) & public_interface_ops())
     print(
         f"instrumentation check: {len(covered)} interface ops driven through "
-        f"MonitoredStore, {len(EXEMPT)} exempt "
+        f"{len(INTERCEPTORS)} interceptors ({', '.join(INTERCEPTORS)}), "
+        f"each reaching the inner store once as itself; {len(EXEMPT)} exempt "
         f"({', '.join(sorted(EXEMPT))}), "
         f"{len(CLIENT_DRIVERS)} enhanced-client ops"
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import (
     CircuitOpenError,
@@ -209,5 +209,32 @@ class ServeStaleStore(_DelegatingStore):
         self._forget(key)
         return removed
 
-    def keys(self) -> Iterator[str]:
-        return self._inner.keys()
+    # The batch forms are owned here, not inherited: a forwarded batch would
+    # reach the backend without the snapshot seeing what it read or wrote.
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        keys = list(keys)
+        try:
+            found = self._inner.get_many(keys)
+        except self._degrade_on as exc:
+            return {key: self._serve_stale(key, exc) for key in keys}
+        for key, value in found.items():
+            self._remember(key, value)
+        return found
+
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        self._inner.put_many(items)
+        for key, value in items.items():
+            self._remember(key, value)
+
+    def delete_many(self, keys: Iterable[str]) -> int:
+        keys = list(keys)
+        removed = self._inner.delete_many(keys)
+        for key in keys:
+            self._forget(key)
+        return removed
+
+    def clear(self) -> int:
+        removed = self._inner.clear()
+        with self._lock:
+            self._snapshots.clear()
+        return removed

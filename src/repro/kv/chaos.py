@@ -31,11 +31,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError, StoreConnectionError, StoreUnavailableError
 from ..obs import Observability, resolve_obs
-from .interface import KeyValueStore, NotModified
+from .interface import KeyValueStore
 from .wrappers import _DelegatingStore
 
 __all__ = ["FlakyStore", "LaggyStore", "PartitionedStore"]
@@ -67,11 +67,11 @@ class FlakyStore(_DelegatingStore):
 
         :param failure_rate: default injection probability for every
             operation.
-        :param failure_rates: per-operation overrides by operation name
-            (``get``, ``put``, ``delete``, ``contains``, ``keys``,
-            ``get_with_version``, ``get_if_modified``,
-            ``put_with_version``); operations not named fall back to
-            *failure_rate*.  E.g. ``{"get": 1.0}`` fails only reads.
+        :param failure_rates: per-operation overrides keyed by any
+            ``KeyValueStore`` operation name (``get``, ``put_many``,
+            ``size`` ...; an unknown name is a ``ConfigurationError``);
+            operations not named fall back to *failure_rate*.  E.g.
+            ``{"get": 1.0}`` fails only single-key reads.
         :param latency: seconds of delay injected before every operation.
         :param latency_jitter: extra uniform ``[0, jitter]`` seconds drawn
             from the seeded RNG (deterministic across runs).
@@ -82,6 +82,10 @@ class FlakyStore(_DelegatingStore):
         if not 0.0 <= failure_rate <= 1.0:
             raise ConfigurationError("failure_rate must be within [0, 1]")
         for operation, rate in (failure_rates or {}).items():
+            if operation not in self.OPERATIONS:
+                raise ConfigurationError(
+                    f"failure_rates names no KeyValueStore operation: {operation!r}"
+                )
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
                     f"failure_rates[{operation!r}] must be within [0, 1]"
@@ -97,11 +101,7 @@ class FlakyStore(_DelegatingStore):
         self._fail_after = fail_after
         self._latency = latency
         self._latency_jitter = latency_jitter
-        if sleep is None:
-            import time
-
-            sleep = time.sleep
-        self._sleep = sleep
+        self._sleep = sleep if sleep is not None else time.sleep
         self._lock = threading.Lock()
         self._burst_remaining = 0
         #: operations that were failed by injection
@@ -158,7 +158,7 @@ class FlakyStore(_DelegatingStore):
             rate = self._failure_rates.get(operation, self._failure_rate)
             return self._rng.random() < rate
 
-    def _run(self, operation: str, thunk: Callable[[], Any]) -> Any:
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
         if self._latency or self._latency_jitter:
             with self._lock:
                 delay = self._latency + (
@@ -167,44 +167,17 @@ class FlakyStore(_DelegatingStore):
                     else 0.0
                 )
             self._sleep(delay)
-        should_fail = self._roll(operation)
-        if should_fail and not self._fail_after:
-            with self._lock:
-                self.injected_failures += 1
-            raise self._error_factory()
-        result = thunk()
-        if should_fail and self._fail_after:
-            with self._lock:
-                self.injected_failures += 1
-            raise self._error_factory()
+        should_fail = self._roll(op)
+        if not should_fail or self._fail_after:
+            result = method(*args)
         with self._lock:
-            self.successes += 1
+            if should_fail:
+                self.injected_failures += 1
+            else:
+                self.successes += 1
+        if should_fail:
+            raise self._error_factory()
         return result
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Any:
-        return self._run("get", lambda: self._inner.get(key))
-
-    def put(self, key: str, value: Any) -> None:
-        self._run("put", lambda: self._inner.put(key, value))
-
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._run("put_with_version", lambda: self._inner.put_with_version(key, value))
-
-    def delete(self, key: str) -> bool:
-        return self._run("delete", lambda: self._inner.delete(key))
-
-    def contains(self, key: str) -> bool:
-        return self._run("contains", lambda: self._inner.contains(key))
-
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._run("get_with_version", lambda: self._inner.get_with_version(key))
-
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._run("get_if_modified", lambda: self._inner.get_if_modified(key, version))
-
-    def keys(self) -> Iterator[str]:
-        return self._run("keys", lambda: self._inner.keys())
 
 
 class PartitionedStore(_DelegatingStore):
@@ -326,59 +299,16 @@ class PartitionedStore(_DelegatingStore):
             return any(start <= now < end for start, end in self._windows)
 
     # ------------------------------------------------------------------
-    def _guard(self) -> None:
-        if not self.is_partitioned():
-            return
-        with self._lock:
-            self.unavailable_ops += 1
-        if self._obs.enabled:
-            self._obs.inc("kv.chaos.unavailable")
-        raise StoreUnavailableError(
-            f"store {self.name!r} is unreachable (network partition)"
-        )
-
-    def get(self, key: str) -> Any:
-        self._guard()
-        return self._inner.get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        self._guard()
-        self._inner.put(key, value)
-
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        self._guard()
-        return self._inner.put_with_version(key, value)
-
-    def delete(self, key: str) -> bool:
-        self._guard()
-        return self._inner.delete(key)
-
-    def contains(self, key: str) -> bool:
-        self._guard()
-        return self._inner.contains(key)
-
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        self._guard()
-        return self._inner.get_with_version(key)
-
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        self._guard()
-        return self._inner.get_if_modified(key, version)
-
-    def keys(self) -> Iterator[str]:
-        self._guard()
-        return self._inner.keys()
-
-    def keys_with_prefix(self, prefix: str) -> Iterator[str]:
-        self._guard()
-        return self._inner.keys_with_prefix(prefix)
-
-    def size(self) -> int:
-        self._guard()
-        return self._inner.size()
-
-    # close() deliberately passes through un-guarded: releasing local
-    # resources must work even while the network is down.
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
+        if self.is_partitioned():
+            with self._lock:
+                self.unavailable_ops += 1
+            if self._obs.enabled:
+                self._obs.inc("kv.chaos.unavailable")
+            raise StoreUnavailableError(
+                f"store {self.name!r} is unreachable (network partition)"
+            )
+        return method(*args)
 
 
 class LaggyStore(FlakyStore):

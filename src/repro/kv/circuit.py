@@ -32,7 +32,7 @@ import enum
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..errors import (
     CircuitOpenError,
@@ -41,7 +41,7 @@ from ..errors import (
     StoreConnectionError,
 )
 from ..obs import Observability, resolve_obs
-from .interface import KeyValueStore, NotModified
+from .interface import KeyValueStore
 from .wrappers import _DelegatingStore
 
 __all__ = ["CircuitState", "CircuitBreaker", "CircuitBreakerStore"]
@@ -362,10 +362,10 @@ class CircuitBreakerStore(_DelegatingStore):
         return self._breaker
 
     # ------------------------------------------------------------------
-    def _guard(self, thunk: Callable[[], Any]) -> Any:
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
         self._breaker.acquire()
         try:
-            result = thunk()
+            result = method(*args)
         except self._track_on as exc:
             self._breaker.record_failure(exc)
             raise
@@ -376,30 +376,3 @@ class CircuitBreakerStore(_DelegatingStore):
             raise
         self._breaker.record_success()
         return result
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Any:
-        return self._guard(lambda: self._inner.get(key))
-
-    def put(self, key: str, value: Any) -> None:
-        self._guard(lambda: self._inner.put(key, value))
-
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._guard(lambda: self._inner.put_with_version(key, value))
-
-    def delete(self, key: str) -> bool:
-        return self._guard(lambda: self._inner.delete(key))
-
-    def contains(self, key: str) -> bool:
-        return self._guard(lambda: self._inner.contains(key))
-
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._guard(lambda: self._inner.get_with_version(key))
-
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._guard(lambda: self._inner.get_if_modified(key, version))
-
-    def keys(self) -> Iterator[str]:
-        # Materialized so the whole iteration happens under the guard (a
-        # lazily-consumed iterator would fail outside breaker accounting).
-        return iter(self._guard(lambda: list(self._inner.keys())))

@@ -38,7 +38,7 @@ from ..errors import (
 )
 from ..obs import Observability, resolve_obs
 from .deadline import current_deadline
-from .interface import KeyValueStore, NotModified
+from .interface import KeyValueStore
 from .wrappers import _DelegatingStore
 
 __all__ = ["RetryingStore", "ReplicatedStore"]
@@ -88,6 +88,7 @@ class RetryingStore(_DelegatingStore):
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._obs = resolve_obs(obs)
+        self._lock = threading.Lock()
         #: number of retries performed (attempts beyond the first)
         self.retries = 0
 
@@ -102,19 +103,20 @@ class RetryingStore(_DelegatingStore):
         error.__cause__ = cause
         return error
 
-    def _attempt(self, thunk: Callable[[], Any]) -> Any:
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
         last_error: Exception | None = None
         deadline = current_deadline()
         for attempt in range(self._max_attempts):
             if deadline is not None and deadline.expired:
                 raise self._deadline_exceeded(last_error)
             try:
-                return thunk()
+                return method(*args)
             except self._retry_on as exc:
                 last_error = exc
                 if attempt == self._max_attempts - 1:
                     break
-                self.retries += 1
+                with self._lock:
+                    self.retries += 1
                 ceiling = min(self._max_delay, self._base_delay * (2**attempt))
                 delay = self._rng.uniform(0, ceiling)
                 if deadline is not None:
@@ -150,35 +152,6 @@ class RetryingStore(_DelegatingStore):
                 error=type(last_error).__name__,
             )
         raise last_error
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> Any:
-        return self._attempt(lambda: self._inner.get(key))
-
-    def put(self, key: str, value: Any) -> None:
-        self._attempt(lambda: self._inner.put(key, value))
-
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._attempt(lambda: self._inner.put_with_version(key, value))
-
-    def delete(self, key: str) -> bool:
-        return self._attempt(lambda: self._inner.delete(key))
-
-    def contains(self, key: str) -> bool:
-        return self._attempt(lambda: self._inner.contains(key))
-
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._attempt(lambda: self._inner.get_with_version(key))
-
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._attempt(lambda: self._inner.get_if_modified(key, version))
-
-    def keys(self) -> Iterator[str]:
-        # Materialized on purpose: retrying only the *creation* of a lazy
-        # iterator would let a mid-iteration connection error escape the
-        # retry policy entirely.  Listing inside _attempt makes the whole
-        # key scan retryable (at the cost of buffering the key list).
-        return iter(self._attempt(lambda: list(self._inner.keys())))
 
 
 class ReplicatedStore(KeyValueStore):

@@ -24,8 +24,32 @@ from .interface import KeyValueStore, NotModified
 __all__ = ["NamespacedStore", "ReadOnlyStore", "TransformingStore"]
 
 
+def _scan(scan: Callable[..., Iterable[str]], *args: Any) -> list[str]:
+    """Run a key scan to completion, so it happens inside the hook."""
+    return list(scan(*args))
+
+
 class _DelegatingStore(KeyValueStore):
-    """Shared plumbing: forward everything to ``self._inner`` unchanged."""
+    """Forwards every data operation to ``self._inner`` through one hook.
+
+    Each operation in :attr:`OPERATIONS` reaches the inner store as the
+    *same* operation, exactly once, through :meth:`_invoke` -- a batch stays
+    a batch, so to an interceptor it is one attempt, one breaker outcome,
+    one injected roll, one partition check and one monitor sample.  A key
+    scan is materialised inside the hook, so a failure half-way through it
+    is retried, counted, injected, refused or timed like any other (at the
+    cost of buffering the key list); batch keys are materialised before it,
+    so a retry re-sends the whole idempotent batch, not a spent iterator.
+    ``close``/``native`` bypass the hook: releasing local resources must
+    work while the backend is partitioned or its circuit is open.
+    """
+
+    #: The data operations of the interface, i.e. the names ``_invoke`` sees.
+    OPERATIONS = (
+        "get", "put", "delete", "contains", "keys", "keys_with_prefix", "size",
+        "clear", "get_with_version", "get_if_modified", "put_with_version",
+        "get_many", "put_many", "delete_many",
+    )
 
     def __init__(self, inner: KeyValueStore, name: str | None = None) -> None:
         self._inner = inner
@@ -36,35 +60,54 @@ class _DelegatingStore(KeyValueStore):
         """The wrapped store."""
         return self._inner
 
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
+        """The interception point: ``method(*args)`` performs *op* on the
+        inner store.  Interceptors override this and nothing else."""
+        return method(*args)
+
     def get(self, key: str) -> Any:
-        return self._inner.get(key)
+        return self._invoke("get", self._inner.get, key)
 
     def put(self, key: str, value: Any) -> None:
-        self._inner.put(key, value)
+        self._invoke("put", self._inner.put, key, value)
 
     def delete(self, key: str) -> bool:
-        return self._inner.delete(key)
-
-    def keys(self) -> Iterator[str]:
-        return self._inner.keys()
-
-    def keys_with_prefix(self, prefix: str) -> Iterator[str]:
-        return self._inner.keys_with_prefix(prefix)
+        return self._invoke("delete", self._inner.delete, key)
 
     def contains(self, key: str) -> bool:
-        return self._inner.contains(key)
+        return self._invoke("contains", self._inner.contains, key)
+
+    def keys(self) -> Iterator[str]:
+        return iter(self._invoke("keys", _scan, self._inner.keys))
+
+    def keys_with_prefix(self, prefix: str) -> Iterator[str]:
+        return iter(
+            self._invoke("keys_with_prefix", _scan, self._inner.keys_with_prefix, prefix)
+        )
 
     def size(self) -> int:
-        return self._inner.size()
+        return self._invoke("size", self._inner.size)
+
+    def clear(self) -> int:
+        return self._invoke("clear", self._inner.clear)
 
     def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._inner.get_with_version(key)
+        return self._invoke("get_with_version", self._inner.get_with_version, key)
 
     def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._inner.get_if_modified(key, version)
+        return self._invoke("get_if_modified", self._inner.get_if_modified, key, version)
 
     def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._inner.put_with_version(key, value)
+        return self._invoke("put_with_version", self._inner.put_with_version, key, value)
+
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        return self._invoke("get_many", self._inner.get_many, list(keys))
+
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        self._invoke("put_many", self._inner.put_many, items)
+
+    def delete_many(self, keys: Iterable[str]) -> int:
+        return self._invoke("delete_many", self._inner.delete_many, list(keys))
 
     def close(self) -> None:
         self._inner.close()
@@ -88,21 +131,14 @@ class NamespacedStore(_DelegatingStore):
     def _unwrap(self, stored_key: str) -> str:
         return stored_key[len(self._prefix):]
 
-    def get(self, key: str) -> Any:
-        return self._inner.get(self._wrap(key))
-
-    def put(self, key: str, value: Any) -> None:
-        self._inner.put(self._wrap(key), value)
-
-    def delete(self, key: str) -> bool:
-        return self._inner.delete(self._wrap(key))
-
-    def contains(self, key: str) -> bool:
-        return self._inner.contains(self._wrap(key))
+    def _invoke(self, op: str, method: Callable[..., Any], key: str, *args: Any) -> Any:
+        # Only single-key operations reach the hook -- every scan and batch
+        # is overridden below -- and they all take the key first.  One added
+        # to the interface is namespaced too instead of leaking past it.
+        return method(self._wrap(key), *args)
 
     def keys(self) -> Iterator[str]:
-        for stored_key in self._inner.keys_with_prefix(self._prefix):
-            yield self._unwrap(stored_key)
+        return self.keys_with_prefix("")
 
     def keys_with_prefix(self, prefix: str) -> Iterator[str]:
         for stored_key in self._inner.keys_with_prefix(self._prefix + prefix):
@@ -111,17 +147,18 @@ class NamespacedStore(_DelegatingStore):
     def size(self) -> int:
         return sum(1 for _ in self.keys())
 
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._inner.get_with_version(self._wrap(key))
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        found = self._inner.get_many([self._wrap(key) for key in keys])
+        return {self._unwrap(stored_key): value for stored_key, value in found.items()}
 
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._inner.get_if_modified(self._wrap(key), version)
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        self._inner.put_many({self._wrap(key): value for key, value in items.items()})
 
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._inner.put_with_version(self._wrap(key), value)
+    def delete_many(self, keys: Iterable[str]) -> int:
+        return self._inner.delete_many([self._wrap(key) for key in keys])
 
     def clear(self) -> int:
-        return self._inner.delete_many([self._wrap(key) for key in self.keys()])
+        return self.delete_many(list(self.keys()))
 
     def close(self) -> None:
         # Deliberately do NOT close the shared backend: other namespaces
@@ -132,20 +169,17 @@ class NamespacedStore(_DelegatingStore):
 class ReadOnlyStore(_DelegatingStore):
     """Rejects every mutating operation with :class:`DataStoreError`."""
 
-    def put(self, key: str, value: Any) -> None:
-        raise DataStoreError(f"store {self.name!r} is read-only")
+    #: Allow-list, so an operation added to the interface is refused until
+    #: someone decides it is a read.
+    _READS = frozenset(
+        {"get", "contains", "keys", "keys_with_prefix", "size",
+         "get_with_version", "get_if_modified", "get_many"}
+    )
 
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        raise DataStoreError(f"store {self.name!r} is read-only")
-
-    def put_many(self, items: Mapping[str, Any]) -> None:
-        raise DataStoreError(f"store {self.name!r} is read-only")
-
-    def delete(self, key: str) -> bool:
-        raise DataStoreError(f"store {self.name!r} is read-only")
-
-    def clear(self) -> int:
-        raise DataStoreError(f"store {self.name!r} is read-only")
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
+        if op not in self._READS:
+            raise DataStoreError(f"store {self.name!r} is read-only")
+        return method(*args)
 
 
 class TransformingStore(_DelegatingStore):
@@ -161,6 +195,9 @@ class TransformingStore(_DelegatingStore):
     to equal payloads for the deterministic codecs used on this path;
     randomised codecs such as AES-GCM change the token on every write, which
     degrades revalidation to a plain fetch but never returns stale data).
+
+    The read/write overrides call the inner store directly, with no hook
+    frame: this is the enhanced client's per-request path.
     """
 
     def __init__(

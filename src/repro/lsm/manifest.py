@@ -9,19 +9,16 @@ never happened.  The MANIFEST separates the two: a table is part of the
 store if and only if the manifest says so, and the flush/compaction
 table swap becomes a single atomically-appended edit record.
 
-Format (little-endian, CRC-framed exactly like the WAL)::
+Format: the same framed log as the WAL (:mod:`.wal`: ``crc32 | len |
+payload``), with::
 
-    +-----------+---------+--------------------------------------+
-    | crc32 u32 | len u32 | payload (len bytes)                  |
-    +-----------+---------+--------------------------------------+
     payload = UTF-8 JSON: {"add": [name, ...], "remove": [name, ...]}
 
 Each frame is one **edit batch** applied atomically: the tables in
 ``add`` join the live set (in list order, which is age order) and the
 tables in ``remove`` leave it.  A flush appends ``{"add": [table]}``; a
 compaction appends ``{"add": [output], "remove": inputs}`` -- one frame,
-so recovery never sees the swap half-applied.  The CRC framing gives the
-manifest the same torn-tail story as the WAL: replay stops at the first
+so recovery never sees the swap half-applied: replay stops at the first
 incomplete or corrupt frame and the valid prefix is the committed state.
 
 On every open the store rewrites the manifest to a single snapshot frame
@@ -36,21 +33,18 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
-import zlib
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from ..errors import DataStoreError, StoreClosedError
 from ..fsutil import fsync_dir
+from .wal import encode_frame, scan_frames, truncate_torn_tail
 
 __all__ = ["MANIFEST_NAME", "Manifest", "ManifestReplay"]
 
 #: File name of the manifest inside a store's root directory.
 MANIFEST_NAME = "MANIFEST"
-
-_HEADER = struct.Struct("<II")  # crc32, payload length
 
 
 class ManifestReplay(NamedTuple):
@@ -65,10 +59,16 @@ class ManifestReplay(NamedTuple):
 
 def encode_edit(add: Iterable[str] = (), remove: Iterable[str] = ()) -> bytes:
     """Frame one edit batch as an append-ready byte string."""
-    payload = json.dumps(
-        {"add": list(add), "remove": list(remove)}, separators=(",", ":")
-    ).encode("utf-8")
-    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+    edit = {"add": list(add), "remove": list(remove)}
+    return encode_frame(json.dumps(edit, separators=(",", ":")).encode("utf-8"))
+
+
+def _decode_edit(payload: bytes) -> tuple[list, list]:
+    edit = json.loads(payload)  # ValueError on bad UTF-8 or bad JSON alike
+    added, removed = edit.get("add", []), edit.get("remove", [])
+    if not isinstance(added, list) or not isinstance(removed, list):
+        raise ValueError("add/remove must be lists")
+    return added, removed
 
 
 class Manifest:
@@ -147,42 +147,17 @@ class Manifest:
     @staticmethod
     def replay(path: str | os.PathLike[str]) -> ManifestReplay:
         """Apply every intact edit batch in *path*, stopping at a torn tail."""
-        data = Path(path).read_bytes()
+        edits, *scan = scan_frames(path, _decode_edit)
         live: dict[str, None] = {}  # insertion-ordered set
-        offset = 0
-        edits = 0
-        total = len(data)
-        while offset + _HEADER.size <= total:
-            crc, length = _HEADER.unpack_from(data, offset)
-            end = offset + _HEADER.size + length
-            if end > total:
-                break  # torn payload
-            payload = data[offset + _HEADER.size : end]
-            if zlib.crc32(payload) != crc:
-                break  # corrupt frame: treat the rest as a torn tail
-            try:
-                edit = json.loads(payload.decode("utf-8"))
-                added = edit.get("add", [])
-                removed = edit.get("remove", [])
-                if not isinstance(added, list) or not isinstance(removed, list):
-                    raise ValueError("add/remove must be lists")
-            except (ValueError, UnicodeDecodeError):
-                break  # CRC collided with garbage; stop at the frame
+        for added, removed in edits:
             for name in added:
                 live[str(name)] = None
             for name in removed:
                 live.pop(str(name), None)
-            edits += 1
-            offset = end
-        return ManifestReplay(list(live), edits, offset, offset != total, total - offset)
+        return ManifestReplay(list(live), len(edits), *scan)
 
-    @staticmethod
-    def repair(path: str | os.PathLike[str], replay: ManifestReplay) -> None:
-        """Truncate *path* back to its valid prefix after a torn replay."""
-        if not replay.torn:
-            return
-        with open(path, "rb+") as handle:
-            handle.truncate(replay.valid_length)
+    #: Truncate a manifest back to its valid prefix after a torn replay.
+    repair = staticmethod(truncate_torn_tail)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -6,12 +6,14 @@ next open the log is replayed into a fresh memtable.  The log is the only
 file the engine ever appends to in place; SSTables are immutable once
 written.
 
-Record framing (little-endian, see ``docs/lsm.md``)::
+The framed log (little-endian, see ``docs/lsm.md``) -- the one framing
+under this file and the MANIFEST (:func:`encode_frame`,
+:func:`scan_frames`, :func:`truncate_torn_tail`)::
 
     +----------+----------+--------------------------------------+
     | crc32 u32| len  u32 | payload (len bytes)                  |
     +----------+----------+--------------------------------------+
-    payload = op u8 | key_len u32 | key bytes | value bytes
+    WAL payload = op u8 | key_len u32 | key bytes | value bytes
 
 ``op`` is 0 for a put and 1 for a delete (deletes carry no value bytes).
 The CRC covers the payload only, so a torn header, a torn payload, and a
@@ -63,7 +65,7 @@ import time
 import zlib
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from ..errors import ConfigurationError, StoreClosedError, WalPoisonedError
 
@@ -74,6 +76,9 @@ __all__ = [
     "WalReplay",
     "WriteAheadLog",
     "CommitPipeline",
+    "encode_frame",
+    "scan_frames",
+    "truncate_torn_tail",
 ]
 
 #: Operation tags inside a WAL payload.
@@ -83,7 +88,7 @@ OP_DELETE = 1
 _HEADER = struct.Struct("<II")  # crc32, payload length
 _PREFIX = struct.Struct("<BI")  # op, key length
 
-#: Replay reads the log through a bounded buffer in chunks of this many
+#: A scan reads the log through a bounded buffer in chunks of this many
 #: bytes, so recovering a multi-gigabyte WAL uses constant memory instead
 #: of slurping the whole file (peak buffer = one chunk + one frame).
 REPLAY_CHUNK_BYTES = 64 * 1024
@@ -117,10 +122,80 @@ class WalReplay(NamedTuple):
     discarded_bytes: int   # how many trailing bytes were invalid
 
 
+def encode_frame(payload: bytes) -> bytes:
+    """Frame *payload* as an append-ready byte string."""
+    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+
+
 def encode_record(op: int, key: bytes, value: bytes = b"") -> bytes:
     """Frame one mutation as an append-ready byte string."""
-    payload = _PREFIX.pack(op, len(key)) + key + value
-    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+    return encode_frame(_PREFIX.pack(op, len(key)) + key + value)
+
+
+def _decode_record(payload: bytes) -> WalRecord:
+    if len(payload) < _PREFIX.size:
+        raise ValueError("record shorter than its prefix")
+    op, key_len = _PREFIX.unpack_from(payload, 0)
+    value_at = _PREFIX.size + key_len
+    if op not in (OP_PUT, OP_DELETE) or value_at > len(payload):
+        raise ValueError("unknown op, or key longer than the record")
+    return WalRecord(op, payload[_PREFIX.size : value_at], payload[value_at:])
+
+
+def scan_frames(
+    path: str | os.PathLike[str],
+    decode: Callable[[bytes], Any],
+    *,
+    chunk_size: int = REPLAY_CHUNK_BYTES,
+) -> tuple[list[Any], int, bool, int]:
+    """Decode every intact frame's payload, stopping at a torn tail: the
+    first frame that is incomplete, fails its CRC, or that *decode* rejects
+    with ``ValueError`` (the CRC collided with garbage), and all after it.
+    Streams the file (*chunk_size* bytes per read), so memory is O(chunk +
+    largest frame), never O(log size) -- a recovery that slurped a multi-GB
+    WAL whole was itself a crash risk.  Returns ``(decoded, valid_length,
+    torn, discarded_bytes)``, the fields of a :class:`WalReplay`."""
+    decoded: list[Any] = []
+    total = os.stat(path).st_size
+    buffer = bytearray()
+    offset = 0  # file offset of the end of the last intact frame
+    with _open(path, "rb") as handle:
+
+        def fill(needed: int) -> bool:
+            # Whole chunks only: the buffer peaks at needed + chunk_size and
+            # the syscall count is O(file size / chunk), not O(records).
+            while len(buffer) < needed:
+                chunk = handle.read(chunk_size)
+                if not chunk:
+                    return False  # early EOF
+                buffer.extend(chunk)
+            return True
+
+        while fill(_HEADER.size):  # else: torn header (or clean EOF)
+            crc, length = _HEADER.unpack_from(buffer, 0)
+            frame_size = _HEADER.size + length
+            if offset + frame_size > total:
+                break  # frame claims more bytes than the file holds
+            if not fill(frame_size):
+                break  # torn payload
+            payload = bytes(buffer[_HEADER.size : frame_size])
+            if zlib.crc32(payload) != crc:
+                break  # corrupt frame: treat the rest as a torn tail
+            try:
+                decoded.append(decode(payload))
+            except ValueError:
+                break
+            del buffer[:frame_size]
+            offset += frame_size
+    return decoded, offset, offset != total, total - offset
+
+
+def truncate_torn_tail(path: str | os.PathLike[str], replay: Any) -> None:
+    """Truncate *path* back to ``replay.valid_length`` if ``replay.torn``
+    (*replay*: a :class:`WalReplay` or a ``ManifestReplay``)."""
+    if replay.torn:
+        with open(path, "rb+") as handle:
+            handle.truncate(replay.valid_length)
 
 
 class WriteAheadLog:
@@ -248,68 +323,13 @@ class WriteAheadLog:
     def replay(
         path: str | os.PathLike[str], *, chunk_size: int = REPLAY_CHUNK_BYTES
     ) -> WalReplay:
-        """Read every intact record from *path*, stopping at a torn tail.
+        """Read every intact record from *path*, stopping at a torn tail."""
+        return WalReplay(*scan_frames(path, _decode_record, chunk_size=chunk_size))
 
-        Streams the file through a bounded buffer (*chunk_size* bytes per
-        read), so replay memory is O(chunk + largest frame), never O(log
-        size) -- a recovery that slurped a multi-GB WAL whole was itself
-        a crash risk.
-        """
-        records: list[WalRecord] = []
-        path = Path(path)
-        total = os.stat(path).st_size
-        buffer = bytearray()
-        offset = 0  # file offset of the end of the last intact frame
-        with _open(path, "rb") as handle:
-
-            def fill(needed: int) -> bool:
-                """Grow the buffer to *needed* bytes; False at early EOF.
-
-                Always reads whole chunks, so the buffer high-water mark
-                is ``needed + chunk_size`` and the syscall count is
-                O(file size / chunk), not O(records).
-                """
-                while len(buffer) < needed:
-                    chunk = handle.read(chunk_size)
-                    if not chunk:
-                        return False
-                    buffer.extend(chunk)
-                return True
-
-            while True:
-                if not fill(_HEADER.size):
-                    break  # torn header (or clean EOF)
-                crc, length = _HEADER.unpack_from(buffer, 0)
-                frame_size = _HEADER.size + length
-                if offset + frame_size > total:
-                    break  # frame claims more bytes than the file holds
-                if not fill(frame_size):
-                    break  # torn payload
-                payload = bytes(buffer[_HEADER.size : frame_size])
-                if zlib.crc32(payload) != crc or length < _PREFIX.size:
-                    break  # corrupt record: treat the rest as a torn tail
-                op, key_len = _PREFIX.unpack_from(payload, 0)
-                if op not in (OP_PUT, OP_DELETE) or _PREFIX.size + key_len > length:
-                    break
-                key = payload[_PREFIX.size : _PREFIX.size + key_len]
-                value = payload[_PREFIX.size + key_len :]
-                records.append(WalRecord(op, key, value))
-                del buffer[:frame_size]
-                offset += frame_size
-        return WalReplay(records, offset, offset != total, total - offset)
-
-    @staticmethod
-    def repair(path: str | os.PathLike[str], replay: WalReplay) -> None:
-        """Truncate *path* back to its valid prefix after a torn replay."""
-        if not replay.torn:
-            return
-        with open(path, "rb+") as handle:
-            handle.truncate(replay.valid_length)
+    #: Truncate a log back to its valid prefix after a torn replay.
+    repair = staticmethod(truncate_torn_tail)
 
     # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator[WalRecord]:  # pragma: no cover - convenience
-        return iter(self.replay(self.path).records)
-
     def __repr__(self) -> str:
         return f"<WriteAheadLog path={str(self.path)!r} size={self._size}>"
 

@@ -27,11 +27,11 @@ import math
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..errors import MonitoringError
 from ..kv.circuit import CircuitBreaker, CircuitState
-from ..kv.interface import KeyValueStore, NotModified
+from ..kv.interface import KeyValueStore
 from ..kv.wrappers import _DelegatingStore
 from ..obs.events import EventLog
 from ..obs.metrics import Counter, Histogram, MetricsRegistry, percentile
@@ -355,11 +355,24 @@ class StoreHealth:
         return {name: breaker.state for name, breaker in breakers.items()}
 
 
+#: Operations recorded under another operation's metric name (they are the
+#: same work to an operator: a read, a write, a revalidation, a key scan).
+#: Everything else -- the batch operations included -- records under its own.
+_METRIC_NAMES = {
+    "get_with_version": "get",
+    "put_with_version": "put",
+    "get_if_modified": "revalidate",
+    "keys_with_prefix": "keys",
+}
+
+
 class MonitoredStore(_DelegatingStore):
     """Times every operation of a wrapped store into a monitor.
 
     Written once against the interface; monitoring therefore comes free for
     every backend, exactly as the paper argues for interface-level features.
+    A batch operation is one sample under its own name (``put_many`` with
+    the summed byte size of its values), not one per key.
     """
 
     def __init__(
@@ -377,52 +390,25 @@ class MonitoredStore(_DelegatingStore):
         return self._monitor
 
     # ------------------------------------------------------------------
-    def _timed(self, operation: str, thunk, *, size: int = 0) -> Any:
-        start = time.perf_counter()
-        try:
-            return thunk()
-        finally:
-            self._monitor.record(
-                self.name, operation, time.perf_counter() - start, size=size
-            )
-
     @staticmethod
     def _size_of(value: Any) -> int:
         if isinstance(value, (bytes, bytearray)):
             return len(value)
         if isinstance(value, str):
-            return len(value)
+            return len(value.encode("utf-8"))
         return 0
 
-    def get(self, key: str) -> Any:
-        value = self._timed("get", lambda: self._inner.get(key))
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        self._timed("put", lambda: self._inner.put(key, value), size=self._size_of(value))
-
-    def put_with_version(self, key: str, value: Any) -> str | None:
-        return self._timed(
-            "put", lambda: self._inner.put_with_version(key, value), size=self._size_of(value)
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._timed("delete", lambda: self._inner.delete(key))
-
-    def contains(self, key: str) -> bool:
-        return self._timed("contains", lambda: self._inner.contains(key))
-
-    def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._timed("get", lambda: self._inner.get_with_version(key))
-
-    def get_if_modified(self, key: str, version: str) -> tuple[Any, str] | NotModified:
-        return self._timed("revalidate", lambda: self._inner.get_if_modified(key, version))
-
-    def keys(self) -> Iterator[str]:
-        return self._timed("keys", lambda: self._inner.keys())
-
-    def keys_with_prefix(self, prefix: str) -> Iterator[str]:
-        return self._timed("keys", lambda: self._inner.keys_with_prefix(prefix))
-
-    def size(self) -> int:
-        return self._timed("size", lambda: self._inner.size())
+    def _invoke(self, op: str, method: Callable[..., Any], *args: Any) -> Any:
+        if op in ("put", "put_with_version"):
+            size = self._size_of(args[1])
+        elif op == "put_many":
+            size = sum(map(self._size_of, args[0].values()))
+        else:
+            size = 0
+        start = time.perf_counter()
+        try:
+            return method(*args)
+        finally:
+            self._monitor.record(
+                self.name, _METRIC_NAMES.get(op, op), time.perf_counter() - start, size=size
+            )

@@ -17,18 +17,28 @@ import pytest
 
 import repro
 
+from repro.caching import ServeStaleStore
 from repro.kv import (
     CLOUD_STORE_1,
     CLOUD_STORE_2,
+    CircuitBreakerStore,
     FileSystemStore,
+    FlakyStore,
     InMemoryStore,
+    LaggyStore,
     LSMStore,
+    NamespacedStore,
+    PartitionedStore,
+    ReadOnlyStore,
     RemoteKeyValueStore,
+    RetryingStore,
     SimulatedCloudStore,
     SQLStore,
+    TransformingStore,
 )
 from repro.net import ServerHandle, VirtualClock
 from repro.net.client import CacheClient
+from repro.udsm import MonitoredStore, PerformanceMonitor
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +132,56 @@ def remote_store(cache_server):
     store.close()
 
 
-@pytest.fixture(params=["memory", "file", "sql", "lsm", "cloud", "remote"])
+# ----------------------------------------------------------------------
+# Every store decorator, configured to be transparent, over an in-memory
+# backend: a decorator must keep the whole contract, batch operations and
+# key scans included.
+# ----------------------------------------------------------------------
+def _healed_partition(inner):
+    store = PartitionedStore(inner)
+    store.partition()
+    store.heal()
+    return store
+
+
+def _namespace_beside_a_foreign_key(inner):
+    inner.put("other:k", "foreign")  # must never be seen, counted or cleared
+    return NamespacedStore(inner, "ns")
+
+
+class _ReadCasesOnly(ReadOnlyStore):
+    """The contract suite's read cases run; a case that writes is skipped
+    (that ReadOnlyStore refuses writes is tests/test_kv_wrappers.py's job)."""
+
+    def _invoke(self, op, method, *args):
+        if op not in self._READS:
+            pytest.skip(f"ReadOnlyStore refuses {op}: not a read case")
+        return super()._invoke(op, method, *args)
+
+
+_DECORATORS = {
+    "retrying": RetryingStore,
+    "circuit": CircuitBreakerStore,
+    "flaky": lambda inner: FlakyStore(inner, failure_rate=0.0),
+    "laggy": lambda inner: LaggyStore(inner, latency=0.0),
+    "partitioned": _healed_partition,
+    "monitored": lambda inner: MonitoredStore(inner, PerformanceMonitor()),
+    "namespaced": _namespace_beside_a_foreign_key,
+    "readonly": _ReadCasesOnly,
+    "transforming": lambda inner: TransformingStore(
+        inner, encode=lambda value: ("encoded", value), decode=lambda stored: stored[1]
+    ),
+    "stale": ServeStaleStore,
+}
+
+
+@pytest.fixture(
+    params=["memory", "file", "sql", "lsm", "cloud", "remote", *_DECORATORS]
+)
 def any_store(request):
-    """Every backend, one at a time -- drives the KV contract suite."""
+    """Every backend and every decorator, one at a time -- drives the KV
+    contract suite."""
+    decorate = _DECORATORS.get(request.param)
+    if decorate is not None:
+        return decorate(InMemoryStore())
     return request.getfixturevalue(f"{request.param}_store")

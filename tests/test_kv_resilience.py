@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -88,6 +89,11 @@ class TestFlakyStore:
         with pytest.raises(ConfigurationError):
             FlakyStore(InMemoryStore(), failure_rate=1.5)
 
+    def test_failure_rates_reject_a_name_that_could_never_match(self):
+        FlakyStore(InMemoryStore(), failure_rates={"put_many": 1.0, "size": 0.5})
+        with pytest.raises(ConfigurationError, match="'gets'"):
+            FlakyStore(InMemoryStore(), failure_rates={"gets": 1.0})
+
 
 class TestRetryingStore:
     def test_retries_until_success(self):
@@ -152,6 +158,39 @@ class TestRetryingStore:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             RetryingStore(InMemoryStore(), max_attempts=0)
+
+    def test_retries_counter_survives_concurrent_hammering(self):
+        """One RetryingStore is shared by pool workers, quorum fan-out and
+        hedges; a bare ``retries += 1`` would lose updates between them."""
+        per_thread, threads_n = 300, 8
+
+        class FailsEveryFirstAttempt(InMemoryStore):
+            attempts = threading.local()
+
+            def contains(self, key):
+                self.attempts.n = getattr(self.attempts, "n", 0) + 1
+                if self.attempts.n % 2:
+                    raise StoreConnectionError("transient")
+                return False
+
+        store = RetryingStore(FailsEveryFirstAttempt(), sleep=lambda s: None)
+
+        def hammer():
+            for _ in range(per_thread):
+                store.contains("k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.retries == per_thread * threads_n
 
 
 class TestReplicatedStore:

@@ -8,6 +8,7 @@ driven by :class:`~repro.lsm.ManualScheduler`.
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import stat
@@ -905,6 +906,24 @@ class TestManifest:
         assert replay.tables == ["000002-001.sst"]
         assert replay.edits == 3
         assert replay.torn is False and replay.discarded_bytes == 0
+
+    def test_replay_streams_the_file_like_the_wal_does(self, tmp_path, monkeypatch):
+        path = tmp_path / MANIFEST_NAME
+        manifest = Manifest(path)
+        for i in range(2500):
+            manifest.append(add=[f"{i:06d}-000.sst"], remove=[f"{i - 1:06d}-000.sst"])
+        manifest.close()
+        assert path.stat().st_size > 2 * wal_module.REPLAY_CHUNK_BYTES
+        reads: list[int] = []
+
+        class RecordingFile(io.FileIO):
+            def read(self, n=-1):
+                reads.append(n)
+                return super().read(n)
+
+        monkeypatch.setattr(wal_module, "_open", RecordingFile)
+        assert Manifest.replay(path).tables == ["002499-000.sst"]
+        assert set(reads) == {wal_module.REPLAY_CHUNK_BYTES}    # never slurps the file
 
     def test_add_order_is_preserved(self, tmp_path):
         path = tmp_path / MANIFEST_NAME

@@ -15,7 +15,7 @@ import random
 
 from repro.caching.bloom import BloomFilter
 from repro.kv import LSMStore
-from repro.lsm import SSTable, WriteAheadLog, write_sstable
+from repro.lsm import Manifest, SSTable, WriteAheadLog, write_sstable
 from repro.lsm.memtable import TOMBSTONE
 from repro.lsm.wal import OP_DELETE, OP_PUT
 
@@ -49,6 +49,21 @@ WAL_HEX = (
     "0756087b0700000000010000006131c25b42e4060000000101000000627f92d0f90c00000000"
     "0200000063ff7878787878"
 )
+
+# Manifest.create(path, [sst-000001, sst-000002]) -- the snapshot frame --
+# then append(add=[sst-000003]) (a flush), append(add=[sst-000004],
+# remove=[sst-000001, sst-000002]) (a compaction), then a crash 7 bytes
+# short of the end of append(add=[sst-000005]).  Printed by the commit
+# before WAL and MANIFEST shared one framing primitive.
+MANIFEST_HEX = (
+    "822d435f370000007b22616464223a5b227373742d3030303030312e737374222c227373742d"
+    "3030303030322e737374225d2c2272656d6f7665223a5b5d7dfe292d56260000007b22616464"
+    "223a5b227373742d3030303030332e737374225d2c2272656d6f7665223a5b5d7db33b05e047"
+    "0000007b22616464223a5b227373742d3030303030342e737374225d2c2272656d6f7665223a"
+    "5b227373742d3030303030312e737374222c227373742d3030303030322e737374225d7d2bb4"
+    "0ed2260000007b22616464223a5b227373742d3030303030352e737374225d2c2272656d6f"
+)
+MANIFEST_INTACT_BYTES = 188  # the three whole frames; the torn tail is 39 more
 
 
 def seeded_keys() -> tuple[list[str], list[str]]:
@@ -179,6 +194,26 @@ class TestWalGolden:
             store.put_many({"c\udcff": b"xxxxx"})
             (segment,) = store.native().glob("wal-*.log")
             assert segment.read_bytes().hex() == WAL_HEX
+
+
+class TestManifestGolden:
+    def test_old_manifest_replays_and_its_torn_tail_is_cut(self, tmp_path):
+        path = tmp_path / "MANIFEST"
+        path.write_bytes(bytes.fromhex(MANIFEST_HEX))
+        replay = Manifest.replay(path)
+        assert replay.tables == ["sst-000003.sst", "sst-000004.sst"]
+        assert (replay.edits, replay.valid_length) == (3, MANIFEST_INTACT_BYTES)
+        assert (replay.torn, replay.discarded_bytes) == (True, 39)
+        Manifest.repair(path, replay)
+        assert path.read_bytes().hex() == MANIFEST_HEX[: 2 * MANIFEST_INTACT_BYTES]
+
+    def test_snapshot_and_edits_produce_the_same_bytes(self, tmp_path):
+        manifest = Manifest.create(tmp_path / "MANIFEST", ["sst-000001.sst", "sst-000002.sst"])
+        manifest.append(add=["sst-000003.sst"])
+        manifest.append(add=["sst-000004.sst"], remove=["sst-000001.sst", "sst-000002.sst"])
+        manifest.close()
+        written = (tmp_path / "MANIFEST").read_bytes().hex()
+        assert written == MANIFEST_HEX[: 2 * MANIFEST_INTACT_BYTES]
 
 
 class _RawBytes:

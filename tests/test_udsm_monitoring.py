@@ -169,6 +169,12 @@ class TestMonitoredStore:
         store.put("k", b"x" * 500)
         assert monitor.stats_for("m", "put").total_bytes == 500
 
+    def test_text_is_charged_its_utf8_bytes_not_its_characters(self):
+        monitor = PerformanceMonitor()
+        store = MonitoredStore(InMemoryStore(), monitor, name="m")
+        store.put("k", "naïve €")  # 7 characters, 10 bytes on any wire or disk
+        assert monitor.stats_for("m", "put").total_bytes == 10
+
     def test_revalidation_timed_separately(self):
         monitor = PerformanceMonitor()
         store = MonitoredStore(InMemoryStore(), monitor, name="m")
