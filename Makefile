@@ -15,7 +15,9 @@ unit:
 	$(PYTHON) -m pytest -x -q
 
 # Extract and smoke-execute every ```python block in docs/*.md
-# (blocks tagged ```python no-run are syntax-checked only).
+# (blocks tagged ```python no-run are syntax-checked only); hold
+# docs/protocol.md to the command table and docs/observability.md's name
+# reference to the names a scripted run records, both directions.
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 

@@ -21,7 +21,7 @@ configuration.  The shape test asserts the headline contract from
 ``docs/anomaly.md``: the anomaly engine adds **under 5% p50 overhead** on
 top of plain observability (plus a 2 us absolute epsilon so a sub-
 microsecond baseline cannot fail on timer noise), and the watching budget
-from ``docs/observability.md``: ``obs_on`` p50 at most **2.8x** ``obs_off``
+from ``docs/observability.md``: ``obs_on`` p50 at most **2.5x** ``obs_off``
 (plus 1 us).  x is the configuration index, not object size.
 """
 
@@ -138,8 +138,10 @@ def test_obs_overhead_shape(benchmark, sweeps):
     )
     # The watching budget (docs/observability.md "What watching costs"):
     # two stage spans, two histogram observations and four counter
-    # increments may cost at most 2.8x the unobserved hit (+1 us of noise).
-    budget = p50["obs_off"] * 2.8 + 1e-6
+    # increments may cost at most 2.5x the unobserved hit (+1 us of noise).
+    # Measured 2.1-2.2x with lock-free metric writes (2.4x with a lock per
+    # write); the margin is ~0.3x.
+    budget = p50["obs_off"] * 2.5 + 1e-6
     assert p50["obs_on"] <= budget, (
         f"observed hit p50 {p50['obs_on'] * 1e6:.2f}us exceeds budget "
         f"{budget * 1e6:.2f}us (obs_off p50 {p50['obs_off'] * 1e6:.2f}us)"

@@ -18,7 +18,10 @@ the docs part of the test surface:
 
 It also holds ``docs/protocol.md`` to the server's command table: the set of
 command names in that file's command tables must equal the keys of
-``repro.net.server.COMMANDS``, in both directions.
+``repro.net.server.COMMANDS``, in both directions.  And it holds the "Name
+reference" table of ``docs/observability.md`` to what a scripted run
+actually records (:func:`scripted_names`): every metric and journal name
+needs a row, and every row must match a recorded name.
 
 Run it directly or via ``make check-docs``.  Exit status is non-zero if any
 block fails, with the offending file, block number, and source line printed.
@@ -111,15 +114,169 @@ def check_command_tables(path: Path) -> list[str]:
     return failures
 
 
+def scripted_names() -> set[str]:
+    """Every registry and journal name one scripted run records.
+
+    The run: the enhanced-client and ``MonitoredStore`` drivers of
+    ``make check-obs`` (``scripts/check_instrumentation.py``) over a gzip +
+    AES-GCM client with a slow-op journal and a two-trace ring; an
+    ``LSMStore`` through flush, block-cache eviction, compaction, a failed
+    flush, recovery and a poisoned WAL; and a threaded server over that
+    store answering ``STATS``, an unknown command and a refused
+    connection, through an observed ``CacheClient``.
+    """
+    import check_instrumentation as checked
+
+    from repro import EnhancedDataStoreClient, InMemoryStore, LSMStore
+    from repro.compression import GzipCompressor
+    from repro.errors import DataStoreError
+    from repro.lsm import ManualScheduler
+    from repro.lsm import wal as wal_module
+    from repro.net.client import CacheClient
+    from repro.net.protocol import WireError
+    from repro.net.server import build_server
+    from repro.obs import EventLog, Observability
+    from repro.security import AesGcmEncryptor
+
+    obs = Observability(events=EventLog(), slow_op_threshold=0.0, max_traces=2)
+    client = EnhancedDataStoreClient(
+        InMemoryStore(),
+        compressor=GzipCompressor(),
+        encryptor=AesGcmEncryptor(bytes(32)),
+        obs=obs,
+    )
+    for drive in checked.CLIENT_DRIVERS.values():
+        client.put("seed-1", {"v": 1})
+        client.put("seed-2", {"v": 2})
+        drive(client)
+    client.invalidate("seed-2")
+    client.get("seed-2")  # a miss: fetch and decode
+    for drive in checked.DRIVERS.values():
+        inner = InMemoryStore()
+        inner.put_many({"seed-1": b"value-1", "seed-2": b"value-2"})
+        drive(checked.INTERCEPTORS["MonitoredStore"](inner, obs.registry))
+
+    with tempfile.TemporaryDirectory(prefix="check-docs-names-") as workdir:
+        root = Path(workdir) / "db"
+        scheduler = ManualScheduler()
+        store = LSMStore(
+            root,
+            scheduler=scheduler,
+            auto_compact=False,
+            index_interval=2,  # a block per two records ...
+            block_cache_bytes=600,  # ... and room for two blocks
+            obs=obs,
+        )
+        for round_ in range(2):
+            for index in range(8):
+                store.put(f"k{index}", "v" * 100 + str(round_))
+            store.flush()
+            store.get("k0")  # sealed, not yet flushed: the immutable level
+            scheduler.run_pending()
+        for index in range(8):  # four blocks through a two-block cache
+            store.get(f"k{index}")
+        store.get("k7")
+        store.contains("absent")
+        store.put("m", 1)
+        store.get("m")
+        store.compact()
+        scheduler.run_pending()
+        # A flush whose SSTable path is taken by a directory fails; its
+        # WAL segment stays behind for the next open to replay.
+        store.put("stranded", 1)
+        segment = store.stats()["wal_segment"]  # wal-NNNNNN.log -> NNNNNN-000.sst
+        squatter = root / f"{segment[len('wal-'):-len('.log')]}-000.sst"
+        squatter.mkdir()
+        store.flush()
+        try:
+            scheduler.run_pending()
+        except OSError:
+            pass
+        store.close()
+        squatter.rmdir()
+
+        store = LSMStore(root, fsync=True, obs=obs)  # replays the stranded segment
+        server = build_server("threaded", store, max_clients=1, obs=obs)
+        host, port = server.start()
+        remote = CacheClient(host, port, obs=obs)
+        try:
+            remote.set(b"wire", b"1")
+            remote.get(b"wire")
+            remote.stats()
+            remote.call([b"NOSUCHCOMMAND"])
+            refused = CacheClient(host, port, obs=obs)
+            try:
+                refused.ping()
+            except WireError:
+                pass
+            refused.close()
+        finally:
+            remote.close()
+            server.stop()
+
+        def failing_fsync(fd: int) -> None:
+            raise OSError("injected fsync failure")
+
+        saved_fsync, wal_module._fsync = wal_module._fsync, failing_fsync
+        try:
+            store.put("poisoned", 1)
+        except DataStoreError:
+            pass
+        finally:
+            wal_module._fsync = saved_fsync
+        store.close()
+    return set(obs.registry.names()) | {record["kind"] for record in obs.events.tail()}
+
+
+_NAME_ROW = re.compile(r"^\| `(?P<name>[^`]+)` \|", re.MULTILINE)
+
+
+def check_name_reference(path: Path) -> list[str]:
+    """``docs/observability.md``'s name reference vs :func:`scripted_names`,
+    both directions: every recorded name needs a row, every row must match
+    a recorded name.  A ``<placeholder>`` segment matches any one segment."""
+    text = path.read_text(encoding="utf-8")
+    start = text.index("\n## Name reference")
+    section = text[start:text.index("\n## ", start + 1)]
+    rows = _NAME_ROW.findall(section)
+    patterns = {
+        row: re.compile(
+            "".join(
+                "[^.]+" if part.startswith("<") else re.escape(part)
+                for part in re.split(r"(<[^>]+>)", row)
+            )
+        )
+        for row in rows
+    }
+    names = scripted_names()
+    failures = []
+    undocumented = sorted(
+        name for name in names if not any(p.fullmatch(name) for p in patterns.values())
+    )
+    if undocumented:
+        failures.append(f"{_display(path)}: no name-reference row for {undocumented}")
+    unmatched = [
+        row for row, p in patterns.items() if not any(p.fullmatch(name) for name in names)
+    ]
+    if unmatched:
+        failures.append(
+            f"{_display(path)}: name-reference rows nothing records: {unmatched}"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    sys.path.insert(0, str(REPO_ROOT / "scripts"))
     paths = [Path(arg).resolve() for arg in args] or sorted(DOCS_DIR.glob("*.md"))
     all_failures: list[str] = []
     for path in paths:
         failures = check_file(path)
         if path == DOCS_DIR / "protocol.md":
             failures += check_command_tables(path)
+        if path == DOCS_DIR / "observability.md":
+            failures += check_name_reference(path)
         status = "FAIL" if failures else "ok"
         count = len(extract_blocks(path.read_text(encoding="utf-8")))
         print(f"{status:4}  {_display(path)}  ({count} python blocks)")

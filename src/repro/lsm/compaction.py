@@ -234,7 +234,7 @@ class BackgroundScheduler:
             self._idle.clear()
             try:
                 task()
-            except Exception:  # noqa: BLE001 - background task; store logs via events
+            except Exception:  # noqa: BLE001 - the store journalled it (lsm_task_failed)
                 pass
             finally:
                 if self._queue.unfinished_tasks <= 1:

@@ -45,8 +45,9 @@ survives; the procedure and the on-disk formats are documented in
 
 Observability: `lsm.wal.appends`, `lsm.memtable.flushes`, `lsm.sstables`
 (gauge), `lsm.compactions`, `lsm.read.level_hits.<level>`,
-`lsm.block_cache.{hits,misses,evictions,bytes}` metrics plus
-`lsm_flush` / `lsm_compact` / `lsm_recovery` journal events (see
+`lsm.block_cache.{hits,misses,evictions,bytes}`, `lsm.tasks.failed`
+metrics plus `lsm_flush` / `lsm_compact` / `lsm_recovery` /
+`lsm_task_failed` journal events (see
 ``docs/observability.md``).
 """
 
@@ -554,9 +555,7 @@ class LSMStore(KeyValueStore):
         rest of the batch.  The memtable may overshoot its budget by up
         to one batch; that slack is bounded by ``wal_batch_bytes``.
         """
-        with self._lock:
-            if not self._closed:
-                self._maybe_seal()
+        self._seal(self._memtable_bytes)
 
     def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
         keys = list(keys)
@@ -692,23 +691,49 @@ class LSMStore(KeyValueStore):
     # ------------------------------------------------------------------
     # Flush
     # ------------------------------------------------------------------
-    def _maybe_seal(self) -> None:
-        """Seal the memtable once it outgrows its budget (caller holds lock)."""
-        if self._memtable.approximate_bytes < self._memtable_bytes:
-            return
-        self._seal_and_schedule()
+    def _seal(self, budget: int = 0) -> None:
+        """Seal a non-empty memtable holding at least *budget* bytes, then
+        schedule its flush.
 
-    def _seal_and_schedule(self) -> None:
-        if not self._memtable:
-            return
-        sealed = self._memtable
-        sealed_wal = self._wal
-        sealed_seq = self._wal_seq
-        self._immutables.append((sealed, sealed_wal, sealed_seq))
-        self._memtable = Memtable()
-        self._wal_seq += 1
-        self._wal = WriteAheadLog(self._wal_path(self._wal_seq), fsync=self._fsync)
-        self._scheduler.submit(lambda: self._flush_one(sealed, sealed_wal, sealed_seq))
+        Only the swap -- memtable to the immutable list, a fresh WAL
+        segment -- happens under the lock.  The flush is submitted after
+        the lock is released, so with the inline scheduler the SSTable
+        write, the manifest append and any compaction it triggers run in
+        this (leader) thread while readers keep going; ``_flush_one`` and
+        ``_compact_tables`` take the lock only for their short splices.
+        """
+        with self._lock:
+            sealed = self._memtable
+            if self._closed or not sealed or sealed.approximate_bytes < budget:
+                return
+            sealed_wal = self._wal
+            sealed_seq = self._wal_seq
+            self._immutables.append((sealed, sealed_wal, sealed_seq))
+            self._memtable = Memtable()
+            self._wal_seq += 1
+            self._wal = WriteAheadLog(self._wal_path(self._wal_seq), fsync=self._fsync)
+        self._submit("flush", lambda: self._flush_one(sealed, sealed_wal, sealed_seq))
+
+    def _submit(self, kind: str, task: Callable[[], None]) -> None:
+        """Hand *task* to the scheduler; a failure is journalled as
+        ``lsm_task_failed``, counted in ``lsm.tasks.failed`` and re-raised
+        (a background scheduler's worker would otherwise swallow it)."""
+
+        def run() -> None:
+            try:
+                task()
+            except Exception as exc:
+                self.obs.inc("lsm.tasks.failed")
+                self.obs.emit(
+                    "lsm_task_failed",
+                    store=self.name,
+                    task=kind,
+                    error=type(exc).__name__,
+                    message=str(exc),
+                )
+                raise
+
+        self._scheduler.submit(run)
 
     def flush(self) -> None:
         """Seal the current memtable and flush every sealed table now.
@@ -726,14 +751,7 @@ class LSMStore(KeyValueStore):
         swaps the active WAL.
         """
         self._check_writable()
-
-        def seal() -> None:
-            with self._lock:
-                if self._closed:
-                    return
-                self._seal_and_schedule()
-
-        self._pipeline.submit(b"", seal)
+        self._pipeline.submit(b"", self._seal)
 
     def _flush_one(self, sealed: Memtable, wal: WriteAheadLog, seq: int) -> None:
         started = self._clock()
@@ -807,7 +825,7 @@ class LSMStore(KeyValueStore):
             if not selected:
                 return False
             self._compacting = True
-        self._scheduler.submit(lambda: self._compact_tables(selected))
+        self._submit("compact", lambda: self._compact_tables(selected))
         return True
 
     def compact(self) -> int:
@@ -832,7 +850,7 @@ class LSMStore(KeyValueStore):
         def task() -> None:
             merged[0] = self._compact_all()
 
-        self._scheduler.submit(task)
+        self._submit("compact", task)
         return merged[0]
 
     def _compact_all(self) -> int:

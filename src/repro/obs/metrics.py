@@ -22,6 +22,14 @@ Design notes:
   bucket-resolution estimates, which is the right trade for an always-on
   registry.  The UDSM monitor keeps its exact recent-window percentiles on
   top of this.
+* **Writes take no lock** (the LongAdder idea).  A :class:`Counter` or
+  :class:`Histogram` keeps one cell per writing thread, keyed by
+  :func:`threading.get_ident`; a write touches only its own thread's cell,
+  so no other thread ever races it, and reads merge every cell in
+  O(threads x buckets).  The lock is taken only to add a thread's first
+  cell and to reset.  Cells are not dropped when a thread exits: the OS
+  hands its ident to a later thread, which adds to the same cell, so the
+  cell count tracks the most threads ever alive at once.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import json
 import math
 import threading
 from bisect import bisect_left
+from threading import get_ident
 from typing import Any, Iterable
 
 from ..errors import ConfigurationError
@@ -60,31 +69,43 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 
 
 class Counter:
-    """Monotonic counter.  Thread-safe; usable standalone or via a registry."""
+    """Monotonic counter.  Thread-safe; usable standalone or via a registry.
 
-    __slots__ = ("name", "_lock", "_value")
+    One ``[total]`` cell per writing thread; :attr:`value` is their sum.
+    """
+
+    __slots__ = ("name", "_lock", "_cells")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._lock = threading.Lock()
-        self._value = 0
+        self._cells: dict[int, list[int]] = {}
 
     def inc(self, amount: int = 1) -> None:
         """Add *amount* (must be non-negative; counters never go down)."""
         if amount < 0:
             raise ConfigurationError("counters cannot be decremented")
+        try:
+            self._cells[get_ident()][0] += amount
+        except KeyError:
+            self._new_cell()[0] += amount
+
+    def _new_cell(self) -> list[int]:
         with self._lock:
-            self._value += amount
+            return self._cells.setdefault(get_ident(), [0])
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
+        return sum([cell[0] for cell in list(self._cells.values())])
 
     def reset(self) -> None:
-        """Zero the counter (for test isolation and explicit stat resets)."""
+        """Zero the counter (for test isolation and explicit stat resets).
+
+        The cells are swapped out, not zeroed in place: an increment racing
+        the reset lands in the retired cells, i.e. counts as before it.
+        """
         with self._lock:
-            self._value = 0
+            self._cells = {}
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"
@@ -127,9 +148,14 @@ class Histogram:
     Bucket semantics are cumulative upper bounds: an observation lands in
     the first bucket whose bound is >= the value (``le`` inclusive, like
     Prometheus); values above the last bound go to the overflow bucket.
+
+    Each writing thread records into its own shard, one list laid out as
+    ``[bucket_0 .. bucket_n, sum, min, max]`` (bucket ``n`` is the
+    overflow); the count is the sum of the buckets, so it can never
+    disagree with them.  Every reader merges the shards.
     """
 
-    __slots__ = ("name", "_lock", "_bounds", "_buckets", "_count", "_sum", "_min", "_max")
+    __slots__ = ("name", "_lock", "_bounds", "_shards")
 
     def __init__(
         self,
@@ -143,24 +169,43 @@ class Histogram:
         self.name = name
         self._lock = threading.Lock()
         self._bounds = bounds
-        self._buckets = [0] * (len(bounds) + 1)  # +1: overflow (> last bound)
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
+        self._shards: dict[int, list[Any]] = {}
 
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = bisect_left(self._bounds, value)
+        try:
+            shard = self._shards[get_ident()]
+        except KeyError:
+            shard = self._new_shard()
+        shard[bisect_left(self._bounds, value)] += 1
+        shard[-3] += value
+        if value < shard[-2]:
+            shard[-2] = value
+        if value > shard[-1]:
+            shard[-1] = value
+
+    def _new_shard(self) -> list[Any]:
         with self._lock:
-            self._buckets[index] += 1
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            return self._shards.setdefault(
+                get_ident(), [0] * (len(self._bounds) + 1) + [0.0, math.inf, -math.inf]
+            )
+
+    def _merge(self) -> tuple[list[int], float, float, float]:
+        """``(buckets, sum, min, max)`` over every thread's shard; min and
+        max read 0.0 while the histogram is empty."""
+        shards = list(self._shards.values())
+        width = len(self._bounds) + 1
+        buckets = [sum(column) for column in zip(*(shard[:width] for shard in shards))]
+        if not any(buckets):
+            return [0] * width, 0.0, 0.0, 0.0
+        total = sum([shard[-3] for shard in shards], 0.0)
+        return (
+            buckets,
+            total,
+            min([shard[-2] for shard in shards]),
+            max([shard[-1] for shard in shards]),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -169,34 +214,32 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._count
+        return sum(self._merge()[0])
 
     @property
     def sum(self) -> float:
-        with self._lock:
-            return self._sum
+        return self._merge()[1]
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
+        buckets, total, _minimum, _maximum = self._merge()
+        count = sum(buckets)
+        return total / count if count else 0.0
 
     @property
     def minimum(self) -> float:
-        with self._lock:
-            return self._min if self._count else 0.0
+        return self._merge()[2]
 
     @property
     def maximum(self) -> float:
-        with self._lock:
-            return self._max if self._count else 0.0
+        return self._merge()[3]
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs; the final bound is
         ``inf`` (the overflow bucket)."""
-        with self._lock:
-            counts = list(self._buckets)
+        return self._cumulative(self._merge()[0])
+
+    def _cumulative(self, counts: list[int]) -> list[tuple[float, int]]:
         pairs: list[tuple[float, int]] = []
         running = 0
         for bound, count in zip((*self._bounds, math.inf), counts):
@@ -207,31 +250,28 @@ class Histogram:
     def percentile(self, fraction: float) -> float:
         """Bucket-resolution percentile estimate (the bucket's upper bound,
         clamped to the observed maximum)."""
-        return bucket_percentile(self.bucket_counts(), fraction, maximum=self.maximum)
+        buckets, _total, _minimum, maximum = self._merge()
+        return bucket_percentile(self._cumulative(buckets), fraction, maximum=maximum)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """Plain-data copy (for JSON export and assertions)."""
-        with self._lock:
-            count, total = self._count, self._sum
-            minimum = self._min if count else 0.0
-            maximum = self._max if count else 0.0
+        buckets, total, minimum, maximum = self._merge()
+        count = sum(buckets)
         return {
             "count": count,
             "sum": total,
             "mean": total / count if count else 0.0,
             "min": minimum,
             "max": maximum,
-            "buckets": self.bucket_counts(),
+            "buckets": self._cumulative(buckets),
         }
 
     def reset(self) -> None:
+        """Zero the histogram; shards are swapped out, as in
+        :meth:`Counter.reset`."""
         with self._lock:
-            self._buckets = [0] * (len(self._bounds) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = math.inf
-            self._max = -math.inf
+            self._shards = {}
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.6g})"
@@ -337,20 +377,21 @@ class MetricsRegistry:
                 lines.append(f"  {name.ljust(width)}  {value:g}")
         if snap["histograms"]:
             lines.append("histograms (ms):")
-            with self._lock:
-                histograms = dict(self._histograms)
             rows = [("", "count", "mean", "p50", "p95", "p99", "max")]
-            for name in sorted(histograms):
-                hist = histograms[name]
+            for name, hist in snap["histograms"].items():
+                p50, p95, p99 = (
+                    bucket_percentile(hist["buckets"], fraction, maximum=hist["max"])
+                    for fraction in (0.50, 0.95, 0.99)
+                )
                 rows.append(
                     (
                         name,
-                        str(hist.count),
-                        f"{hist.mean * 1e3:.3f}",
-                        f"{hist.percentile(0.50) * 1e3:.3f}",
-                        f"{hist.percentile(0.95) * 1e3:.3f}",
-                        f"{hist.percentile(0.99) * 1e3:.3f}",
-                        f"{hist.maximum * 1e3:.3f}",
+                        str(hist["count"]),
+                        f"{hist['mean'] * 1e3:.3f}",
+                        f"{p50 * 1e3:.3f}",
+                        f"{p95 * 1e3:.3f}",
+                        f"{p99 * 1e3:.3f}",
+                        f"{hist['max'] * 1e3:.3f}",
                     )
                 )
             widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]

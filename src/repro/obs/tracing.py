@@ -33,6 +33,8 @@ from collections import deque
 from contextvars import ContextVar
 from typing import Any, Callable, Iterator
 
+from .metrics import Counter
+
 __all__ = ["Span", "SpanEvent", "Tracer", "TraceCollector"]
 
 #: The active span of the *current* logical context (shared by all tracers;
@@ -239,66 +241,83 @@ class TraceCollector:
     """Bounded in-memory sink for finished root spans (newest kept).
 
     The bound means old traces are *dropped*, which used to be silent; the
-    collector now counts every drop (:attr:`dropped`), can mirror the count
-    into a registry counter (``obs.traces.dropped``, see
+    collector counts every drop (:attr:`dropped`), can keep that count in a
+    registry counter (``obs.traces.dropped``, see
     :meth:`bind_dropped_counter`), and can notify listeners of every
     finished root span -- the hook the slow-operation log hangs off.
+
+    :meth:`add` takes no lock: it appends, then trims the oldest traces
+    back to the bound one ``popleft`` at a time, counting each one it
+    removes.  Every removal is counted exactly once by the thread that made
+    it, so ``dropped + len(collector)`` equals the number of traces added
+    (before any :meth:`clear`) even with concurrent writers; while adds
+    race, the ring may briefly hold one extra trace per writer, or end a
+    little under the bound.
     """
 
     def __init__(self, max_traces: int = DEFAULT_MAX_TRACES) -> None:
         self._lock = threading.Lock()
-        self._roots: deque[Span] = deque(maxlen=max_traces)
-        self._dropped = 0
-        self._dropped_counter = None
-        self._dropped_counter_factory: Callable[[], Any] | None = None
+        self._max_traces = max_traces
+        self._roots: deque[Span] = deque()
+        # The drop count lives in a Counter: private until a registry
+        # counter is bound, then that counter (see bind_dropped_counter).
+        self._drops = Counter("obs.traces.dropped")
+        self._count_drop: Callable[[], None] = self._drops.inc
+        self._drops_factory: Callable[[], Counter] | None = None
         # A tuple, replaced (never mutated) by add_listener, so add() can
         # iterate it without a per-span copy.
         self._listeners: tuple[Callable[[Span], None], ...] = ()
 
     def add(self, span: Span) -> None:
         roots = self._roots
-        counter = None
-        with self._lock:
-            if len(roots) == roots.maxlen:
-                self._dropped += 1
-                counter = self._dropped_counter
-                if counter is None:
-                    counter = self._resolve_dropped_counter_locked()
-            roots.append(span)
-            listeners = self._listeners
-        if counter is not None:
-            counter.inc()
-        for listener in listeners:
+        roots.append(span)
+        while len(roots) > self._max_traces:
+            try:
+                roots.popleft()
+            except IndexError:  # a concurrent clear() emptied the ring
+                break
+            self._count_drop()
+        for listener in self._listeners:
             listener(span)
 
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
         """Finished traces discarded because the bound was hit."""
+        return self._drops.value
+
+    def _first_bound_drop(self) -> None:
+        """``_count_drop`` between a bind and the drop that resolves it."""
         with self._lock:
-            return self._dropped
+            self._resolve_locked()
+        self._drops.inc()
 
-    def _resolve_dropped_counter_locked(self):
-        """Materialise the bound counter on first use (caller holds lock)."""
-        if self._dropped_counter is None and self._dropped_counter_factory is not None:
-            self._dropped_counter = self._dropped_counter_factory()
-        return self._dropped_counter
+    def _resolve_locked(self) -> None:
+        """Move the drop count into the bound counter (caller holds lock)."""
+        factory, self._drops_factory = self._drops_factory, None
+        if factory is not None:
+            shared = factory()
+            if shared is not self._drops:
+                shared.inc(self._drops.value)
+                self._drops = shared
+        self._count_drop = self._drops.inc
 
-    def bind_dropped_counter(self, factory: "Callable[[], Any]") -> None:
-        """Mirror drops into a registry :class:`~repro.obs.metrics.Counter`
-        such as ``obs.traces.dropped``.
+    def bind_dropped_counter(self, factory: "Callable[[], Counter]") -> None:
+        """Keep the drop count in a registry
+        :class:`~repro.obs.metrics.Counter` such as ``obs.traces.dropped``;
+        :attr:`dropped` then reads that counter.
 
         *factory* is a zero-argument callable returning the counter; it is
         invoked lazily, on the first actual drop, so binding never touches
-        the registry for collectors that stay within their bound.
+        the registry for collectors that stay within their bound.  Drops
+        counted so far carry over.  Bind before traffic starts: a drop
+        racing the first bound drop may land in the retired counter.
         """
         with self._lock:
-            self._dropped_counter = None
-            self._dropped_counter_factory = factory
-            backlog = self._dropped
-            counter = self._resolve_dropped_counter_locked() if backlog else None
-        if counter is not None and counter.value < backlog:
-            counter.inc(backlog - counter.value)
+            self._drops_factory = factory
+            self._count_drop = self._first_bound_drop
+            if self._drops.value:
+                self._resolve_locked()
 
     def add_listener(self, listener: Callable[[Span], None]) -> None:
         """Call *listener(span)* for every finished root span added.
@@ -312,19 +331,21 @@ class TraceCollector:
     # ------------------------------------------------------------------
     def roots(self) -> list[Span]:
         """Finished root spans, oldest first."""
-        with self._lock:
-            return list(self._roots)
+        # copy() is one call on the deque, so a concurrent add() cannot
+        # mutate it mid-iteration the way list(self._roots) could.
+        return list(self._roots.copy())
 
     def last(self) -> Span | None:
         """The most recently finished trace, or ``None``."""
-        with self._lock:
-            return self._roots[-1] if self._roots else None
+        try:
+            return self._roots[-1]
+        except IndexError:
+            return None
 
     def clear(self) -> None:
         """Drop retained traces (the ``dropped`` count is preserved: it
         describes lifetime loss, not current occupancy)."""
-        with self._lock:
-            self._roots.clear()
+        self._roots.clear()
 
     def render(self) -> str:
         """Every retained trace, rendered as indented trees."""
@@ -335,7 +356,7 @@ class TraceCollector:
             text = "\n\n".join(root.render() for root in roots)
         dropped = self.dropped
         if dropped:
-            text += f"\n\n({dropped} older trace{'s' if dropped != 1 else ''} dropped at the {self._roots.maxlen}-trace bound)"
+            text += f"\n\n({dropped} older trace{'s' if dropped != 1 else ''} dropped at the {self._max_traces}-trace bound)"
         return text
 
     def __len__(self) -> int:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
+import time
 
 import pytest
 
@@ -219,6 +221,196 @@ class TestMetricsRegistry:
             thread.join()
         assert counter.value == threads_n * per_thread
         assert histogram.count == threads_n * per_thread
+
+
+class _Yielding(int):
+    """An int whose reflected addition releases the GIL before it returns,
+    forcing a thread switch between a cell's read and its write."""
+
+    def __radd__(self, other):
+        time.sleep(0)
+        return other + int(self)
+
+
+class _YieldingFloat(float):
+    def __radd__(self, other):
+        time.sleep(0)
+        return other + float(self)
+
+
+def _run_threads(target, count: int) -> None:
+    """Start *count* threads on ``target(index)`` with a tiny switch
+    interval (so writers interleave as often as possible) and join them."""
+    threads = [threading.Thread(target=target, args=(index,)) for index in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestPerThreadCells:
+    """Writes go to the writer's own cell; reads merge.  Nothing may be lost,
+    double-counted, or torn, and the cell count must stay bounded."""
+
+    THREADS = 8
+    WRITES = 2_000
+    BUCKETS = (0.5, 1.0, 2.0, 4.0)
+
+    @staticmethod
+    def value(thread: int, index: int) -> float:
+        # Multiples of 1/8 below 8: every partial sum is exact in binary
+        # floating point, so the merged sum cannot depend on merge order.
+        return ((thread * 7 + index * 3) % 64) / 8
+
+    def test_threaded_writes_equal_a_single_threaded_reference(self):
+        counter = Counter("c")
+        hist = Histogram("h", buckets=self.BUCKETS)
+        barrier = threading.Barrier(self.THREADS)
+
+        def writer(thread: int) -> None:
+            barrier.wait()
+            for index in range(self.WRITES):
+                # Every 8th write gives the GIL away in the middle of the
+                # cell's read-modify-write: a cell shared between threads
+                # would lose updates here (as it can anywhere on an
+                # interpreter without a GIL).
+                if index % 8 == 0:
+                    counter.inc(_Yielding(index % 3 + 1))
+                    hist.observe(_YieldingFloat(self.value(thread, index)))
+                else:
+                    counter.inc(index % 3 + 1)
+                    hist.observe(self.value(thread, index))
+
+        _run_threads(writer, self.THREADS)
+
+        reference_counter = Counter()
+        reference = Histogram(buckets=self.BUCKETS)
+        for thread in range(self.THREADS):
+            for index in range(self.WRITES):
+                reference_counter.inc(index % 3 + 1)
+                reference.observe(self.value(thread, index))
+        assert counter.value == reference_counter.value
+        assert hist.snapshot() == reference.snapshot()
+        assert (hist.count, hist.sum, hist.minimum, hist.maximum) == (
+            reference.count,
+            reference.sum,
+            reference.minimum,
+            reference.maximum,
+        )
+        assert hist.percentile(0.9) == reference.percentile(0.9)
+
+    def test_reads_never_raise_while_writers_add_cells(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("ops")
+        hist = registry.histogram("op.seconds")
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer(thread: int) -> None:
+            index = 0
+            while not stop.is_set():
+                index += 1
+                counter.inc()
+                hist.observe(index * 1e-6)
+                registry.counter(f"dynamic.{thread}.{index % 50}").inc()
+                if index % 4 == 0:
+                    # Swapped-out cells make every writer insert a new one.
+                    counter.reset()
+                    hist.reset()
+
+        def reader(_index: int) -> None:
+            try:
+                for round_ in range(3_000):
+                    counter.value
+                    hist.snapshot()
+                    if round_ % 100 == 0:
+                        registry.render_text()
+                        registry.to_json()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        _run_threads(lambda index: reader(index) if index == 0 else writer(index), 9)
+        assert errors == []
+
+    def test_reset_keeps_handles_live_across_threads(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("ops")
+        hist = registry.histogram("op.seconds")
+
+        def writer(_thread: int) -> None:
+            for _ in range(100):
+                counter.inc()
+                hist.observe(0.001)
+
+        _run_threads(writer, 4)
+        registry.reset()
+        assert (counter.value, hist.count) == (0, 0)
+        _run_threads(writer, 4)
+        assert registry.counter("ops") is counter
+        assert registry.snapshot()["counters"]["ops"] == 400
+        assert registry.histogram("op.seconds").count == 400
+
+    def test_bind_carries_over_values_written_by_many_threads(self):
+        from repro.caching.stats import CacheStats
+
+        stats = CacheStats()
+
+        def writer(_thread: int) -> None:
+            for _ in range(250):
+                stats.record_hit()
+                stats.record_eviction(2)
+
+        _run_threads(writer, 4)
+        registry = MetricsRegistry()
+        stats.bind(registry, "cache.t")
+        assert registry.counter("cache.t.hits").value == 1_000
+        assert registry.counter("cache.t.evictions").value == 2_000
+        stats.record_hit()
+        assert stats.snapshot().hits == registry.counter("cache.t.hits").value == 1_001
+
+    def test_short_lived_threads_reuse_cells(self):
+        """A thread per connection must not grow a cell per connection: the
+        OS reuses the idents of threads that have exited, and a reused
+        ident adds to the existing cell."""
+        counter = Counter()
+        hist = Histogram()
+
+        def once() -> None:
+            counter.inc()
+            hist.observe(1e-4)
+
+        for _ in range(2_000):
+            thread = threading.Thread(target=once)
+            thread.start()
+            thread.join()
+        assert counter.value == hist.count == 2_000
+        assert len(counter._cells) <= 8
+        assert len(hist._shards) <= 8
+
+    def test_trace_collector_counts_every_drop_under_contention(self):
+        from repro.obs import TraceCollector
+        from repro.obs.tracing import Span
+
+        collector = TraceCollector(max_traces=4)
+        registry = MetricsRegistry()
+        collector.bind_dropped_counter(lambda: registry.counter("obs.traces.dropped"))
+
+        def writer(_thread: int) -> None:
+            for _ in range(self.WRITES):
+                collector.add(Span("op"))
+
+        _run_threads(writer, self.THREADS)
+        assert len(collector) <= 4
+        assert collector.dropped + len(collector) == self.THREADS * self.WRITES
+        assert registry.counter("obs.traces.dropped").value == collector.dropped
 
 
 class TestCacheStatsBinding:
