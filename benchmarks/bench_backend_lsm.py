@@ -19,6 +19,7 @@ import random
 import statistics
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,8 @@ FSYNC_VALUE_SIZE = 128       # durability-bound workloads are small records
 BULK_BATCH = 500             # records per put_many (the spine's MSET size)
 BULK_BATCHES = 20
 BLOOM_KEY_COUNTS = (1_000, 30_000)
+MERGE_RECORDS = 30_000       # one forced merge of this many 1 KiB values
+MERGE_PEAK_SHARE = 0.15      # traced peak / output bytes the merge may reach
 
 NOTE = (
     f"Embedded durable backends, {OPERATIONS} ops of {VALUE_SIZE} B values; "
@@ -65,7 +68,14 @@ NOTE = (
     "memtable flushes and compactions included.  bloom_add / "
     "bloom_probe_hit / bloom_probe_miss: x = keys in a 1 % filter (not "
     "a value size), y = mean per call over that many keys -- flat in x "
-    "since the bit array became a bytearray."
+    "since the bit array became a bytearray.  "
+    "lsm_compaction_peak_mib / lsm_compaction_output_mib: one forced "
+    f"compact() of x = {MERGE_RECORDS} records of {VALUE_SIZE} B "
+    "(memtable 1 MiB, so ~30 input tables); y = MiB, not ms -- the "
+    "tracemalloc peak of the merge beside the output table's size "
+    f"(asserted peak <= {MERGE_PEAK_SHARE:g} x output: flush and "
+    "compaction stream their table; throughput_ops_per_s is meaningless "
+    "for these two)."
 )
 
 # Written by test_fsync_write_path, asserted by the shape test below --
@@ -265,6 +275,42 @@ def test_bloom_cost_by_filter_size(benchmark, collector, count):
 
     benchmark.pedantic(run, rounds=1)
     assert all(bloom.might_contain(key) for key in present[:100])
+
+
+def test_compaction_peak_memory(benchmark, collector, tmp_path):
+    """A forced merge streams its output: the traced peak is a count, not
+    a clock -- the write buffer, the output's keys and one block per input,
+    never the output's values (the materialised merge read ~114 %)."""
+    events = EventLog()
+    store = LSMStore(tmp_path / "merge.lsm", memtable_bytes=1 << 20,
+                     auto_compact=False, obs=Observability(events=events))
+    for start in range(0, MERGE_RECORDS, BULK_BATCH):
+        store.put_many({f"merge-{i:06d}": payload_for(i)
+                        for i in range(start, start + BULK_BATCH)})
+    store.flush()
+    inputs = store.stats()["sstables"]
+    peak = [0]
+    benchmark.group = "backend-lsm-write"
+
+    def run() -> None:
+        tracemalloc.start()
+        try:
+            store.compact()
+            peak[0] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    benchmark.pedantic(run, rounds=1)
+    stats = store.stats()
+    (event,) = events.tail(kind="lsm_compact")
+    assert inputs > 1 and stats["sstables"] == 1
+    assert event["records"] == stats["sstable_records"] == MERGE_RECORDS
+    output = stats["sstable_bytes"]
+    # record() scales seconds -> ms; pre-divide so the JSON carries MiB.
+    collector.record(FIGURE, "lsm_compaction_peak_mib", MERGE_RECORDS, peak[0] / 2**20 / 1e3)
+    collector.record(FIGURE, "lsm_compaction_output_mib", MERGE_RECORDS, output / 2**20 / 1e3)
+    assert peak[0] <= MERGE_PEAK_SHARE * output, (peak[0], output)
+    store.close()
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -88,38 +88,33 @@ def write_sstable(
     *,
     index_interval: int = 16,
     bloom_fp_rate: float = 0.01,
-    expected_items: int | None = None,
     fsync: bool = False,
 ) -> Path:
     """Write *entries* (sorted by key, tombstones included) as one SSTable.
 
+    One streaming pass over any iterable: besides the ~64 KiB write
+    buffer, only the keys are held -- the Bloom block follows the data,
+    so the filter is sized from the count written and filled afterwards.
     The table is written to a temp file in the same directory and renamed
     into place, so a crash mid-write never leaves a half table where the
     engine would look for one.  Returns the final path.
     """
     path = Path(path)
-    entries = list(entries)
-    bloom = BloomFilter(
-        expected_items if expected_items is not None else max(1, len(entries)),
-        bloom_fp_rate,
-    )
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".sst.tmp")
     try:
         with os.fdopen(fd, "wb") as out:
             out.write(_MAGIC)
-            offset = len(_MAGIC)
+            offset = written = len(_MAGIC)
             index: list[tuple[bytes, int]] = []
-            pack, add = _RECORD.pack, bloom.add
+            keys: list[bytes] = []
+            pack, keep = _RECORD.pack, keys.append
             pieces: list[bytes] = []  # header, key[, value] of unwritten records
-            written = offset
-            previous: bytes | None = None
-            for position, (key, value) in enumerate(entries):
-                if previous is not None and key <= previous:
+            for key, value in entries:
+                if keys and key <= keys[-1]:
                     raise DataStoreError("SSTable entries must be strictly sorted by key")
-                previous = key
-                if position % index_interval == 0:
+                if len(keys) % index_interval == 0:
                     index.append((key, offset))
-                add(key)
+                keep(key)
                 if isinstance(value, Tombstone):
                     pieces += (pack(len(key), _TOMBSTONE_LEN), key)
                     offset += _RECORD.size + len(key)
@@ -135,9 +130,12 @@ def write_sstable(
             out.write(_U32.pack(len(index)))
             for key, record_offset in index:
                 out.write(_U32.pack(len(key)) + key + _INDEX_ENTRY_TAIL.pack(record_offset))
+            bloom = BloomFilter(max(1, len(keys)), bloom_fp_rate)
+            for key in keys:
+                bloom.add(key)
             bloom_off = out.tell()
             out.write(bloom.to_bytes())
-            out.write(_FOOTER.pack(index_off, bloom_off, len(entries), _MAGIC))
+            out.write(_FOOTER.pack(index_off, bloom_off, len(keys), _MAGIC))
             out.flush()
             if fsync:
                 os.fsync(out.fileno())

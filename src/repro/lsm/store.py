@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from itertools import chain
 
 try:
     import fcntl
@@ -788,9 +789,27 @@ class LSMStore(KeyValueStore):
         segment is still on disk, so the data is replayed on the next open
         instead of being spliced into a closed store.
         """
+        table = self._new_table(memtable.items(), seq, gen)
+        with self._lock:
+            if self._closed:
+                table.unlink()
+                return None
+            # Commit point: the table joins the store only once the
+            # manifest says so.  A crash before this append leaves a
+            # stray .sst (swept on the next open) and the WAL segment
+            # still on disk -- nothing acknowledged is lost either way.
+            self._manifest.append(add=[table.path.name])
+            self._tables.append(table)
+            self._tables.sort(key=lambda t: (t.seq, t.gen))  # type: ignore[attr-defined]
+        return table
+
+    def _new_table(
+        self, entries: Iterable[tuple[bytes, "bytes | Tombstone"]], seq: int, gen: int
+    ) -> SSTable:
+        """Stream *entries* into table ``seq``-``gen`` and open it (not yet live)."""
         path = write_sstable(
             self._sst_path(seq, gen),
-            memtable.items(),
+            entries,
             index_interval=self._index_interval,
             bloom_fp_rate=self._bloom_fp_rate,
             fsync=self._fsync,
@@ -798,18 +817,6 @@ class LSMStore(KeyValueStore):
         table = SSTable(path, cache=self._block_cache)
         table.seq = seq  # type: ignore[attr-defined]
         table.gen = gen  # type: ignore[attr-defined]
-        with self._lock:
-            if self._closed:
-                table.close()
-                path.unlink(missing_ok=True)
-                return None
-            # Commit point: the table joins the store only once the
-            # manifest says so.  A crash before this append leaves a
-            # stray .sst (swept on the next open) and the WAL segment
-            # still on disk -- nothing acknowledged is lost either way.
-            self._manifest.append(add=[path.name])
-            self._tables.append(table)
-            self._tables.sort(key=lambda t: (t.seq, t.gen))  # type: ignore[attr-defined]
         return table
 
     # ------------------------------------------------------------------
@@ -894,19 +901,11 @@ class LSMStore(KeyValueStore):
                 newest = selected[-1]
                 gen = 1 + max(t.gen for t in selected)  # type: ignore[attr-defined]
                 seq = newest.seq  # type: ignore[attr-defined]
-            entries = list(merge_tables(selected, drop_tombstones=drop))
-            output: SSTable | None = None
-            if entries:
-                path = write_sstable(
-                    self._sst_path(seq, gen),
-                    entries,
-                    index_interval=self._index_interval,
-                    bloom_fp_rate=self._bloom_fp_rate,
-                    fsync=self._fsync,
-                )
-                output = SSTable(path, cache=self._block_cache)
-                output.seq = seq  # type: ignore[attr-defined]
-                output.gen = gen  # type: ignore[attr-defined]
+            # Streamed, never materialised; the peek skips the table when
+            # every record was a reclaimed tombstone.
+            merged = merge_tables(selected, drop_tombstones=drop)
+            head = next(merged, None)
+            output = None if head is None else self._new_table(chain((head,), merged), seq, gen)
             with self._lock:
                 if self._closed:
                     if output is not None:
@@ -945,7 +944,7 @@ class LSMStore(KeyValueStore):
                 inputs=len(selected),
                 input_bytes=sum(t.size_bytes for t in selected),
                 output=output.path.name if output is not None else None,
-                records=len(entries),
+                records=output.record_count if output is not None else 0,
                 tombstones_dropped=drop,
             )
         finally:

@@ -35,6 +35,23 @@ class TestMultiKeyCommands:
         store.clear()
         store.close()
 
+    def test_remote_store_put_skips_the_version_hash(self, cache_server, monkeypatch):
+        from repro.kv import remote as remote_module
+
+        hashed: list[bytes] = []
+        real = remote_module.content_version
+        monkeypatch.setattr(
+            remote_module, "content_version", lambda payload: hashed.append(payload) or real(payload)
+        )
+        store = RemoteKeyValueStore(cache_server.host, cache_server.port)
+        store.put("plain", {"n": 1})
+        assert hashed == []
+        assert store.get("plain") == {"n": 1}
+        version = store.put_with_version("versioned", {"n": 2})
+        assert len(hashed) == 1 and version == real(hashed[0])
+        store.clear()
+        store.close()
+
     def test_store_server_mget_mset(self, tmp_path):
         from repro.kv import InMemoryStore
         from repro.net.client import CacheClient
