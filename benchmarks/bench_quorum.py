@@ -8,7 +8,7 @@ machinery dominates whatever it costs):
 * ``replicated_n3`` -- primary/replica :class:`~repro.kv.ReplicatedStore`
   (writes fan out sequentially, reads hit the primary);
 * ``quorum_n3`` -- :class:`~repro.kv.QuorumReplicatedStore` at
-  R=2/W=2/N=3: every op spawns a parallel fan-out and waits for a quorum;
+  R=2/W=2/N=3: every op fans out to the members' workers and waits for a quorum;
 * ``quorum_n5`` -- the same at R=3/W=3/N=5 (wider group, same majority
   discipline).
 
@@ -18,7 +18,7 @@ series), in batches to keep the timer out of the number, so
 direction.  x is the configuration index, not object size.
 
 The shape test pins the honest ordering: quorum coordination costs real
-money over a bare store (threads + quorum wait per op), and the wider
+money over a bare store (worker hand-offs + quorum wait per op), and the wider
 group is not magically cheaper than the narrow one.  Absolute numbers are
 thread-scheduling bound; over real networked members the fan-out
 parallelism is what wins (one member RTT per op instead of N).
@@ -125,7 +125,7 @@ def test_quorum_shape(benchmark, sweeps):
     for variant in VARIANTS:
         for direction in ("read", "write"):
             assert p50[variant][direction] > 0.0, (variant, direction)
-    # Quorum coordination (threads + quorum wait) costs real time over a
+    # Quorum coordination (worker hand-offs + quorum wait) costs real time over a
     # bare in-memory store, reads and writes both.
     for direction in ("read", "write"):
         assert p50["quorum_n3"][direction] > p50["single"][direction], (

@@ -281,7 +281,7 @@ _EXPORTS = {
     "FlakyStore": ".kv.chaos",
     "LaggyStore": ".kv.chaos",
     "RetryingStore": ".kv.resilience",
-    "ReplicatedStore": ".kv.resilience",
+    "ReplicatedStore": ".kv.quorum",
     "CircuitBreaker": ".kv.circuit",
     "CircuitBreakerStore": ".kv.circuit",
     "CircuitState": ".kv.circuit",

@@ -24,11 +24,12 @@ if TYPE_CHECKING:
     from .chaos import FlakyStore, LaggyStore, PartitionedStore
     from .circuit import CircuitBreaker, CircuitBreakerStore, CircuitState
     from .deadline import Deadline, current_deadline, deadline_scope
-    from .resilience import ReplicatedStore, RetryingStore
+    from .resilience import RetryingStore
     from .quorum import (
         AntiEntropyReport,
         MerkleTree,
         QuorumReplicatedStore,
+        ReplicatedStore,
         VersionStamp,
     )
     from ..lsm.store import LSMStore
@@ -87,7 +88,7 @@ _EXPORTS = {
     "LaggyStore": ".chaos",
     "PartitionedStore": ".chaos",
     "RetryingStore": ".resilience",
-    "ReplicatedStore": ".resilience",
+    "ReplicatedStore": ".quorum",
     "QuorumReplicatedStore": ".quorum",
     "MerkleTree": ".quorum",
     "VersionStamp": ".quorum",

@@ -19,11 +19,12 @@ without threading a parameter through every signature::
         client.get("user:42")            # is bounded by 250 ms
 
 Layers that consume the budget (:class:`~repro.kv.resilience.RetryingStore`,
-:class:`~repro.kv.resilience.ReplicatedStore`,
+the replication groups of :mod:`repro.kv.quorum`,
 :class:`~repro.net.client.CacheClient`) raise
 :class:`~repro.errors.DeadlineExceededError` once it is gone and count the
-expiry as ``kv.deadline.expired``.  Scopes nest: an inner scope can only
-*tighten* the budget, never extend what an outer caller allowed.
+expiry as ``kv.deadline.expired`` (the stores through :func:`expired`).
+Scopes nest: an inner scope can only *tighten* the budget, never extend
+what an outer caller allowed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import contextvars
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import ConfigurationError, DeadlineExceededError
 
@@ -98,6 +99,14 @@ _CURRENT: contextvars.ContextVar[Deadline | None] = contextvars.ContextVar(
 def current_deadline() -> Deadline | None:
     """The ambient :class:`Deadline`, or ``None`` when no budget is set."""
     return _CURRENT.get()
+
+
+def expired(obs: Any, store: str, message: str) -> DeadlineExceededError:
+    """Count ``kv.deadline.expired`` for *store*; the error to raise."""
+    if obs.enabled:
+        obs.inc("kv.deadline.expired")
+        obs.event("deadline_expired", store=store)
+    return DeadlineExceededError(message)
 
 
 @contextmanager

@@ -1,11 +1,11 @@
-"""Quorum replication with read-repair and Merkle-tree anti-entropy.
+"""Replication groups -- primary/replica and R+W>N quorum -- on one core.
 
-:class:`~repro.kv.resilience.ReplicatedStore` is availability-oriented
-primary/replica replication: writes are best-effort on the replicas, reads
-prefer the primary, and convergence after a partition needs the
-O(keyspace) ``repair_all()`` scan.  This module is the next step the
-ROADMAP names -- Dynamo-style **R+W > N quorum replication** where every
-member is a peer:
+:class:`ReplicatedStore` is availability-oriented primary/replica
+replication, the paper's "secondary repository" idea: members hold raw
+values, writes are best-effort on the replicas, reads prefer the primary
+(optionally *hedged*), and convergence after a partition needs the
+O(keyspace) ``repair_all()`` scan.  :class:`QuorumReplicatedStore` is
+Dynamo-style **R+W > N quorum replication** where every member is a peer:
 
 * **writes** stamp each key with a per-key versioned timestamp (a Lamport
   counter plus a writer id, carried inside the stored *envelope* so it
@@ -27,6 +27,20 @@ member is a peer:
 * **deletes** are tombstone writes through the same quorum path, so they
   propagate and converge exactly like updates.
 
+Member workers
+--------------
+Both groups send member requests to one FIFO worker per member (a
+one-thread :class:`~repro.udsm.pool.ThreadPool`, started on first use), so
+no operation starts a thread.  Every write the quorum group makes to a
+member -- puts, tombstones, read-repair, anti-entropy copies -- runs on
+that member's worker, which skips (and counts as an ack) a write whose
+stamp is older than the member's Merkle-tree entry for the key.  A
+straggling older write never lands over a newer one: **a member never
+moves backwards**, which keeps the intersection argument above true.  The
+price is that a member serves one group request at a time: concurrent
+callers queue behind each other on a slow member (``EXPERIMENTS.md`` has
+the numbers).
+
 Anti-entropy
 ------------
 Read-repair only fixes keys that get read.  Background **anti-entropy**
@@ -47,12 +61,13 @@ quorum writes, which gives deterministic "background" repair with zero
 real sleeps under a :class:`~repro.lsm.compaction.ManualScheduler`.
 
 The fault-tolerance plane applies throughout: ambient
-:class:`~repro.kv.deadline.Deadline` budgets bound every quorum wait,
-``kv.quorum.*`` / ``kv.antientropy.*`` metrics and journal events feed the
-anomaly engine (a ``quorum_degraded`` detection can preemptively enable
-hedging on a companion group -- see ``docs/resilience.md``), and the chaos
-plane's :class:`~repro.kv.chaos.PartitionedStore` severs members on
-command so all of this is testable without a real network.
+:class:`~repro.kv.deadline.Deadline` budgets bound every quorum wait and
+every hedged read, ``kv.quorum.*`` / ``kv.antientropy.*`` /
+``kv.replica.*`` metrics and journal events feed the anomaly engine (a
+``quorum_degraded`` detection can preemptively enable hedging on a
+primary/replica group -- see ``docs/resilience.md``), and the chaos plane's
+:class:`~repro.kv.chaos.PartitionedStore` severs members on command so all
+of this is testable without a real network.
 """
 
 from __future__ import annotations
@@ -66,13 +81,14 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 from ..errors import (
     ConfigurationError,
     DataStoreError,
-    DeadlineExceededError,
     KeyNotFoundError,
     QuorumReadError,
     QuorumWriteError,
 )
 from ..obs import Observability, resolve_obs
-from .deadline import current_deadline
+from ..udsm.futures import ListenableFuture
+from ..udsm.pool import ThreadPool
+from .deadline import current_deadline, expired
 from .interface import KeyValueStore
 
 __all__ = [
@@ -80,6 +96,7 @@ __all__ = [
     "MerkleTree",
     "AntiEntropyReport",
     "QuorumReplicatedStore",
+    "ReplicatedStore",
 ]
 
 #: Marker key identifying a quorum envelope inside a member store.
@@ -304,13 +321,395 @@ class AntiEntropyReport:
         )
 
 
-class QuorumReplicatedStore(KeyValueStore):
+def _barrier() -> None:
+    """Queued behind a worker's backlog by :meth:`_MemberGroup.drain`."""
+
+
+class _MemberGroup(KeyValueStore):
+    """What both replication groups share: members, one FIFO worker per
+    member, counters mirrored to ``obs``, deadline-bounded waits."""
+
+    def __init__(
+        self,
+        members: Sequence[KeyValueStore],
+        *,
+        name: str,
+        owns_members: bool,
+        obs: Observability | None,
+    ) -> None:
+        self.name = name
+        self._members = list(members)
+        self._owns_members = owns_members
+        self._obs = resolve_obs(obs)
+        # Re-entrant: quorum transitions bump counters while holding it.
+        self._lock = threading.RLock()
+        self._workers: list[ThreadPool | None] = [None] * len(self._members)
+
+    @property
+    def members(self) -> list[KeyValueStore]:
+        return list(self._members)
+
+    def _count(self, attr: str, metric: str, n: int = 1) -> None:
+        """Bump a public stats counter (lock-guarded) and its obs mirror."""
+        with self._lock:
+            setattr(self, attr, getattr(self, attr) + n)
+        if self._obs.enabled:
+            self._obs.inc(metric, n)
+
+    def _submit(self, index: int, fn: Callable[..., Any], *args: Any) -> ListenableFuture:
+        """Queue ``fn(*args)`` on member *index*'s worker, in FIFO order."""
+        with self._lock:
+            worker = self._workers[index]
+            if worker is None:
+                worker = ThreadPool(1, name=f"{self.name}-{self._members[index].name}")
+                self._workers[index] = worker
+        return worker.submit(fn, *args)
+
+    def _next_result(
+        self, results: "queue.SimpleQueue[Any]", what: str, wait: float | None = None
+    ) -> Any:
+        """The next item on *results*, waiting at most *wait* seconds (``None``
+        = no limit) and never past the ambient deadline; ``None`` when
+        *wait* ran out first."""
+        deadline = current_deadline()
+        message = f"deadline exhausted during {what} on {self.name}"
+        if deadline is not None:
+            if deadline.expired:
+                raise expired(self._obs, self.name, message)
+            wait = deadline.cap(wait)
+        try:
+            return results.get(timeout=wait)
+        except queue.Empty:
+            if deadline is not None and deadline.expired:
+                raise expired(self._obs, self.name, message) from None
+            return None
+
+    def drain(self, timeout: float | None = None) -> bool:
+        """Wait for straggler member requests from past operations.
+
+        An operation returns as soon as it is answered; its remaining
+        member requests (quorum stragglers, losing hedges) finish on the
+        member workers, updating trees and counters as they land.
+        ``drain()`` queues a barrier behind each worker's backlog and waits
+        for it -- tests and shutdown paths call it to make counter
+        assertions deterministic.  Returns ``True`` when nothing queued
+        before the call is left in flight.
+        """
+        with self._lock:
+            workers = [worker for worker in self._workers if worker is not None]
+        barriers = [worker.submit(_barrier) for worker in workers]
+        return all(barrier.wait(timeout) for barrier in barriers)
+
+    def _reachable(self, call: Callable[[KeyValueStore], Any]) -> Iterator[Any]:
+        """``call(member)`` for each member in order, skipping members that
+        fail with a store error."""
+        for member in self._members:
+            try:
+                answer = call(member)
+            except DataStoreError:
+                continue
+            yield answer
+
+    def _member_keys(self) -> Iterator[str]:
+        """Union of member keys in member order; unreachable members are skipped."""
+        listings = self._reachable(lambda member: list(member.keys()))
+        return iter(dict.fromkeys(key for keys in listings for key in keys))
+
+    def close(self) -> None:
+        """Stop the workers (a hung member gets 5 s), then close owned members."""
+        with self._lock:
+            workers, self._workers = self._workers, [None] * len(self._members)
+        for worker in workers:
+            if worker is not None:
+                worker.shutdown(wait=worker.submit(_barrier).wait(5.0))
+        if self._owns_members:
+            for member in self._members:
+                member.close()
+
+
+# ----------------------------------------------------------------------
+# Primary/replica
+# ----------------------------------------------------------------------
+class ReplicatedStore(_MemberGroup):
+    """Primary/replica store with failover reads and read-repair.
+
+    Semantics:
+
+    * **writes** land on the primary first (its failure fails the write),
+      then on every replica; replica failures are tolerated and counted.
+    * **reads** try the primary, then each replica in order.  When a read
+      is served by a fallback, the value is *repaired* onto the stores
+      that were tried first and missed it (best effort).  Members that were
+      never consulted are synced by the explicit :meth:`repair` /
+      :meth:`repair_all` anti-entropy pass instead.
+    * **deletes** are applied everywhere; success if anyone had the key.
+
+    This is availability-oriented, last-writer-wins replication -- the
+    right fit for the paper's cache/secondary-repository use cases, not a
+    consensus protocol.  For atomic cross-store updates use
+    :mod:`repro.txn` instead.
+    """
+
+    def __init__(
+        self,
+        primary: KeyValueStore,
+        replicas: Sequence[KeyValueStore],
+        *,
+        name: str = "replicated",
+        read_repair: bool = True,
+        owns_members: bool = True,
+        hedge_delay: float | None = None,
+        obs: Observability | None = None,
+    ) -> None:
+        """Compose the group.
+
+        :param owns_members: when true (default), closing the composite
+            closes the member stores; pass false when members are owned
+            elsewhere (e.g. individually registered in a UDSM).
+        :param hedge_delay: when set, :meth:`get` becomes a *hedged* read:
+            the primary is asked first, and if it has not answered within
+            this many seconds the read is also launched on the next
+            replica (and so on down the member list); the first success
+            wins.  Pick a value near the primary's p95 read latency so
+            hedges fire only on tail requests.  Hedged reads skip
+            read-repair (the losing request may still be in flight).
+        :param obs: observability bundle; hedge launches count
+            ``kv.hedge.launched``, reads won by a hedge count
+            ``kv.hedge.wins``, and deadline expiries mid-read count
+            ``kv.deadline.expired``.  Every public stats counter is also
+            mirrored as a ``kv.replica.*`` counter (``write_failures``,
+            ``failover_reads``, ``repairs``, ``hedged_reads``,
+            ``hedge_wins``) so dashboards see replica health without
+            polling the object.
+        """
+        if not replicas:
+            raise ConfigurationError("ReplicatedStore needs at least one replica")
+        super().__init__(
+            [primary, *replicas], name=name, owns_members=owns_members, obs=obs
+        )
+        self._read_repair = read_repair
+        self.hedge_delay = hedge_delay  # validated by the setter
+        # All five public counters below are touched from member workers as
+        # well as the caller's thread, so every increment goes through
+        # _count() under the group lock.
+        #: replica write failures tolerated so far
+        self.replica_write_failures = 0
+        #: reads served by a fallback store
+        self.failover_reads = 0
+        #: repair writes performed
+        self.repairs = 0
+        #: hedge requests launched (a slow leader triggered a backup read)
+        self.hedged_reads = 0
+        #: reads won by a hedge rather than the first store asked
+        self.hedge_wins = 0
+
+    @property
+    def hedge_delay(self) -> float | None:
+        """Seconds before a backup read is launched; ``None`` = no hedging.
+
+        Writable at runtime (takes effect on the next :meth:`get`), which is
+        how :class:`repro.obs.anomaly.EnableHedgingAction` turns hedging on
+        while a latency anomaly is active and restores the prior value when
+        it clears.
+        """
+        return self._hedge_delay
+
+    @hedge_delay.setter
+    def hedge_delay(self, value: float | None) -> None:
+        if value is not None and value < 0:
+            raise ConfigurationError("hedge_delay must be non-negative")
+        self._hedge_delay = value
+
+    def put(self, key: str, value: Any) -> None:
+        primary, *replicas = self._members
+        primary.put(key, value)
+        for replica in replicas:
+            try:
+                replica.put(key, value)
+            except DataStoreError:
+                self._count("replica_write_failures", "kv.replica.write_failures")
+
+    def get(self, key: str) -> Any:
+        """The first member to answer, in order on the caller's thread and
+        read-repaired onto the members that missed before it -- or a hedged
+        read when ``hedge_delay`` is set.  When nobody answers an unhedged
+        read, the last failure decides."""
+        hedge = self._hedge_delay
+        if hedge is not None:
+            return self._hedged_get(key, hedge)
+        missed: list[KeyValueStore] = []
+        error: Exception | None = None
+        for index, member in enumerate(self._members):
+            try:
+                value = member.get(key)
+            except DataStoreError as exc:
+                error = exc
+                if isinstance(exc, KeyNotFoundError):
+                    missed.append(member)
+                continue
+            if index:
+                self._count("failover_reads", "kv.replica.failover_reads")
+            if self._read_repair:
+                for stale in missed:
+                    try:
+                        stale.put(key, value)
+                    except DataStoreError:
+                        continue
+                    self._count("repairs", "kv.replica.repairs")
+            return value
+        if error is None or isinstance(error, KeyNotFoundError):
+            raise KeyNotFoundError(key, self.name)
+        raise error
+
+    def _hedged_get(self, key: str, hedge: float) -> Any:
+        """Tail-latency-tolerant read: first success across staggered tries.
+
+        Members are launched in order on their workers, each after *hedge*
+        seconds of collective silence (or at once when everything in flight
+        has failed); losing requests finish on their workers and are
+        discarded.  When nobody serves the key, the first failure that is
+        not a miss is raised -- the primary's outage is not an absent key.
+        Respects the ambient deadline budget.
+        """
+        members = self._members
+        results: "queue.SimpleQueue[tuple[int, bool, Any]]" = queue.SimpleQueue()
+        errors: list[Exception] = []
+        launched = pending = 0
+        while pending or launched < len(members):
+            item = None
+            if pending:
+                wait = hedge if launched < len(members) else None
+                item = self._next_result(results, f"hedged read of {key!r}", wait)
+            if item is None:  # everything in flight failed, or *hedge* of silence
+                if launched < len(members):
+                    self._launch(launched, key, results)
+                    launched, pending = launched + 1, pending + 1
+                continue
+            pending -= 1
+            index, ok, payload = item
+            if not ok:
+                errors.append(payload)
+                continue
+            if index:
+                self._count("hedge_wins", "kv.replica.hedge_wins")
+                if self._obs.enabled:
+                    self._obs.inc("kv.hedge.wins")
+                    self._obs.event("hedge_win", member=members[index].name)
+            return payload
+        raise next(
+            (error for error in errors if not isinstance(error, KeyNotFoundError)),
+            KeyNotFoundError(key, self.name),
+        )
+
+    def _launch(self, index: int, key: str, results: "queue.SimpleQueue") -> None:
+        """Queue member *index*'s read on its worker (a hedge after the first)."""
+        member = self._members[index]
+        if index:
+            self._count("hedged_reads", "kv.replica.hedged_reads")
+            if self._obs.enabled:
+                self._obs.inc("kv.hedge.launched")
+                self._obs.event("hedge", member=member.name)
+                self._obs.emit("hedge", store=self.name, member=member.name)
+
+        def read() -> None:
+            try:
+                results.put((index, True, member.get(key)))
+            except Exception as exc:  # noqa: BLE001 - relayed, or the caller waits forever
+                results.put((index, False, exc))
+
+        self._submit(index, read)
+
+    def get_with_version(self, key: str) -> tuple[Any, str]:
+        error: Exception | None = None
+        for member in self._members:
+            try:
+                return member.get_with_version(key)
+            except DataStoreError as exc:
+                error = exc
+        if error is None or isinstance(error, KeyNotFoundError):
+            raise KeyNotFoundError(key, self.name)
+        raise error
+
+    def delete(self, key: str) -> bool:
+        # A list, not a generator: every member deletes, not only up to a hit.
+        return any([*self._reachable(lambda member: member.delete(key))])
+
+    def contains(self, key: str) -> bool:
+        return any(self._reachable(lambda member: member.contains(key)))
+
+    def repair(self, key: str) -> int:
+        """Anti-entropy for one key: copy the primary-preferred value onto
+        every member missing or differing from it.  Returns members fixed.
+
+        Read-repair only fixes members consulted *before* the one that
+        served a read; this explicit form syncs everyone (e.g. after a
+        replica rejoins).
+
+        Robust to members dying mid-repair: a key that cannot be read from
+        *any* member repairs zero members instead of raising, and a member
+        that fails while being written simply isn't counted -- so a
+        :meth:`repair_all` pass always visits every key, and ``repairs``
+        reflects only writes that actually landed.
+        """
+        try:
+            value = self.get(key)  # primary-preferred, with read repair
+        except DataStoreError:
+            # Every member is unreachable (or lost the key mid-pass):
+            # nothing to copy from, so nothing repaired -- but the caller's
+            # sweep over the remaining keys must go on.
+            return 0
+        fixed = 0
+        for member in self._members:
+            try:
+                if member.get_or_default(key, _ABSENT) != value:
+                    member.put(key, value)
+                    fixed += 1
+            except DataStoreError:
+                continue
+        self._count("repairs", "kv.replica.repairs", fixed)
+        return fixed
+
+    def repair_all(self) -> int:
+        """Run :meth:`repair` for every key any member knows.
+
+        Member failures mid-pass are absorbed by :meth:`repair` (and by
+        :meth:`keys`, which skips unreachable members), so a replica dying
+        during the sweep cannot abort it.
+        """
+        return sum(self.repair(key) for key in list(self.keys()))
+
+    def keys(self) -> Iterator[str]:
+        """Union of keys across members (first reachable wins per key)."""
+        return self._member_keys()
+
+    def native(self) -> Any:
+        return self._members[0].native()
+
+
+# ----------------------------------------------------------------------
+# Quorum
+# ----------------------------------------------------------------------
+class QuorumReplicatedStore(_MemberGroup):
     """R+W>N quorum reads/writes over N peer member stores.
 
     See the module docstring for semantics.  Members are peers (no
     primary); the store is thread-safe and every fan-out respects the
     ambient :class:`~repro.kv.deadline.Deadline`.
     """
+
+    #: the public counters, in the order :meth:`status` reports them
+    _COUNTERS = (
+        "writes",
+        "reads",
+        "read_repairs",
+        "write_partial_failures",
+        "degraded_ops",
+        "failed_fast",
+        "antientropy_rounds",
+        "antientropy_keys_scanned",
+        "antientropy_keys_repaired",
+        "full_scans",
+    )
 
     def __init__(
         self,
@@ -363,20 +762,15 @@ class QuorumReplicatedStore(KeyValueStore):
             )
         if anti_entropy_every is not None and anti_entropy_every < 1:
             raise ConfigurationError("anti_entropy_every must be at least 1")
-        self.name = name
+        super().__init__(members, name=name, owns_members=owns_members, obs=obs)
         self.node_id = node_id
-        self._members = list(members)
         self._read_quorum = read_quorum
         self._write_quorum = write_quorum
         self._read_repair = read_repair
-        self._owns_members = owns_members
         self._scheduler = scheduler
         self._anti_entropy_every = anti_entropy_every
-        self._obs = resolve_obs(obs)
-        self._lock = threading.Lock()
         self._lamport = 0
         self._writes_since_round = 0
-        self._inflight: list[threading.Thread] = []
         self._trees = [MerkleTree(depth=merkle_depth) for _ in members]
         #: quorum writes acknowledged (W+ acks)
         self.writes = 0
@@ -400,10 +794,6 @@ class QuorumReplicatedStore(KeyValueStore):
         self.full_scans = 0
 
     # ------------------------------------------------------------------
-    @property
-    def members(self) -> list[KeyValueStore]:
-        return list(self._members)
-
     @property
     def read_quorum(self) -> int:
         return self._read_quorum
@@ -433,72 +823,83 @@ class QuorumReplicatedStore(KeyValueStore):
     # ------------------------------------------------------------------
     # Fan-out plumbing
     # ------------------------------------------------------------------
-    # Each operation shares one state dict across its member threads; all
-    # transitions happen under the group lock, so the op outcome (quorum
-    # reached / quorum lost) is decided exactly once no matter how member
-    # responses interleave, and the *last* member thread to finish settles
-    # the op-level degraded accounting deterministically.
+    def _fan_out(
+        self,
+        operation: str,
+        needed: int,
+        task: Callable[[int], Any],
+        what: str,
+        *,
+        misses_answer: bool = False,
+    ) -> list[tuple[int, Any]]:
+        """``task(index)`` on every member's worker; the ``(index, answer)``
+        pairs once *needed* answered, or the typed quorum error once more
+        than ``N - needed`` failed.  Transitions run under the group lock,
+        so the outcome is decided exactly once; the last member to finish
+        settles the degraded accounting.  With *misses_answer* a miss
+        answers ``_ABSENT``."""
+        n = len(self._members)
+        done: "queue.SimpleQueue[tuple[str, Exception | None]]" = queue.SimpleQueue()
+        state: dict[str, Any] = {
+            "answers": [], "failures": [], "pending": n, "outcome": None,
+        }
 
-    def _spawn(self, label: str, worker: Callable[[int], None], count: int) -> None:
-        threads = []
-        for index in range(count):
-            thread = threading.Thread(
-                target=worker, args=(index,),
-                name=f"{self.name}-{label}-{index}", daemon=True,
-            )
-            threads.append(thread)
+        def run(index: int) -> None:
+            answer: Any = _ABSENT
+            error: Exception | None = None
+            try:
+                answer = task(index)
+            except KeyNotFoundError as exc:
+                error = None if misses_answer else exc
+            except Exception as exc:  # noqa: BLE001 - reported, or the caller waits forever
+                error = exc
+            with self._lock:
+                state["pending"] -= 1
+                if error is None:
+                    state["answers"].append((index, answer))
+                    if state["outcome"] is None and len(state["answers"]) >= needed:
+                        state["outcome"] = "ok"
+                        done.put(("ok", None))
+                else:
+                    state["failures"].append(error)
+                    if operation == "write":
+                        self._count("write_partial_failures", "kv.quorum.write_partial")
+                    elif self._obs.enabled:
+                        self._obs.inc("kv.quorum.read_partial")
+                    if state["outcome"] is None and len(state["failures"]) > n - needed:
+                        state["outcome"] = "lost"
+                        self._count("failed_fast", "kv.quorum.failed_fast")
+                        if self._obs.enabled:
+                            self._obs.emit(
+                                "quorum_failed_fast", store=self.name, op=operation,
+                                acks=len(state["answers"]), failures=len(state["failures"]),
+                            )
+                        done.put(("lost", error))
+                if state["pending"] == 0:
+                    self._finalize_op(state, operation)
+
+        for index in range(n):
+            self._submit(index, run, index)
+        resolution = None
+        while resolution is None:
+            resolution = self._next_result(done, what)
+        outcome, cause = resolution
         with self._lock:
-            self._inflight = [t for t in self._inflight if t.is_alive()]
-            self._inflight.extend(threads)
-        for thread in threads:
-            thread.start()
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait for straggler member requests from past operations.
-
-        An operation returns as soon as its quorum is satisfied; the
-        remaining member requests finish on their own threads (updating
-        trees and sloppy-failure counters as they land).  ``drain()``
-        joins them -- tests and shutdown paths call it to make counter
-        assertions deterministic.  Returns ``True`` when nothing is left
-        in flight.
-        """
-        with self._lock:
-            threads = list(self._inflight)
-        for thread in threads:
-            thread.join(timeout)
-        with self._lock:
-            self._inflight = [t for t in self._inflight if t.is_alive()]
-            return not self._inflight
-
-    def _deadline_wait(self, results: "queue.Queue", what: str) -> Any:
-        """One result off the queue, bounded by the ambient deadline."""
-        deadline = current_deadline()
-        wait = None
-        if deadline is not None:
-            remaining = deadline.remaining()
-            if remaining <= 0:
-                self._expire_deadline(what)
-            wait = remaining
-        try:
-            return results.get(timeout=wait)
-        except queue.Empty:
-            self._expire_deadline(what)
-
-    def _expire_deadline(self, what: str) -> None:
-        if self._obs.enabled:
-            self._obs.inc("kv.deadline.expired")
-            self._obs.event("deadline_expired", store=self.name)
-        raise DeadlineExceededError(
-            f"deadline exhausted during {what} on {self.name}"
-        )
+            # Snapshot at resolution time: includes any straggler that
+            # answered since -- it answered, so it is eligible for repair.
+            answers, failures = list(state["answers"]), len(state["failures"])
+        if outcome == "lost":
+            lost = QuorumWriteError if operation == "write" else QuorumReadError
+            error = lost(self.name, needed=needed, got=len(answers), failures=failures)
+            error.__cause__ = cause
+            raise error
+        return answers
 
     def _finalize_op(self, state: dict, operation: str) -> None:
-        """Op-level accounting, run by the last member thread to finish."""
+        """Op-level accounting, run by the last member to finish."""
         if state["outcome"] == "ok" and state["failures"]:
-            self.degraded_ops += 1
+            self._count("degraded_ops", "kv.quorum.degraded")
             if self._obs.enabled:
-                self._obs.inc("kv.quorum.degraded")
                 self._obs.emit(
                     "quorum_degraded",
                     store=self.name,
@@ -506,19 +907,28 @@ class QuorumReplicatedStore(KeyValueStore):
                     member_failures=len(state["failures"]),
                 )
 
-    def _fail_fast(self, state: dict, operation: str) -> None:
-        """Mark the op lost (caller raises); runs under the group lock."""
-        state["outcome"] = "lost"
-        self.failed_fast += 1
-        if self._obs.enabled:
-            self._obs.inc("kv.quorum.failed_fast")
-            self._obs.emit(
-                "quorum_failed_fast",
-                store=self.name,
-                op=operation,
-                acks=state["acks"],
-                failures=len(state["failures"]),
-            )
+    def _apply(
+        self, index: int, key: str, raw: Any, stamp: VersionStamp, tombstone: bool
+    ) -> bool:
+        """Write one envelope to member *index*; runs on that member's worker.
+
+        Skipped (returns ``False``) when the member's tree records a newer
+        stamp: the member holds a write that supersedes this one.  An equal
+        stamp is the same write and is rewritten, which restores a copy the
+        member lost out of band.  Every group write to a member comes
+        through here on the member's one worker, so the check and the put
+        cannot interleave with another group write -- a member never moves
+        backwards.
+        """
+        tree = self._trees[index]
+        with self._lock:
+            held = tree.entry(key)
+        if held is not None and held[0] > stamp:
+            return False
+        self._members[index].put(key, raw)
+        with self._lock:
+            tree.update(key, stamp, tombstone=tombstone)
+        return True
 
     # ------------------------------------------------------------------
     # Writes
@@ -528,54 +938,21 @@ class QuorumReplicatedStore(KeyValueStore):
 
     def put_with_version(self, key: str, value: Any) -> str:
         stamp = self._next_stamp()
-        self._quorum_write(key, _wrap(stamp, value), stamp, tombstone=False)
+        self._quorum_write(key, stamp, value, tombstone=False)
         return stamp.token()
 
     def _quorum_write(
-        self, key: str, envelope: dict, stamp: VersionStamp, *, tombstone: bool
+        self, key: str, stamp: VersionStamp, value: Any, *, tombstone: bool
     ) -> None:
-        members = self._members
-        n, w = len(members), self._write_quorum
-        resolution: "queue.Queue[tuple[str, Exception | None]]" = queue.Queue()
-        state: dict[str, Any] = {
-            "acks": 0, "failures": [], "pending": n, "outcome": None,
-        }
-
-        def writer(index: int) -> None:
-            error: Exception | None = None
-            try:
-                members[index].put(key, envelope)
-            except DataStoreError as exc:
-                error = exc
-            with self._lock:
-                state["pending"] -= 1
-                if error is None:
-                    self._trees[index].update(key, stamp, tombstone=tombstone)
-                    state["acks"] += 1
-                    if state["outcome"] is None and state["acks"] >= w:
-                        state["outcome"] = "ok"
-                        resolution.put(("ok", None))
-                else:
-                    state["failures"].append(error)
-                    self.write_partial_failures += 1
-                    if self._obs.enabled:
-                        self._obs.inc("kv.quorum.write_partial")
-                    if state["outcome"] is None and len(state["failures"]) > n - w:
-                        self._fail_fast(state, "write")
-                        resolution.put(("lost", error))
-                if state["pending"] == 0:
-                    self._finalize_op(state, "write")
-
-        self._spawn("put", writer, n)
-        outcome, cause = self._deadline_wait(resolution, f"quorum write of {key!r}")
-        if outcome == "lost":
-            with self._lock:
-                acks, failures = state["acks"], len(state["failures"])
-            error = QuorumWriteError(self.name, needed=w, got=acks, failures=failures)
-            error.__cause__ = cause
-            raise error
+        raw = _wrap(stamp, value, tombstone=tombstone)
+        self._fan_out(
+            "write",
+            self._write_quorum,
+            lambda index: self._apply(index, key, raw, stamp, tombstone),
+            f"quorum write of {key!r}",
+        )
+        self._count("writes", "kv.quorum.writes")
         with self._lock:
-            self.writes += 1
             self._writes_since_round += 1
             due = (
                 self._anti_entropy_every is not None
@@ -583,21 +960,12 @@ class QuorumReplicatedStore(KeyValueStore):
             )
             if due:
                 self._writes_since_round = 0
-        if self._obs.enabled:
-            self._obs.inc("kv.quorum.writes")
         if due:
             self.schedule_anti_entropy()
 
     def delete(self, key: str) -> bool:
-        try:
-            self.get_with_version(key)
-            existed = True
-        except KeyNotFoundError:
-            existed = False
-        stamp = self._next_stamp()
-        self._quorum_write(
-            key, _wrap(stamp, None, tombstone=True), stamp, tombstone=True
-        )
+        existed = self.contains(key)
+        self._quorum_write(key, self._next_stamp(), None, tombstone=True)
         return existed
 
     # ------------------------------------------------------------------
@@ -618,79 +986,25 @@ class QuorumReplicatedStore(KeyValueStore):
         or a tombstone, :class:`QuorumReadError` when fewer than R members
         can answer at all.
         """
-        members = self._members
-        n, r = len(members), self._read_quorum
-        resolution: "queue.Queue[tuple[str, Exception | None]]" = queue.Queue()
-        state: dict[str, Any] = {
-            "acks": 0, "failures": [], "pending": n, "outcome": None,
-            "responses": [],  # (member index, raw envelope | _ABSENT)
-        }
-
-        def reader(index: int) -> None:
-            error: Exception | None = None
-            raw: Any = _ABSENT
-            try:
-                raw = members[index].get(key)
-            except KeyNotFoundError:
-                pass  # a confirmed miss is a response, not a failure
-            except DataStoreError as exc:
-                error = exc
-            with self._lock:
-                state["pending"] -= 1
-                if error is None:
-                    state["acks"] += 1
-                    state["responses"].append((index, raw))
-                    if state["outcome"] is None and state["acks"] >= r:
-                        state["outcome"] = "ok"
-                        resolution.put(("ok", None))
-                else:
-                    state["failures"].append(error)
-                    if self._obs.enabled:
-                        self._obs.inc("kv.quorum.read_partial")
-                    if state["outcome"] is None and len(state["failures"]) > n - r:
-                        self._fail_fast(state, "read")
-                        resolution.put(("lost", error))
-                if state["pending"] == 0:
-                    self._finalize_op(state, "read")
-
-        self._spawn("get", reader, n)
-        outcome, cause = self._deadline_wait(resolution, f"quorum read of {key!r}")
-        if outcome == "lost":
-            with self._lock:
-                acks, failures = state["acks"], len(state["failures"])
-            quorum_error = QuorumReadError(
-                self.name, needed=r, got=acks, failures=failures
-            )
-            quorum_error.__cause__ = cause
-            raise quorum_error
-        with self._lock:
-            self.reads += 1
-            # Snapshot at resolution time: includes any straggler that
-            # answered between quorum satisfaction and this line -- it
-            # answered, so it is eligible for read-repair too.
-            responses = list(state["responses"])
-        if self._obs.enabled:
-            self._obs.inc("kv.quorum.reads")
-
+        answers = self._fan_out(
+            "read",
+            self._read_quorum,
+            lambda index: self._members[index].get(key),
+            f"quorum read of {key!r}",
+            misses_answer=True,
+        )
+        self._count("reads", "kv.quorum.reads")
         # Resolve: the highest stamp among the members that answered.
-        winner_stamp: VersionStamp | None = None
-        winner_raw: Any = _ABSENT
-        unwrapped: dict[int, tuple[VersionStamp, Any, bool] | None] = {}
-        for index, raw in responses:
-            if raw is _ABSENT:
-                unwrapped[index] = None
-                continue
-            stamp, value, tombstone = _unwrap(raw)
-            unwrapped[index] = (stamp, value, tombstone)
-            if winner_stamp is None or stamp > winner_stamp:
-                winner_stamp, winner_raw = stamp, raw
-        if winner_stamp is not None:
-            self._observe_stamp(winner_stamp)
-            if self._read_repair:
-                self._repair_answered(key, winner_stamp, winner_raw, unwrapped)
-        if winner_stamp is None:
+        stamps = {index: _unwrap(raw)[0] for index, raw in answers if raw is not _ABSENT}
+        if not stamps:
             raise KeyNotFoundError(key, self.name)
-        stamp, value, tombstone = _unwrap(winner_raw)
+        winner = max(stamps, key=stamps.__getitem__)
+        raw = dict(answers)[winner]
+        stamp, value, tombstone = _unwrap(raw)
+        self._observe_stamp(stamp)
+        if self._read_repair:
+            stale = [i for i, _raw in answers if i not in stamps or stamps[i] < stamp]
+            self._repair_answered(key, stamp, raw, tombstone, stale)
         if tombstone:
             raise KeyNotFoundError(key, self.name)
         return value, stamp
@@ -698,38 +1012,37 @@ class QuorumReplicatedStore(KeyValueStore):
     def _repair_answered(
         self,
         key: str,
-        winner_stamp: VersionStamp,
-        winner_raw: Any,
-        unwrapped: dict[int, tuple[VersionStamp, Any, bool] | None],
+        stamp: VersionStamp,
+        raw: Any,
+        tombstone: bool,
+        stale: list[int],
     ) -> None:
-        """Push the winning envelope onto stale members that answered.
+        """Push the winning envelope onto the *stale* members that answered.
 
         Only the members consulted by this read are touched (the others
-        are anti-entropy's job); repair failures are tolerated -- the
-        member just stays stale until the next read or round.
+        are anti-entropy's job).  Each repair is a write on the member's
+        worker, waited for before the read returns; a member that took a
+        newer write meanwhile skips it, and repair failures are tolerated
+        -- the member just stays stale until the next read or round.
         """
-        _stamp, _value, winner_tombstone = _unwrap(winner_raw)
-        for index, entry in unwrapped.items():
-            if entry is not None and entry[0] >= winner_stamp:
-                continue
-            member = self._members[index]
+        repairs = [
+            (index, self._submit(index, self._apply, index, key, raw, stamp, tombstone))
+            for index in stale
+        ]
+        for index, repair in repairs:
             try:
-                member.put(key, winner_raw)
+                if not repair.result():
+                    continue
             except DataStoreError:
                 continue
-            with self._lock:
-                self._trees[index].update(
-                    key, winner_stamp, tombstone=winner_tombstone
-                )
-                self.read_repairs += 1
+            self._count("read_repairs", "kv.quorum.read_repairs")
             if self._obs.enabled:
-                self._obs.inc("kv.quorum.read_repairs")
                 self._obs.emit(
                     "quorum_read_repair",
                     store=self.name,
-                    member=member.name,
+                    member=self._members[index].name,
                     key=key,
-                    version=winner_stamp.token(),
+                    version=stamp.token(),
                 )
 
     # ------------------------------------------------------------------
@@ -745,44 +1058,18 @@ class QuorumReplicatedStore(KeyValueStore):
         with self._lock:
             merged: dict[str, tuple[VersionStamp, bool]] = {}
             for tree in self._trees:
-                for key, (stamp, tombstone) in tree.items():
-                    current = merged.get(key)
-                    if current is None or stamp > current[0]:
-                        merged[key] = (stamp, tombstone)
-        emitted: set[str] = set()
-        for key, (_stamp, tombstone) in merged.items():
-            emitted.add(key)
-            if not tombstone:
-                yield key
-        # Legacy pass: anything a member holds that the trees never saw.
-        for member in self._members:
-            try:
-                member_keys = list(member.keys())
-            except DataStoreError:
-                continue
-            for key in member_keys:
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                stamp, _value, tombstone = self._resolve_untracked(key)
-                if stamp is not None and not tombstone:
+                for key, entry in tree.items():
+                    if key not in merged or entry[0] > merged[key][0]:
+                        merged[key] = entry
+        yield from (key for key, (_stamp, tombstone) in merged.items() if not tombstone)
+        # Legacy pass: anything a member holds that the trees never saw,
+        # resolved by best-effort member reads.
+        for key in self._member_keys():
+            if key not in merged:
+                entries = self._reachable(lambda member: _unwrap(member.get(key)))
+                newest = max(entries, key=lambda entry: entry[0], default=None)
+                if newest is not None and not newest[2]:
                     yield key
-
-    def _resolve_untracked(
-        self, key: str
-    ) -> tuple[VersionStamp | None, Any, bool]:
-        winner: tuple[VersionStamp, Any, bool] | None = None
-        for member in self._members:
-            try:
-                raw = member.get(key)
-            except DataStoreError:
-                continue
-            entry = _unwrap(raw)
-            if winner is None or entry[0] > winner[0]:
-                winner = entry
-        if winner is None:
-            return None, None, False
-        return winner
 
     # ------------------------------------------------------------------
     # Anti-entropy
@@ -817,15 +1104,15 @@ class QuorumReplicatedStore(KeyValueStore):
             for right in range(left + 1, n):
                 self._reconcile_pair(left, right, report)
         report.converged = report.member_failures == 0 and self._in_sync()
-        with self._lock:
-            self.antientropy_rounds += 1
-            self.antientropy_keys_scanned += report.keys_scanned
-            self.antientropy_keys_repaired += report.keys_repaired
+        self._count("antientropy_rounds", "kv.antientropy.rounds")
+        self._count(
+            "antientropy_keys_scanned", "kv.antientropy.keys_scanned", report.keys_scanned
+        )
+        self._count(
+            "antientropy_keys_repaired", "kv.antientropy.keys_repaired", report.keys_repaired
+        )
         if self._obs.enabled:
-            self._obs.inc("kv.antientropy.rounds")
             self._obs.inc("kv.antientropy.buckets_divergent", report.buckets_divergent)
-            self._obs.inc("kv.antientropy.keys_scanned", report.keys_scanned)
-            self._obs.inc("kv.antientropy.keys_repaired", report.keys_repaired)
             self._obs.emit(
                 "antientropy_round",
                 store=self.name,
@@ -870,7 +1157,9 @@ class QuorumReplicatedStore(KeyValueStore):
                     report.member_failures += 1
 
     def _copy_entry(self, key: str, source: int, target: int) -> bool:
-        """Copy the authoritative copy of *key* from one member to another."""
+        """Copy the authoritative copy of *key* from one member to another
+        (a write on the target's worker); ``True`` when the copy landed,
+        ``False`` when it failed or the target already held a newer write."""
         try:
             raw = self._members[source].get(key)
         except KeyNotFoundError:
@@ -883,12 +1172,10 @@ class QuorumReplicatedStore(KeyValueStore):
             return False
         stamp, _value, tombstone = _unwrap(raw)
         try:
-            self._members[target].put(key, raw)
+            copy = self._submit(target, self._apply, target, key, raw, stamp, tombstone)
+            return copy.result()
         except DataStoreError:
             return False
-        with self._lock:
-            self._trees[target].update(key, stamp, tombstone=tombstone)
-        return True
 
     def rebuild_trees(self) -> int:
         """Full-scan fallback: rebuild every reachable member's tree.
@@ -934,18 +1221,7 @@ class QuorumReplicatedStore(KeyValueStore):
                 for member, tree in zip(self._members, self._trees)
             ]
             lamport = self._lamport
-            counters = {
-                "writes": self.writes,
-                "reads": self.reads,
-                "read_repairs": self.read_repairs,
-                "write_partial_failures": self.write_partial_failures,
-                "degraded_ops": self.degraded_ops,
-                "failed_fast": self.failed_fast,
-                "antientropy_rounds": self.antientropy_rounds,
-                "antientropy_keys_scanned": self.antientropy_keys_scanned,
-                "antientropy_keys_repaired": self.antientropy_keys_repaired,
-                "full_scans": self.full_scans,
-            }
+            counters = {name: getattr(self, name) for name in self._COUNTERS}
         roots = {entry["merkle_root"] for entry in members}
         return {
             "name": self.name,
@@ -958,13 +1234,6 @@ class QuorumReplicatedStore(KeyValueStore):
             "members": members,
             "counters": counters,
         }
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self.drain(timeout=5.0)
-        if self._owns_members:
-            for member in self._members:
-                member.close()
 
     def native(self) -> Any:
         return None

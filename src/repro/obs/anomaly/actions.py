@@ -171,9 +171,8 @@ class EnableHedgingAction(AnomalyAction):
     *hedge_delay*; revert restores the captured value -- including ``None``
     (hedging off), so a store that never hedged goes back to never hedging.
 
-    *store* needs a readable/writable ``hedge_delay`` property
-    (:class:`repro.kv.resilience.ReplicatedStore` grows the setter in this
-    PR).
+    *store* needs a readable/writable ``hedge_delay`` property, as
+    :class:`repro.kv.quorum.ReplicatedStore` has.
     """
 
     def __init__(

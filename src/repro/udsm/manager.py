@@ -238,7 +238,7 @@ class UniversalDataStoreManager:
     ) -> "MonitoredStore":
         """Compose registered stores into a primary/replica group and
         register the composite under *name* (monitored like any store)."""
-        from ..kv.resilience import ReplicatedStore
+        from ..kv.quorum import ReplicatedStore
 
         composite = ReplicatedStore(
             self.raw_store(primary),

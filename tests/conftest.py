@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,21 @@ def cache_client(cache_server):
 @pytest.fixture()
 def virtual_clock():
     return VirtualClock()
+
+
+@pytest.fixture()
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs (a cost counted,
+    not clocked)."""
+    started: list[str] = []
+    original = threading.Thread.start
+
+    def start(thread, *args, **kwargs):
+        started.append(thread.name)
+        return original(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 # ----------------------------------------------------------------------

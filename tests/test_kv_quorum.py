@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -33,6 +36,47 @@ def make_group(n=3, *, r=2, w=2, **kwargs):
         members, read_quorum=r, write_quorum=w, name="grp", **kwargs
     )
     return group, members
+
+
+class _Hooked(InMemoryStore):
+    """An in-memory member whose reads and writes call optional test hooks:
+    ``before_put``/``after_put(key, raw)`` around a write, ``after_get(key)``
+    once a read has answered (value or miss)."""
+
+    before_put = after_put = after_get = None
+
+    def put(self, key, value):
+        if self.before_put:
+            self.before_put(key, value)
+        super().put(key, value)
+        if self.after_put:
+            self.after_put(key, value)
+
+    def get(self, key):
+        try:
+            return super().get(key)
+        finally:
+            if self.after_get:
+                self.after_get(key)
+
+
+def hooked_group(*, r=2, w=2):
+    """N=3 group over partitionable hooked members a, b, c."""
+    hooked = [_Hooked(name) for name in "abc"]
+    members = [PartitionedStore(store, name=store.name) for store in hooked]
+    group = QuorumReplicatedStore(
+        members, read_quorum=r, write_quorum=w, name="grp"
+    )
+    return group, members, hooked
+
+
+def value_of(store, key="k"):
+    return _unwrap(InMemoryStore.get(store, key))[1]
+
+
+def on_value(value, event):
+    """A put hook that sets *event* when the write carries *value*."""
+    return lambda key, raw: event.set() if _unwrap(raw)[1] == value else None
 
 
 class TestVersionStamp:
@@ -391,6 +435,185 @@ class TestFailureModes:
             with pytest.raises(DeadlineExceededError):
                 group.put("k", "v2")
         group.drain()
+        group.close()
+
+
+class TestMemberNeverMovesBackwards:
+    """Regressions: a stale write must never land over a newer one, so an
+    acknowledged write stays visible to every read quorum."""
+
+    def test_slow_member_cannot_land_an_older_write_after_a_newer_ack(self):
+        group, members, hooked = hooked_group()
+        release_v1 = threading.Event()
+
+        def hold_v1(key, raw):
+            if _unwrap(raw)[1] == "v1":
+                assert release_v1.wait(10)
+
+        hooked[1].before_put = hold_v1               # b is slow on v1
+        hooked[2].after_put = on_value("v2", release_v1)
+        group.put("k", "v1")                         # acked by a and c
+        members[0].partition()
+        group.put("k", "v2")                         # acked by b and c
+        group.drain()
+        members[0].heal()
+        members[2].partition()                       # read quorum = {a, b}
+        assert group.get("k") == "v2"
+        assert value_of(hooked[1]) == "v2"
+        group.close()
+
+    def test_read_repair_never_overwrites_a_newer_write(self):
+        group, members, hooked = hooked_group(r=3)
+        members[2].partition()
+        group.put("k", "v1")                         # c missed v1
+        group.drain()
+        members[2].heal()
+        b_answered, c_answered, c_has_v2 = (threading.Event() for _ in range(3))
+        hooked[1].after_get = lambda key: b_answered.set()
+        hooked[2].after_get = lambda key: c_answered.set()
+        hooked[2].after_put = on_value("v2", c_has_v2)
+
+        def write_v2_mid_read(key):
+            hooked[0].after_get = None
+            assert b_answered.wait(10) and c_answered.wait(10)
+            group.put("k", "v2")                     # lands on c before repair
+            assert c_has_v2.wait(10)
+
+        hooked[0].after_get = write_v2_mid_read
+        assert group.get("k") == "v1"                # resolved before v2
+        group.drain()
+        assert value_of(hooked[2]) == "v2"           # repair of v1 skipped
+        assert group.read_repairs == 0
+        assert group.get("k") == "v2"
+        group.close()
+
+    def test_anti_entropy_copy_never_overwrites_a_newer_write(self):
+        group, members, hooked = hooked_group()
+        members[2].partition()
+        group.put("k", "v1")                         # c missed v1
+        group.drain()
+        members[2].heal()
+        c_has_v2 = threading.Event()
+        landed_on_c = []
+
+        def record(key, raw):
+            landed_on_c.append(_unwrap(raw)[1])
+            on_value("v2", c_has_v2)(key, raw)
+
+        hooked[2].after_put = record
+
+        def write_v2_mid_copy(key):
+            hooked[0].after_get = hooked[1].after_get = None
+            group.put("k", "v2")                     # lands on c before the copy
+            assert c_has_v2.wait(10)
+
+        hooked[0].after_get = hooked[1].after_get = write_v2_mid_copy
+        report = group.anti_entropy_round()          # copies the v1 it read
+        group.drain()
+        assert landed_on_c == ["v2"]                 # the older copy was skipped
+        assert report.keys_repaired == 0
+        assert group.get("k") == "v2"
+        group.close()
+
+    def test_read_repair_restores_a_copy_lost_out_of_band(self):
+        """The member's tree still holds the winner's stamp; an equal stamp
+        is the same write, so the repair rewrites it instead of skipping."""
+        group, _members, hooked = hooked_group(r=3)
+        group.put("k", "v")
+        group.drain()
+        hooked[1].delete("k")
+        assert group.get("k") == "v"
+        assert group.read_repairs == 1
+        assert value_of(hooked[1]) == "v"
+        group.close()
+
+
+class TestMemberWorkers:
+    def test_operations_start_no_threads_after_the_first(self, thread_starts):
+        group, _ = make_group()
+        group.put("k", 0)
+        group.get("k")
+        group.drain()
+        assert len(thread_starts) == 3               # one worker per member
+        thread_starts.clear()
+        for index in range(100):
+            group.put(f"key-{index}", index)
+            assert group.get(f"key-{index}") == index
+        assert group.drain(timeout=10)
+        assert thread_starts == []
+        group.close()
+
+    def test_concurrent_callers_keep_counters_exact(self):
+        """More callers than cores, a tiny switch interval: the shared
+        fan-out state and counters lose no update."""
+        group, _ = make_group()
+        errors = []
+
+        def caller(n):
+            try:
+                for i in range(50):
+                    group.put(f"c{n}-{i}", i)
+                    assert group.get(f"c{n}-{i}") == i
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert group.drain(timeout=10)
+        assert group.writes == group.reads == 400
+        assert group.degraded_ops == group.write_partial_failures == 0
+        assert group.status()["in_sync"]
+        group.close()
+
+    def test_member_bug_fails_the_quorum_instead_of_hanging(self):
+        group, _members, hooked = hooked_group()
+
+        def broken(key, raw):
+            raise TypeError("member bug")
+
+        hooked[1].before_put = hooked[2].before_put = broken
+        with pytest.raises(QuorumWriteError) as excinfo:
+            group.put("k", "v")
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        group.close()
+
+    def test_close_leaves_no_worker_alive(self):
+        def workers():
+            return [t for t in threading.enumerate() if t.name.startswith("closing-")]
+
+        group = QuorumReplicatedStore(
+            [InMemoryStore() for _ in range(3)],
+            read_quorum=2, write_quorum=2, name="closing",
+        )
+        group.put("k", "v")
+        assert len(workers()) == 3
+        group.close()
+        assert workers() == []
+
+    def test_drain_makes_straggler_counters_exact(self):
+        group, _members, hooked = hooked_group()
+        gate = threading.Event()
+
+        def fail_late(key, raw):
+            assert gate.wait(10)
+            raise StoreConnectionError("late failure")
+
+        hooked[2].before_put = fail_late
+        group.put("k", "v")                          # a and b ack; c in flight
+        assert group.write_partial_failures == group.degraded_ops == 0
+        gate.set()
+        assert group.drain(timeout=10)
+        assert group.write_partial_failures == group.degraded_ops == 1
         group.close()
 
 

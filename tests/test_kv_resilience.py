@@ -406,6 +406,32 @@ class TestReplicatedStore:
         assert store.repairs == 1
         assert primary.get("k") == "v"
 
+    def test_hedged_read_surfaces_primary_outage_over_replica_miss(self):
+        """The primary is authoritative: its outage is not an absent key."""
+        primary = PartitionedStore(InMemoryStore("primary"), name="primary")
+        primary.partition()
+        store = ReplicatedStore(primary, [InMemoryStore("replica")], hedge_delay=0.0)
+        with pytest.raises(StoreConnectionError):
+            store.get("k")
+        store.close()
+
+    def test_hedged_reads_start_no_threads_after_the_first(self, thread_starts):
+        """Hedges run on the members' workers; only the first read starts
+        them (the primary misses, so every read also asks the replica)."""
+        primary = InMemoryStore("primary")
+        replica = InMemoryStore("replica")
+        replica.put("k", "v")
+        store = ReplicatedStore(primary, [replica], hedge_delay=30.0)
+        assert store.get("k") == "v"
+        assert len(thread_starts) == 2
+        thread_starts.clear()
+        for _ in range(100):
+            assert store.get("k") == "v"
+        assert store.hedged_reads == store.hedge_wins == 101
+        assert thread_starts == []
+        store.close()
+        assert store.drain()
+
 
 class TestPartitionedStore:
     def test_partition_is_symmetric(self):

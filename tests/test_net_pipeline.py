@@ -112,24 +112,41 @@ class TestPipelining:
         cache_client.pipeline().set(b"t", b"v", ttl=100).execute()
         assert 0 < cache_client.ttl(b"t") <= 100
 
-    def test_pipelining_saves_roundtrips(self, cache_server):
-        """Wall-clock check: 200 pipelined sets beat 200 sequential sets."""
-        import time
-
+    def test_pipelining_saves_roundtrips(self, cache_server, monkeypatch):
+        """Counted, not clocked: 200 sequential sets are 200 round trips;
+        one pipelined batch of 200 is one stream write and no round trip."""
         from repro.net.client import CacheClient
 
         client = CacheClient(cache_server.host, cache_server.port)
-        start = time.perf_counter()
+        assert client.ping()  # connect, so the stream below is the live one
+        stream, writes, roundtrips = client._stream, [], []
+
+        class CountingStream:
+            def write(self, data):
+                writes.append(len(data))
+                return stream.write(data)
+
+            def __getattr__(self, name):
+                return getattr(stream, name)
+
+        roundtrip = client._roundtrip
+
+        def counting_roundtrip(args):
+            roundtrips.append(args[0])
+            return roundtrip(args)
+
+        monkeypatch.setattr(client, "_stream", CountingStream())
+        monkeypatch.setattr(client, "_roundtrip", counting_roundtrip)
         for i in range(200):
             client.set(f"seq{i}".encode(), b"v")
-        sequential = time.perf_counter() - start
+        assert (len(roundtrips), len(writes)) == (200, 200)
 
+        del roundtrips[:], writes[:]
         pipe = client.pipeline()
         for i in range(200):
             pipe.set(f"pip{i}".encode(), b"v")
-        start = time.perf_counter()
-        pipe.execute()
-        pipelined = time.perf_counter() - start
-        assert pipelined < sequential
+        assert len(pipe.execute()) == 200
+        assert (len(roundtrips), len(writes)) == (0, 1)
+        assert client.get(b"pip199") == b"v"
         client.flushall()
         client.close()
