@@ -15,7 +15,7 @@ from conftest import TIME_SCALE
 from repro.caching import InProcessCache
 from repro.core import EnhancedDataStoreClient, WritePolicy
 from repro.kv import CLOUD_STORE_2, SimulatedCloudStore
-from repro.udsm.workload import WorkloadGenerator
+from repro.udsm.loadgen import LoadGenerator, LoadSpec
 
 CASES = [
     ("write_through_read_heavy", WritePolicy.WRITE_THROUGH, 0.9),
@@ -31,10 +31,10 @@ def run_case(policy: WritePolicy, read_fraction: float) -> tuple[float, float]:
     client = EnhancedDataStoreClient(
         store, cache=InProcessCache(), write_policy=policy, default_ttl=None
     )
-    generator = WorkloadGenerator(sizes=(1_024,), seed=5)
-    generator.run_mixed_workload(
-        client, operations=400, read_fraction=read_fraction, key_space=50
-    )
+    spec = LoadSpec(key_space=50, read_fraction=read_fraction, value_size=1_024)
+    generator = LoadGenerator(spec, seed=5)
+    result = generator.run(client, plan=generator.plan(400))
+    assert result.errors == 0
     wan = store.simulated_seconds
     hit_rate = client.counters.hit_rate
     store.close()

@@ -13,18 +13,19 @@ import pytest
 from conftest import STORE_NAMES
 from repro.caching import InProcessCache
 from repro.core import EnhancedDataStoreClient
-from repro.udsm.workload import WorkloadGenerator
+from repro.udsm.loadgen import LoadGenerator, LoadSpec
 
 OPERATIONS = 300
 KEY_SPACE = 50
 
 
 def run(target) -> float:
-    generator = WorkloadGenerator(sizes=(1_024,), seed=3, key_prefix="thr")
-    result = generator.run_mixed_workload(
-        target, operations=OPERATIONS, read_fraction=0.9,
-        key_space=KEY_SPACE, value_size=1_024,
+    spec = LoadSpec(
+        key_space=KEY_SPACE, read_fraction=0.9, value_size=1_024, key_prefix="thr"
     )
+    generator = LoadGenerator(spec, seed=3)
+    result = generator.run(target, plan=generator.plan(OPERATIONS))
+    assert result.errors == 0
     return result.throughput
 
 

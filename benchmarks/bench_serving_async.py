@@ -1,7 +1,7 @@
 """Serving-plane evaluation: threaded vs async engine under open-loop load.
 
 The paper's figures measure one operation at a time; this module measures
-the *server*.  An :class:`~repro.udsm.loadgen.OpenLoopLoadGenerator`
+the *server*.  A :class:`~repro.udsm.loadgen.LoadGenerator` schedule
 offers Poisson traffic with Zipf key popularity at increasing rates, and
 both serving engines replay **the same schedule** (same seed, shared
 plan), so the only variable is the engine.  Latency runs from the
@@ -20,7 +20,7 @@ import pytest
 
 from repro.kv import RemoteKeyValueStore
 from repro.net import AsyncCacheServer, CacheServer
-from repro.udsm.loadgen import OpenLoopLoadGenerator, OpenLoopSpec, RVConfig
+from repro.udsm.loadgen import LoadGenerator, LoadSpec, RVConfig
 
 FIGURE = "serving_async"
 ENGINES = ("threaded", "async")
@@ -34,8 +34,8 @@ SEED = 97
 #: Identity serializer keeps the measurement about the wire, not pickling.
 
 
-def make_generator(rate: int) -> OpenLoopLoadGenerator:
-    spec = OpenLoopSpec(
+def make_generator(rate: int) -> LoadGenerator:
+    spec = LoadSpec(
         active_users=RVConfig(mean=float(rate), distribution="constant"),
         requests_per_user_per_s=RVConfig(mean=1.0, distribution="constant"),
         key_space=KEY_SPACE,
@@ -44,7 +44,7 @@ def make_generator(rate: int) -> OpenLoopLoadGenerator:
         value_size=512,
         key_prefix="srv",
     )
-    return OpenLoopLoadGenerator(spec, seed=SEED + rate)
+    return LoadGenerator(spec, seed=SEED + rate)
 
 
 def make_server(engine: str):
@@ -71,7 +71,7 @@ def drive(engine: str):
                 results[rate] = generator.run(
                     targets=targets,
                     duration=DURATION,
-                    schedule=plan,
+                    plan=plan,
                 )
         finally:
             for target in targets:

@@ -27,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.errors import StoreConnectionError  # noqa: E402
 from repro.kv import FlakyStore, InMemoryStore  # noqa: E402
 from repro.kv.circuit import CircuitBreaker, CircuitState  # noqa: E402
+from repro.net.latency import VirtualClock  # noqa: E402
 from repro.obs import EventLog, Observability  # noqa: E402
 from repro.obs.anomaly import (  # noqa: E402
     AnomalyEngine,
@@ -35,19 +36,6 @@ from repro.obs.anomaly import (  # noqa: E402
     TripCircuitAction,
     ZScoreRule,
 )
-
-
-class _Clock:
-    """Injectable monotonic clock so no scenario really sleeps."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class _Stack:
@@ -60,8 +48,8 @@ class _Stack:
     """
 
     def __init__(self) -> None:
-        self.clock = _Clock()
-        self.obs = Observability(events=EventLog(clock=self.clock))
+        self.clock = VirtualClock()
+        self.obs = Observability(events=EventLog(clock=self.clock.time))
         self.backend = InMemoryStore()
         self.backend.put("k", "v")
         self.flaky = FlakyStore(
@@ -71,24 +59,24 @@ class _Stack:
         self.requests = self.obs.registry.counter("requests")
         self.errors = self.obs.registry.counter("errors")
         self.leak = self.obs.registry.gauge("leak.bytes")
-        self.engine = AnomalyEngine(self.obs, clock=self.clock)
+        self.engine = AnomalyEngine(self.obs, clock=self.clock.time)
 
     def step(self, *, ops: int = 25, leak_step: float = 0.0) -> list:
-        start = self.clock.now
+        start = self.clock.time()
         for _ in range(ops):
-            begin = self.clock.now
+            begin = self.clock.time()
             try:
                 self.flaky.get("k")
             except StoreConnectionError:
                 self.errors.inc()
             self.requests.inc()
-            self.latency.observe(self.clock.now - begin)
+            self.latency.observe(self.clock.time() - begin)
         if leak_step:
             self.leak.inc(leak_step)
         # Pad the poll interval to one full virtual second.
-        if self.clock.now - start < 1.0:
-            self.clock.advance(1.0 - (self.clock.now - start))
-        return self.engine.poll(self.clock.now)
+        if self.clock.time() - start < 1.0:
+            self.clock.advance(1.0 - (self.clock.time() - start))
+        return self.engine.poll(self.clock.time())
 
     def run(self, polls: int, **step_options) -> list:
         transitions = []
@@ -144,7 +132,7 @@ def check_latency_step_and_circuit() -> list[str]:
     breaker, and the whole loop must revert once latency recovers."""
     errors: list[str] = []
     stack = _Stack()
-    breaker = CircuitBreaker(name="guard", clock=stack.clock, obs=stack.obs)
+    breaker = CircuitBreaker(name="guard", clock=stack.clock.time, obs=stack.obs)
     stack.engine.add_rule(_latency_rule(), actions=[TripCircuitAction(breaker)])
 
     stack.run(12)  # baseline at 1 ms

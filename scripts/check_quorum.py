@@ -40,6 +40,7 @@ from repro.kv import (  # noqa: E402
     ReplicatedStore,
     deadline_scope,
 )
+from repro.net.latency import VirtualClock  # noqa: E402
 from repro.obs import EventLog, Observability  # noqa: E402
 from repro.obs.anomaly import (  # noqa: E402
     AnomalyEngine,
@@ -47,19 +48,6 @@ from repro.obs.anomaly import (  # noqa: E402
     ThresholdRule,
 )
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
-
-
-class _Clock:
-    """Injectable monotonic clock so no scenario really sleeps."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def _expect(errors: list[str], condition: bool, message: str) -> None:
@@ -239,13 +227,13 @@ def check_deadline_bounds_quorum_wait() -> list[str]:
     errors: list[str] = []
     registry = MetricsRegistry()
     obs = Observability(registry=registry)
-    clock = _Clock()
+    clock = VirtualClock()
     group, members = _group(obs=obs)
     group.put("k", "v")
     group.drain()
     members[1].partition()
     members[2].partition()
-    with deadline_scope(0.05, clock=clock):
+    with deadline_scope(0.05, clock=clock.time):
         clock.advance(0.1)  # budget already spent before the fan-out waits
         for label, op in (
             ("read", lambda: group.get("k")),
@@ -275,12 +263,12 @@ def check_anomaly_trips_hedging() -> list[str]:
     errors: list[str] = []
     registry = MetricsRegistry()
     obs = Observability(registry=registry, events=EventLog())
-    clock = _Clock()
+    clock = VirtualClock()
     group, members = _group(obs=obs)
     companion = ReplicatedStore(
         InMemoryStore(), [InMemoryStore()], name="companion", hedge_delay=None
     )
-    engine = AnomalyEngine(obs, clock=clock)
+    engine = AnomalyEngine(obs, clock=clock.time)
     engine.add_rule(
         ThresholdRule(
             "quorum_degraded",

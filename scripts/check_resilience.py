@@ -38,22 +38,10 @@ from repro.kv import (  # noqa: E402
     RetryingStore,
     deadline_scope,
 )
+from repro.net.latency import VirtualClock  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.udsm.manager import UniversalDataStoreManager  # noqa: E402
-
-
-class _Clock:
-    """Injectable monotonic clock so no scenario really sleeps."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def _obs() -> tuple[Observability, MetricsRegistry]:
@@ -71,14 +59,14 @@ def check_breaker_lifecycle() -> list[str]:
     emitting the counters, the state gauge, and typed errors throughout."""
     errors: list[str] = []
     obs, registry = _obs()
-    clock = _Clock()
+    clock = VirtualClock()
     flaky = FlakyStore(InMemoryStore(), failure_rate=0.0)
     store = CircuitBreakerStore(
         flaky,
         name="contract",
         failure_threshold=2,
         recovery_timeout=30.0,
-        clock=clock,
+        clock=clock.time,
         obs=obs,
     )
     store.put("k", "v")
@@ -122,11 +110,11 @@ def check_deadline_budget() -> list[str]:
     never-retried error."""
     errors: list[str] = []
     obs, registry = _obs()
-    clock = _Clock()
+    clock = VirtualClock()
     flaky = FlakyStore(InMemoryStore(), failure_rate=1.0)
     store = RetryingStore(flaky, max_attempts=50, sleep=clock.advance, obs=obs)
 
-    with deadline_scope(0.5, clock=clock):
+    with deadline_scope(0.5, clock=clock.time):
         try:
             store.get("k")
             errors.append("deadline-bounded retry against a dead store returned")
@@ -162,12 +150,12 @@ def check_serve_stale() -> list[str]:
     and counted, with revalidation catching the snapshot up afterwards."""
     errors: list[str] = []
     obs, registry = _obs()
-    clock = _Clock()
+    clock = VirtualClock()
     pending: list = []
     backend = InMemoryStore()
     flaky = FlakyStore(backend, failure_rate=0.0)
     store = ServeStaleStore(
-        flaky, max_stale=300.0, clock=clock, revalidator=pending.append, obs=obs
+        flaky, max_stale=300.0, clock=clock.time, revalidator=pending.append, obs=obs
     )
 
     store.put("k", "v1")

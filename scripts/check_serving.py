@@ -35,8 +35,8 @@ from repro.net import (  # noqa: E402
 )
 from repro.net import protocol  # noqa: E402
 from repro.udsm.loadgen import (  # noqa: E402
-    OpenLoopLoadGenerator,
-    OpenLoopSpec,
+    LoadGenerator,
+    LoadSpec,
     RVConfig,
 )
 
@@ -73,13 +73,13 @@ def check_boot_and_stats(errors: list[str]) -> None:
         )
 
         # Open-loop burst over several connections.
-        spec = OpenLoopSpec(
+        spec = LoadSpec(
             active_users=RVConfig(mean=400.0, distribution="constant"),
             key_space=64,
             value_size=128,
             key_prefix="gateload",
         )
-        generator = OpenLoopLoadGenerator(spec, seed=5)
+        generator = LoadGenerator(spec, seed=5)
         targets = [RemoteKeyValueStore(host, port, name=f"w{i}") for i in range(4)]
         try:
             result = generator.run(targets=targets, duration=0.5)

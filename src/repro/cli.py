@@ -328,10 +328,16 @@ def cmd_codec_bench(options: argparse.Namespace) -> int:
 def cmd_mixed_bench(options: argparse.Namespace) -> int:
     from .caching.inprocess import InProcessCache
     from .core.enhanced import EnhancedDataStoreClient
-    from .udsm.workload import WorkloadGenerator
+    from .udsm.loadgen import LoadGenerator, LoadSpec
 
     store = build_store(options)
-    generator = WorkloadGenerator(sizes=(options.value_size,))
+    generator = LoadGenerator(
+        LoadSpec(
+            key_space=options.key_space,
+            read_fraction=options.read_fraction,
+            value_size=options.value_size,
+        )
+    )
     target: Any = store
     if options.cached:
         target = EnhancedDataStoreClient(store, cache=InProcessCache())
@@ -339,23 +345,25 @@ def cmd_mixed_bench(options: argparse.Namespace) -> int:
         f"mixed workload on {store.name!r}: {options.operations} ops, "
         f"{options.read_fraction:.0%} reads, Zipf over {options.key_space} keys..."
     )
-    result = generator.run_mixed_workload(
-        target,
-        operations=options.operations,
-        read_fraction=options.read_fraction,
-        key_space=options.key_space,
-        value_size=options.value_size,
-    )
+    result = generator.run(target, plan=generator.plan(options.operations))
     rows = [
         ("throughput (ops/s)", f"{result.throughput:.0f}"),
         ("mean read (ms)", f"{result.mean_read_latency * 1e3:.4g}"),
         ("mean write (ms)", f"{result.mean_write_latency * 1e3:.4g}"),
         ("achieved read fraction", f"{result.read_fraction:.2f}"),
+        ("errors", str(result.errors)),
     ]
     if options.cached:
         rows.append(("cache hit rate", f"{target.counters.hit_rate:.2f}"))
     print(format_table(("metric", "value"), rows))
     store.close()
+    if result.errors:
+        # A store that fails mid-run is an error, not a slower benchmark.
+        print(
+            f"error: {result.errors} of {result.offered} operations failed",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -588,33 +596,28 @@ def cmd_chaos(options: argparse.Namespace) -> int:
     from .kv.circuit import CircuitBreakerStore
     from .kv.deadline import deadline_scope
     from .kv.resilience import RetryingStore
+    from .net.latency import VirtualClock
     from .obs import EventLog, Observability
 
     obs = Observability(events=EventLog())
-    now = {"t": 0.0}
-
-    def clock() -> float:
-        return now["t"]
-
-    def advance(seconds: float) -> None:
-        now["t"] += seconds
+    vc = VirtualClock()
 
     backend = build_store(options)
     # 60 ms of virtual latency per backend call: failing attempts consume
     # wall-clock budget, which is what makes the deadline step meaningful.
     flaky = FlakyStore(
-        backend, failure_rate=0.0, latency=0.06, sleep=advance, seed=options.seed
+        backend, failure_rate=0.0, latency=0.06, sleep=vc.advance, seed=options.seed
     )
     breaker = CircuitBreakerStore(
         flaky,
         name="chaos",
         failure_threshold=6,
         recovery_timeout=30.0,
-        clock=clock,
+        clock=vc.time,
         obs=obs,
     )
     retry = RetryingStore(
-        breaker, max_attempts=3, base_delay=0.02, sleep=advance,
+        breaker, max_attempts=3, base_delay=0.02, sleep=vc.advance,
         seed=options.seed, obs=obs,
     )
     pending: list = []
@@ -647,7 +650,7 @@ def cmd_chaos(options: argparse.Namespace) -> int:
     flaky.fail_next(10_000)
     _time.sleep(0.03)  # let the 20 ms TTL lapse so reads must revalidate
     degraded_read("user-0", "retry ladder exhausted")
-    with deadline_scope(0.1, clock=clock):
+    with deadline_scope(0.1, clock=vc.time):
         degraded_read("user-1", "100 ms budget spent mid-ladder")
     degraded_read("user-2", "burst tripped the breaker")
     print(f"  circuit state: {breaker.breaker.state.value}")
@@ -655,7 +658,7 @@ def cmd_chaos(options: argparse.Namespace) -> int:
 
     print("\n-- recovery: backend healthy again, 30 virtual seconds pass --")
     flaky.fail_next(0)
-    advance(30.0)
+    vc.advance(30.0)
     for revalidate in pending:
         revalidate()
     print(f"  {len(pending)} queued revalidations drained as recovery probes; "
@@ -684,21 +687,16 @@ def _chaos_partition(options: argparse.Namespace) -> int:
     from .errors import StoreUnavailableError
     from .kv.chaos import PartitionedStore
     from .kv.resilience import RetryingStore
+    from .net.latency import VirtualClock
     from .obs import EventLog, Observability
 
     obs = Observability(events=EventLog())
-    now = {"t": 0.0}
-
-    def clock() -> float:
-        return now["t"]
-
-    def advance(seconds: float) -> None:
-        now["t"] += seconds
+    vc = VirtualClock()
 
     backend = build_store(options)
-    part = PartitionedStore(backend, clock=clock, obs=obs)
+    part = PartitionedStore(backend, clock=vc.time, obs=obs)
     retry = RetryingStore(
-        part, max_attempts=3, base_delay=0.02, sleep=advance,
+        part, max_attempts=3, base_delay=0.02, sleep=vc.advance,
         seed=options.seed, obs=obs,
     )
 
@@ -727,15 +725,15 @@ def _chaos_partition(options: argparse.Namespace) -> int:
     for start, end in windows:
         print(f"  partition window {start:8.2f}s .. {end:8.2f}s")
     probes = served = refused = 0
-    while now["t"] < windows[-1][1] + 1.0:
+    while vc.time() < windows[-1][1] + 1.0:
         probes += 1
         try:
             part.get("user-0")
             served += 1
         except StoreUnavailableError:
             refused += 1
-        advance(0.5)
-    print(f"  {probes} probes over {now['t']:.1f} virtual seconds: "
+        vc.advance(0.5)
+    print(f"  {probes} probes over {vc.time():.1f} virtual seconds: "
           f"{served} served, {refused} refused")
 
     print("\nscoreboard:")
@@ -1046,6 +1044,7 @@ def cmd_anomaly(options: argparse.Namespace) -> int:
 
     # demo: the full loop on a virtual clock.
     from .kv.circuit import CircuitBreaker
+    from .net.latency import VirtualClock
     from .obs import EventLog, Observability
     from .obs.anomaly import (
         AnomalyEngine,
@@ -1055,14 +1054,14 @@ def cmd_anomaly(options: argparse.Namespace) -> int:
         ZScoreRule,
     )
 
-    now = {"t": 0.0}
-    obs = Observability(events=EventLog(clock=lambda: now["t"]))
-    engine = AnomalyEngine(obs, clock=lambda: now["t"])
+    vc = VirtualClock()
+    obs = Observability(events=EventLog(clock=vc.time))
+    engine = AnomalyEngine(obs, clock=vc.time)
     latency = obs.registry.histogram("store.get.seconds")
     requests = obs.registry.counter("requests")
     errors = obs.registry.counter("errors")
     leak = obs.registry.gauge("demo.leak.bytes")
-    breaker = CircuitBreaker(name="demo", obs=obs, clock=lambda: now["t"])
+    breaker = CircuitBreaker(name="demo", obs=obs, clock=vc.time)
     engine.add_rule(
         ZScoreRule("latency_p99", "store.get.seconds.p99", zmax=4.0,
                    min_observations=5, trigger_after=2, clear_after=2),
@@ -1079,16 +1078,16 @@ def cmd_anomaly(options: argparse.Namespace) -> int:
 
     def tick(*, latency_s: float = 0.001, ops: int = 50, error_ops: int = 0,
              leak_step: float = 0.0) -> None:
-        now["t"] += 1.0
+        vc.advance(1.0)
         requests.inc(ops)
         errors.inc(error_ops)
         if leak_step:
             leak.inc(leak_step)
         for _ in range(ops):
             latency.observe(latency_s)
-        for event in engine.poll(now["t"]):
+        for event in engine.poll(vc.time()):
             arrow = "!!" if event.kind.value == "detected" else "ok"
-            print(f"  t={now['t']:>5.1f}s  {arrow} {event.kind.value:<8} "
+            print(f"  t={vc.time():>5.1f}s  {arrow} {event.kind.value:<8} "
                   f"{event.rule:<12} {event.series} "
                   f"(value {event.value:.6g}, threshold {event.threshold:g}, "
                   f"circuit {breaker.state.value})")

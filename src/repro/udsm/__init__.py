@@ -13,9 +13,11 @@ interface, each automatically gaining:
   registered store;
 * the **workload generator** -- size sweeps, hit-rate extrapolation, and
   codec overhead measurement for comparing stores (Section V's tooling);
-* the **open-loop load generator** (:mod:`repro.udsm.loadgen`) -- traffic
-  modeled as a Poisson/normal population of active users with Zipf key
-  popularity, for throughput-vs-latency curves against the serving plane.
+* the **load generator** (:mod:`repro.udsm.loadgen`) -- a Zipf read/write
+  mix planned once and replayed by one runner, either closed loop (each
+  request after the last completes) or open loop (arrivals from a
+  Poisson/normal population of active users), for throughput and
+  throughput-vs-latency curves against stores and the serving plane.
 """
 
 from typing import TYPE_CHECKING
@@ -39,9 +41,9 @@ if TYPE_CHECKING:
         random_payload,
     )
     from .loadgen import (
+        LoadGenerator,
         LoadResult,
-        OpenLoopLoadGenerator,
-        OpenLoopSpec,
+        LoadSpec,
         Request,
         RVConfig,
     )
@@ -49,8 +51,8 @@ if TYPE_CHECKING:
 __all__ = [
     "RVConfig",
     "Request",
-    "OpenLoopSpec",
-    "OpenLoopLoadGenerator",
+    "LoadSpec",
+    "LoadGenerator",
     "LoadResult",
     "ListenableFuture",
     "FutureState",
@@ -75,8 +77,8 @@ __all__ = [
 _EXPORTS = {
     "RVConfig": ".loadgen",
     "Request": ".loadgen",
-    "OpenLoopSpec": ".loadgen",
-    "OpenLoopLoadGenerator": ".loadgen",
+    "LoadSpec": ".loadgen",
+    "LoadGenerator": ".loadgen",
     "LoadResult": ".loadgen",
     "ListenableFuture": ".futures",
     "FutureState": ".futures",

@@ -1,57 +1,61 @@
-"""Open-loop load generation: traffic modeled as a population of users.
+"""Load generation: traffic declared as a plan, replayed by one runner.
 
-The workload generator in :mod:`repro.udsm.workload` is **closed-loop**:
-one driver issues an operation, waits for it to finish, then issues the
-next.  Closed loops measure per-operation cost well, but they cannot say
-how a *server* behaves under load, because the moment the server slows
-down the driver slows down with it -- offered load collapses exactly when
-it should be stressing the system (the "coordinated omission" trap).
+The paper's workload generator (Section II.A) drives a store with a
+read/write mix over a skewed key space.  This module is that driver for
+throughput and latency, in the two loop kinds a load test needs:
 
-This module models traffic the way capacity planners do (after AsyncFlow's
-workload API -- see SNIPPETS.md snippet 3): a population of **active
-users**, re-sampled every *sampling window* from a Poisson or normal
-distribution, each issuing requests at a per-user rate; arrivals within a
-window form a Poisson process at the aggregate rate; keys follow a
-**Zipf** popularity distribution.  The resulting schedule is **open-loop**:
-arrival times are fixed up front and do not depend on how fast the target
-answers.  Latency is measured from the *scheduled arrival* to completion,
-so queueing delay under overload is part of the number -- exactly what a
-throughput-vs-latency curve needs.
+* **closed loop** -- issue an operation, wait for it to finish, issue the
+  next.  Closed loops measure per-operation cost well, but cannot say how
+  a *server* behaves under load: the moment it slows down the driver slows
+  down with it, and offered load collapses exactly when it should stress
+  the system (the "coordinated omission" trap).
+* **open loop** -- traffic modeled the way capacity planners do (after
+  AsyncFlow's workload API -- see SNIPPETS.md snippet 3): a population of
+  **active users**, re-sampled every *sampling window* from a Poisson or
+  normal distribution, each issuing requests at a per-user rate; arrivals
+  within a window form a Poisson process at the aggregate rate.  Arrival
+  times are fixed up front and do not depend on how fast the target
+  answers; latency runs from the *scheduled arrival* to completion, so
+  queueing delay under overload is part of the number.
 
-Two layers, split so tests never sleep:
+The loop kind is a property of the plan, not of the runner.  Both plans
+come from one seeded draw -- **Zipf** key popularity, a read/write coin
+per request -- and differ only in :attr:`Request.at`:
+:meth:`LoadGenerator.schedule` stamps each request with its arrival time,
+:meth:`LoadGenerator.plan` leaves it ``None``.  Planning is pure (seeded
+RNG in, deterministic list out; no clock, no I/O), so tests never sleep.
+:meth:`LoadGenerator.run` replays either plan against anything with
+``get(key)`` / ``put(key, value)`` through a :class:`~repro.net.latency.Clock`
+(virtual in tests, wall time by default), on the caller's thread
+(``workers=0``) or a small dispatch pool: a request waits for its due time,
+and has its latency measured from it, only when it has one.
 
-* :meth:`OpenLoopLoadGenerator.schedule` is **pure**: seeded RNG in,
-  deterministic list of timestamped requests out.  No clock, no I/O.
-* :meth:`OpenLoopLoadGenerator.run` replays a schedule against anything
-  with ``get(key)`` / ``put(key, value)`` using injectable ``clock`` and
-  ``sleep`` (virtual time in tests, wall time in benchmarks), on the
-  caller's thread (``workers=0``) or a small dispatch pool.
-
-Used by ``benchmarks/bench_serving_async.py`` to draw
-throughput-vs-latency curves for the threaded vs async serving engines,
-and by ``scripts/check_serving.py`` as the smoke-gate load source.
+Used by the ``mixed-bench`` CLI command and the throughput benchmarks
+(closed plans), and by ``benchmarks/bench_serving_async.py`` and
+``scripts/check_serving.py`` (open schedules against the serving plane).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
 import threading
-import time
 from dataclasses import dataclass, field
 from queue import SimpleQueue
 from typing import Any, Callable, Sequence
 
 from ..errors import WorkloadError
+from ..net.latency import Clock, RealClock
 from ..obs.metrics import percentile
 from .workload import random_payload
 
 __all__ = [
     "RVConfig",
     "Request",
-    "OpenLoopSpec",
-    "OpenLoopLoadGenerator",
+    "LoadSpec",
+    "LoadGenerator",
     "LoadResult",
 ]
 
@@ -108,23 +112,24 @@ def _poisson(rng: random.Random, mean: float) -> int:
 
 @dataclass(frozen=True)
 class Request:
-    """One scheduled arrival: when, which key, which operation."""
+    """One planned request: when, which key, which operation."""
 
-    at: float  # seconds from schedule start (virtual time)
+    at: float | None  # seconds from schedule start; None = right after the previous
     key: str
     op: str  # "get" or "put"
     size: int  # payload bytes (writes)
 
 
 @dataclass(frozen=True)
-class OpenLoopSpec:
+class LoadSpec:
     """Shape of the simulated traffic (the AsyncFlow workload fields).
 
-    ``active_users`` is re-sampled every ``user_sampling_window`` seconds;
-    within a window, arrivals form a Poisson process at
-    ``users * requests_per_user_per_s``.  Keys are drawn from a
-    Zipf(``zipf_s``) popularity ranking over ``key_space`` keys (rank 0
-    hottest); each request is a read with probability ``read_fraction``.
+    Keys are drawn from a Zipf(``zipf_s``) popularity ranking over
+    ``key_space`` keys (rank 0 hottest); each request is a read with
+    probability ``read_fraction``.  Timed schedules also use the arrival
+    fields: ``active_users`` is re-sampled every ``user_sampling_window``
+    seconds, and within a window arrivals form a Poisson process at
+    ``users * requests_per_user_per_s``.
     """
 
     active_users: RVConfig = field(default_factory=lambda: RVConfig(mean=100))
@@ -153,15 +158,30 @@ class OpenLoopSpec:
 
 @dataclass
 class LoadResult:
-    """Outcome of one open-loop run."""
+    """Outcome of one run, closed or open loop."""
 
-    duration: float
-    offered: int  # requests in the schedule
-    completed: int
+    offered: int  # requests in the plan
     errors: int
-    latencies: list[float]  # seconds, scheduled arrival -> completion
-    reads: int
-    writes: int
+    elapsed: float  # measured seconds to the last completion; >= duration
+    read_latencies: list[float]  # seconds, due time (or dispatch) -> completion
+    write_latencies: list[float]
+    duration: float = 0.0  # the schedule's length; 0 for a closed plan
+
+    @property
+    def reads(self) -> int:
+        return len(self.read_latencies)
+
+    @property
+    def writes(self) -> int:
+        return len(self.write_latencies)
+
+    @property
+    def completed(self) -> int:
+        return self.reads + self.writes
+
+    @property
+    def latencies(self) -> list[float]:
+        return self.read_latencies + self.write_latencies
 
     @property
     def offered_rate(self) -> float:
@@ -170,12 +190,24 @@ class LoadResult:
 
     @property
     def throughput(self) -> float:
-        """Completed requests per second (what the target delivered)."""
-        return self.completed / self.duration if self.duration else 0.0
+        """Completed requests per measured second (what the target delivered)."""
+        return self.completed / self.elapsed if self.elapsed else 0.0
+
+    @property
+    def read_fraction(self) -> float:
+        return self.reads / self.completed if self.completed else 0.0
 
     @property
     def mean_latency(self) -> float:
         return statistics.fmean(self.latencies) if self.latencies else 0.0
+
+    @property
+    def mean_read_latency(self) -> float:
+        return statistics.fmean(self.read_latencies) if self.read_latencies else 0.0
+
+    @property
+    def mean_write_latency(self) -> float:
+        return statistics.fmean(self.write_latencies) if self.write_latencies else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile of the latency samples (seconds)."""
@@ -194,43 +226,40 @@ class LoadResult:
         return self.percentile(0.99)
 
 
-class OpenLoopLoadGenerator:
-    """Turns an :class:`OpenLoopSpec` into schedules and measured runs."""
+class LoadGenerator:
+    """Turns a :class:`LoadSpec` into plans and measured runs."""
 
-    def __init__(self, spec: OpenLoopSpec | None = None, *, seed: int = 0) -> None:
-        self.spec = spec if spec is not None else OpenLoopSpec()
+    def __init__(self, spec: LoadSpec | None = None, *, seed: int = 0) -> None:
+        self.spec = spec if spec is not None else LoadSpec()
         self._seed = seed
         # Zipf popularity: weight 1/rank^s over the key space, as one
         # cumulative table so each draw is a binary search, not an O(k) scan.
-        weights = [
-            1.0 / ((rank + 1) ** self.spec.zipf_s) for rank in range(self.spec.key_space)
-        ]
-        total = 0.0
-        self._cum_weights: list[float] = []
-        for weight in weights:
-            total += weight
-            self._cum_weights.append(total)
+        self._cum_weights = list(
+            itertools.accumulate(
+                1.0 / ((rank + 1) ** self.spec.zipf_s)
+                for rank in range(self.spec.key_space)
+            )
+        )
         self._keys = [
             f"{self.spec.key_prefix}:{rank:06d}" for rank in range(self.spec.key_space)
         ]
 
     # ------------------------------------------------------------------
-    # Pure schedule generation (virtual time; deterministic per seed)
+    # Pure planning (deterministic per seed; no clock, no I/O)
     # ------------------------------------------------------------------
     def schedule(self, duration: float) -> list[Request]:
-        """The arrival schedule for *duration* seconds of traffic.
+        """The open-loop arrival schedule for *duration* seconds of traffic.
 
-        Pure and deterministic for a given (spec, seed): windows re-sample
-        the active-user count and per-user rate, arrivals within a window
-        are exponential gaps at the aggregate rate, each arrival draws a
-        Zipf key and a read/write coin.  An empty schedule (rates sampled
-        to zero throughout) is legal.
+        Windows re-sample the active-user count and per-user rate, and
+        arrivals within a window are exponential gaps at the aggregate
+        rate.  An empty schedule (rates sampled to zero throughout) is
+        legal.
         """
         if duration <= 0:
             raise WorkloadError("duration must be positive")
         spec = self.spec
-        rng = random.Random(f"{self._seed}/openloop")
-        requests: list[Request] = []
+        rng = random.Random(f"{self._seed}/schedule")
+        times: list[float | None] = []
         window_start = 0.0
         while window_start < duration:
             window_end = min(duration, window_start + spec.user_sampling_window)
@@ -240,19 +269,31 @@ class OpenLoopLoadGenerator:
             if rate > 0:
                 at = window_start + rng.expovariate(rate)
                 while at < window_end:
-                    pick = rng.random() * self._cum_weights[-1]
-                    index = _bisect(self._cum_weights, pick)
-                    op = "get" if rng.random() < spec.read_fraction else "put"
-                    requests.append(
-                        Request(at=at, key=self._keys[index], op=op, size=spec.value_size)
-                    )
+                    times.append(at)
                     at += rng.expovariate(rate)
             window_start = window_end
-        return requests
+        return self._draw(rng, times)
 
-    def offered_rate(self, duration: float) -> float:
-        """Mean scheduled arrivals/second over *duration* (for reporting)."""
-        return len(self.schedule(duration)) / duration
+    def plan(self, operations: int) -> list[Request]:
+        """A closed-loop plan: *operations* requests with no due time, each
+        issued as soon as the one before it completes."""
+        if operations < 1:
+            raise WorkloadError("operations must be positive")
+        return self._draw(random.Random(f"{self._seed}/plan"), [None] * operations)
+
+    def _draw(self, rng: random.Random, times: list[float | None]) -> list[Request]:
+        """One request per entry of *times*: a Zipf key and a read/write coin."""
+        spec = self.spec
+        keys = rng.choices(self._keys, cum_weights=self._cum_weights, k=len(times))
+        return [
+            Request(
+                at=at,
+                key=key,
+                op="get" if rng.random() < spec.read_fraction else "put",
+                size=spec.value_size,
+            )
+            for at, key in zip(times, keys)
+        ]
 
     # ------------------------------------------------------------------
     # Replay
@@ -261,165 +302,126 @@ class OpenLoopLoadGenerator:
         self,
         target: Any = None,
         *,
-        duration: float,
+        duration: float | None = None,
+        plan: Sequence[Request] | None = None,
         workers: int = 0,
         targets: Sequence[Any] | None = None,
-        clock: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
-        payload: Callable[[int, int], bytes] | None = None,
+        clock: Clock | None = None,
         prepopulate: bool = True,
-        schedule: Sequence[Request] | None = None,
     ) -> LoadResult:
-        """Replay a schedule against *target* and measure open-loop latency.
+        """Replay a plan against *target* and measure it.
 
         *target* is anything with ``get(key)`` / ``put(key, value)`` -- a
-        store, a remote client adapter, an enhanced client.  Each request
-        executes as close to its scheduled arrival as ``sleep`` allows;
-        its latency runs from the **scheduled arrival** to completion, so
+        store, a remote client adapter, an enhanced client.  A timed
+        request executes as close to its arrival as ``clock.sleep``
+        allows, and its latency runs from the **scheduled arrival**, so
         time spent queueing behind a slow target is included rather than
-        silently deferred (the open-loop property).
+        silently deferred; an untimed one runs as soon as a runner is free
+        and is timed from that moment.
 
+        :param duration: the schedule's length: the plan defaults to
+            ``self.schedule(duration)``, and it is what ``offered_rate``
+            divides by.
+        :param plan: replay these requests instead -- ``self.plan(n)`` for
+            a closed loop, or one schedule shared across engines.
         :param workers: 0 executes on the calling thread (deterministic
-            with a virtual ``clock``/``sleep``; a slow operation delays
-            later dispatches, which the arrival-anchored latency then
-            reports as queueing).  N > 0 dispatches to N worker threads so
-            the offered schedule keeps its timing even when individual
-            operations block.
+            with a virtual clock; a slow operation delays later requests,
+            which the arrival-anchored latency then reports as queueing).
+            N > 0 runs N worker threads, so the schedule keeps its timing
+            even when individual operations block.
         :param targets: per-worker targets (one each; implies
             ``workers=len(targets)``) -- e.g. one TCP client per worker so
             the run exercises many server connections instead of
             serializing on one socket.
+        :param clock: time source and sleeper; :class:`RealClock` by default.
         :param prepopulate: write every key once before the measured phase
             (reads against a cold keyspace would measure miss handling).
-        :param schedule: replay this schedule instead of generating one
-            (lets callers share one schedule across engines).
         """
         if (target is None) == (targets is None):
             raise WorkloadError("pass exactly one of target / targets")
-        if targets is not None:
-            if not targets:
-                raise WorkloadError("targets must be non-empty")
-            workers = len(targets)
-        spec = self.spec
-        source = payload if payload is not None else random_payload
-        value = source(spec.value_size, 0)
-        plan = list(schedule) if schedule is not None else self.schedule(duration)
-        primary = target if target is not None else targets[0]
+        if targets is not None and not targets:
+            raise WorkloadError("targets must be non-empty")
+        if workers < 0:
+            raise WorkloadError("workers must be non-negative")
+        if plan is None:
+            if duration is None:
+                raise WorkloadError("pass a duration or a plan")
+            plan = self.schedule(duration)
+        clock = clock if clock is not None else RealClock()
+        value = random_payload(self.spec.value_size, 0)
+        pool = list(targets) if targets is not None else [target] * workers
         if prepopulate:
+            primary = pool[0] if pool else target
             for key in self._keys:
                 primary.put(key, value)
 
-        reads = sum(1 for request in plan if request.op == "get")
-        if workers < 0:
-            raise WorkloadError("workers must be non-negative")
-        if workers == 0:
-            completed, errors, latencies = self._run_inline(
-                primary, plan, value, clock, sleep
-            )
-        else:
-            pool_targets = (
-                list(targets) if targets is not None else [primary] * workers
-            )
-            completed, errors, latencies = self._run_pooled(
-                pool_targets, plan, value, clock, sleep
-            )
-        return LoadResult(
-            duration=duration,
-            offered=len(plan),
-            completed=completed,
-            errors=errors,
-            latencies=latencies,
-            reads=reads,
-            writes=len(plan) - reads,
-        )
+        latencies: dict[str, list[float]] = {"get": [], "put": []}
+        failed: list[Request] = []
+        epoch = clock.time()
 
-    def _run_inline(
-        self,
-        target: Any,
-        plan: Sequence[Request],
-        value: bytes,
-        clock: Callable[[], float],
-        sleep: Callable[[float], None],
-    ) -> tuple[int, int, list[float]]:
-        epoch = clock()
-        completed, errors = 0, 0
-        latencies: list[float] = []
-        for request in plan:
-            delay = epoch + request.at - clock()
-            if delay > 0:
-                sleep(delay)
+        def step(runner: Any, request: Request) -> None:
+            if request.at is None:
+                start = clock.time()
+            else:
+                start = epoch + request.at
+                delay = start - clock.time()
+                if delay > 0:
+                    clock.sleep(delay)
             try:
                 if request.op == "get":
-                    target.get(request.key)
+                    runner.get(request.key)
                 else:
-                    target.put(request.key, value)
+                    runner.put(request.key, value)
             except Exception:  # noqa: BLE001 - overload errors are data
-                errors += 1
+                failed.append(request)
             else:
-                completed += 1
-                latencies.append(clock() - (epoch + request.at))
-        return completed, errors, latencies
+                latencies[request.op].append(clock.time() - start)
 
-    def _run_pooled(
-        self,
-        pool_targets: Sequence[Any],
-        plan: Sequence[Request],
-        value: bytes,
-        clock: Callable[[], float],
-        sleep: Callable[[float], None],
-    ) -> tuple[int, int, list[float]]:
-        queue: "SimpleQueue[Request | None]" = SimpleQueue()
-        lock = threading.Lock()
-        state = {"completed": 0, "errors": 0}
-        latencies: list[float] = []
-        epoch = clock()
-
-        def work(target: Any) -> None:
-            while True:
-                request = queue.get()
-                if request is None:
-                    return
-                try:
-                    if request.op == "get":
-                        target.get(request.key)
-                    else:
-                        target.put(request.key, value)
-                except Exception:  # noqa: BLE001 - overload errors are data
-                    with lock:
-                        state["errors"] += 1
-                else:
-                    elapsed = clock() - (epoch + request.at)
-                    with lock:
-                        state["completed"] += 1
-                        latencies.append(elapsed)
-
-        pool = [
-            threading.Thread(
-                target=work, args=(target,), name=f"loadgen-{index}", daemon=True
-            )
-            for index, target in enumerate(pool_targets)
-        ]
-        for thread in pool:
-            thread.start()
-        for request in plan:
-            delay = epoch + request.at - clock()
-            if delay > 0:
-                sleep(delay)
-            queue.put(request)
-        for _ in pool:
-            queue.put(None)
-        for thread in pool:
-            thread.join()
-        return state["completed"], state["errors"], latencies
-
-
-def _bisect(cum_weights: list[float], pick: float) -> int:
-    """Leftmost index whose cumulative weight covers *pick*."""
-    low, high = 0, len(cum_weights) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if cum_weights[mid] < pick:
-            low = mid + 1
+        if pool:
+            _run_pooled(pool, plan, step)
         else:
-            high = mid
-    return low
+            for request in plan:
+                step(target, request)
+        return LoadResult(
+            offered=len(plan),
+            errors=len(failed),
+            # A timed run lasts at least its schedule: a target that keeps
+            # up finishes the last arrival before the schedule ends.
+            elapsed=max(clock.time() - epoch, duration or 0.0),
+            read_latencies=latencies["get"],
+            write_latencies=latencies["put"],
+            duration=duration or 0.0,
+        )
+
+
+def _run_pooled(
+    pool: Sequence[Any],
+    plan: Sequence[Request],
+    step: Callable[[Any, Request], None],
+) -> None:
+    """Run *step* over *plan* on one thread per target in *pool*.
+
+    Workers take requests in plan order, so a free worker holds the next
+    request until its due time and a busy pool leaves it queued -- the
+    queueing the arrival-anchored latency then reports.
+    """
+    queue: "SimpleQueue[Request | None]" = SimpleQueue()
+    for request in plan:
+        queue.put(request)
+    for _ in pool:
+        queue.put(None)
+
+    def work(runner: Any) -> None:
+        while (request := queue.get()) is not None:
+            step(runner, request)
+
+    threads = [
+        threading.Thread(
+            target=work, args=(runner,), name=f"loadgen-{index}", daemon=True
+        )
+        for index, runner in enumerate(pool)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()

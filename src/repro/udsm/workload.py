@@ -25,7 +25,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..caching.interface import Cache
 from ..compression.interface import Compressor
@@ -44,7 +44,6 @@ __all__ = [
     "HitRateCurve",
     "CachedReadSpec",
     "CodecTiming",
-    "MixedWorkloadResult",
     "WorkloadGenerator",
     "DEFAULT_SIZES",
 ]
@@ -208,33 +207,6 @@ class CodecTiming:
     output_sizes: list[tuple[int, int]]  # (input size, output size)
 
 
-@dataclass
-class MixedWorkloadResult:
-    """Outcome of :meth:`WorkloadGenerator.run_mixed_workload`."""
-
-    operations: int
-    elapsed_seconds: float
-    read_latencies: list[float]
-    write_latencies: list[float]
-
-    @property
-    def throughput(self) -> float:
-        """Operations per second over the measured phase."""
-        return self.operations / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    @property
-    def mean_read_latency(self) -> float:
-        return statistics.fmean(self.read_latencies) if self.read_latencies else 0.0
-
-    @property
-    def mean_write_latency(self) -> float:
-        return statistics.fmean(self.write_latencies) if self.write_latencies else 0.0
-
-    @property
-    def read_fraction(self) -> float:
-        return len(self.read_latencies) / self.operations if self.operations else 0.0
-
-
 # ----------------------------------------------------------------------
 # The generator
 # ----------------------------------------------------------------------
@@ -390,63 +362,6 @@ class WorkloadGenerator:
         cache.clear()
         store.delete(key)
         return statistics.fmean(latencies), achieved
-
-    # ------------------------------------------------------------------
-    # Mixed (throughput-oriented) workloads
-    # ------------------------------------------------------------------
-    def run_mixed_workload(
-        self,
-        target: Any,
-        *,
-        operations: int = 1_000,
-        read_fraction: float = 0.9,
-        key_space: int = 100,
-        zipf_s: float = 1.1,
-        value_size: int = 1_024,
-    ) -> "MixedWorkloadResult":
-        """Drive *target* with a skewed read/write mix and measure throughput.
-
-        *target* is anything with ``get(key)``/``put(key, value)`` -- a
-        store, a monitored store, or an enhanced (cached) client.  Keys are
-        drawn from a Zipf(*zipf_s*) popularity distribution over
-        *key_space* keys, the shape real key-value workloads exhibit, so
-        cache behaviour under this driver is realistic.
-
-        The key space is fully populated first; the measured phase is
-        *operations* gets/puts in the requested ratio.
-        """
-        if not 0.0 <= read_fraction <= 1.0:
-            raise WorkloadError("read_fraction must be within [0, 1]")
-        if operations < 1 or key_space < 1:
-            raise WorkloadError("operations and key_space must be positive")
-        rng = random.Random(f"{self._seed}/zipf/{key_space}/{operations}")
-        weights = [1.0 / (rank**zipf_s) for rank in range(1, key_space + 1)]
-        keys = [f"{self._key_prefix}:mix:{i}" for i in range(key_space)]
-        payload = self._payload(value_size, 0)
-        for key in keys:
-            target.put(key, payload)
-
-        picks = rng.choices(range(key_space), weights, k=operations)
-        coin = [rng.random() < read_fraction for _ in range(operations)]
-        read_latencies: list[float] = []
-        write_latencies: list[float] = []
-        start = self._clock()
-        for index, is_read in zip(picks, coin):
-            key = keys[index]
-            op_start = self._clock()
-            if is_read:
-                target.get(key)
-                read_latencies.append(self._clock() - op_start)
-            else:
-                target.put(key, payload)
-                write_latencies.append(self._clock() - op_start)
-        elapsed = self._clock() - start
-        return MixedWorkloadResult(
-            operations=operations,
-            elapsed_seconds=elapsed,
-            read_latencies=read_latencies,
-            write_latencies=write_latencies,
-        )
 
     # ------------------------------------------------------------------
     # Codec overheads (Figures 20 and 21)

@@ -279,6 +279,18 @@ class TestMixedBenchCommand:
         assert code == 0
         assert "cache hit rate" in capsys.readouterr().out
 
+    def test_failing_store_exits_nonzero(self, monkeypatch, capsys):
+        from repro.kv import FlakyStore
+
+        flaky = FlakyStore(InMemoryStore(), failure_rate=0.0, failure_rates={"get": 1.0})
+        monkeypatch.setattr("repro.cli.build_store", lambda _options: flaky)
+        code = main(
+            ["mixed-bench", "--store", "memory", "--operations", "50",
+             "--key-space", "10", "--value-size", "16"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCodecBenchCommand:
     @pytest.mark.parametrize("codec", ["gzip", "zlib", "lzma", "aes-gcm", "aes-cbc"])

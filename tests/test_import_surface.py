@@ -64,11 +64,10 @@ GOLDEN_ALL = {
     """,
     "repro.udsm": """
         AsyncKeyValue CachedReadSpec CodecTiming FutureState HitRateCurve
-        ListenableFuture LoadResult MonitoredStore OpenLoopLoadGenerator
-        OpenLoopSpec OperationStats PerformanceMonitor RVConfig Request
-        StoreHealth SweepPoint SweepResult ThreadPool
-        UniversalDataStoreManager WorkloadGenerator compressible_payload
-        random_payload
+        ListenableFuture LoadGenerator LoadResult LoadSpec MonitoredStore
+        OperationStats PerformanceMonitor RVConfig Request StoreHealth
+        SweepPoint SweepResult ThreadPool UniversalDataStoreManager
+        WorkloadGenerator compressible_payload random_payload
     """,
     "repro.net": """
         ASYNC_MAX_CLIENTS AsyncCacheServer AsyncServerEngine

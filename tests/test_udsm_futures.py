@@ -1,4 +1,5 @@
-"""ListenableFuture: blocking retrieval, listeners, chaining, cancellation."""
+"""ListenableFuture: blocking retrieval, listeners, chaining, cancellation,
+and the ``gather`` helper."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from repro.udsm.futures import (
     ListenableFuture,
     completed_future,
     failed_future,
+    gather,
 )
+from repro.udsm.pool import ThreadPool
 
 
 class TestBasicCompletion:
@@ -168,3 +171,26 @@ class TestDerivedFutures:
         derived = failed_future(ValueError()).catching(lambda exc: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             derived.result()
+
+
+class TestGather:
+    def test_collects_in_order(self):
+        with ThreadPool(4) as pool:
+            futures = [pool.submit(lambda i=i: i * 10) for i in range(10)]
+            assert gather(futures, timeout=5) == [i * 10 for i in range(10)]
+
+    def test_first_failure_raises(self):
+        futures = [completed_future(1)]
+        failing: ListenableFuture = ListenableFuture()
+        failing.set_exception(ValueError("boom"))
+        futures.append(failing)
+        with pytest.raises(ValueError):
+            gather(futures, timeout=1)
+
+    def test_timeout_is_total(self):
+        never: ListenableFuture = ListenableFuture()
+        with pytest.raises(FutureTimeoutError):
+            gather([completed_future(1), never], timeout=0.05)
+
+    def test_empty(self):
+        assert gather([], timeout=1) == []
