@@ -102,6 +102,12 @@ def check_partition_heal_convergence() -> list[str]:
         group.write_partial_failures >= len(updated) + len(deleted),
         "sloppy write failures not counted during the partition",
     )
+    _expect(
+        errors,
+        group.degraded_ops >= len(updated) + len(deleted),
+        f"degraded_ops = {group.degraded_ops}: writes with one member down "
+        f"were not acknowledged degraded",
+    )
 
     members[2].heal()
     report = group.anti_entropy_round()
@@ -211,6 +217,7 @@ def check_write_fails_fast_below_quorum() -> list[str]:
     members[1].heal()
     members[2].heal()
     group.anti_entropy_round()
+    _expect(errors, group.status()["in_sync"], "members still diverge after heal")
     _expect(
         errors,
         group.get("k") == "v2",

@@ -132,119 +132,6 @@ if TYPE_CHECKING:
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # errors
-    "DataStoreError",
-    "KeyNotFoundError",
-    "StoreConnectionError",
-    "SerializationError",
-    "EncryptionError",
-    "CompressionError",
-    "DeltaEncodingError",
-    "CacheError",
-    "ConfigurationError",
-    "CircuitOpenError",
-    "DeadlineExceededError",
-    "WalPoisonedError",
-    # serialization
-    "Serializer",
-    "PickleSerializer",
-    "JsonSerializer",
-    "BytesSerializer",
-    "StringSerializer",
-    # stores
-    "KeyValueStore",
-    "InMemoryStore",
-    "FileSystemStore",
-    "SQLStore",
-    "SimulatedCloudStore",
-    "LSMStore",
-    "CloudStoreProfile",
-    "CLOUD_STORE_1",
-    "CLOUD_STORE_2",
-    "RemoteKeyValueStore",
-    "NamespacedStore",
-    "ReadOnlyStore",
-    "TransformingStore",
-    "NOT_MODIFIED",
-    # fault tolerance
-    "FlakyStore",
-    "LaggyStore",
-    "RetryingStore",
-    "ReplicatedStore",
-    "CircuitBreaker",
-    "CircuitBreakerStore",
-    "CircuitState",
-    "Deadline",
-    "deadline_scope",
-    "current_deadline",
-    "ServeStaleStore",
-    "StoreHealth",
-    # networking
-    "LatencyModel",
-    "RealClock",
-    "VirtualClock",
-    "CacheServer",
-    "CacheClient",
-    "ServerHandle",
-    # caching
-    "Cache",
-    "MISS",
-    "CacheEntry",
-    "InProcessCache",
-    "RemoteProcessCache",
-    "TieredCache",
-    "KeyValueStoreCache",
-    "ExpiringCache",
-    "Freshness",
-    "make_policy",
-    # security / compression / delta
-    "Encryptor",
-    "AesGcmEncryptor",
-    "AesCbcEncryptor",
-    "generate_key",
-    "derive_key",
-    "RotatingEncryptor",
-    "Compressor",
-    "GzipCompressor",
-    "ZlibCompressor",
-    "LzmaCompressor",
-    "AdaptiveCompressor",
-    "copy_store",
-    "verify_stores",
-    "DeltaCodec",
-    "DeltaStoreManager",
-    "encode_delta",
-    "apply_delta",
-    # core
-    "DSCL",
-    "ValuePipeline",
-    "EnhancedDataStoreClient",
-    "WritePolicy",
-    # transactions and coherence (paper future work)
-    "TwoPhaseCommitCoordinator",
-    "atomic_put_many",
-    "InvalidationBus",
-    "CoherentClient",
-    # observability
-    "EventLog",
-    "Observability",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "TraceCollector",
-    "NULL_OBS",
-    "resolve_obs",
-    # udsm
-    "UniversalDataStoreManager",
-    "AsyncKeyValue",
-    "ListenableFuture",
-    "ThreadPool",
-    "PerformanceMonitor",
-    "MonitoredStore",
-    "WorkloadGenerator",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "DataStoreError": ".errors",
@@ -347,5 +234,7 @@ _EXPORTS = {
     "MonitoredStore": ".udsm.monitoring",
     "WorkloadGenerator": ".udsm.workload",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -48,36 +48,6 @@ if TYPE_CHECKING:
     from .bloom import BloomFilter, BloomFrontedCache
     from .stale import ServeStaleStore
 
-__all__ = [
-    "Cache",
-    "Miss",
-    "MISS",
-    "CacheEntry",
-    "CacheStats",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "LFUPolicy",
-    "ClockPolicy",
-    "GreedyDualSizePolicy",
-    "make_policy",
-    "InProcessCache",
-    "RemoteProcessCache",
-    "ExpiringCache",
-    "Freshness",
-    "LookupResult",
-    "TieredCache",
-    "KeyValueStoreCache",
-    "save_cache",
-    "load_cache",
-    "HashRing",
-    "ShardedCache",
-    "StackDistanceProfiler",
-    "BloomFilter",
-    "BloomFrontedCache",
-    "ServeStaleStore",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "Cache": ".interface",
@@ -108,5 +78,7 @@ _EXPORTS = {
     "BloomFrontedCache": ".bloom",
     "ServeStaleStore": ".stale",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -29,18 +29,6 @@ if TYPE_CHECKING:
     from .rebalancer import RebalanceReport, copy_moved_keys, moved_pairs, purge_stale_keys, rebalance
     from .topology import ClusterTopology, ShardInfo
 
-__all__ = [
-    "ClusterTopology",
-    "ShardInfo",
-    "ClusterCoordinator",
-    "ClusterStoreClient",
-    "RebalanceReport",
-    "rebalance",
-    "moved_pairs",
-    "copy_moved_keys",
-    "purge_stale_keys",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "ClusterTopology": ".topology",
@@ -53,5 +41,7 @@ _EXPORTS = {
     "copy_moved_keys": ".rebalancer",
     "purge_stale_keys": ".rebalancer",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

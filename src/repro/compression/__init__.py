@@ -16,15 +16,6 @@ if TYPE_CHECKING:
     from .codecs import GzipCompressor, LzmaCompressor, ZlibCompressor
     from .adaptive import AdaptiveCompressor
 
-__all__ = [
-    "Compressor",
-    "NullCompressor",
-    "GzipCompressor",
-    "ZlibCompressor",
-    "LzmaCompressor",
-    "AdaptiveCompressor",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "Compressor": ".interface",
@@ -34,5 +25,7 @@ _EXPORTS = {
     "LzmaCompressor": ".codecs",
     "AdaptiveCompressor": ".adaptive",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

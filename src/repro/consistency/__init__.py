@@ -23,12 +23,12 @@ if TYPE_CHECKING:
     from .bus import InvalidationBus
     from .coherent import CoherentClient
 
-__all__ = ["InvalidationBus", "CoherentClient"]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "InvalidationBus": ".bus",
     "CoherentClient": ".coherent",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

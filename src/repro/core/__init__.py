@@ -21,14 +21,6 @@ if TYPE_CHECKING:
     from .dscl import DSCL
     from .enhanced import CacheConsistency, EnhancedDataStoreClient, WritePolicy
 
-__all__ = [
-    "ValuePipeline",
-    "DSCL",
-    "EnhancedDataStoreClient",
-    "WritePolicy",
-    "CacheConsistency",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "ValuePipeline": ".pipeline",
@@ -37,5 +29,7 @@ _EXPORTS = {
     "WritePolicy": ".enhanced",
     "CacheConsistency": ".enhanced",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,18 +26,6 @@ if TYPE_CHECKING:
     from .encoder import DeltaCodec, apply_delta, encode_delta
     from .manager import DeltaStoreManager
 
-__all__ = [
-    "RollingHash",
-    "CopyOp",
-    "LiteralOp",
-    "serialize_delta",
-    "parse_delta",
-    "encode_delta",
-    "apply_delta",
-    "DeltaCodec",
-    "DeltaStoreManager",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "RollingHash": ".rolling_hash",
@@ -50,5 +38,7 @@ _EXPORTS = {
     "DeltaCodec": ".encoder",
     "DeltaStoreManager": ".manager",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

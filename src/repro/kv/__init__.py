@@ -34,39 +34,6 @@ if TYPE_CHECKING:
     )
     from ..lsm.store import LSMStore
 
-__all__ = [
-    "LSMStore",
-    "KeyValueStore",
-    "NotModified",
-    "NOT_MODIFIED",
-    "InMemoryStore",
-    "FileSystemStore",
-    "SQLStore",
-    "SimulatedCloudStore",
-    "CloudStoreProfile",
-    "CLOUD_STORE_1",
-    "CLOUD_STORE_2",
-    "RemoteKeyValueStore",
-    "NamespacedStore",
-    "ReadOnlyStore",
-    "TransformingStore",
-    "FlakyStore",
-    "LaggyStore",
-    "PartitionedStore",
-    "RetryingStore",
-    "ReplicatedStore",
-    "QuorumReplicatedStore",
-    "MerkleTree",
-    "VersionStamp",
-    "AntiEntropyReport",
-    "CircuitBreaker",
-    "CircuitBreakerStore",
-    "CircuitState",
-    "Deadline",
-    "deadline_scope",
-    "current_deadline",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "LSMStore": "..lsm.store",
@@ -100,5 +67,7 @@ _EXPORTS = {
     "deadline_scope": ".deadline",
     "current_deadline": ".deadline",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

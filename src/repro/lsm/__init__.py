@@ -31,28 +31,6 @@ if TYPE_CHECKING:
     from .store import LSMStore
     from .wal import OP_DELETE, OP_PUT, CommitPipeline, WalRecord, WriteAheadLog
 
-__all__ = [
-    "LSMStore",
-    "WriteAheadLog",
-    "CommitPipeline",
-    "WalRecord",
-    "OP_PUT",
-    "OP_DELETE",
-    "Memtable",
-    "TOMBSTONE",
-    "SSTable",
-    "MISSING",
-    "write_sstable",
-    "BlockCache",
-    "Manifest",
-    "MANIFEST_NAME",
-    "SizeTieredPolicy",
-    "merge_tables",
-    "InlineScheduler",
-    "ManualScheduler",
-    "BackgroundScheduler",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "LSMStore": ".store",
@@ -75,5 +53,7 @@ _EXPORTS = {
     "ManualScheduler": ".compaction",
     "BackgroundScheduler": ".compaction",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

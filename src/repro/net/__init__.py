@@ -30,26 +30,6 @@ if TYPE_CHECKING:
         probe_fd_budget,
     )
 
-__all__ = [
-    "Clock",
-    "RealClock",
-    "VirtualClock",
-    "LatencyModel",
-    "CacheClient",
-    "ClusterAwareClient",
-    "MovedRedirect",
-    "parse_moved",
-    "CacheServer",
-    "StoreServer",
-    "ServerHandle",
-    "AsyncServerEngine",
-    "AsyncCacheServer",
-    "AsyncStoreServer",
-    "THREADED_MAX_CLIENTS",
-    "ASYNC_MAX_CLIENTS",
-    "probe_fd_budget",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "Clock": ".latency",
@@ -70,5 +50,7 @@ _EXPORTS = {
     "ASYNC_MAX_CLIENTS": ".aio",
     "probe_fd_budget": ".aio",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

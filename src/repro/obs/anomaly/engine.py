@@ -469,10 +469,11 @@ def default_rules(
     leak_series: str = "demo.leak.bytes",
     leak_per_second: float = 1.0,
 ) -> list[DetectorRule]:
-    """A starter rule set for the demo stack (CLI ``repro anomaly demo``
-    and ``repro top --demo``): p99 latency deviation over the enhanced
-    client's read path, retry-exhaustion ratio against store reads, and a
-    gauge-leak drift rule.  Rules whose series never appear simply stay
+    """A starter rule set for the demo stack (``repro serve-metrics`` and
+    ``repro top --demo``; ``repro anomaly rules`` without ``--url`` prints
+    it): p99 latency deviation over the enhanced client's read path,
+    retry-exhaustion ratio against store reads, and a gauge-leak drift
+    rule.  Rules whose series never appear simply stay
     quiet.  Production deployments should name their own series; this is
     a template, not a default policy."""
     return [

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import json
 import time
+import urllib.error
 import urllib.request
 from typing import Any, Iterable
 
+from ..errors import StoreConnectionError
 from .metrics import MetricsRegistry, _bound_key, bucket_percentile, snapshot_delta
 
 __all__ = [
@@ -61,10 +63,27 @@ percentile_from_buckets = bucket_percentile
 # ----------------------------------------------------------------------
 # Scraping
 # ----------------------------------------------------------------------
+_NO_FALLBACK = object()
+
+
+def _get_json(url: str, path: str, timeout: float, if_absent: Any = _NO_FALLBACK) -> Any:
+    """GET ``<url><path>`` and decode it.  A 404 yields *if_absent* when
+    one is given; any other failure to fetch raises
+    :class:`~repro.errors.StoreConnectionError` naming the URL."""
+    try:
+        with urllib.request.urlopen(url.rstrip("/") + path, timeout=timeout) as reply:
+            return json.loads(reply.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404 and if_absent is not _NO_FALLBACK:
+            return if_absent
+        raise StoreConnectionError(f"exporter {url} answered {path} with {exc}") from exc
+    except OSError as exc:  # URLError: refused, unresolvable, timed out
+        raise StoreConnectionError(f"cannot reach exporter {url}: {exc}") from exc
+
+
 def scrape_metrics_json(url: str, *, timeout: float = 5.0) -> dict[str, Any]:
     """GET ``<url>/metrics.json`` and return the decoded snapshot."""
-    with urllib.request.urlopen(url.rstrip("/") + "/metrics.json", timeout=timeout) as reply:
-        return json.loads(reply.read().decode("utf-8"))
+    return _get_json(url, "/metrics.json", timeout)
 
 
 def scrape_events_json(
@@ -73,15 +92,7 @@ def scrape_events_json(
     """GET ``<url>/events.json``; an exporter without an event log (404)
     simply yields no events rather than an error."""
     query = f"?count={count}" + (f"&kind={kind}" if kind else "")
-    try:
-        with urllib.request.urlopen(
-            url.rstrip("/") + "/events.json" + query, timeout=timeout
-        ) as reply:
-            return json.loads(reply.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            return []
-        raise
+    return _get_json(url, "/events.json" + query, timeout, if_absent=[])
 
 
 def scrape_anomalies_json(
@@ -90,15 +101,7 @@ def scrape_anomalies_json(
     """GET ``<url>/anomalies.json``; ``None`` when the exporter has no
     anomaly engine attached (404) or predates the endpoint entirely --
     the dashboard simply omits the panel instead of erroring."""
-    try:
-        with urllib.request.urlopen(
-            url.rstrip("/") + "/anomalies.json", timeout=timeout
-        ) as reply:
-            return json.loads(reply.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            return None
-        raise
+    return _get_json(url, "/anomalies.json", timeout, if_absent=None)
 
 
 def snapshot_registry(registry: MetricsRegistry) -> dict[str, Any]:

@@ -19,16 +19,6 @@ if TYPE_CHECKING:
     from .keys import derive_key, generate_key
     from .rotation import RotatingEncryptor
 
-__all__ = [
-    "Encryptor",
-    "NullEncryptor",
-    "AesGcmEncryptor",
-    "AesCbcEncryptor",
-    "RotatingEncryptor",
-    "generate_key",
-    "derive_key",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "Encryptor": ".interface",
@@ -39,5 +29,7 @@ _EXPORTS = {
     "generate_key": ".keys",
     "derive_key": ".keys",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

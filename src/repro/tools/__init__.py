@@ -13,13 +13,13 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .migration import MigrationReport, copy_store, verify_stores
 
-__all__ = ["copy_store", "verify_stores", "MigrationReport"]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "copy_store": ".migration",
     "verify_stores": ".migration",
     "MigrationReport": ".migration",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,14 +26,6 @@ if TYPE_CHECKING:
     from .log import TransactionLog, TransactionRecord, TransactionState
     from .twophase import TwoPhaseCommitCoordinator, atomic_put_many
 
-__all__ = [
-    "TransactionState",
-    "TransactionRecord",
-    "TransactionLog",
-    "TwoPhaseCommitCoordinator",
-    "atomic_put_many",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "TransactionState": ".log",
@@ -42,5 +34,7 @@ _EXPORTS = {
     "TwoPhaseCommitCoordinator": ".twophase",
     "atomic_put_many": ".twophase",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -48,31 +48,6 @@ if TYPE_CHECKING:
         RVConfig,
     )
 
-__all__ = [
-    "RVConfig",
-    "Request",
-    "LoadSpec",
-    "LoadGenerator",
-    "LoadResult",
-    "ListenableFuture",
-    "FutureState",
-    "ThreadPool",
-    "AsyncKeyValue",
-    "PerformanceMonitor",
-    "MonitoredStore",
-    "OperationStats",
-    "StoreHealth",
-    "UniversalDataStoreManager",
-    "WorkloadGenerator",
-    "SweepPoint",
-    "SweepResult",
-    "HitRateCurve",
-    "CachedReadSpec",
-    "CodecTiming",
-    "random_payload",
-    "compressible_payload",
-]
-
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
     "RVConfig": ".loadgen",
@@ -98,5 +73,7 @@ _EXPORTS = {
     "random_payload": ".workload",
     "compressible_payload": ".workload",
 }
+
+__all__ = list(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -30,8 +30,7 @@ RNG in, deterministic list out; no clock, no I/O), so tests never sleep.
 (``workers=0``) or a small dispatch pool: a request waits for its due time,
 and has its latency measured from it, only when it has one.
 
-Used by the ``mixed-bench`` CLI command and the throughput benchmarks
-(closed plans), and by ``benchmarks/bench_serving_async.py`` and
+Used by the throughput benchmarks (closed plans), and by ``benchmarks/bench_serving_async.py`` and
 ``scripts/check_serving.py`` (open schedules against the serving plane).
 """
 

@@ -1,29 +1,50 @@
-"""CLI: store construction, bench commands, output files, error paths."""
+"""CLI: the operational command surface, store construction, error paths."""
 
 from __future__ import annotations
 
+import argparse
+import socket
+
 import pytest
 
-from repro.cli import build_parser, build_store, main, parse_sizes
+from repro.cli import build_parser, build_store, main
 from repro.errors import DataStoreError
 from repro.kv import FileSystemStore, InMemoryStore, SimulatedCloudStore, SQLStore
 
-FAST = ["--sizes", "16,256", "--repeats", "2"]
+
+def closed_port_url() -> str:
+    """An exporter URL nothing listens on: a port bound once, then released."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 class TestParsing:
-    def test_parse_sizes(self):
-        assert parse_sizes("1,10,100") == (1, 10, 100)
-
-    def test_parse_sizes_rejects_garbage(self):
-        with pytest.raises(DataStoreError):
-            parse_sizes("1,banana")
-        with pytest.raises(DataStoreError):
-            parse_sizes("")
-
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_surface_is_the_operational_commands(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == {
+            "serve", "stats", "trace", "serve-metrics", "top", "migrate",
+            "quorum", "cluster", "anomaly", "lsm",
+        }
+        for name, kept in (
+            ("quorum", {"status", "repair"}),
+            ("cluster", {"status"}),
+            ("anomaly", {"list", "rules"}),
+            ("lsm", {"stats", "compact"}),
+        ):
+            (action,) = [
+                action for action in commands.choices[name]._actions
+                if action.dest == "action"
+            ]
+            assert set(action.choices) == kept, name
 
 
 class TestParserImportsNoBackend:
@@ -61,7 +82,7 @@ class TestParserImportsNoBackend:
 
 class TestBuildStore:
     def parse(self, *argv):
-        return build_parser().parse_args(["bench", *argv])
+        return build_parser().parse_args(["stats", *argv])
 
     def test_memory(self):
         assert isinstance(build_store(self.parse("--store", "memory")), InMemoryStore)
@@ -95,71 +116,6 @@ class TestBuildStore:
         store.close()
         with pytest.raises(DataStoreError):
             build_store(self.parse("--store", "lsm"))
-
-
-class TestBenchCommand:
-    def test_bench_memory_prints_table(self, capsys):
-        assert main(["bench", "--store", "memory", *FAST]) == 0
-        out = capsys.readouterr().out
-        assert "read ms" in out
-        assert "256" in out
-
-    def test_bench_writes_dat_files(self, tmp_path, capsys):
-        code = main(
-            ["bench", "--store", "memory", *FAST, "--output", str(tmp_path / "out")]
-        )
-        assert code == 0
-        assert (tmp_path / "out" / "memory_read.dat").exists()
-        assert (tmp_path / "out" / "memory_write.dat").exists()
-
-    def test_bench_cloud_scaled(self, capsys):
-        assert main(
-            ["bench", "--store", "cloud2", "--time-scale", "0.001", *FAST]
-        ) == 0
-        assert "cloud2" in capsys.readouterr().out
-
-    def test_bench_redis_against_live_server(self, cache_server, capsys):
-        code = main(
-            [
-                "bench", "--store", "redis",
-                "--host", cache_server.host, "--port", str(cache_server.port),
-                *FAST,
-            ]
-        )
-        assert code == 0
-        assert "redis" in capsys.readouterr().out
-
-    def test_error_returns_exit_code_2(self, capsys):
-        assert main(["bench", "--store", "file", *FAST]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
-class TestCachedBenchCommand:
-    def test_inprocess_curve(self, capsys):
-        code = main(
-            ["cached-bench", "--store", "memory", "--cache", "inprocess",
-             "--hit-rates", "0,100", *FAST]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0% ms" in out and "100% ms" in out
-
-    def test_remote_curve(self, cache_server, tmp_path, capsys):
-        code = main(
-            [
-                "cached-bench", "--store", "memory", "--cache", "remote",
-                "--cache-host", cache_server.host,
-                "--cache-port", str(cache_server.port),
-                "--output", str(tmp_path), *FAST,
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "memory_remote_curve.dat").exists()
-
-    def test_remote_requires_port(self, capsys):
-        assert main(
-            ["cached-bench", "--store", "memory", "--cache", "remote", *FAST]
-        ) == 2
 
 
 class TestServeCommand:
@@ -261,53 +217,6 @@ class TestLSMCommand:
         assert "error:" in capsys.readouterr().err
 
 
-class TestMixedBenchCommand:
-    def test_plain_store(self, capsys):
-        code = main(
-            ["mixed-bench", "--store", "memory", "--operations", "200",
-             "--key-space", "20", "--value-size", "64"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
-
-    def test_cached_reports_hit_rate(self, capsys):
-        code = main(
-            ["mixed-bench", "--store", "memory", "--cached",
-             "--operations", "200", "--key-space", "20", "--value-size", "64"]
-        )
-        assert code == 0
-        assert "cache hit rate" in capsys.readouterr().out
-
-    def test_failing_store_exits_nonzero(self, monkeypatch, capsys):
-        from repro.kv import FlakyStore
-
-        flaky = FlakyStore(InMemoryStore(), failure_rate=0.0, failure_rates={"get": 1.0})
-        monkeypatch.setattr("repro.cli.build_store", lambda _options: flaky)
-        code = main(
-            ["mixed-bench", "--store", "memory", "--operations", "50",
-             "--key-space", "10", "--value-size", "16"]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-
-class TestCodecBenchCommand:
-    @pytest.mark.parametrize("codec", ["gzip", "zlib", "lzma", "aes-gcm", "aes-cbc"])
-    def test_each_codec_runs(self, codec, capsys):
-        assert main(["codec-bench", "--codec", codec, *FAST]) == 0
-        out = capsys.readouterr().out
-        assert "out/in" in out
-
-    def test_codec_output_files(self, tmp_path, capsys):
-        code = main(
-            ["codec-bench", "--codec", "gzip", "--output", str(tmp_path), *FAST]
-        )
-        assert code == 0
-        assert (tmp_path / "gzip_compress.dat").exists()
-        assert (tmp_path / "gzip_decompress.dat").exists()
-
-
 class TestStatsCommand:
     def test_stats_prints_registry_table(self, capsys):
         code = main(["stats", "--store", "memory", "--keys", "4", "--reads", "2"])
@@ -373,6 +282,11 @@ class TestTopCommand:
         assert main(["top", "--iterations", "1"]) == 2
         assert "needs --url" in capsys.readouterr().err
 
+    def test_unreachable_exporter_is_an_error(self, capsys):
+        url = closed_port_url()
+        assert main(["top", "--url", url, "--iterations", "1", "--no-clear"]) == 2
+        assert f"error: cannot reach exporter {url}" in capsys.readouterr().err
+
 
 class TestServeMetricsCommand:
     def test_serves_prometheus_while_driving_workload(self, capsys):
@@ -414,55 +328,7 @@ class TestServeMetricsCommand:
         assert result["code"] == 0
 
 
-class TestChaos:
-    def test_scripted_outage_narrates_every_layer(self, capsys):
-        assert main(["chaos", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        # each degradation layer absorbs exactly the failure scripted for it
-        assert "stale serve absorbed StoreConnectionError" in out
-        assert "stale serve absorbed DeadlineExceededError" in out
-        assert "stale serve absorbed CircuitOpenError" in out
-        assert "circuit state: open" in out
-        assert "circuit state: closed" in out
-        # the journal tells the whole story in order
-        assert "circuit_open" in out and "circuit_closed" in out
-
-    def test_counts_are_seed_independent(self, capsys):
-        assert main(["chaos", "--seed", "12345"]) == 0
-        out = capsys.readouterr().out
-        assert "kv.circuit.opened      1" in out
-        assert "cache.stale_served     4" in out
-
-    def test_partition_scenario_severs_flaps_and_heals(self, capsys):
-        assert main(["chaos", "--scenario", "partition", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        # symmetric refusal: both the read and the write hit the same error
-        assert out.count("StoreUnavailableError") >= 2
-        assert "reads AND writes are refused symmetrically" in out
-        assert "healed: get 'user-0'" in out
-        # three seeded windows, probed on the virtual clock
-        assert out.count("partition window") == 3
-        assert "refused" in out
-        assert "kv.chaos.partitions" in out and "kv.chaos.heals" in out
-
-    def test_partition_scenario_is_seed_deterministic(self, capsys):
-        assert main(["chaos", "--scenario", "partition", "--seed", "9"]) == 0
-        first = capsys.readouterr().out
-        assert main(["chaos", "--scenario", "partition", "--seed", "9"]) == 0
-        assert capsys.readouterr().out == first
-
-
 class TestQuorumCommand:
-    def test_demo_degrades_fails_fast_and_converges(self, capsys):
-        assert main(["quorum", "demo"]) == 0
-        out = capsys.readouterr().out
-        assert "group: N=3 R=2 W=2" in out
-        assert "degraded_ops=3" in out
-        assert "QuorumWriteError" in out
-        assert "members in sync: True" in out
-        assert "kv.quorum.failed_fast" in out
-        assert "kv.antientropy.rounds" in out
-
     def test_status_flags_diverged_members(self, tmp_path, capsys):
         from repro.kv import SQLStore
 
@@ -501,19 +367,75 @@ class TestQuorumCommand:
         assert main(["quorum", "status", "--member", "memory"]) == 2
         assert "at least two --member" in capsys.readouterr().err
 
+    def test_refused_group_closes_its_members(self, tmp_path, capsys):
+        from repro.kv import LSMStore
+
+        argv = ["quorum", "status", "--r", "5"]
+        for name in ("a.lsm", "b.lsm"):
+            argv += ["--member", f"lsm,path={tmp_path / name}"]
+        assert main(argv) == 2  # R=5 > N=2: the group constructor refuses
+        assert "error:" in capsys.readouterr().err
+        for name in ("a.lsm", "b.lsm"):
+            LSMStore(tmp_path / name).close()  # not "already open elsewhere"
+
+
+class TestClusterCommand:
+    def test_status_prints_the_live_shard_map(self, capsys):
+        from repro.cluster import ClusterCoordinator
+        from repro.kv import InMemoryStore
+
+        coordinator = ClusterCoordinator()
+        try:
+            for index in range(3):
+                coordinator.add_shard(f"shard-{index}", InMemoryStore())
+            with coordinator.client(level=3) as client:
+                client.put_many({f"key-{i}": i for i in range(30)})
+            host, port = coordinator.seeds[0]
+            assert main(["cluster", "status", "--seed", f"{host}:{port}"]) == 0
+        finally:
+            coordinator.stop()
+        out = capsys.readouterr().out
+        for index in range(3):
+            assert f"shard-{index}" in out
+        assert f"epoch={coordinator.epoch} shards=3" in out
+        assert "total_keys=30" in out
+
+    def test_status_falls_through_to_a_reachable_seed(self, capsys):
+        from repro.cluster import ClusterCoordinator
+        from repro.kv import InMemoryStore
+
+        coordinator = ClusterCoordinator()
+        try:
+            for index in range(2):
+                coordinator.add_shard(f"shard-{index}", InMemoryStore())
+            host, port = coordinator.seeds[0]
+            dead = closed_port_url().removeprefix("http://")
+            argv = ["cluster", "status", "--seed", dead, "--seed", f"{host}:{port}"]
+            assert main(argv) == 0
+        finally:
+            coordinator.stop()
+        assert "shards=2" in capsys.readouterr().out
+
+    def test_status_requires_a_seed(self, capsys):
+        assert main(["cluster", "status"]) == 2
+        assert "at least one --seed" in capsys.readouterr().err
+
+    def test_status_rejects_a_malformed_seed(self, capsys):
+        assert main(["cluster", "status", "--seed", "no-port"]) == 2
+        assert "bad --seed 'no-port'" in capsys.readouterr().err
+
+    def test_status_of_a_standalone_server(self, cache_server, capsys):
+        seed = f"{cache_server.host}:{cache_server.port}"
+        assert main(["cluster", "status", "--seed", seed]) == 1
+        assert f"error: {seed} is not in a cluster" in capsys.readouterr().err
+
+    def test_status_with_no_reachable_seed(self, capsys):
+        seed = closed_port_url().removeprefix("http://")
+        assert main(["cluster", "status", "--seed", seed]) == 1
+        assert "error: no seed reachable" in capsys.readouterr().err
+
 
 class TestAnomalyCommand:
-    def test_demo_runs_whole_loop_without_sleeping(self, capsys):
-        assert main(["anomaly", "demo"]) == 0
-        out = capsys.readouterr().out
-        # all three anomaly classes detect AND clear on the virtual clock
-        for rule in ("latency_p99", "error_burst", "slow_leak"):
-            assert f"detected {rule}" in out
-            assert f"cleared  {rule}" in out
-        assert "obs.anomaly.detected   3" in out
-        assert "obs.anomaly.cleared    3" in out
-        assert "circuit" in out.lower()
-
     def test_rules_without_url_prints_default_template(self, capsys):
         assert main(["anomaly", "rules"]) == 0
         out = capsys.readouterr().out
@@ -523,6 +445,20 @@ class TestAnomalyCommand:
     def test_list_requires_url(self, capsys):
         assert main(["anomaly", "list"]) == 2
         assert "--url" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["list", "rules"])
+    def test_unreachable_exporter_is_an_error(self, action, capsys):
+        url = closed_port_url()
+        assert main(["anomaly", action, "--url", url]) == 2
+        assert f"error: cannot reach exporter {url}" in capsys.readouterr().err
+
+    def test_rules_from_an_exporter_without_an_engine(self, capsys):
+        from repro.obs import EventLog, Observability
+        from repro.obs.export import start_http_exporter
+
+        with start_http_exporter(Observability(events=EventLog())) as handle:
+            assert main(["anomaly", "rules", "--url", handle.url]) == 2
+        assert "has no anomaly engine" in capsys.readouterr().err
 
     def test_list_and_rules_against_live_exporter(self, capsys):
         from repro.obs import EventLog, Observability

@@ -674,6 +674,30 @@ class TestAntiEntropy:
             group.get("k")
         group.close()
 
+    def test_failed_fast_write_is_sloppy_and_anti_entropy_spreads_it(self):
+        """A write refused below W is not rolled back: the one member that
+        took it keeps it, and anti-entropy propagates that surviving copy."""
+        group, members = make_group()
+        group.put("k", {"rev": 0})
+        group.drain()
+        members[1].partition()
+        members[2].partition()
+        with pytest.raises(QuorumWriteError):
+            group.put("k", {"rev": 1})
+        group.drain()
+        assert _unwrap(members[0].get("k"))[1] == {"rev": 1}
+        members[1].heal()
+        members[2].heal()
+        assert not group.status()["in_sync"]
+        report = group.anti_entropy_round()
+        assert report.converged
+        assert report.repaired_members == ["member-1", "member-2"]
+        assert report.keys_repaired == 2  # one key, copied onto two members
+        for member in members:
+            assert _unwrap(member.get("k"))[1] == {"rev": 1}
+        assert group.get("k") == {"rev": 1}
+        group.close()
+
     def test_unreachable_member_defers_convergence(self):
         group, members = self.diverge()
         members[2].partition()  # still down when the round runs

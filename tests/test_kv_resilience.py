@@ -487,6 +487,51 @@ class TestPartitionedStore:
             assert not store.is_partitioned()
             assert store.get("k") == "v"
 
+    @pytest.mark.parametrize("seed", [7, 9])
+    def test_probes_are_refused_exactly_inside_the_windows(self, seed):
+        clock = {"now": 0.0}
+        store = PartitionedStore(InMemoryStore(), clock=lambda: clock["now"])
+        store.put("k", "v")
+        windows = store.schedule_flaps(
+            seed=seed, flaps=3, mean_healthy=10.0, mean_partitioned=4.0, start=0.0
+        )
+        refused = served = expected_refused = 0
+        while clock["now"] < windows[-1][1] + 1.0:
+            if any(start <= clock["now"] < end for start, end in windows):
+                expected_refused += 1
+            try:
+                store.get("k")
+                served += 1
+            except StoreUnavailableError:
+                refused += 1
+            clock["now"] += 0.5
+        assert refused == expected_refused > 0
+        assert served > 0
+        assert store.unavailable_ops == refused
+
+    def test_retry_ladder_exhausts_on_reads_and_writes_alike(self):
+        from repro.obs import EventLog
+
+        obs = Observability(events=EventLog())
+        part = PartitionedStore(InMemoryStore(), obs=obs)
+        sleeps = []
+        retry = RetryingStore(
+            part, max_attempts=3, base_delay=0.02, sleep=sleeps.append, seed=7, obs=obs
+        )
+        retry.put("user-0", {"name": "user-0"})
+        part.partition()
+        with pytest.raises(StoreUnavailableError):
+            retry.get("user-0")
+        with pytest.raises(StoreUnavailableError):
+            retry.put("user-1", {"name": "user-1"})
+        assert part.unavailable_ops == 6  # three attempts each, both directions
+        assert obs.registry.counter("kv.retry.exhausted").value == 2
+        assert obs.registry.counter("kv.retry.retries").value == 4
+        assert len(sleeps) == 4
+        part.heal()
+        assert retry.get("user-0") == {"name": "user-0"}
+        assert not retry.contains("user-1")  # the refused write never landed
+
     def test_heal_truncates_active_window_only(self):
         clock = {"now": 0.0}
         store = PartitionedStore(InMemoryStore(), clock=lambda: clock["now"])

@@ -773,6 +773,60 @@ class TestEnginePolling:
         [detected] = obs.events.tail(kind="anomaly_detected")
         assert detected["co_moving"] is None
 
+    def test_three_anomaly_classes_detect_and_clear_on_one_engine(self, stack):
+        """Latency step (tripping a circuit), error burst and slow leak each
+        detect and clear in turn, on the virtual clock."""
+        clock, obs, engine = stack
+        latency = obs.registry.histogram("store.get.seconds")
+        requests = obs.registry.counter("requests")
+        errors = obs.registry.counter("errors")
+        leak = obs.registry.gauge("leak.bytes")
+        breaker = CircuitBreaker(name="guard", obs=obs, clock=clock)
+        engine.add_rule(
+            ZScoreRule("latency_p99", "store.get.seconds.p99", zmax=4.0,
+                       min_observations=5, trigger_after=2, clear_after=2),
+            actions=[TripCircuitAction(breaker)],
+        )
+        engine.add_rule(
+            ErrorRatioRule("error_burst", "errors.delta", "requests.delta",
+                           ratio=0.5, trigger_after=1, clear_after=2)
+        )
+        engine.add_rule(
+            RateOfChangeRule("slow_leak", "leak.bytes", per_second=100.0,
+                             trigger_after=3, clear_after=3)
+        )
+        transitions = []
+
+        def run(seconds, *, latency_s=0.001, error_ops=0, leak_step=0.0):
+            for _ in range(seconds):
+                requests.inc(50)
+                errors.inc(error_ops)
+                leak.inc(leak_step)
+                for _ in range(50):
+                    latency.observe(latency_s)
+                for event in tick(clock, engine):
+                    transitions.append((event.kind.value, event.rule))
+                    if event.rule == "latency_p99":
+                        transitions.append(("circuit", breaker.state.value))
+
+        run(12)
+        assert transitions == []
+        run(4, latency_s=0.05)
+        run(6)
+        run(2, error_ops=30)
+        run(4)
+        run(5, leak_step=500.0)
+        run(5)
+        assert transitions == [
+            ("detected", "latency_p99"), ("circuit", "open"),
+            ("cleared", "latency_p99"), ("circuit", "closed"),
+            ("detected", "error_burst"), ("cleared", "error_burst"),
+            ("detected", "slow_leak"), ("cleared", "slow_leak"),
+        ]
+        assert obs.registry.counter("obs.anomaly.detected").value == 3
+        assert obs.registry.counter("obs.anomaly.cleared").value == 3
+        assert engine.active() == []
+
     def test_background_thread_lifecycle(self, stack):
         _clock, _obs, engine = stack
         engine.poll_interval = 60.0  # never actually fires during the test

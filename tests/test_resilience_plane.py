@@ -318,24 +318,29 @@ class TestClientServeStale:
         assert obs.registry.snapshot()["counters"]["cache.stale_served"] == 1
         (record,) = obs.events.tail(kind="stale_served")
         assert record["key"] == "user"
+        assert record["error"] == "StoreConnectionError"  # retry ladder exhausted
 
         # While open, sheds serve stale instantly without backend contact.
         expire_cached_entry(client, "user")
         before = flaky.injected_failures + flaky.successes
         assert client.get("user") == {"name": "ada"}
         assert flaky.injected_failures + flaky.successes == before
-        assert record["error"] in {"StoreConnectionError", "CircuitOpenError"}
+        (shed,) = obs.events.tail(1, kind="stale_served")
+        assert shed["error"] == "CircuitOpenError"
 
     def test_deadline_exhausted_read_serves_stale(self):
         """Acceptance: a deadline-exhausted read degrades to stale."""
         clock = FakeClock()
-        _backend, flaky, _guarded, client, _pending = self.make_client(clock)
+        obs = Observability(events=EventLog())
+        _backend, flaky, _guarded, client, _pending = self.make_client(clock, obs)
         client.put("user", {"name": "ada"})
         expire_cached_entry(client, "user")
         flaky.fail_next(100)
         with deadline_scope(0.05, clock=clock):
             assert client.get("user") == {"name": "ada"}
         assert client.counters.stale_serves == 1
+        (record,) = obs.events.tail(kind="stale_served")
+        assert record["error"] == "DeadlineExceededError"
 
     def test_background_revalidation_catches_up_after_recovery(self):
         clock = FakeClock()
@@ -461,6 +466,67 @@ class TestChaosSoak:
         assert counters["kv.retry.retries"] >= 1
         kinds = {record["kind"] for record in obs.events.tail()}
         assert {"circuit_open", "circuit_closed", "stale_served"} <= kinds
+
+    @pytest.mark.parametrize("seed", [7, 12345])
+    def test_scoreboard_is_seed_independent(self, seed):
+        """The seed moves backoff jitter, never what each layer absorbs."""
+        scoreboard = self.outage_scoreboard(seed)
+        assert scoreboard == self.outage_scoreboard(5)
+        assert scoreboard["kv.circuit.opened"] == scoreboard["kv.circuit.closed"] == 1
+        assert scoreboard["cache.stale_served"] == 4
+        assert scoreboard["absorbed"] == [
+            "StoreConnectionError", "CircuitOpenError",
+            "CircuitOpenError", "CircuitOpenError",
+        ]
+
+    @staticmethod
+    def outage_scoreboard(seed):
+        """Four stale reads through a full outage and its recovery; returns
+        the fault-tolerance counters and the error each stale serve absorbed."""
+        clock = FakeClock()
+        obs = Observability(events=EventLog())
+        flaky = FlakyStore(InMemoryStore(), failure_rate=0.0, seed=seed)
+        guarded = CircuitBreakerStore(
+            flaky, failure_threshold=3, recovery_timeout=10.0, clock=clock, obs=obs
+        )
+        resilient = RetryingStore(
+            guarded, max_attempts=3, base_delay=0.01, sleep=clock.advance,
+            seed=seed, obs=obs,
+        )
+        pending = []
+        client = EnhancedDataStoreClient(
+            resilient,
+            cache=InProcessCache(),
+            default_ttl=60.0,
+            serve_stale=True,
+            max_stale=3600.0,
+            stale_revalidator=pending.append,
+            obs=obs,
+        )
+        keys = [f"user-{index}" for index in range(4)]
+        for key in keys:
+            client.put(key, {"name": key})
+            expire_cached_entry(client, key)
+        flaky.fail_next(1000)
+        for key in keys:
+            assert client.get(key) == {"name": key}
+        flaky.fail_next(0)
+        clock.advance(10.0)
+        while pending:
+            pending.pop(0)()
+        client.close()
+        counters = obs.registry.snapshot()["counters"]
+        scoreboard = {
+            name: counters.get(name, 0)
+            for name in (
+                "kv.retry.retries", "kv.circuit.opened", "kv.circuit.rejected",
+                "kv.circuit.closed", "cache.stale_served",
+            )
+        }
+        scoreboard["absorbed"] = [
+            record["error"] for record in obs.events.tail(kind="stale_served")
+        ]
+        return scoreboard
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,28 @@ class TestMigrateCLI:
         with FileSystemStore(tmp_path / "fs-back") as back:
             assert back.get("k11") == {"index": 11}
 
+    def test_failed_verify_closes_both_stores(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.kv import LSMStore
+
+        with LSMStore(tmp_path / "src.lsm") as source, LSMStore(tmp_path / "dst.lsm") as dest:
+            source.put("k", "new")
+            dest.put("k", "old")  # kept by --no-overwrite, so verify fails
+        code = main(
+            [
+                "migrate",
+                "--source", f"lsm,path={tmp_path / 'src.lsm'}",
+                "--dest", f"lsm,path={tmp_path / 'dst.lsm'}",
+                "--no-overwrite", "--verify",
+            ]
+        )
+        assert code == 1
+        assert "VERIFY FAILED" in capsys.readouterr().out
+        # Neither directory is still locked by the returned command.
+        for name in ("src.lsm", "dst.lsm"):
+            with LSMStore(tmp_path / name) as reopened:
+                assert reopened.contains("k")
+
 
 class TestMigrateLSMTools:
     def test_copy_store_into_and_out_of_lsm(self, tmp_path):

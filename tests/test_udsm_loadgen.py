@@ -20,7 +20,7 @@ import pytest
 from repro.caching import InProcessCache
 from repro.core import EnhancedDataStoreClient
 from repro.errors import WorkloadError
-from repro.kv import InMemoryStore
+from repro.kv import FlakyStore, InMemoryStore
 from repro.net.latency import VirtualClock
 from repro.udsm.loadgen import (
     LoadGenerator,
@@ -374,6 +374,14 @@ class TestClosedPlan:
         writes_only = writes.run(InMemoryStore(), plan=writes.plan(100))
         assert writes_only.read_latencies == []
         assert writes_only.writes == 100
+
+    def test_failing_store_counts_errors_not_raises(self):
+        store = FlakyStore(InMemoryStore(), failure_rate=0.0, failure_rates={"get": 1.0})
+        gen = LoadGenerator(LoadSpec(key_space=10, value_size=16))
+        plan = gen.plan(50)
+        result = gen.run(store, plan=plan)
+        assert result.errors == sum(1 for r in plan if r.op == "get") > 0
+        assert result.completed + result.errors == result.offered == 50
 
     def test_drives_cached_clients_and_zipf_skew_hits(self):
         """Zipf skew means a small cache still catches most reads."""

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.caching import InProcessCache
-from repro.compression import GzipCompressor
+from repro.compression import GzipCompressor, LzmaCompressor, ZlibCompressor
 from repro.errors import WorkloadError
 from repro.kv import CLOUD_STORE_2, InMemoryStore, SimulatedCloudStore
 from repro.net import VirtualClock
-from repro.security import AesGcmEncryptor, generate_key
+from repro.security import AesCbcEncryptor, AesGcmEncryptor, generate_key
 from repro.udsm.workload import (
     CachedReadSpec,
     WorkloadGenerator,
@@ -87,6 +87,13 @@ class TestSweeps:
         assert set(results) == {"a", "b"}
         assert set(results["a"]) == {"read", "write"}
 
+    def test_compare_stores_over_a_live_remote_store(self, generator, remote_store):
+        results = generator.compare_stores([remote_store])
+        sweeps = results[remote_store.name]
+        assert [p.size for p in sweeps["read"].points] == list(SIZES)
+        assert all(p.mean > 0 for p in sweeps["write"].points)
+        assert list(remote_store.keys()) == []  # the read sweep cleaned up
+
     def test_point_for_unknown_size(self, generator):
         result = generator.measure_writes(InMemoryStore())
         with pytest.raises(WorkloadError):
@@ -144,6 +151,22 @@ class TestHitRateCurves:
         )
         assert set(curve.curves) == {0.0, 1.0}
 
+    def test_curve_through_a_remote_cache(self, generator, cache_server):
+        from repro.caching import RemoteProcessCache
+
+        cache = RemoteProcessCache(cache_server.host, cache_server.port, namespace="wl")
+        store = InMemoryStore()
+        try:
+            curve = generator.measure_cached_reads(
+                store, cache, CachedReadSpec(hit_rates=(0.0, 1.0))
+            )
+            assert curve.cache_name == cache.name
+            assert [size for size, _ in curve.curves[1.0]] == list(SIZES)
+            assert cache.size() == 0  # the experiment clears its namespace
+            assert store.size() == 0
+        finally:
+            cache.close()
+
 
 class TestCodecTiming:
     def test_encryptor_timing(self, generator):
@@ -158,6 +181,17 @@ class TestCodecTiming:
         assert len(timing.output_sizes) == len(SIZES)
         big_in, big_out = timing.output_sizes[-1]
         assert big_out < big_in  # compressible default payload
+
+    @pytest.mark.parametrize("name", ["zlib", "lzma", "aes-cbc"])
+    def test_every_bundled_codec_is_timed(self, generator, name):
+        if name == "aes-cbc":
+            timing = generator.measure_encryptor(AesCbcEncryptor(generate_key()))
+        else:
+            codec = {"zlib": ZlibCompressor, "lzma": LzmaCompressor}[name]()
+            timing = generator.measure_compressor(codec)
+        assert timing.codec == name
+        assert [p.size for p in timing.decode.points] == list(SIZES)
+        assert all(p.mean > 0 for p in timing.encode.points)
 
 
 class TestTextOutput:
@@ -177,6 +211,27 @@ class TestTextOutput:
         header = path.read_text().splitlines()[0]
         for rate in (0, 25, 50, 75, 100):
             assert f"hit_{rate}pct_ms" in header
+
+    def test_store_comparison_dat_files(self, generator, tmp_path):
+        results = generator.compare_stores([InMemoryStore("memory")])
+        for operation, sweep in results["memory"].items():
+            sweep.write_dat(tmp_path / f"memory_{operation}.dat")
+        for operation in ("read", "write"):
+            lines = (tmp_path / f"memory_{operation}.dat").read_text().splitlines()
+            assert [int(line.split("\t")[0]) for line in lines[1:]] == list(SIZES)
+
+    @pytest.mark.parametrize("name", ["gzip", "aes-gcm"])
+    def test_codec_timing_dat_files(self, generator, tmp_path, name):
+        if name == "gzip":
+            timing = generator.measure_compressor(GzipCompressor())
+        else:
+            timing = generator.measure_encryptor(AesGcmEncryptor(generate_key()))
+        timing.encode.write_dat(tmp_path / "encode.dat")
+        timing.decode.write_dat(tmp_path / "decode.dat")
+        for part in ("encode", "decode"):
+            lines = (tmp_path / f"{part}.dat").read_text().splitlines()
+            assert lines[0].startswith("# size_bytes")
+            assert len(lines) == 1 + len(SIZES)
 
 
 class TestValidation:
