@@ -164,7 +164,7 @@ def scripted_names() -> set[str]:
             scheduler=scheduler,
             auto_compact=False,
             index_interval=2,  # a block per two records ...
-            block_cache_bytes=600,  # ... and room for two blocks
+            block_cache_bytes=1300,  # ... and room for two (252 B + overhead each)
             obs=obs,
         )
         for round_ in range(2):

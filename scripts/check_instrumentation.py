@@ -27,6 +27,11 @@ modes are caught:
    acquisitions (metric writes take none; only the in-process cache's own
    lock remains).  Counted, not timed: the counts repeat exactly, so the
    budget holds in CI with no wall clock.
+5. **A cold GET doing more than one record's work** -- exact counts of
+   :data:`COLD_GET_COUNTS`: one :func:`~repro.caching.bloom.key_hash` per
+   LSM lookup however many tables it probes, no block decoded by a point
+   read (cache hit or miss), and one socket write answering a burst of
+   pipelined ``GET`` requests on either serving engine.
 
 The check actually *runs* every operation against a real store, so it
 cannot drift from the implementation the way a static list would.
@@ -36,13 +41,16 @@ Exit status 0 when every operation is covered and within budget; 1 otherwise.
 
 from __future__ import annotations
 
+import socket
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.caching import InProcessCache  # noqa: E402
+from repro.caching.bloom import key_hash  # noqa: E402
 from repro.core import EnhancedDataStoreClient  # noqa: E402
 from repro.kv import (  # noqa: E402
     CircuitBreakerStore,
@@ -52,6 +60,11 @@ from repro.kv import (  # noqa: E402
     RetryingStore,
 )
 from repro.kv.interface import KeyValueStore  # noqa: E402
+from repro.lsm import sstable  # noqa: E402
+from repro.lsm.store import LSMStore  # noqa: E402
+from repro.net import protocol  # noqa: E402
+from repro.net.aio import AsyncStoreServer  # noqa: E402
+from repro.net.server import StoreServer  # noqa: E402
 from repro.obs import Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.udsm.monitoring import MonitoredStore, PerformanceMonitor  # noqa: E402
@@ -118,6 +131,22 @@ CLIENT_DRIVERS = {
 HIT_CALL_BUDGET = {"observed": (29, 27, 1), "unobserved": (21, 7, 1)}
 HIT_CALL_GETS = 100
 LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
+
+
+#: What one cold GET may cost, as exact counts (sys.setprofile and a
+#: socket-write wrapper, no clock).  The read path's shape is the e2e
+#: spine's: a key that only the oldest of seven tables holds probes every
+#: table's Bloom filter, and so does an absent key.
+COLD_GET_COUNTS = {
+    "key_hash calls, key in the oldest of 7 tables": 1,
+    "key_hash calls, absent key over 7 tables": 1,
+    "block record iterator runs, point read on a cache miss": 0,
+    "block record iterator runs, point read on a cache hit": 0,
+    "socket writes answering 16 pipelined GETs, threaded engine": 1,
+    "socket writes answering 16 pipelined GETs, async engine": 1,
+}
+COLD_GET_TABLES = 7
+BURST_GETS = 16
 
 
 def public_interface_ops() -> set[str]:
@@ -295,8 +324,111 @@ def check_hit_call_budget() -> list[str]:
     return failures
 
 
+def calls_to(function, action) -> int:
+    """Python-level entries into *function* while *action* runs in this
+    thread (a generator counts every resumption)."""
+    code, count = function.__code__, 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def burst_writes(server_class) -> int:
+    """Server-side socket writes answering one segment of pipelined GETs."""
+    server = server_class(InMemoryStore())
+    address = server.start()
+    writes = 0
+    real = {name: getattr(socket.socket, name) for name in ("send", "sendall")}
+
+    def counted(name: str):
+        def write(sock, *args):
+            nonlocal writes
+            if sock.getsockname() == address:
+                writes += 1
+            return real[name](sock, *args)
+
+        return write
+
+    client = socket.create_connection(address, timeout=5)
+    reader = protocol.FrameReader(client.makefile("rb"))
+    try:
+        client.sendall(protocol.encode_command([b"SET", b"k", b"v"]))
+        reader.read_frame()
+        for name in real:
+            setattr(socket.socket, name, counted(name))
+        try:
+            client.sendall(protocol.encode_command([b"GET", b"k"]) * BURST_GETS)
+            replies = [reader.read_frame() for _ in range(BURST_GETS)]
+        finally:
+            for name, method in real.items():
+                setattr(socket.socket, name, method)
+        assert replies == [b"v"] * BURST_GETS, replies
+    finally:
+        client.close()
+        server.stop()
+    return writes
+
+
+def cold_get_counts(root: Path) -> dict[str, int]:
+    """Measure every entry of :data:`COLD_GET_COUNTS` over a store in *root*."""
+    store = LSMStore(root, auto_compact=False)
+    try:
+        for table in range(COLD_GET_TABLES):
+            store.put_many({f"t{table}-{i:03d}": b"v" * 64 for i in range(64)})
+            store.flush()
+        assert store.stats()["sstables"] == COLD_GET_TABLES
+
+        def read(key: str):
+            return lambda: store.get_or_default(key, None)
+
+        counts = {
+            "key_hash calls, key in the oldest of 7 tables": calls_to(key_hash, read("t0-017")),
+            "key_hash calls, absent key over 7 tables": calls_to(key_hash, read("absent")),
+        }
+        # The same key twice: its block is a cache miss, then a hit.
+        for outcome, counter in (("miss", "misses"), ("hit", "hits")):
+            before = store.stats()["block_cache"][counter]
+            counts[f"block record iterator runs, point read on a cache {outcome}"] = calls_to(
+                sstable._records, read("t0-040")
+            )
+            assert store.stats()["block_cache"][counter] > before, outcome
+        for engine, server_class in (("threaded", StoreServer), ("async", AsyncStoreServer)):
+            counts[f"socket writes answering 16 pipelined GETs, {engine} engine"] = burst_writes(
+                server_class
+            )
+        return counts
+    finally:
+        store.close()
+
+
+def check_cold_get_counts() -> list[str]:
+    """Count a cold GET's hashes, block decodes and writes; return failures."""
+    with tempfile.TemporaryDirectory() as root:
+        measured = cold_get_counts(Path(root) / "db")
+    failures = []
+    for what, expected in COLD_GET_COUNTS.items():
+        print(f"cold get: {what}: {measured[what]} (exactly {expected})")
+        if measured[what] != expected:
+            failures.append(f"cold get: {what} is {measured[what]}, not {expected}")
+    return failures
+
+
 def main() -> int:
-    failures = check_interceptors() + check_enhanced_client() + check_hit_call_budget()
+    failures = (
+        check_interceptors()
+        + check_enhanced_client()
+        + check_hit_call_budget()
+        + check_cold_get_counts()
+    )
     covered = sorted(set(DRIVERS) & public_interface_ops())
     print(
         f"instrumentation check: {len(covered)} interface ops driven through "

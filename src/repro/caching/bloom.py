@@ -27,10 +27,21 @@ from typing import Any, Iterator
 from ..errors import ConfigurationError
 from .interface import MISS, Cache
 
-__all__ = ["BloomFilter", "BloomFrontedCache"]
+__all__ = ["BloomFilter", "BloomFrontedCache", "key_hash"]
 
 _BLOOM_HEADER = struct.Struct("<III")  # size_bits, hash_count, items
 _HASH_PAIR = struct.Struct(">QQ")  # h1, h2: the digest's first 16 bytes
+
+
+def key_hash(key: "str | bytes") -> tuple[int, int]:
+    """The pair ``(h1, h2)`` every filter derives its bit positions from.
+
+    It depends on the key only, not on a filter's size, so a lookup that
+    probes many filters (one per SSTable) hashes once and passes the pair
+    to :meth:`BloomFilter.might_contain_hash`.
+    """
+    data = key if isinstance(key, bytes) else key.encode("utf-8")
+    return _HASH_PAIR.unpack_from(hashlib.sha256(data).digest())
 
 
 class BloomFilter:
@@ -53,17 +64,18 @@ class BloomFilter:
         self._bits = bytearray((self.size_bits + 7) // 8)
         self._items = 0
 
-    def _walk(self, key: "str | bytes") -> tuple[int, int]:
-        # Double hashing (Kirsch-Mitzenmacher): position i is (h1 + i * h2)
-        # mod m.  Returns the first position and the step, both reduced
-        # mod m, so callers advance with an add and a conditional subtract.
-        data = key if isinstance(key, bytes) else key.encode("utf-8")
-        h1, h2 = _HASH_PAIR.unpack_from(hashlib.sha256(data).digest())
+    def _start(self, hashed: tuple[int, int]) -> tuple[int, int]:
+        """First bit position and stride for a :func:`key_hash` pair.
+
+        Double hashing (Kirsch-Mitzenmacher): position i is (h1 + i * h2)
+        mod m, advanced with an add and a conditional subtract.
+        """
+        h1, h2 = hashed
         return h1 % self.size_bits, (h2 | 1) % self.size_bits
 
     def add(self, key: "str | bytes") -> None:
-        position, step = self._walk(key)
         bits, size = self._bits, self.size_bits
+        position, step = self._start(key_hash(key))
         for _ in range(self.hash_count):
             bits[position >> 3] |= 1 << (position & 7)
             position += step
@@ -73,8 +85,12 @@ class BloomFilter:
 
     def might_contain(self, key: "str | bytes") -> bool:
         """False = definitely absent; True = possibly present."""
-        position, step = self._walk(key)
+        return self.might_contain_hash(key_hash(key))
+
+    def might_contain_hash(self, hashed: tuple[int, int]) -> bool:
+        """:meth:`might_contain` for a key already hashed by :func:`key_hash`."""
         bits, size = self._bits, self.size_bits
+        position, step = self._start(hashed)
         for _ in range(self.hash_count):
             if not bits[position >> 3] >> (position & 7) & 1:
                 return False

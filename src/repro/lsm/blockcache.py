@@ -1,4 +1,4 @@
-"""Block cache: decoded SSTable blocks kept hot in memory.
+"""Block cache: SSTable blocks kept hot in memory, as the bytes read from disk.
 
 The paper's central argument is that a cache *above* a slow substrate
 closes the latency gap (UStore makes the same move inside the engine:
@@ -8,15 +8,20 @@ our own SSTables: without it every point read and every prefix scan
 issues at least one ``pread`` per probed table; with it a hot working
 set is served entirely from memory.
 
-A **block** is the decoded run of records between two adjacent sparse-
-index entries -- exactly the unit a point read already scans -- so the
-cache key is ``(table_id, index_slot)``.  SSTables are immutable, which
-makes the cache trivially coherent: a block never changes, it only
-becomes irrelevant when compaction retires its table, at which point the
-store calls :meth:`BlockCache.invalidate` for that table id.
+A **block** is the run of records between two adjacent sparse-index
+entries -- exactly the unit a point read already scans -- so the cache
+key is ``(table_id, index_slot)``.  A block is cached as the one
+``bytes`` object ``pread`` returned, never decoded: a point read walks
+its record headers in place and slices out only the record it wants, so
+neither a hit nor a miss decodes the block.  SSTables
+are immutable, which makes the cache trivially coherent: a block never
+changes, it only becomes irrelevant when compaction retires its table,
+at which point the store calls :meth:`BlockCache.invalidate` for that
+table id.
 
 One cache is shared by every table of a store (byte budget
-``block_cache_bytes``), evicting least-recently-used blocks once the
+``block_cache_bytes``, charged each block's length plus
+:data:`BLOCK_OVERHEAD`), evicting least-recently-used blocks once the
 budget is exceeded.  Thread-safe: readers probe it without holding the
 store lock.
 
@@ -32,16 +37,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from itertools import count
-from typing import Any
 
 from ..errors import ConfigurationError
 from ..obs import Observability, resolve_obs
 
 __all__ = ["BlockCache"]
 
-#: Fixed per-record overhead charged against the cache budget (tuple and
-#: object headers), so many-tiny-record blocks do not look free.
-RECORD_OVERHEAD = 48
+#: Fixed per-block charge on top of the block's length: the ``bytes``
+#: header and the cache's own entry (key tuple, LRU node, table index),
+#: ~350 B measured on CPython 3.11 -- so what the budget charges is what
+#: the cache holds.
+BLOCK_OVERHEAD = 352
 
 _table_ids = count(1)
 
@@ -52,7 +58,7 @@ def next_table_id() -> int:
 
 
 class BlockCache:
-    """Thread-safe LRU of decoded record blocks, bounded by bytes."""
+    """Thread-safe LRU of raw SSTable blocks, bounded by bytes."""
 
     def __init__(
         self,
@@ -66,7 +72,7 @@ class BlockCache:
         self.obs = resolve_obs(obs)
         self._lock = threading.Lock()
         # (table_id, slot) -> (block, nbytes); move-to-end on hit = LRU.
-        self._blocks: "OrderedDict[tuple[int, int], tuple[Any, int]]" = OrderedDict()
+        self._blocks: "OrderedDict[tuple[int, int], tuple[bytes, int]]" = OrderedDict()
         self._by_table: dict[int, set[int]] = {}
         self._bytes = 0
         self._hits = 0
@@ -74,7 +80,7 @@ class BlockCache:
         self._evictions = 0
 
     # ------------------------------------------------------------------
-    def get(self, table_id: int, slot: int) -> Any:
+    def get(self, table_id: int, slot: int) -> bytes | None:
         """The cached block, or ``None`` (which counts as a miss)."""
         with self._lock:
             entry = self._blocks.get((table_id, slot))
@@ -89,13 +95,14 @@ class BlockCache:
             )
         return entry[0] if entry is not None else None
 
-    def put(self, table_id: int, slot: int, block: Any, nbytes: int) -> None:
+    def put(self, table_id: int, slot: int, block: bytes) -> None:
         """Insert *block*; evicts LRU entries past the byte budget.
 
         A single block larger than the whole budget is not cached at all
         (admitting it would evict everything for one entry that cannot
         even fit).
         """
+        nbytes = len(block) + BLOCK_OVERHEAD
         if nbytes > self.capacity_bytes:
             return
         evicted = 0

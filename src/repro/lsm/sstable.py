@@ -33,7 +33,9 @@ caching.  With a :class:`~repro.lsm.blockcache.BlockCache` attached,
 ``get`` and the scan iterators read through the cache, so a hot working
 set is served without touching the file at all; without one, reads fall
 back to ``pread`` (no shared file position, so concurrent readers never
-contend).
+contend).  A block stays the bytes ``pread`` returned: ``get`` walks its
+record headers in place and copies out only the value it returns, and
+the scans decode records one at a time through :func:`_records`.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..caching.bloom import BloomFilter
+from ..caching.bloom import BloomFilter, key_hash
 from ..errors import DataStoreError
 from ..fsutil import fsync_dir
-from .blockcache import RECORD_OVERHEAD, BlockCache, next_table_id
+from .blockcache import BlockCache, next_table_id
 from .memtable import TOMBSTONE, Tombstone
 
 __all__ = ["MISSING", "SSTable", "write_sstable"]
@@ -80,6 +82,24 @@ class _Missing:
 
 #: Returned by :meth:`SSTable.get` when the key is not in the table at all.
 MISSING = _Missing()
+
+
+def _records(
+    block: bytes, values: bool = True
+) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
+    """Decode a raw block's records in key order; ``values=False`` (key
+    scans) yields ``b""`` for live values instead of slicing them out."""
+    offset, limit = 0, len(block)
+    while offset < limit:
+        key_len, value_len = _RECORD.unpack_from(block, offset)
+        offset += _RECORD.size
+        key = block[offset : offset + key_len]
+        offset += key_len
+        if value_len == _TOMBSTONE_LEN:
+            yield key, TOMBSTONE
+        else:
+            yield key, block[offset : offset + value_len] if values else b""
+            offset += value_len
 
 
 def write_sstable(
@@ -211,20 +231,34 @@ class SSTable:
         return keys, offsets
 
     # ------------------------------------------------------------------
-    def might_contain(self, key: bytes) -> bool:
-        """Bloom gate: False means the key is definitely not in this table."""
-        return self.bloom.might_contain(key)
+    def might_contain(self, key: bytes, hashed: tuple[int, int] | None = None) -> bool:
+        """Bloom gate: False means the key is definitely not in this table.
+        A lookup that probes many tables passes the key's :func:`key_hash`
+        pair as *hashed*, so the key is hashed once, not once per table."""
+        return self.bloom.might_contain_hash(key_hash(key) if hashed is None else hashed)
 
     def get(self, key: bytes) -> "bytes | Tombstone | _Missing":
-        """Point lookup: value bytes, :data:`TOMBSTONE`, or :data:`MISSING`."""
+        """Point lookup: value bytes, :data:`TOMBSTONE`, or :data:`MISSING`.
+
+        Walks the block's record headers in place, comparing keys, and
+        stops at the first key >= *key*: only the match's value is copied.
+        """
         if not self._index_keys or key < self._index_keys[0]:
             return MISSING
-        slot = bisect_right(self._index_keys, key) - 1
-        for record_key, value in self._load_block(slot):
-            if record_key == key:
-                return value
-            if record_key > key:
-                break
+        block = self._block(bisect_right(self._index_keys, key) - 1)
+        offset, limit, unpack = 0, len(block), _RECORD.unpack_from
+        while offset < limit:
+            key_len, value_len = unpack(block, offset)
+            offset += _RECORD.size + key_len
+            record_key = block[offset - key_len : offset]
+            if record_key >= key:
+                if record_key != key:
+                    return MISSING
+                if value_len == _TOMBSTONE_LEN:
+                    return TOMBSTONE
+                return block[offset : offset + value_len]
+            if value_len != _TOMBSTONE_LEN:
+                offset += value_len
         return MISSING
 
     # ------------------------------------------------------------------
@@ -233,49 +267,23 @@ class SSTable:
         """Number of blocks (= sparse-index entries) in the table."""
         return len(self._index_offsets)
 
-    def _load_block(
-        self, slot: int, *, fill_cache: bool = True, values: bool = True
-    ) -> "tuple[tuple[bytes, bytes | Tombstone], ...]":
-        """Decoded records of block *slot*, via the cache when attached.
-
-        One ``pread`` fetches the whole block on a miss (the old
-        record-at-a-time path issued two syscalls per record); the
-        decoded tuple is immutable, so cached blocks are shared between
-        readers without copying.  ``values=False`` (key scans) decodes
-        keys and tombstones only -- live values come back as ``b""``,
-        never sliced out of the block -- and stays out of the cache.
-        """
-        cache = self._cache if values else None
+    def _block(self, slot: int, *, fill_cache: bool = True, cached: bool = True) -> bytes:
+        """Raw bytes of block *slot*: one ``pread``, or the cache when
+        attached (``cached=False`` bypasses it, as key scans do)."""
+        cache = self._cache if cached else None
         if cache is not None:
-            cached = cache.get(self.table_id, slot)
-            if cached is not None:
-                return cached
+            block = cache.get(self.table_id, slot)
+            if block is not None:
+                return block
         start = self._index_offsets[slot]
         stop = (
             self._index_offsets[slot + 1]
             if slot + 1 < len(self._index_offsets)
             else self._data_end
         )
-        blob = os.pread(self._fd, stop - start, start)
-        records: list[tuple[bytes, "bytes | Tombstone"]] = []
-        nbytes = 0
-        offset = 0
-        limit = stop - start
-        while offset < limit:
-            key_len, value_len = _RECORD.unpack_from(blob, offset)
-            offset += _RECORD.size
-            key = blob[offset : offset + key_len]
-            offset += key_len
-            if value_len == _TOMBSTONE_LEN:
-                records.append((key, TOMBSTONE))
-                nbytes += key_len + RECORD_OVERHEAD
-            else:
-                records.append((key, blob[offset : offset + value_len] if values else b""))
-                offset += value_len
-                nbytes += key_len + value_len + RECORD_OVERHEAD
-        block = tuple(records)
+        block = os.pread(self._fd, stop - start, start)
         if cache is not None and fill_cache and not self.defunct:
-            cache.put(self.table_id, slot, block, nbytes)
+            cache.put(self.table_id, slot, block)
         return block
 
     def items(
@@ -288,18 +296,20 @@ class SSTable:
         cache blocks it will never read again.
         """
         for slot in range(len(self._index_offsets)):
-            yield from self._load_block(slot, fill_cache=fill_cache)
+            yield from _records(self._block(slot, fill_cache=fill_cache))
 
     def items_from(
         self, start: bytes, *, fill_cache: bool = True, values: bool = True
     ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
-        """Records with ``key >= start`` in key order (sparse-index seek);
-        ``values=False`` is the key scan of :meth:`_load_block`."""
+        """Records with ``key >= start`` in key order (sparse-index seek).
+        ``values=False`` is a key scan: live values come back as ``b""``
+        and the blocks bypass the cache, so a scan never evicts the hot set."""
         if not self._index_keys:
             return
         first = max(0, bisect_right(self._index_keys, start) - 1)
         for slot in range(first, len(self._index_offsets)):
-            for key, value in self._load_block(slot, fill_cache=fill_cache, values=values):
+            block = self._block(slot, fill_cache=fill_cache, cached=values)
+            for key, value in _records(block, values):
                 if key >= start:
                     yield key, value
 

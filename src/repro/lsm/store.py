@@ -65,6 +65,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from ..caching.bloom import key_hash
 from ..errors import (
     ConfigurationError,
     DataStoreError,
@@ -656,9 +657,14 @@ class LSMStore(KeyValueStore):
 
     @staticmethod
     def _find_in_tables(raw: bytes, tables: list[SSTable]) -> Any:
-        """Newest entry for *raw* in *tables* (oldest first), or :data:`MISSING`."""
+        """Newest entry for *raw* in *tables* (oldest first), or :data:`MISSING`.
+
+        The key is hashed once; every table's Bloom filter is probed with
+        that one pair.
+        """
+        hashed = key_hash(raw)
         for table in reversed(tables):
-            if table.might_contain(raw):
+            if table.might_contain(raw, hashed):
                 found = table.get(raw)
                 if found is not MISSING:
                     return found

@@ -15,10 +15,10 @@ Design notes (the long-form story is ``docs/serving.md``):
 * **Same protocol, same commands.**  The engine does not reimplement the
   command set.  It owns a :class:`~repro.net.server.StoreServer` (or its
   :class:`~repro.net.server.CacheServer` subclass) as its *command core*
-  and calls ``core.dispatch(command, connection)`` for every parsed
-  request, so GET/SET semantics, STATS, pub/sub, and per-command
-  observability are byte-identical across engines, and every existing
-  synchronous client works unchanged.  The engine touches the core only
+  and hands every socket read to ``core.serve_burst`` -- the threaded
+  engine's request loop too -- so parsing, GET/SET semantics, STATS,
+  pub/sub, and per-command observability are byte-identical across
+  engines, and every existing synchronous client works unchanged.  The engine touches the core only
   through its public names (``docs/serving.md`` lists them).
 * **Sync facade.**  The loop runs on a dedicated daemon thread;
   :meth:`AsyncServerEngine.start`/:meth:`~AsyncServerEngine.stop` look
@@ -49,7 +49,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError, ProtocolError
+from ..errors import ConfigurationError
 from ..obs import Observability
 from . import protocol
 from .server import CacheServer, StoreServer
@@ -356,31 +356,13 @@ class AsyncServerEngine:
         core, obs = self._core, self._core.obs
         buffer = bytearray()
         parser = protocol.CommandParser()
-        while True:
+        keep_open = True
+        while keep_open:
             data = await reader.read(READ_CHUNK)
             if not data:
                 return  # clean disconnect
             buffer += data
-            replies: list[bytes] = []
-            position = 0
-            closing = False
-            while not closing:
-                try:
-                    command, position = parser.feed(buffer, position)
-                except ProtocolError:
-                    # Malformed framing: report once, then drop the peer.
-                    replies.append(protocol.encode_error("ERR protocol error"))
-                    closing = True
-                    break
-                if command is None:
-                    # Incomplete tail: the parser keeps the arguments it has
-                    # copied out, so the bytes before `position` can go.
-                    break
-                reply, keep_open = core.dispatch(command, connection)
-                replies.append(reply)
-                if not keep_open:
-                    closing = True
-            del buffer[:position]
+            replies, keep_open = core.serve_burst(parser, buffer, connection)
             if replies:
                 if obs.enabled:
                     obs.histogram("net.aio.batch").observe(len(replies))
@@ -395,8 +377,6 @@ class AsyncServerEngine:
                 # A SHUTDOWN command was dispatched on this loop; the
                 # engine must be stopped from *outside* the loop thread.
                 threading.Thread(target=self.stop, daemon=True).start()
-                return
-            if closing:
                 return
 
 

@@ -24,9 +24,11 @@ trivially parseable, self-delimiting, and binary-safe:
   and returns the frame that follows -- so epoch-unaware callers keep
   working unchanged.
 
-Both the server and the client use :class:`FrameReader` to parse frames off
-a buffered socket file, and the ``encode_*`` helpers to produce them.
-Violations raise :class:`~repro.errors.ProtocolError`.
+Both serving engines parse requests with :class:`CommandParser` (resumable,
+over the bytes each socket read appended); clients parse replies with
+:class:`FrameReader` off a buffered socket file.  Everyone produces frames
+with the ``encode_*`` helpers.  Violations raise
+:class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -244,20 +246,6 @@ class FrameReader:
             return self.read_frame(allow_eof=False)
         raise ProtocolError(f"unknown frame marker {marker!r}")
 
-    def read_command(self) -> list[bytes] | None:
-        """Read a request frame: an array whose members are all bulk strings."""
-        frame = self.read_frame(allow_eof=True)
-        if frame is None:
-            return None
-        if not isinstance(frame, list) or not frame:
-            raise ProtocolError("request must be a non-empty array")
-        args: list[bytes] = []
-        for member in frame:
-            if not isinstance(member, bytes):
-                raise ProtocolError("request array members must be bulk strings")
-            args.append(member)
-        return args
-
 
 def _parse_length(line: bytes, what: str) -> int:
     try:
@@ -313,13 +301,14 @@ def _parse_command(
 class CommandParser:
     """Resumable request parser: one command's progress survives short reads.
 
-    The event-loop server (:mod:`repro.net.aio`) cannot block mid-frame, so
-    it accumulates socket reads into a buffer and asks for the next complete
-    request after each read.  A large request (a 500-pair ``MSET`` is
-    ~520 KB) arrives over many reads; the parser keeps how many arguments
-    the array announced and the ones already copied out, so every argument
-    is sliced once however the bytes were split -- re-parsing from the
-    command's first byte after every read is quadratic in the command size.
+    Neither serving engine blocks mid-frame: each accumulates socket reads
+    into a buffer and asks for every complete request after each read
+    (:meth:`repro.net.server.StoreServer.serve_burst`).  A large request
+    (a 500-pair ``MSET`` is ~520 KB) arrives over many reads; the parser
+    keeps how many arguments the array announced and the ones already
+    copied out, so every argument is sliced once however the bytes were
+    split -- re-parsing from the command's first byte after every read is
+    quadratic in the command size.
     """
 
     __slots__ = ("_argc", "_args")

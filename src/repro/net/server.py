@@ -73,6 +73,12 @@ __all__ = [
 #: defaults ~32x higher.
 THREADED_MAX_CLIENTS = 128
 
+#: Bytes one ``recv_into`` may fill: each connection thread reuses one such
+#: chunk for every read, so a connection holds 16 KiB of read space (what
+#: a buffered socket file's read and write buffers held) and a read
+#: allocates nothing for the bytes it has not received.
+RECV_CHUNK = 16 * 1024
+
 
 _OK = protocol.encode_simple("OK")
 _NIL = protocol.encode_nil()
@@ -440,35 +446,60 @@ class StoreServer:
         with self._connections_lock:
             self._connections.add(conn)
         self.connected()
-        stream = conn.makefile("rwb")
-        context = _ConnectionContext(stream)
-        reader = protocol.FrameReader(stream)
+        context = _ConnectionContext(conn)
+        parser = protocol.CommandParser()
+        buffer = bytearray()
+        chunk = memoryview(bytearray(RECV_CHUNK))
+        keep_open = True
         try:
-            while not self.stopping.is_set():
-                try:
-                    command = reader.read_command()
-                except Exception:
-                    # Malformed framing: report once, then drop the peer.
-                    with suppress(OSError):
-                        context.send(protocol.encode_error("ERR protocol error"))
-                    return
-                if command is None:
+            while keep_open and not self.stopping.is_set():
+                received = conn.recv_into(chunk)
+                if not received:
                     return  # clean disconnect
-                reply, keep_open = self.dispatch(command, context)
-                try:
-                    context.send(reply)
-                except OSError:
-                    return
-                if not keep_open:
-                    return
+                buffer += chunk[:received]
+                replies, keep_open = self.serve_burst(parser, buffer, context)
+                if replies:
+                    context.send(b"".join(replies))
+        except OSError:
+            return
         finally:
             self.disconnected(context)
             with self._connections_lock:
                 self._connections.discard(conn)
             with suppress(OSError):
-                stream.close()
-            with suppress(OSError):
                 conn.close()
+
+    def serve_burst(
+        self, parser: protocol.CommandParser, buffer: bytearray, connection
+    ) -> tuple[list[bytes], bool]:
+        """Dispatch every complete request at the front of *buffer* -- the
+        request loop of both engines, run once per socket read.
+
+        *parser* is the connection's own, so a request torn across reads
+        resumes where it stopped; the consumed bytes are deleted from
+        *buffer*.  Returns the replies in request order, for the engine to
+        send as one write, and whether the connection stays open: a
+        closing command ends the burst, and malformed framing is answered
+        ``-ERR protocol error`` once before the peer is dropped.
+        """
+        replies: list[bytes] = []
+        position = 0
+        try:
+            while True:
+                command, position = parser.feed(buffer, position)
+                if command is None:
+                    break
+                reply, keep_open = self.dispatch(command, connection)
+                replies.append(reply)
+                if not keep_open:
+                    return replies, False
+        except ProtocolError:
+            replies.append(protocol.encode_error("ERR protocol error"))
+            return replies, False
+        # The parser keeps the arguments it has copied out of an
+        # incomplete tail, so the bytes before `position` can go.
+        del buffer[:position]
+        return replies, True
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -1035,7 +1066,8 @@ class _ClusterRouter:
 
 
 class _ConnectionContext:
-    """A connection's write side, guarded against concurrent pushers.
+    """A connection's write side, guarded against concurrent pushers: the
+    connection's own reply bursts and pub/sub frames from publishers.
 
     Also carries the connection's declared cluster intelligence (set by the
     ``CEPOCH`` command): the topology epoch the peer routes by and its
@@ -1043,18 +1075,17 @@ class _ConnectionContext:
     hash-routing; see ``docs/cluster.md``).
     """
 
-    __slots__ = ("_stream", "_lock", "cluster_epoch", "cluster_level")
+    __slots__ = ("_conn", "_lock", "cluster_epoch", "cluster_level")
 
-    def __init__(self, stream) -> None:
-        self._stream = stream
+    def __init__(self, conn: socket.socket) -> None:
+        self._conn = conn
         self._lock = threading.Lock()
         self.cluster_epoch: int | None = None
         self.cluster_level = 1
 
     def send(self, frame: bytes) -> None:
         with self._lock:
-            self._stream.write(frame)
-            self._stream.flush()
+            self._conn.sendall(frame)
 
 
 def build_server(

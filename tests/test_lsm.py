@@ -16,6 +16,7 @@ import struct
 
 import pytest
 
+from repro.caching.bloom import key_hash
 from repro.errors import (
     ConfigurationError,
     DataStoreError,
@@ -41,6 +42,7 @@ from repro.lsm import (
     write_sstable,
 )
 from repro.lsm import wal as wal_module
+from repro.lsm.blockcache import BLOCK_OVERHEAD
 from repro.lsm.memtable import Tombstone
 from repro.obs import EventLog, Observability
 
@@ -191,6 +193,10 @@ class TestSSTable:
         assert all(table.might_contain(key) for key, _ in self.entries())
         absent = sum(table.might_contain(b"nope-%04d" % i) for i in range(1000))
         assert absent < 100  # ~1% configured fp rate, generous margin
+        probes = [key for key, _ in self.entries()] + [b"nope-%04d" % i for i in range(1000)]
+        assert [table.might_contain(k, key_hash(k)) for k in probes] == [
+            table.might_contain(k) for k in probes
+        ]
         table.close()
 
     def test_unsorted_entries_rejected(self, tmp_path):
@@ -722,44 +728,56 @@ class TestLSMIntegration:
 # ----------------------------------------------------------------------
 # Block cache
 # ----------------------------------------------------------------------
+def _charge(nbytes: int) -> bytes:
+    """A block the cache charges exactly *nbytes* for."""
+    return b"x" * (nbytes - BLOCK_OVERHEAD)
+
+
 class TestBlockCache:
     def test_lru_eviction_by_bytes(self):
-        cache = BlockCache(100)
-        cache.put(1, 0, "a", 40)
-        cache.put(1, 1, "b", 40)
-        assert cache.get(1, 0) == "a"      # touch: slot 0 becomes MRU
-        cache.put(1, 2, "c", 40)           # evicts slot 1, the LRU entry
+        cache = BlockCache(BLOCK_OVERHEAD * 3)
+        a, b, c = (_charge(BLOCK_OVERHEAD + 40 + i) for i in range(3))
+        cache.put(1, 0, a)
+        cache.put(1, 1, b)
+        assert cache.get(1, 0) is a        # touch: slot 0 becomes MRU
+        cache.put(1, 2, c)                 # evicts slot 1, the LRU entry
         assert cache.get(1, 1) is None
-        assert cache.get(1, 0) == "a"
-        assert cache.get(1, 2) == "c"
+        assert cache.get(1, 0) is a
+        assert cache.get(1, 2) is c
         stats = cache.stats()
         assert stats["evictions"] == 1
-        assert stats["bytes"] == 80
+        assert stats["bytes"] == 2 * (BLOCK_OVERHEAD + 40) + 2
         assert stats["blocks"] == 2
+
+    def test_charge_is_length_plus_one_overhead(self):
+        cache = BlockCache(1 << 20)
+        cache.put(1, 0, b"")
+        cache.put(1, 1, b"x" * 1000)
+        assert cache.bytes_used == 2 * BLOCK_OVERHEAD + 1000
 
     def test_oversized_block_not_admitted(self):
         cache = BlockCache(100)
-        cache.put(1, 0, "too-big", 500)
+        cache.put(1, 0, _charge(101))
         assert cache.get(1, 0) is None
         assert cache.bytes_used == 0
 
     def test_replacing_a_block_reaccounts_bytes(self):
-        cache = BlockCache(100)
-        cache.put(1, 0, "a", 60)
-        cache.put(1, 0, "a2", 20)
-        assert cache.bytes_used == 20
-        assert cache.get(1, 0) == "a2"
+        cache = BlockCache(BLOCK_OVERHEAD + 100)
+        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 60))
+        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 20))
+        assert cache.bytes_used == BLOCK_OVERHEAD + 20
+        assert cache.get(1, 0) == b"x" * 20
 
     def test_invalidate_drops_only_that_table(self):
-        cache = BlockCache(1000)
-        cache.put(1, 0, "a", 10)
-        cache.put(1, 1, "b", 10)
-        cache.put(2, 0, "c", 10)
+        cache = BlockCache(1 << 20)
+        cache.put(1, 0, b"a")
+        cache.put(1, 1, b"b")
+        cache.put(2, 0, b"c")
         assert cache.invalidate(1) == 2
         assert cache.invalidate(1) == 0    # idempotent
         assert cache.get(1, 0) is None
-        assert cache.get(2, 0) == "c"
-        assert cache.bytes_used == 10
+        assert cache.get(2, 0) == b"c"
+        assert cache.bytes_used == BLOCK_OVERHEAD + 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -767,16 +785,16 @@ class TestBlockCache:
 
     def test_metrics_flow_through_obs(self):
         obs = Observability()
-        cache = BlockCache(100, obs=obs)
-        cache.put(1, 0, "a", 90)
+        cache = BlockCache(BLOCK_OVERHEAD + 100, obs=obs)
+        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 90))
         cache.get(1, 0)
         cache.get(1, 1)
-        cache.put(1, 2, "b", 90)           # evicts slot 0
+        cache.put(1, 2, _charge(BLOCK_OVERHEAD + 90))  # evicts slot 0
         registry = obs.registry
         assert registry.counter("lsm.block_cache.hits").value == 1
         assert registry.counter("lsm.block_cache.misses").value == 1
         assert registry.counter("lsm.block_cache.evictions").value == 1
-        assert registry.gauge("lsm.block_cache.bytes").value == 90
+        assert registry.gauge("lsm.block_cache.bytes").value == BLOCK_OVERHEAD + 90
 
 
 class TestSSTableBlockCache:

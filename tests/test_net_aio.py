@@ -204,6 +204,23 @@ class TestPipelining:
         assert reader.read_frame() == bytes([599 % 251]) * 1000
         sock.close()
 
+    def test_large_mset_sent_in_4k_slices_arrives_intact(self, server):
+        """A 2 000-pair MSET written 4 KiB at a time: the engine resumes
+        the torn request on every read and stores every pair."""
+        sock = socket.create_connection(server.address, timeout=5)
+        args: list[bytes] = [b"MSET"]
+        for i in range(2000):
+            args += [b"slice-%07d" % i, b"%037d" % i]
+        payload = protocol.encode_command(args) + protocol.encode_command(["DBSIZE"])
+        for offset in range(0, len(payload), 4096):
+            sock.sendall(payload[offset:offset + 4096])
+        reader = protocol.FrameReader(sock.makefile("rb"))
+        assert reader.read_frame() == protocol.SimpleString("OK")
+        assert reader.read_frame() == 2000
+        sock.sendall(protocol.encode_command(["MGET", b"slice-0000000", b"slice-0001999"]))
+        assert reader.read_frame() == [b"%037d" % 0, b"%037d" % 1999]
+        sock.close()
+
     def test_pipeline_error_does_not_poison_batch(self, client):
         replies = client.execute_pipeline(
             [["SET", b"a", b"1"], ["NOSUCH"], ["GET", b"a"]]

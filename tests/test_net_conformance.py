@@ -288,6 +288,29 @@ def test_malformed_frame_reports_once_then_drops(variant):
         sock.close()
 
 
+def test_unterminated_header_is_refused_not_buffered(variant):
+    """A request header that never ends (``*`` then 200 000 digits, no
+    CRLF) is a protocol error once it passes 64 bytes, on every engine:
+    answered and dropped, never buffered without bound.  The socket
+    timeout turns an unanswered request into a failure, not a hang."""
+    _backend, server = variant
+    sock = socket.create_connection(server.address, timeout=2)
+    stream = sock.makefile("rb")
+    try:
+        try:
+            sock.sendall(b"*" + b"9" * 200_000)
+        except OSError:
+            pass  # the server may drop the peer before taking every byte
+        assert read_frame(stream) == b"-ERR protocol error\r\n"
+        try:
+            assert stream.read(1) == b""
+        except ConnectionResetError:
+            pass  # closed with our unread digits queued: a reset, not a FIN
+    finally:
+        stream.close()
+        sock.close()
+
+
 @pytest.mark.parametrize("engine_class", [CacheServer, AsyncCacheServer])
 def test_snapshot_file_format_is_stable(tmp_path, engine_class):
     """SAVE writes, and start() warm-loads, ``{bytes key: (value, ttl)}``."""

@@ -55,8 +55,8 @@ class TestEncodingRoundtrips:
     @given(st.lists(st.binary(max_size=200), min_size=1, max_size=10))
     @settings(max_examples=100)
     def test_command_roundtrip(self, args):
-        reader = FrameReader(io.BytesIO(protocol.encode_command(args)))
-        assert reader.read_command() == args
+        payload = protocol.encode_command(args)
+        assert protocol.try_parse_command(payload) == (args, len(payload))
 
     @given(st.binary(max_size=5000))
     @settings(max_examples=100)
@@ -193,14 +193,13 @@ class TestMalformedInput:
         with pytest.raises(ProtocolError):
             read_one(b"\r\n")
 
-    def test_command_must_be_array(self):
-        with pytest.raises(ProtocolError):
-            FrameReader(io.BytesIO(b":5\r\n")).read_command()
-
-    def test_command_members_must_be_bulk(self):
-        payload = protocol.encode_array([protocol.encode_integer(1)])
-        with pytest.raises(ProtocolError):
-            FrameReader(io.BytesIO(payload)).read_command()
+    def test_torn_request_is_never_a_command(self):
+        """A request cut anywhere -- the peer closing mid-request -- is an
+        incomplete prefix, never a command and never an error."""
+        payload = protocol.encode_command([b"SET", b"key", b"v" * 20])
+        for cut in range(len(payload)):
+            assert protocol.try_parse_command(payload[:cut]) is None
+            assert protocol.CommandParser().feed(payload[:cut])[0] is None
 
     def test_empty_command_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
@@ -231,17 +230,30 @@ class TestFuzzing:
         except ProtocolError:
             pass
 
+    @given(st.binary(max_size=400))
+    @settings(max_examples=200)
+    def test_random_bytes_never_crash_the_parser(self, junk):
+        """The request side of the same property: arbitrary bytes parse,
+        stay an incomplete prefix, or raise ProtocolError."""
+        parser, position = protocol.CommandParser(), 0
+        try:
+            while True:
+                command, position = parser.feed(junk, position)
+                if command is None:
+                    break
+        except ProtocolError:
+            pass
+
     @given(st.lists(st.binary(max_size=60), min_size=1, max_size=6))
     @settings(max_examples=100)
     def test_frames_survive_trailing_garbage(self, args):
-        """A valid frame followed by junk: the frame parses, the junk
+        """A valid request followed by junk: the request parses, the junk
         fails cleanly."""
-        stream = io.BytesIO(protocol.encode_command(args) + b"\x00garbage")
-        reader = FrameReader(stream)
-        assert reader.read_command() == args
+        payload = protocol.encode_command(args)
+        parser = protocol.CommandParser()
+        assert parser.feed(payload + b"\x00garbage\r\n") == (args, len(payload))
         with pytest.raises(ProtocolError):
-            while reader.read_frame() is not None:
-                pass
+            parser.feed(payload + b"\x00garbage\r\n", len(payload))
 
 
 class _CountingBuffer(bytearray):
@@ -299,7 +311,11 @@ class TestCommandParser:
         buffer += b"cdeXX"  # five bytes, then no CRLF
         with pytest.raises(ProtocolError):
             parser.feed(buffer, 0)
-        for bad in (b"+OK\r\n", b"*0\r\n", b"*1\r\n:1\r\n", b"*1\r\n$-2\r\n", b"*" + b"9" * 80):
+        for bad in (
+            b"+OK\r\n", b":5\r\n", b"$1\r\nx\r\n",  # not an array
+            b"*0\r\n", b"*" + b"9" * 80,
+            b"*1\r\n:1\r\n", b"*1\r\n$-2\r\n", b"*1\r\n$-1\r\n", b"*1\r\n*1\r\n",  # not bulk
+        ):
             with pytest.raises(ProtocolError):
                 protocol.CommandParser().feed(bad, 0)
 
