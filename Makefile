@@ -56,10 +56,11 @@ check-serving:
 check-anomaly:
 	$(PYTHON) scripts/check_anomaly.py
 
-# Boot a three-shard cluster over real sockets, write through an L1
-# client, hash-route through an L3 client, add and remove shards
-# mid-traffic, and assert zero lost keys, bounded key movement, and epoch
-# convergence without a single client reconnect (see docs/cluster.md).
+# Boot a three-shard cluster over real sockets, check that a non-owner
+# answers -MOVED and stores nothing, hash-route through the cluster client,
+# add and remove shards mid-traffic, and assert zero lost keys, bounded key
+# movement, and epoch convergence without a single client reconnect (see
+# docs/cluster.md).
 check-cluster:
 	$(PYTHON) scripts/check_cluster.py
 

@@ -1,6 +1,6 @@
 """Cluster read throughput: does adding shards add capacity?
 
-One figure (``results/BENCH_cluster.json``): aggregate L3 read throughput
+One figure (``results/BENCH_cluster.json``): aggregate client read throughput
 against shard count (1, 2, 4) under a *fixed-service-time* capacity model.
 Every shard hosts a :class:`~repro.kv.chaos.FlakyStore` (failure rate 0)
 that holds each operation for ``SERVICE_TIME`` on the shard's serving
@@ -11,8 +11,8 @@ engine (one loop thread each), so their service windows overlap and the
 cluster's aggregate ceiling grows with the shard count.
 
 The driver is a pool of threads, each reading single keys through its own
-:class:`~repro.cluster.ClusterStoreClient` at level 3: every GET is
-hash-routed straight to its owning shard, so the measured scaling is the
+:class:`~repro.cluster.ClusterStoreClient`: every GET is hash-routed
+straight to its owning shard, so the measured scaling is the
 *routing's* doing -- no proxy hop, no fan-out.  The keyspace is
 owner-balanced by construction (see :func:`balanced_keys`): ring spread
 has its own property tests, and letting it skew the load here would make
@@ -68,7 +68,7 @@ def balanced_keys(topology, count: int) -> list[str]:
 
 
 def measure(shard_count: int) -> float:
-    """Aggregate read throughput (ops/s) of L3 clients over *shard_count*."""
+    """Aggregate read throughput (ops/s) of cluster clients over *shard_count*."""
     coordinator = ClusterCoordinator(engine="async")
     try:
         for index in range(shard_count):
@@ -77,12 +77,12 @@ def measure(shard_count: int) -> float:
                 FlakyStore(InMemoryStore(), failure_rate=0.0, latency=SERVICE_TIME),
             )
         keys = balanced_keys(coordinator.topology, KEY_SPACE)
-        with coordinator.client(level=3) as seeder:
+        with coordinator.client() as seeder:
             seeder.put_many({key: b"x" * 64 for key in keys})
         # One client per worker: each holds its own connection to every
         # shard, so a request in flight never blocks another worker and the
         # only queueing is at the shards themselves -- the thing measured.
-        clients = [coordinator.client(level=3) for _ in range(WORKERS)]
+        clients = [coordinator.client() for _ in range(WORKERS)]
         try:
             stop = threading.Event()
             counts = [0] * WORKERS
@@ -126,12 +126,12 @@ def test_cluster_curve(benchmark, collector, sweeps, shard_count):
     benchmark.group = "cluster"
     benchmark.pedantic(lambda: None, rounds=1)
     collector.record_value(
-        FIGURE, "l3_read", float(shard_count), sweeps[shard_count], unit="ops/s"
+        FIGURE, "read", float(shard_count), sweeps[shard_count], unit="ops/s"
     )
     collector.note(
         FIGURE,
-        f"Aggregate single-key GET throughput of {WORKERS} L3 "
-        "(hash-routing) clients against shards holding every op for "
+        f"Aggregate single-key GET throughput of {WORKERS} hash-routing "
+        "cluster clients against shards holding every op for "
         f"{SERVICE_TIME * 1e3:.0f}ms (a fixed-service-time capacity model: "
         f"each shard tops out near {1 / SERVICE_TIME:.0f} ops/s).  x is "
         "the shard count; the keyspace is owner-balanced by construction "

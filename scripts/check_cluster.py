@@ -3,16 +3,18 @@
 
 Guards the headline promises of ``docs/cluster.md`` over real sockets:
 
-* an **L1** client can write the whole keyspace through any single node
-  (the servers forward misrouted keys to their owners);
-* an **L3** client hash-routes every operation straight to the owning
+* a member serves only the keys it owns: a write for any other key, sent
+  on a plain connection, is refused with ``-MOVED`` naming the owner and
+  stores nothing anywhere; writes through the cluster client land only on
+  their owners;
+* the cluster client hash-routes every operation straight to the owning
   shard -- zero redirects while the topology is stable;
 * adding a shard **mid-traffic** loses nothing: every key written before
   and during the membership change stays readable, key movement stays
-  bounded near K/N, and the L3 client converges on the new epoch without
-  a single reconnect;
-* removing a shard drains its keys to the survivors and the L3 client
-  routes around the dead member, again without reconnecting.
+  bounded near K/N, and the client converges on the new epoch without a
+  single reconnect;
+* removing a shard drains its keys to the survivors and the client routes
+  around the dead member, again without reconnecting.
 
 Everything runs in-process against ``InMemoryStore`` shards -- no
 timing-based waits, zero real sleeps.  Exit status 0 when the contract
@@ -29,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster import ClusterCoordinator, moved_pairs  # noqa: E402
 from repro.kv import InMemoryStore  # noqa: E402
+from repro.net import CacheClient, parse_moved  # noqa: E402
 from repro.obs import EventLog, Observability  # noqa: E402
 
 KEYSPACE = 200
@@ -46,14 +49,34 @@ def _boot(obs: Observability | None = None) -> ClusterCoordinator:
     return coordinator
 
 
-def check_l1_writes_land_on_owners() -> list[str]:
-    """Write through one node at L1; every key must land on its owner."""
+def check_non_owner_refuses_and_writes_land_on_owners() -> list[str]:
+    """A non-owner refuses with -MOVED and stores nothing; writes through
+    the cluster client land only on their owners."""
     errors: list[str] = []
     coordinator = _boot()
     try:
-        with coordinator.client(level=1) as client:
-            client.put_many({f"key-{i}": {"n": i} for i in range(KEYSPACE)})
         topology = coordinator.topology
+        keys = [f"key-{i}" for i in range(KEYSPACE)]
+        foreign = [key for key in keys if topology.owner(key) != "shard-0"]
+        with CacheClient(*topology.address("shard-0")) as plain:
+            wrong = []
+            for key in foreign:
+                moved = parse_moved(str(plain.call(["SET", key, "v"])))
+                if moved is None or moved.shard != topology.owner(key):
+                    wrong.append(key)
+            moved = parse_moved(str(plain.call(
+                ["MSET", *[part for key in keys for part in (key, "v")]])))
+        _expect(errors, not wrong,
+                f"{len(wrong)} of {len(foreign)} foreign SETs not redirected "
+                f"to their owner (e.g. {wrong[:3]})")
+        _expect(errors, moved is not None,
+                "a cross-shard MSET to a non-owner was not redirected")
+        stored = sum(coordinator.store(name).size() for name in topology.members)
+        _expect(errors, stored == 0,
+                f"{stored} keys stored after every write was refused")
+
+        with coordinator.client() as client:
+            client.put_many({key: {"n": i} for i, key in enumerate(keys)})
         misplaced = 0
         total = 0
         for name in topology.members:
@@ -64,7 +87,7 @@ def check_l1_writes_land_on_owners() -> list[str]:
         _expect(errors, total == KEYSPACE,
                 f"{total} keys stored for {KEYSPACE} written")
         _expect(errors, misplaced == 0,
-                f"{misplaced} keys on non-owner shards after L1 writes")
+                f"{misplaced} keys on non-owner shards after client writes")
         spread = [coordinator.store(name).size() for name in topology.members]
         _expect(errors, all(count > 0 for count in spread),
                 f"keys did not spread across every shard: {spread}")
@@ -73,21 +96,21 @@ def check_l1_writes_land_on_owners() -> list[str]:
     return errors
 
 
-def check_l3_routes_without_redirects() -> list[str]:
-    """A topology-fresh L3 client never sees MOVED and reads everything."""
+def check_routes_without_redirects() -> list[str]:
+    """A topology-fresh client never sees MOVED and reads everything."""
     errors: list[str] = []
     coordinator = _boot()
     try:
         expected = {f"key-{i}": {"n": i} for i in range(KEYSPACE)}
-        with coordinator.client(level=1) as seeder:
+        with coordinator.client() as seeder:
             seeder.put_many(expected)
-        with coordinator.client(level=3) as client:
+        with coordinator.client() as client:
             readback = {key: client.get(key) for key in expected}
-            _expect(errors, readback == expected, "L3 read-back mismatch")
+            _expect(errors, readback == expected, "read-back mismatch")
             _expect(errors, client.redirects == 0,
                     f"{client.redirects} redirects on a stable topology")
             _expect(errors, client.connection_reconnects() == 0,
-                    "L3 client reconnected during steady-state reads")
+                    "client reconnected during steady-state reads")
     finally:
         coordinator.stop()
     return errors
@@ -101,7 +124,7 @@ def check_live_shard_add() -> list[str]:
     coordinator = _boot(obs)
     try:
         expected = {f"key-{i}": {"n": i} for i in range(KEYSPACE)}
-        with coordinator.client(level=3) as client:
+        with coordinator.client() as client:
             client.put_many(expected)
             epoch_before = client.epoch
 
@@ -112,7 +135,7 @@ def check_live_shard_add() -> list[str]:
             def writer() -> None:
                 index = 0
                 try:
-                    with coordinator.client(level=3) as own:
+                    with coordinator.client() as own:
                         while not stop.is_set():
                             own.put(f"live-{index}", index)
                             live[f"live-{index}"] = index
@@ -151,7 +174,7 @@ def check_live_shard_add() -> list[str]:
             _expect(errors, client.epoch == epoch_before + 1,
                     f"client stuck at epoch {client.epoch}")
             _expect(errors, client.connection_reconnects() == 0,
-                    f"L3 convergence cost {client.connection_reconnects()} "
+                    f"convergence cost {client.connection_reconnects()} "
                     f"reconnects; must be zero")
         kinds = [record["kind"] for record in obs.events.tail()]
         _expect(errors, "topology_changed" in kinds,
@@ -176,13 +199,13 @@ def _epochs(coordinator, report):
 
 
 def check_live_shard_remove() -> list[str]:
-    """Remove a shard: its keys drain to survivors and the L3 client
-    routes around the dead member without reconnecting survivors."""
+    """Remove a shard: its keys drain to survivors and the client routes
+    around the dead member without reconnecting survivors."""
     errors: list[str] = []
     coordinator = _boot()
     try:
         expected = {f"key-{i}": {"n": i} for i in range(KEYSPACE)}
-        with coordinator.client(level=3) as client:
+        with coordinator.client() as client:
             client.put_many(expected)
             held_before = coordinator.store("shard-1").size()
             report = coordinator.remove_shard("shard-1")
@@ -211,8 +234,9 @@ def check_live_shard_remove() -> list[str]:
 
 
 CHECKS = [
-    ("L1 writes land on their owners", check_l1_writes_land_on_owners),
-    ("L3 routes with zero redirects", check_l3_routes_without_redirects),
+    ("a non-owner refuses; writes land on their owners",
+     check_non_owner_refuses_and_writes_land_on_owners),
+    ("the client routes with zero redirects", check_routes_without_redirects),
     ("live shard add loses nothing", check_live_shard_add),
     ("live shard remove drains cleanly", check_live_shard_remove),
 ]

@@ -10,7 +10,8 @@ structural asserts only -- module sets, never wall-clock:
   the same plus ``repro.net.aio``) stays within :data:`SERVING_BUDGET`
   ``repro.*`` modules and loads none of :data:`FORBIDDEN` -- no sqlite3, no
   ``cryptography``, no replication, cluster, UDSM, txn, delta, consistency,
-  security or compression layer;
+  security or compression layer, and no wire client (``repro.net.client``:
+  a member never dials its peers);
 * ``python -m repro.net.server --backend lsm`` with the default engine
   never imports ``asyncio``, not even while serving;
 * a **served request imports nothing**: ``sys.modules`` is identical before
@@ -53,6 +54,10 @@ FORBIDDEN = (
     "repro.security",
     "repro.compression",
 )
+
+#: Barred from the serving closure only, since a server never dials anyone
+#: (the request-round child below imports it for its own probe client).
+WIRE_CLIENT = ("repro.net.client",)
 
 SERVING_IMPORTS = "from repro.lsm.store import LSMStore; from repro.net.server import StoreServer"
 
@@ -134,8 +139,8 @@ def check_root(errors: list[str]) -> None:
 def check_serving_closure(errors: list[str]) -> None:
     print("[2/4] the serving closure loads only the layers it composes")
     for label, statement, banned in (
-        ("threaded", SERVING_IMPORTS, FORBIDDEN + ("asyncio",)),
-        ("async", SERVING_IMPORTS + "; import repro.net.aio", FORBIDDEN),
+        ("threaded", SERVING_IMPORTS, FORBIDDEN + WIRE_CLIENT + ("asyncio",)),
+        ("async", SERVING_IMPORTS + "; import repro.net.aio", FORBIDDEN + WIRE_CLIENT),
     ):
         modules = _loaded_after(statement)
         count = len(_repro_modules(modules))

@@ -9,10 +9,9 @@ data store from the client side) applied to horizontal scale:
 * :class:`ClusterCoordinator` -- boots shard servers, adds/removes shards,
   and live-rebalances only the moved key ranges;
 * :class:`ClusterStoreClient` -- a :class:`~repro.kv.interface.KeyValueStore`
-  with Hot Rod-style intelligence levels: L1 proxies through any node,
-  L2 subscribes to the topology, L3 hash-routes every operation to the
-  owning shard and converges on membership changes via piggybacked epochs
-  and ``-MOVED`` redirects, without reconnecting;
+  that hash-routes every operation to the owning shard and converges on
+  membership changes via piggybacked epochs and ``-MOVED`` redirects,
+  without reconnecting (a member never forwards a key);
 * :mod:`~repro.cluster.rebalancer` -- the no-downtime key-movement passes
   built on the ``repro migrate`` machinery.
 

@@ -1,26 +1,18 @@
-"""Topology-aware cluster client with graded intelligence levels.
+"""Topology-aware cluster client: every key goes straight to its owner.
 
 :class:`ClusterStoreClient` is a :class:`~repro.kv.interface.KeyValueStore`
 whose namespace spans every shard of a cluster (see
-:class:`~repro.cluster.topology.ClusterTopology`).  Following the way
-Infinispan's Hot Rod protocol grades client smartness, it supports three
-**intelligence levels**:
+:class:`~repro.cluster.topology.ClusterTopology`).  It bootstraps the shard
+map with one ``TOPOLOGY`` round trip, places every key exactly where the
+servers would (same hash ring) and talks straight to the owner: the
+intelligence lives in the client, and a member never forwards a key.
 
-* **L1 -- proxy through any node.**  The client knows only its seed
-  addresses and round-robins plain connections across them; the *server*
-  forwards misrouted keys to their owners.  Every cross-shard key costs an
-  extra server-to-server hop.
-* **L2 -- topology-subscribed.**  The client bootstraps the shard map with
-  one ``TOPOLOGY`` round trip and spreads load across *all* members, and
-  its connections declare themselves (``CEPOCH``) so servers piggyback the
-  current epoch whenever the client's view goes stale -- membership changes
-  propagate without polling.  Keys are still server-routed.
-* **L3 -- hash-routing.**  The client places every key exactly where the
-  server would (same hash ring) and talks straight to the owner: zero
-  forwarding hops on the hot path.  A stale routing table surfaces as a
-  ``-MOVED`` redirect; the client follows it, refreshes the topology, and
-  re-declares its epoch on existing connections -- **no reconnect, no
-  restart** (the check gate asserts exactly this).
+Its connections declare the epoch they route by (``CEPOCH``), so a member
+on a newer topology stamps its epoch on every reply.  A stale routing
+table surfaces as that ``^<epoch>`` header or as a ``-MOVED`` redirect;
+the client refreshes the topology, re-declares its epoch on existing
+connections and re-runs the operation -- **no reconnect, no restart**
+(the check gate asserts exactly this).
 
 Wire-level mechanics (epoch headers, MOVED grammar) are specified in
 ``docs/protocol.md``; operational guidance lives in ``docs/cluster.md``.
@@ -34,7 +26,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from ..errors import ConfigurationError, ProtocolError, StoreConnectionError
 from ..kv.interface import KeyValueStore, NotModified
 from ..kv.remote import RemoteKeyValueStore
-from ..net.client import CacheClient, ClusterAwareClient, parse_moved
+from ..net.client import ClusterAwareClient, parse_moved
 from ..net.protocol import WireError
 from ..obs import Observability, resolve_obs
 from ..serialization import Serializer
@@ -44,18 +36,16 @@ __all__ = ["ClusterStoreClient"]
 
 Address = tuple[str, int]
 
+#: How many times one operation may find its routing table stale (a
+#: ``-MOVED`` hop, a newer epoch on a reply, a dead member) before giving up.
+MAX_REDIRECTS = 3
+
 
 class ClusterStoreClient(KeyValueStore):
     """One key-value namespace over many shards, routed client-side.
 
     :param seeds: ``(host, port)`` addresses of known cluster members; any
-        one reachable seed suffices to bootstrap (levels 2/3 fetch the full
-        shard map from it).
-    :param level: client intelligence, 1..3 (see module docstring).
-    :param topology: optionally skip the bootstrap fetch by supplying the
-        topology directly (tests, benchmarks).
-    :param max_redirects: how many ``-MOVED`` hops one operation may follow
-        before giving up (each hop also refreshes the topology).
+        one reachable seed suffices to bootstrap the full shard map.
     :param coordinator: optional owning
         :class:`~repro.cluster.coordinator.ClusterCoordinator`; if given,
         :meth:`close` also stops it (used by ``udsm.cluster(...)``).
@@ -65,67 +55,49 @@ class ClusterStoreClient(KeyValueStore):
         self,
         seeds: Iterable[Address],
         *,
-        level: int = 3,
         name: str = "cluster",
         serializer: Serializer | None = None,
-        topology: ClusterTopology | None = None,
         connect_timeout: float = 5.0,
         operation_timeout: float = 30.0,
-        max_redirects: int = 3,
         obs: Observability | None = None,
         coordinator=None,
     ) -> None:
         self._seeds = [(str(host), int(port)) for host, port in seeds]
         if not self._seeds:
             raise ConfigurationError("a cluster client needs at least one seed address")
-        if level not in (1, 2, 3):
-            raise ConfigurationError(f"cluster intelligence level must be 1..3, got {level}")
-        if max_redirects < 1:
-            raise ConfigurationError("max_redirects must be at least 1")
         self.name = name
-        self._level = level
         self._serializer = serializer
         self._connect_timeout = connect_timeout
         self._operation_timeout = operation_timeout
-        self._max_redirects = max_redirects
         self._obs = resolve_obs(obs)
         self._coordinator = coordinator
         self._lock = threading.Lock()
-        self._conns: dict[Address, CacheClient] = {}
+        self._conns: dict[Address, ClusterAwareClient] = {}
         self._stores: dict[Address, RemoteKeyValueStore] = {}
-        self._rr = 0
         self._closed = False
         #: MOVED redirects followed (stale routing table moments).
         self.redirects = 0
         #: Topology refreshes performed (bootstrap included).
         self.refreshes = 0
-        self._topology: ClusterTopology | None = topology
-        if topology is not None:
-            self._note_epoch(topology.epoch)
-        elif self._level >= 2:
-            self._refresh_topology()
+        self._topology: ClusterTopology | None = None
+        self._refresh_topology()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def level(self) -> int:
-        return self._level
-
-    @property
-    def topology(self) -> ClusterTopology | None:
+    def topology(self) -> ClusterTopology:
         return self._topology
 
     @property
-    def epoch(self) -> int | None:
-        topology = self._topology
-        return None if topology is None else topology.epoch
+    def epoch(self) -> int:
+        return self._topology.epoch
 
     def connection_reconnects(self) -> int:
         """Total transparent reconnects across every member connection.
 
         The check gate asserts this stays zero across a live topology
-        change: L3 convergence must not cost a single reconnect.
+        change: convergence must not cost a single reconnect.
         """
         with self._lock:
             return sum(conn.reconnects for conn in self._conns.values())
@@ -137,29 +109,19 @@ class ClusterStoreClient(KeyValueStore):
         topology = self._topology
         return 0 if topology is None else topology.epoch
 
-    def _connection(self, address: Address) -> CacheClient:
+    def _connection(self, address: Address) -> ClusterAwareClient:
         with self._lock:
             if self._closed:
                 raise StoreConnectionError("cluster client is closed")
             conn = self._conns.get(address)
             if conn is None:
-                if self._level >= 2:
-                    conn = ClusterAwareClient(
-                        address[0],
-                        address[1],
-                        level=self._level,
-                        epoch_source=self._current_epoch,
-                        connect_timeout=self._connect_timeout,
-                        operation_timeout=self._operation_timeout,
-                    )
-                else:
-                    conn = CacheClient(
-                        address[0],
-                        address[1],
-                        connect_timeout=self._connect_timeout,
-                        operation_timeout=self._operation_timeout,
-                    )
-                self._conns[address] = conn
+                conn = self._conns[address] = ClusterAwareClient(
+                    address[0],
+                    address[1],
+                    epoch_source=self._current_epoch,
+                    connect_timeout=self._connect_timeout,
+                    operation_timeout=self._operation_timeout,
+                )
                 self._stores[address] = RemoteKeyValueStore(
                     address[0],
                     address[1],
@@ -182,27 +144,12 @@ class ClusterStoreClient(KeyValueStore):
         if conn is not None:
             conn.close()
 
-    def _spread_addresses(self) -> list[Address]:
-        """The address pool for non-hash-routed traffic."""
-        topology = self._topology
-        if topology is not None and self._level >= 2:
-            return [topology.address(name) for name in topology.members]
-        return list(self._seeds)
-
-    def _any_address(self) -> Address:
-        pool = self._spread_addresses()
-        with self._lock:
-            self._rr = (self._rr + 1) % len(pool)
-            return pool[self._rr]
-
     def _address_for(self, key: str) -> Address:
-        """Where one keyed operation goes, per the client's intelligence."""
+        """The owner of *key* under the client's routing table."""
         topology = self._topology
-        if self._level >= 3 and topology is not None:
-            if self._obs.enabled:
-                self._obs.inc("cluster.client.routed")
-            return topology.address(topology.owner(key))
-        return self._any_address()
+        if self._obs.enabled:
+            self._obs.inc("cluster.client.routed")
+        return topology.address(topology.owner(key))
 
     # ------------------------------------------------------------------
     # Topology maintenance
@@ -252,11 +199,10 @@ class ClusterStoreClient(KeyValueStore):
         # Re-declare the adopted epoch on live connections so servers stop
         # flagging them stale -- connections stay up, nothing reconnects.
         for conn in conns:
-            if isinstance(conn, ClusterAwareClient):
-                try:
-                    conn.declare(topology.epoch)
-                except (StoreConnectionError, WireError):
-                    pass  # member gone or leaving; routing will route around it
+            try:
+                conn.declare(topology.epoch)
+            except (StoreConnectionError, WireError):
+                pass  # member gone or leaving; routing will route around it
         return topology
 
     def _note_epoch(self, epoch: int) -> None:
@@ -265,17 +211,16 @@ class ClusterStoreClient(KeyValueStore):
             self._obs.gauge("cluster.client.epoch").set(epoch)
             self._obs.emit("topology_refreshed", name=self.name, epoch=epoch)
 
-    def _observe_reply_epoch(self, address: Address) -> None:
-        """React to a piggybacked epoch: newer than ours -> refresh now."""
-        if self._level < 2:
-            return
+    def _is_stale(self, address: Address) -> bool:
+        """Has the member at *address* piggybacked a newer epoch than ours?"""
         with self._lock:
             conn = self._conns.get(address)
-        topology = self._topology
-        if conn is None or topology is None:
-            return
-        seen = conn.last_epoch
-        if seen is not None and seen > topology.epoch:
+        seen = None if conn is None else conn.last_epoch
+        return seen is not None and seen > self._current_epoch()
+
+    def _observe_reply_epoch(self, address: Address) -> None:
+        """React to a piggybacked epoch: newer than ours -> refresh now."""
+        if self._is_stale(address):
             self._refresh_topology(prefer=address)
 
     def _note_redirect(self) -> None:
@@ -293,7 +238,7 @@ class ClusterStoreClient(KeyValueStore):
         refreshes the topology instead of failing the operation."""
         address: Address | None = None
         last_error: Exception | None = None
-        for _attempt in range(self._max_redirects + 1):
+        for _attempt in range(MAX_REDIRECTS + 1):
             target = self._address_for(key) if address is None else address
             address = None
             store = self._store_at(target)
@@ -314,30 +259,28 @@ class ClusterStoreClient(KeyValueStore):
             except StoreConnectionError as err:
                 last_error = err
                 self._drop_connection(target)
-                if self._level >= 2:
-                    self._refresh_topology()  # the member is likely gone
+                self._refresh_topology()  # the member is likely gone
                 continue
             self._observe_reply_epoch(target)
             return result
         raise StoreConnectionError(
             f"cluster routing for key {key!r} did not converge after "
-            f"{self._max_redirects} redirects"
+            f"{MAX_REDIRECTS} redirects"
         ) from last_error
 
     def _grouped(self, keys: Iterable[str]) -> dict[Address, list[str]]:
         topology = self._topology
-        assert topology is not None
         groups: dict[Address, list[str]] = {}
         for key in keys:
             groups.setdefault(topology.address(topology.owner(key)), []).append(key)
         return groups
 
     def _execute_grouped(self, keys: list[str], op):
-        """Scatter a batched op by owner (L3), retrying the whole batch once
-        per MOVED hop or dead member.  Batched ops here are idempotent
+        """Scatter a batched op by owner, retrying the whole batch once per
+        MOVED hop or dead member.  Batched ops here are idempotent
         (get/put/delete), so re-running already-succeeded groups is safe."""
         last_error: Exception | None = None
-        for _attempt in range(self._max_redirects + 1):
+        for _attempt in range(MAX_REDIRECTS + 1):
             groups = self._grouped(keys)
             results: list[tuple[Address, Any]] = []
             try:
@@ -361,7 +304,35 @@ class ClusterStoreClient(KeyValueStore):
             return [result for _address, result in results]
         raise StoreConnectionError(
             f"cluster routing for a {len(keys)}-key batch did not converge "
-            f"after {self._max_redirects} redirects"
+            f"after {MAX_REDIRECTS} redirects"
+        ) from last_error
+
+    def _on_every_member(self, op) -> list:
+        """Run *op* on every member's store under one topology, one result
+        per member.  A reply stamped with a newer epoch or a dead member
+        refreshes the topology and re-runs the whole pass over the new map,
+        within the same bound as a redirect."""
+        last_error: Exception | None = None
+        for _attempt in range(MAX_REDIRECTS + 1):
+            topology = self._topology
+            results = []
+            for name in topology.members:
+                address = topology.address(name)
+                try:
+                    results.append(op(self._store_at(address)))
+                except StoreConnectionError as err:
+                    last_error = err
+                    self._drop_connection(address)
+                    self._refresh_topology()  # the member is likely gone
+                    break
+                if self._is_stale(address):
+                    self._refresh_topology(prefer=address)
+                    break
+            else:
+                return results
+        raise StoreConnectionError(
+            f"a cluster-wide operation did not converge after {MAX_REDIRECTS} "
+            f"topology refreshes"
         ) from last_error
 
     # ------------------------------------------------------------------
@@ -395,57 +366,35 @@ class ClusterStoreClient(KeyValueStore):
         key_list = list(keys)
         if not key_list:
             return {}
-        if self._level >= 3 and self._topology is not None:
-            out: dict[str, Any] = {}
-            for found in self._execute_grouped(
-                key_list, lambda store, group: store.get_many(group)
-            ):
-                out.update(found)
-            return out
-        # L1/L2: one node takes the batch; the server scatter-gathers.
-        return self._store_at(self._any_address()).get_many(key_list)
+        out: dict[str, Any] = {}
+        for found in self._execute_grouped(
+            key_list, lambda store, group: store.get_many(group)
+        ):
+            out.update(found)
+        return out
 
     def put_many(self, items: "Mapping[str, Any]") -> None:
         if not items:
             return
-        if self._level >= 3 and self._topology is not None:
-            self._execute_grouped(
-                list(items),
-                lambda store, group: store.put_many({key: items[key] for key in group}),
-            )
-            return
-        self._store_at(self._any_address()).put_many(dict(items))
+        self._execute_grouped(
+            list(items),
+            lambda store, group: store.put_many({key: items[key] for key in group}),
+        )
 
     def delete_many(self, keys: "Iterable[str]") -> int:
         key_list = list(keys)
         if not key_list:
             return 0
-        if self._level >= 3 and self._topology is not None:
-            return sum(
-                self._execute_grouped(
-                    key_list, lambda store, group: store.delete_many(group)
-                )
-            )
-        return self._store_at(self._any_address()).delete_many(key_list)
+        return sum(
+            self._execute_grouped(key_list, lambda store, group: store.delete_many(group))
+        )
 
     # ------------------------------------------------------------------
     # KeyValueStore: whole-namespace operations (aggregate across shards)
     # ------------------------------------------------------------------
-    def _aggregate_addresses(self) -> list[Address]:
-        """Every member address; fetches the topology on demand so even an
-        L1 client aggregates the *whole* namespace, not one node's slice."""
-        topology = self._topology
-        if topology is None:
-            topology = self._refresh_topology()
-        return [topology.address(name) for name in topology.members]
-
     def keys(self) -> Iterator[str]:
         seen: set[str] = set()
-        for address in self._aggregate_addresses():
-            try:
-                member_keys = list(self._store_at(address).keys())
-            except StoreConnectionError:
-                continue  # member mid-removal; its keys have moved
+        for member_keys in self._on_every_member(lambda store: list(store.keys())):
             for key in member_keys:
                 if key not in seen:
                     seen.add(key)
@@ -454,14 +403,14 @@ class ClusterStoreClient(KeyValueStore):
     def size(self) -> int:
         # Mid-rebalance a moved key may momentarily live on two shards, so
         # this can transiently over-count; it converges with the topology.
-        return sum(
-            self._store_at(address).size() for address in self._aggregate_addresses()
-        )
+        return sum(self._on_every_member(lambda store: store.size()))
 
     def clear(self) -> int:
-        return sum(
-            self._store_at(address).clear() for address in self._aggregate_addresses()
-        )
+        # Count every key a pass removed, including a pass cut short by a
+        # newer epoch: those keys are gone too.
+        cleared: list[int] = []
+        self._on_every_member(lambda store: cleared.append(store.clear()))
+        return sum(cleared)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -478,7 +427,4 @@ class ClusterStoreClient(KeyValueStore):
             self._coordinator.stop()
 
     def __repr__(self) -> str:
-        return (
-            f"<ClusterStoreClient name={self.name!r} level={self._level} "
-            f"epoch={self.epoch}>"
-        )
+        return f"<ClusterStoreClient name={self.name!r} epoch={self.epoch}>"

@@ -130,11 +130,11 @@ class ClusterCoordinator:
                 "total_keys": sum(entry["keys"] for entry in shards),
             }
 
-    def client(self, *, level: int = 3, **kwargs) -> "ClusterStoreClient":
+    def client(self, **kwargs) -> "ClusterStoreClient":
         """A :class:`~repro.cluster.client.ClusterStoreClient` for this cluster."""
         from .client import ClusterStoreClient
 
-        return ClusterStoreClient(self.seeds, level=level, **kwargs)
+        return ClusterStoreClient(self.seeds, **kwargs)
 
     # ------------------------------------------------------------------
     # Membership

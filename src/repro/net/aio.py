@@ -119,16 +119,15 @@ class _AsyncConnection:
     All sends happen on the loop thread (fan-out runs inside a dispatch),
     so no lock is needed -- the transport buffers the write.
 
-    Carries the connection's declared cluster intelligence exactly like the
+    Carries the connection's declared topology epoch exactly like the
     threaded ``_ConnectionContext`` (set by the ``CEPOCH`` command).
     """
 
-    __slots__ = ("_writer", "cluster_epoch", "cluster_level")
+    __slots__ = ("_writer", "cluster_epoch")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
         self.cluster_epoch: int | None = None
-        self.cluster_level = 1
 
     def send(self, frame: bytes) -> None:
         if self._writer.is_closing():

@@ -37,9 +37,9 @@ __all__ = [
 class MovedRedirect(NamedTuple):
     """Parsed form of a ``-MOVED <epoch> <shard> <host>:<port>`` redirect.
 
-    A cluster server sends MOVED to a level-3 (hash-routing) client whose
-    routing table is stale: the named shard at ``host:port`` owns the key
-    under topology version *epoch* (see ``docs/cluster.md``).
+    A cluster server answers MOVED for every key it does not own: the named
+    shard at ``host:port`` owns the key under topology version *epoch* (see
+    ``docs/cluster.md``).
     """
 
     epoch: int
@@ -94,7 +94,7 @@ class CacheClient:
         self._reader: protocol.FrameReader | None = None
         self._closed = False
         #: Transparent reconnects performed so far (diagnostics; the cluster
-        #: gate uses it to prove an L3 client converged *without* reconnecting).
+        #: gate uses it to prove a cluster client converged *without* reconnecting).
         self.reconnects = 0
 
     # ------------------------------------------------------------------
@@ -210,8 +210,8 @@ class CacheClient:
 
         Unlike the typed command methods, error replies come back as
         :class:`~repro.net.protocol.WireError` *values* rather than being
-        raised -- callers relaying frames verbatim (cluster forwarding)
-        need the error as data.
+        raised -- callers that inspect a reply (a ``TOPOLOGY`` fetch, a
+        ``-MOVED`` redirect) need the error as data.
         """
         return self._roundtrip(args)
 
@@ -390,14 +390,12 @@ class CacheClient:
 
 
 class ClusterAwareClient(CacheClient):
-    """A :class:`CacheClient` that declares cluster intelligence on connect.
+    """A :class:`CacheClient` that declares its routing epoch on connect.
 
-    Immediately after every (re)connect it sends ``CEPOCH <epoch> <level>``,
-    telling the server which topology version it routes by and how smart it
-    is (level 2 = topology-subscribed, level 3 = hash-routing; see
-    ``docs/cluster.md``).  The server then piggybacks its epoch on replies
-    whenever the declared epoch is stale, and -- for level 3 -- answers
-    misrouted keys with a ``-MOVED`` redirect instead of proxying.
+    Immediately after every (re)connect it sends ``CEPOCH <epoch>``, telling
+    the server which topology version it routes by.  The server then
+    piggybacks its own epoch on replies whenever the declared one is stale
+    (see ``docs/cluster.md``).
 
     Against a pre-cluster server the declaration is rejected with an
     unknown-command error; the client tolerates that and behaves exactly
@@ -409,14 +407,11 @@ class ClusterAwareClient(CacheClient):
         host: str,
         port: int,
         *,
-        level: int = 3,
         epoch_source=None,
         connect_timeout: float = 5.0,
         operation_timeout: float = 30.0,
         obs: Observability | None = None,
     ) -> None:
-        if level not in (2, 3):
-            raise ProtocolError(f"cluster intelligence level must be 2 or 3, got {level}")
         super().__init__(
             host,
             port,
@@ -424,26 +419,19 @@ class ClusterAwareClient(CacheClient):
             operation_timeout=operation_timeout,
             obs=obs,
         )
-        self._level = level
         #: Zero-arg callable returning the epoch this client routes by; the
         #: owning smart client supplies its topology's epoch.
         self._epoch_source = epoch_source if epoch_source is not None else (lambda: 0)
 
-    @property
-    def level(self) -> int:
-        return self._level
-
     def _connect(self, timeout: float | None = None) -> None:
         super()._connect(timeout)
-        # Declare intelligence on the fresh connection.  We are inside the
+        # Declare the epoch on the fresh connection.  We are inside the
         # client lock (callers hold it around _connect), so writing directly
         # to the stream cannot interleave with another command.
         try:
             assert self._stream is not None and self._reader is not None
             self._stream.write(
-                protocol.encode_command(
-                    ["CEPOCH", str(int(self._epoch_source())), str(self._level)]
-                )
+                protocol.encode_command(["CEPOCH", str(int(self._epoch_source()))])
             )
             self._stream.flush()
             self._reader.read_frame(allow_eof=False)
@@ -461,7 +449,7 @@ class ClusterAwareClient(CacheClient):
         Called by the smart client after a topology refresh so the server
         stops flagging this connection as stale -- no reconnect needed.
         """
-        self._roundtrip(["CEPOCH", str(int(epoch)), str(self._level)])
+        self._roundtrip(["CEPOCH", str(int(epoch))])
 
 
 class Pipeline:

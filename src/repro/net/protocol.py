@@ -49,7 +49,6 @@ __all__ = [
     "encode_nil",
     "encode_array",
     "encode_epoch",
-    "encode_frame",
     "FrameReader",
     "CommandParser",
     "try_parse_command",
@@ -139,30 +138,6 @@ def encode_epoch(epoch: int) -> bytes:
     if epoch < 0:
         raise ProtocolError(f"topology epoch must be non-negative, got {epoch}")
     return b"^%d\r\n" % epoch
-
-
-def encode_frame(frame: "Frame") -> bytes:
-    """Re-encode a decoded frame (the inverse of ``FrameReader.read_frame``).
-
-    Used when relaying a reply verbatim -- e.g. a cluster shard forwarding
-    a command to the owning peer and splicing the peer's answer into its
-    own response stream.
-    """
-    if isinstance(frame, SimpleString):
-        return encode_simple(str(frame))
-    if isinstance(frame, WireError):
-        return encode_error(str(frame))
-    if isinstance(frame, bool):
-        raise ProtocolError("booleans are not a wire frame type")
-    if isinstance(frame, int):
-        return encode_integer(frame)
-    if isinstance(frame, (bytes, bytearray)):
-        return encode_bulk(bytes(frame))
-    if isinstance(frame, _Nil):
-        return encode_nil()
-    if isinstance(frame, list):
-        return encode_array([encode_frame(member) for member in frame])
-    raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
 
 
 class FrameReader:

@@ -53,7 +53,6 @@ from ..errors import (
 )
 from ..obs import Observability
 from . import protocol
-from .client import ClusterAwareClient, parse_moved
 from ..kv.interface import KeyValueStore, content_version
 
 __all__ = [
@@ -362,8 +361,8 @@ class StoreServer:
         return self.address
 
     def stop(self) -> None:
-        """Stop accepting, close the listener, every live connection and
-        every cluster peer connection.  Idempotent."""
+        """Stop accepting, close the listener and every live connection.
+        Idempotent."""
         self.stopping.set()
         self._close_listener()
         with self._connections_lock:
@@ -374,8 +373,6 @@ class StoreServer:
                 conn.shutdown(socket.SHUT_RDWR)
             with suppress(OSError):
                 conn.close()
-        if self._router is not None:
-            self._router.close()
 
     def _close_listener(self) -> None:
         listener, self._listener = self._listener, None
@@ -687,17 +684,15 @@ class StoreServer:
         return protocol.encode_bulk(topology.encode())
 
     def _cmd_cepoch(self, args, connection):
-        """Declare this connection's cluster intelligence: CEPOCH <epoch> [<level>]."""
+        """Declare the topology epoch this connection routes by: CEPOCH <epoch>."""
         try:
             epoch = int(args[0])
-            level = int(args[1]) if len(args) == 2 else 3
         except ValueError:
             return protocol.encode_error("ERR invalid CEPOCH arguments")
-        if epoch < 0 or not 1 <= level <= 3:
-            return protocol.encode_error("ERR CEPOCH wants epoch >= 0 and level 1..3")
+        if epoch < 0:
+            return protocol.encode_error("ERR CEPOCH wants epoch >= 0")
         if connection is not None:
             connection.cluster_epoch = epoch
-            connection.cluster_level = level
         return _OK
 
     def _cmd_stats(self, args, connection):
@@ -862,7 +857,7 @@ COMMANDS: dict[bytes, _Command] = {
         _Command("SAVE", StoreServer._cmd_save, needs_cache=_NO_SAVE),
         _Command("STATS", StoreServer._cmd_stats),
         _Command("TOPOLOGY", StoreServer._cmd_topology),
-        _Command("CEPOCH", StoreServer._cmd_cepoch, (1, 2)),
+        _Command("CEPOCH", StoreServer._cmd_cepoch, (1, 1)),
         _Command("SUBSCRIBE", StoreServer._cmd_subscribe, (1, 1)),
         _Command("UNSUBSCRIBE", StoreServer._cmd_unsubscribe, (1, 1)),
         _Command("PUBLISH", StoreServer._cmd_publish, (2, 2)),
@@ -876,12 +871,11 @@ class _ClusterRouter:
     """Cluster routing, composed around one server's local dispatch.
 
     Created by :meth:`StoreServer.install_topology`, so a standalone server
-    carries no peer map and pays no per-command topology test.  Keyed
-    commands (rows with ``keys``) whose keys this shard does not own are
-    answered with a ``-MOVED`` redirect (level-3 connections) or proxied to
-    the owning peer (everyone else), and replies to connections that
-    declared a stale epoch get the current epoch piggybacked as a
-    ``^<epoch>`` header.
+    pays no per-command topology test.  A keyed command (a row with
+    ``keys``) naming any key this shard does not own is answered with a
+    ``-MOVED`` redirect and runs nowhere: the client routes, a member never
+    forwards.  Replies to connections that declared a stale epoch
+    (``CEPOCH``) get the current epoch piggybacked as a ``^<epoch>`` header.
     """
 
     def __init__(self, server: StoreServer) -> None:
@@ -890,8 +884,6 @@ class _ClusterRouter:
         # encode()) plus this server's shard name.
         self.topology = None
         self.self_name: str | None = None
-        self._peers: dict[tuple[str, int], ClusterAwareClient] = {}
-        self._peers_lock = threading.Lock()
 
     def install(self, topology, self_name: str) -> None:
         current = self.topology
@@ -913,175 +905,53 @@ class _ClusterRouter:
                 members=list(topology.members),
             )
 
-    def close(self) -> None:
-        with self._peers_lock:
-            peers, self._peers = list(self._peers.values()), {}
-        for peer in peers:
-            try:
-                peer.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-
     def dispatch(self, command: list[bytes], connection) -> tuple[bytes, bool]:
         topology = self.topology
         row = COMMANDS.get(command[0].upper())
-        routed = None
+        moved = None
         if row is not None and row.keys is not None:
-            routed = self._route(row, command[1:], connection, topology)
-        if routed is not None:
+            moved = self._moved(command[1:][row.keys], topology)
+        if moved is not None:
             self._server.commands_served += 1
-            reply, keep_open = routed, True
+            reply, keep_open = moved, True
         else:
             reply, keep_open = self._server.dispatch_local(command, connection)
         if (
             connection is not None
-            and connection.cluster_level >= 2
+            and connection.cluster_epoch is not None
             and connection.cluster_epoch != topology.epoch
         ):
             reply = protocol.encode_epoch(topology.epoch) + reply
         return reply, keep_open
 
-    def _route(self, row: _Command, args: list[bytes], connection, topology) -> bytes | None:
-        """Cluster routing for one keyed command.
-
-        Returns ``None`` when every key is owned locally (an arity error
-        included: no keys, so the local handler reports it) -- execute
-        normally.  Otherwise returns the encoded reply: a ``-MOVED``
-        redirect for level-3 connections, or the merged result of proxying
-        the misrouted keys to their owners.
-        """
-        obs = self._server.obs
-        keys = args[row.keys]
-        owners = {key: topology.owner(_key(key)) for key in keys}
-        if all(owner == self.self_name for owner in owners.values()):
-            return None
-        if connection is not None and connection.cluster_level >= 3:
-            # A hash-routing client got here with a stale table: redirect it
-            # to the first misrouted key's owner instead of masking the miss.
-            owner = next(owners[key] for key in keys if owners[key] != self.self_name)
-            host, port = topology.address(owner)
-            if obs.enabled:
-                obs.inc("cluster.moved_replies")
-            return protocol.encode_error(f"MOVED {topology.epoch} {owner} {host}:{port}")
-        try:
-            return self._forward(row, args, owners, topology)
-        except (OSError, DataStoreError) as exc:
-            if obs.enabled:
-                obs.inc("server.errors")
-            return protocol.encode_error(f"ERR cluster forward failed: {exc}")
-
-    def _forward(self, row: _Command, args, owners, topology) -> bytes:
-        """Proxy misrouted keys to their owners and merge the replies.
-
-        This is the level-1 service: any shard accepts any command and the
-        cluster looks like one big server.  Single-key commands relay
-        verbatim; ``MGET``/``DEL``/``MSET`` scatter to every involved owner
-        (the local part runs through the table's own handlers) and gather
-        in argument order.
-        """
-        if self._server.obs.enabled:
-            self._server.obs.inc("cluster.forwarded")
-        if row.keys is FIRST:
-            frame = self._peer_call(
-                topology, owners[args[0]], [row.name.encode("ascii"), *args]
-            )
-            return protocol.encode_frame(frame)
-
-        def local(name: bytes, local_args: list[bytes]) -> bytes:
-            return COMMANDS[name].handler(self._server, local_args, None)
-
-        if row.name == "MGET":
-            frames: list[bytes] = [b""] * len(args)
-            remote: dict[str, list[int]] = {}
-            for index, key in enumerate(args):
-                if owners[key] == self.self_name:
-                    frames[index] = local(b"GET", [key])
-                else:
-                    remote.setdefault(owners[key], []).append(index)
-            for owner, indexes in remote.items():
-                reply = self._peer_call(
-                    topology, owner, [b"MGET", *[args[i] for i in indexes]]
-                )
-                if not isinstance(reply, list) or len(reply) != len(indexes):
-                    raise ProtocolError("peer MGET returned a malformed array")
-                for index, member in zip(indexes, reply):
-                    frames[index] = protocol.encode_frame(member)
-            return protocol.encode_array(frames)
-
-        def group(width: int) -> dict[str, list[bytes]]:
-            groups: dict[str, list[bytes]] = {}
-            for index in range(0, len(args) - width + 1, width):
-                groups.setdefault(owners[args[index]], []).extend(args[index:index + width])
-            return groups
-
-        def peer(owner: str, command: list[bytes]):
-            reply = self._peer_call(topology, owner, command)
-            if isinstance(reply, protocol.WireError):
-                raise ProtocolError(f"peer {row.name} failed: {reply}")
-            return reply
-
-        if row.name == "DEL":
-            removed = 0
-            for owner, keys in group(1).items():
-                if owner == self.self_name:
-                    removed += int(local(b"DEL", keys)[1:-2])
-                else:
-                    removed += int(peer(owner, [b"DEL", *keys]))
-            return protocol.encode_integer(removed)
-        if row.name == "MSET":
-            for owner, flat in group(2).items():
-                if owner == self.self_name:
-                    local(b"MSET", flat)
-                else:
-                    peer(owner, [b"MSET", *flat])
-            return protocol.encode_simple("OK")
-        raise ProtocolError(f"command {row.name} is not forwardable")  # pragma: no cover
-
-    def _peer_call(self, topology, owner: str, command: list[bytes]):
-        """One round trip to the peer shard *owner*, following one MOVED hop.
-
-        Peer connections declare level 3, so a peer with a newer topology
-        answers MOVED rather than forwarding onward -- forwarding chains
-        (and cycles, during a topology install) are impossible by
-        construction.
-        """
-        frame = self._peer(topology.address(owner)).call(command)
-        if isinstance(frame, protocol.WireError):
-            moved = parse_moved(str(frame))
-            if moved is not None:
-                frame = self._peer(moved.address).call(command)
-        return frame
-
-    def _peer(self, address: tuple[str, int]) -> ClusterAwareClient:
-        with self._peers_lock:
-            peer = self._peers.get(address)
-            if peer is None:
-                peer = self._peers[address] = ClusterAwareClient(
-                    address[0],
-                    address[1],
-                    level=3,
-                    epoch_source=lambda: self.topology.epoch,
-                )
-            return peer
+    def _moved(self, keys: list[bytes], topology) -> bytes | None:
+        """The ``-MOVED`` redirect to the first key this shard does not own,
+        or ``None`` when it owns them all (an arity error included: no keys,
+        so the local handler reports it)."""
+        for key in keys:
+            owner = topology.owner(_key(key))
+            if owner != self.self_name:
+                host, port = topology.address(owner)
+                if self._server.obs.enabled:
+                    self._server.obs.inc("cluster.moved_replies")
+                return protocol.encode_error(f"MOVED {topology.epoch} {owner} {host}:{port}")
+        return None
 
 
 class _ConnectionContext:
     """A connection's write side, guarded against concurrent pushers: the
     connection's own reply bursts and pub/sub frames from publishers.
 
-    Also carries the connection's declared cluster intelligence (set by the
-    ``CEPOCH`` command): the topology epoch the peer routes by and its
-    level (1 = proxy-through-any-node, 2 = topology-subscribed, 3 =
-    hash-routing; see ``docs/cluster.md``).
+    Also carries the topology epoch the peer declared it routes by (set by
+    the ``CEPOCH`` command; ``None`` until then -- see ``docs/cluster.md``).
     """
 
-    __slots__ = ("_conn", "_lock", "cluster_epoch", "cluster_level")
+    __slots__ = ("_conn", "_lock", "cluster_epoch")
 
     def __init__(self, conn: socket.socket) -> None:
         self._conn = conn
         self._lock = threading.Lock()
         self.cluster_epoch: int | None = None
-        self.cluster_level = 1
 
     def send(self, frame: bytes) -> None:
         with self._lock:

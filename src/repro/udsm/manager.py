@@ -288,7 +288,6 @@ class UniversalDataStoreManager:
         members: "list[str]",
         *,
         name: str = "cluster",
-        level: int = 3,
         engine: str = "threaded",
         replicas: int = 64,
     ) -> "MonitoredStore":
@@ -297,9 +296,8 @@ class UniversalDataStoreManager:
 
         Each member store gets its own in-process shard server (real TCP,
         engine selectable); the registered composite is a
-        :class:`~repro.cluster.ClusterStoreClient` at the requested
-        intelligence *level* (1 = proxy through any node, 2 =
-        topology-subscribed, 3 = hash-routing -- see ``docs/cluster.md``).
+        :class:`~repro.cluster.ClusterStoreClient`, which hash-routes every
+        key straight to its owning shard (see ``docs/cluster.md``).
         Closing the composite (e.g. via :meth:`close`) also stops the shard
         servers; the member stores themselves stay owned by the registry.
         ``cluster.*`` metrics and ``topology_changed``/``rebalance`` events
@@ -316,7 +314,6 @@ class UniversalDataStoreManager:
                 coordinator.add_shard(member, self.raw_store(member))
             composite = ClusterStoreClient(
                 coordinator.seeds,
-                level=level,
                 name=name,
                 obs=shared_obs,
                 coordinator=coordinator,  # client.close() stops the servers

@@ -388,7 +388,7 @@ class TestClusterCommand:
         try:
             for index in range(3):
                 coordinator.add_shard(f"shard-{index}", InMemoryStore())
-            with coordinator.client(level=3) as client:
+            with coordinator.client() as client:
                 client.put_many({f"key-{i}": i for i in range(30)})
             host, port = coordinator.seeds[0]
             assert main(["cluster", "status", "--seed", f"{host}:{port}"]) == 0

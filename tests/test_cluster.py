@@ -1,11 +1,12 @@
 """repro.cluster: versioned topology, ring economics, wire routing, and
-the smart client's three intelligence levels.
+the hash-routing smart client.
 
 The property tests pin the *economics* consistent hashing promises --
 roughly K/N keys move on a membership change, and they move only along
-the pairs :func:`moved_pairs` names -- and the live tests pin the headline
-behaviour: an L3 client survives shard add/remove mid-session without a
-single reconnect.
+the pairs :func:`moved_pairs` names -- the wire tests pin the one routing
+contract (a member serves the keys it owns and answers ``-MOVED`` for the
+rest, on both engines), and the live tests pin the headline behaviour: a
+client survives shard add/remove mid-session without a single reconnect.
 """
 
 from __future__ import annotations
@@ -43,11 +44,23 @@ def topo(*names: str, epoch: int = 1, replicas: int = 64) -> ClusterTopology:
     )
 
 
-@pytest.fixture()
-def cluster():
-    coordinator = ClusterCoordinator()
+def boot(engine: str = "threaded") -> ClusterCoordinator:
+    coordinator = ClusterCoordinator(engine=engine)
     for index in range(3):
         coordinator.add_shard(f"shard-{index}", InMemoryStore())
+    return coordinator
+
+
+@pytest.fixture()
+def cluster():
+    coordinator = boot()
+    yield coordinator
+    coordinator.stop()
+
+
+@pytest.fixture(params=["threaded", "async"])
+def engine_cluster(request):
+    coordinator = boot(request.param)
     yield coordinator
     coordinator.stop()
 
@@ -165,8 +178,8 @@ class TestRingEconomics:
 
 
 class TestWireCluster:
-    """Server-side routing over real sockets: TOPOLOGY, CEPOCH, forwarding,
-    MOVED redirects, and the piggybacked epoch header."""
+    """Server-side routing over real sockets: TOPOLOGY, CEPOCH, MOVED
+    redirects, and the piggybacked epoch header."""
 
     def non_owner_seed(self, cluster, key):
         topology = cluster.topology
@@ -193,32 +206,56 @@ class TestWireCluster:
             server.stop()
 
     @pytest.mark.parametrize(
-        "args", [["CEPOCH"], ["CEPOCH", "x"], ["CEPOCH", "-1"], ["CEPOCH", "1", "9"]]
+        "args", [["CEPOCH"], ["CEPOCH", "x"], ["CEPOCH", "-1"], ["CEPOCH", "1", "3"]]
     )
     def test_cepoch_validation(self, cluster, args):
         with CacheClient(*cluster.seeds[0]) as client:
             assert isinstance(client.call(args), WireError)
 
-    def test_level1_put_forwards_to_the_owner(self, cluster):
-        key = next(
-            f"fwd-{i}"
-            for i in range(100)
-            if cluster.topology.owner(f"fwd-{i}") != "shard-0"
+    @staticmethod
+    def spanning_keys(topology, count: int = 12) -> list[str]:
+        """Keys over several shards, the first one owned by ``shard-0``."""
+        keys = sorted(
+            (f"span-{i}" for i in range(count)),
+            key=lambda key: topology.owner(key) != "shard-0",
         )
-        address = cluster.topology.address("shard-0")
-        with CacheClient(*address) as client:
-            client.set(key, b"payload")
-            assert client.get(key) == b"payload"
-        owner_store = cluster.store(cluster.topology.owner(key))
-        assert owner_store.contains(key)
-        assert not cluster.store("shard-0").contains(key)
+        assert topology.owner(keys[0]) == "shard-0"
+        assert len({topology.owner(key) for key in keys}) > 1
+        return keys
 
-    def test_level3_connection_gets_moved(self, cluster):
+    @pytest.mark.parametrize("command", ["GET", "SET", "MGET", "MSET", "DEL"])
+    def test_undeclared_connection_gets_moved(self, engine_cluster, command):
+        """The one contract: a connection that never sent CEPOCH is
+        redirected like any other, and gets no epoch header."""
+        topology = engine_cluster.topology
+        keys = self.spanning_keys(topology)
+        # The first key shard-0 does not own: the one a redirect names.
+        foreign = next(key for key in keys if topology.owner(key) != "shard-0")
+        args = {
+            "GET": ["GET", foreign],
+            "SET": ["SET", foreign, "v"],
+            "MGET": ["MGET", *keys],
+            "MSET": ["MSET", *[part for key in keys for part in (key, "v")]],
+            "DEL": ["DEL", *keys],
+        }[command]
+        owner = topology.owner(foreign)
+        with CacheClient(*topology.address("shard-0")) as client:
+            reply = client.call(args)
+            moved = parse_moved(str(reply)) if isinstance(reply, WireError) else None
+            assert moved == (engine_cluster.epoch, owner, *topology.address(owner))
+            assert client.last_epoch is None
+
+    def test_cross_shard_mset_to_a_non_owner_writes_nothing(self, engine_cluster):
+        keys = self.spanning_keys(engine_cluster.topology)
+        with CacheClient(*engine_cluster.topology.address("shard-0")) as client:
+            reply = client.call(["MSET", *[part for key in keys for part in (key, "v")]])
+        assert parse_moved(str(reply)) is not None
+        assert [engine_cluster.store(name).size() for name in engine_cluster.shards] == [0, 0, 0]
+
+    def test_declared_connection_gets_moved(self, cluster):
         key = "routed-key"
         seed, owner_address, owner = self.non_owner_seed(cluster, key)
-        client = ClusterAwareClient(
-            *seed, level=3, epoch_source=lambda: cluster.epoch
-        )
+        client = ClusterAwareClient(*seed, epoch_source=lambda: cluster.epoch)
         try:
             reply = client.call(["GET", key])
             assert isinstance(reply, WireError)
@@ -233,7 +270,7 @@ class TestWireCluster:
     def test_stale_epoch_gets_piggybacked_header(self, cluster):
         key = "stale-epoch-key"
         seed, _owner_address, _owner = self.non_owner_seed(cluster, key)
-        client = ClusterAwareClient(*seed, level=2, epoch_source=lambda: 0)
+        client = ClusterAwareClient(*seed, epoch_source=lambda: 0)
         try:
             client.call(["SET", "local-probe", "x"])
             assert client.last_epoch == cluster.epoch
@@ -244,20 +281,10 @@ class TestWireCluster:
         finally:
             client.close()
 
-    def test_cross_shard_batches_merge_through_one_node(self, cluster):
-        items = {f"batch-{i}": str(i).encode() for i in range(20)}
-        owners = {cluster.topology.owner(key) for key in items}
-        assert len(owners) > 1  # the batch genuinely spans shards
-        with CacheClient(*cluster.seeds[0]) as client:
-            client.mset(items)
-            assert client.mget(list(items)) == list(items.values())
-            assert client.delete(*items) == len(items)
-            assert client.mget(list(items)) == [None] * len(items)
-
 
 class TestClusterStoreClient:
-    def test_level3_routes_to_owner_stores(self, cluster):
-        with cluster.client(level=3) as client:
+    def test_routes_to_owner_stores(self, cluster):
+        with cluster.client() as client:
             for i in range(30):
                 client.put(f"doc-{i}", {"i": i})
             assert client.redirects == 0  # fresh topology: no misses
@@ -268,7 +295,7 @@ class TestClusterStoreClient:
         assert all(count > 0 for count in per_shard)
 
     def test_single_key_surface(self, cluster):
-        with cluster.client(level=3) as client:
+        with cluster.client() as client:
             client.put("k", "v")
             assert client.contains("k")
             version = client.put_with_version("k", "v2")
@@ -279,9 +306,8 @@ class TestClusterStoreClient:
             with pytest.raises(KeyNotFoundError):
                 client.get("k")
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_batched_and_aggregate_surface(self, cluster, level):
-        with cluster.client(level=level) as client:
+    def test_batched_and_aggregate_surface(self, cluster):
+        with cluster.client() as client:
             items = {f"n-{i}": i for i in range(25)}
             client.put_many(items)
             assert client.get_many(list(items)) == items
@@ -294,11 +320,9 @@ class TestClusterStoreClient:
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             ClusterStoreClient([])
-        with pytest.raises(ConfigurationError):
-            ClusterStoreClient([("127.0.0.1", 1)], level=4)
 
     def test_closed_client_refuses_operations(self, cluster):
-        client = cluster.client(level=3)
+        client = cluster.client()
         client.close()
         client.close()  # idempotent
         with pytest.raises(StoreConnectionError):
@@ -308,9 +332,9 @@ class TestClusterStoreClient:
 class TestLiveMembership:
     """The headline: smart clients survive membership changes in-session."""
 
-    def test_l3_converges_on_add_without_reconnecting(self, cluster):
+    def test_converges_on_add_without_reconnecting(self, cluster):
         expected = {f"key-{i}": i for i in range(120)}
-        with cluster.client(level=3) as client:
+        with cluster.client() as client:
             client.put_many(expected)
             assert client.epoch == 3
             report = cluster.add_shard("shard-3", InMemoryStore())
@@ -323,9 +347,9 @@ class TestLiveMembership:
             assert client.connection_reconnects() == 0
         assert cluster.store("shard-3").size() == report.moved
 
-    def test_l3_converges_on_remove_without_reconnecting(self, cluster):
+    def test_converges_on_remove_without_reconnecting(self, cluster):
         expected = {f"key-{i}": i for i in range(120)}
-        with cluster.client(level=3) as client:
+        with cluster.client() as client:
             client.put_many(expected)
             report = cluster.remove_shard("shard-1")
             assert report.moved > 0
@@ -335,18 +359,44 @@ class TestLiveMembership:
             assert client.connection_reconnects() == 0
         assert "shard-1" not in cluster.shards
 
+    # Removing shard-0 puts the dead member first in the pass; removing
+    # shard-1 lets a live member's epoch header report the change first.
+    @pytest.mark.parametrize("change", ["add shard-3", "remove shard-0", "remove shard-1"])
+    @pytest.mark.parametrize("op", ["size", "keys", "clear"])
+    def test_cluster_wide_ops_follow_a_membership_change(self, cluster, change, op):
+        """A client whose last keyed request predates the change still
+        counts, lists and clears the whole namespace over the new map."""
+        expected = {f"key-{i}": i for i in range(60)}
+        with cluster.client() as client:
+            client.put_many(expected)
+            verb, shard = change.split()
+            if verb == "add":
+                cluster.add_shard(shard, InMemoryStore())
+            else:
+                cluster.remove_shard(shard)
+            if op == "size":
+                assert client.size() == len(expected)
+            elif op == "keys":
+                assert sorted(client.keys()) == sorted(expected)
+            else:
+                assert client.clear() == len(expected)
+                assert [cluster.store(name).size() for name in cluster.shards] == [0] * len(
+                    cluster.shards
+                )
+            assert client.epoch == cluster.epoch
+
     def test_zero_lost_keys_with_writes_during_rebalance(self, cluster):
         """Writers keep writing fresh keys while a shard joins; nothing is
         lost (write-once keys are outside the documented overwrite window)."""
         written: dict[str, int] = {f"pre-{i}": i for i in range(60)}
-        with cluster.client(level=3) as client:
+        with cluster.client() as client:
             client.put_many(written)
             stop = threading.Event()
             mine: dict[str, int] = {}
 
             def writer() -> None:
                 index = 0
-                with cluster.client(level=3) as own:
+                with cluster.client() as own:
                     while not stop.is_set():
                         own.put(f"live-{index}", index)
                         mine[f"live-{index}"] = index
@@ -371,7 +421,7 @@ class TestLiveMembership:
             coordinator.add_shard("a", InMemoryStore())
             coordinator.add_shard("b", InMemoryStore())
             store = coordinator.store("a")
-            with coordinator.client(level=1) as client:
+            with coordinator.client() as client:
                 client.put_many({f"k{i}": i for i in range(40)})
             coordinator.add_shard("c", InMemoryStore())
             kinds = [record["kind"] for record in obs.events.tail()]

@@ -147,11 +147,11 @@ TRANSCRIPT: list[tuple[list[bytes], list]] = [
     ),
     ([request(b"TOPOLOGY")], [b"-ERR this server is not part of a cluster\r\n"]),
     ([request(b"CEPOCH", b"0")], [OK]),
-    ([request(b"CEPOCH", b"0", b"1")], [OK]),
+    ([request(b"CEPOCH", b"0", b"1")], [arity("CEPOCH", "expected 1, got 2")]),
     ([request(b"CEPOCH", b"x")], [b"-ERR invalid CEPOCH arguments\r\n"]),
-    ([request(b"CEPOCH", b"0", b"9")], [b"-ERR CEPOCH wants epoch >= 0 and level 1..3\r\n"]),
-    ([request(b"CEPOCH")], [arity("CEPOCH", "expected 1 or 2")]),
-    ([request(b"CEPOCH", b"1", b"2", b"3")], [arity("CEPOCH", "expected 1 or 2")]),
+    ([request(b"CEPOCH", b"-1")], [b"-ERR CEPOCH wants epoch >= 0\r\n"]),
+    ([request(b"CEPOCH")], [arity("CEPOCH", "expected 1, got 0")]),
+    ([request(b"CEPOCH", b"1", b"2", b"3")], [arity("CEPOCH", "expected 1, got 3")]),
     # -- pub/sub arity (delivery is test_publish_reaches_a_subscriber) ----
     ([request(b"PUBLISH", b"nobody", b"x")], [b":0\r\n"]),
     ([request(b"PUBLISH", b"chan")], [arity("PUBLISH", "expected 2, got 1")]),

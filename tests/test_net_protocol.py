@@ -128,35 +128,6 @@ class TestEpochHeader:
         assert reader.last_epoch == epoch
 
 
-class TestEncodeFrame:
-    """Re-encoding decoded frames (the server's forwarding path)."""
-
-    @pytest.mark.parametrize(
-        "frame",
-        [SimpleString("OK"), 42, -7, b"", b"payload", NIL, [b"a", 1, NIL, [b"b"]]],
-    )
-    def test_roundtrip(self, frame):
-        assert read_one(protocol.encode_frame(frame)) == frame
-
-    def test_wire_error_roundtrips(self):
-        frame = read_one(protocol.encode_frame(WireError("ERR nope")))
-        assert isinstance(frame, WireError)
-        assert "nope" in str(frame)
-
-    def test_bool_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.encode_frame(True)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.encode_frame(object())
-
-    @given(st.binary(max_size=300))
-    @settings(max_examples=50)
-    def test_any_bulk_reencodes(self, data):
-        assert read_one(protocol.encode_frame(data)) == data
-
-
 class TestMalformedInput:
     def test_clean_eof_returns_none(self):
         assert read_one(b"") is None
