@@ -51,13 +51,9 @@ NOTE = (
     "per-op samples (x = value bytes), so p50/p95/p99 in the JSON are true "
     "tail latencies.  Series: <backend>_write / _read / _scan "
     "(scan = one full keys_with_prefix pass per sample).  "
-    "lsm_read_cache_on / lsm_read_cache_off isolate the block cache: same "
-    "flushed working set, warmed, read with the default 8 MiB budget vs "
-    "block_cache_bytes=0 (asserted: 0 vs 1 pread per timed get, and "
-    "cache-on p50 < cache-off p50).  "
     f"lsm_read_cold = the e2e spine's cold read in process: {COLD_KEYS} "
     f"x {VALUE_SIZE} B loaded by put_many into a 1 MiB memtable (7 "
-    "tables), the default 8 MiB cache (~25 % block hits), "
+    "tables, read through the OS page cache), "
     f"{COLD_READS} uniform gets timed after {COLD_READS} warm-up gets.  "
     f"lsm_fsync_* measure durable writes ({FSYNC_VALUE_SIZE} B records, "
     f"x = record bytes, {FSYNC_ROUNDS} interleaved rounds of "
@@ -362,68 +358,9 @@ def test_scan_path(benchmark, collector, tmp_path, name):
     store.close()
 
 
-def test_read_path_block_cache(benchmark, collector, tmp_path, monkeypatch):
-    """Block cache on vs off: point reads over the same flushed working set.
-
-    Shape: with the working set (~1 MB) inside the default 8 MiB budget
-    and the cache warmed by one prior pass, the cache-on p50 must be
-    strictly below cache-off, and the run must actually hit the cache
-    (``lsm.block_cache.hits > 0``).  An untimed pass after the timed one
-    counts ``pread`` calls: 0 per warm get with the cache, 1 without.
-    """
-    obs = Observability(events=EventLog())
-    stores = {
-        "cache_on": LSMStore(tmp_path / "on.lsm", obs=obs),
-        "cache_off": LSMStore(tmp_path / "off.lsm", block_cache_bytes=0),
-    }
-    for store in stores.values():
-        for i in range(OPERATIONS):
-            store.put(f"bench-{i:05d}", payload_for(i))
-        store.flush()  # read from SSTables, not a warm memtable
-    order = list(range(OPERATIONS))
-    random.Random(11).shuffle(order)
-    samples: dict[str, list[float]] = {mode: [] for mode in stores}
-    preads = dict.fromkeys(stores, 0)
-    real_pread = os.pread
-    benchmark.group = "backend-lsm-read"
-
-    def run() -> None:
-        for mode, store in stores.items():
-            for i in order:  # warm pass: faults blocks in (no-op when off)
-                store.get(f"bench-{i:05d}")
-            for i in order:
-                start = time.perf_counter()
-                value = store.get(f"bench-{i:05d}")
-                elapsed = time.perf_counter() - start
-                samples[mode].append(elapsed)
-                collector.record(FIGURE, f"lsm_read_{mode}", VALUE_SIZE, elapsed)
-                assert value[:8] == f"{i:08d}"
-
-    benchmark.pedantic(run, rounds=1)
-
-    for mode, store in stores.items():  # counted pass, outside the clock
-        def counted_pread(*args, mode=mode):
-            preads[mode] += 1
-            return real_pread(*args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "pread", counted_pread)
-            for i in order:
-                store.get(f"bench-{i:05d}")
-    assert preads == {"cache_on": 0, "cache_off": OPERATIONS}  # one table: one block per get
-    assert obs.registry.counter("lsm.block_cache.hits").value > 0
-    assert stores["cache_on"].stats()["block_cache"]["hits"] > 0
-    assert stores["cache_off"].stats()["block_cache"] is None
-    assert statistics.median(samples["cache_on"]) < statistics.median(
-        samples["cache_off"]
-    )
-    for store in stores.values():
-        store.close()
-
-
 def test_read_path_cold(benchmark, collector, tmp_path):
-    """Point reads over data larger than the block cache: most gets probe
-    several tables' Bloom filters and miss the cache (``lsm_read_cold``)."""
+    """Point reads over the e2e spine's cold data: most gets probe several
+    tables' Bloom filters and ``pread`` one block (``lsm_read_cold``)."""
     store = LSMStore(tmp_path / "cold.lsm", memtable_bytes=1 << 20)
     for start in range(0, COLD_KEYS, BULK_BATCH):
         store.put_many({f"cold-{i:06d}": payload_for(i) for i in range(start, start + BULK_BATCH)})
@@ -432,7 +369,7 @@ def test_read_path_cold(benchmark, collector, tmp_path):
     benchmark.group = "backend-lsm-read"
 
     def run() -> None:
-        for i in order[:COLD_READS]:  # warm-up: the cache's share of the data
+        for i in order[:COLD_READS]:  # warm-up
             store.get(f"cold-{i:06d}")
         for i in order[COLD_READS:]:
             start = time.perf_counter()
@@ -443,7 +380,6 @@ def test_read_path_cold(benchmark, collector, tmp_path):
     benchmark.pedantic(run, rounds=1)
     stats = store.stats()
     assert stats["sstables"] >= 5
-    assert 0.0 < stats["block_cache"]["hit_rate"] < 0.5  # data ~3.6x the cache
     store.close()
 
 

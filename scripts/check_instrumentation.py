@@ -29,9 +29,10 @@ modes are caught:
    budget holds in CI with no wall clock.
 5. **A cold GET doing more than one record's work** -- exact counts of
    :data:`COLD_GET_COUNTS`: one :func:`~repro.caching.bloom.key_hash` per
-   LSM lookup however many tables it probes, no block decoded by a point
-   read (cache hit or miss), and one socket write answering a burst of
-   pipelined ``GET`` requests on either serving engine.
+   LSM lookup however many tables it probes, one ``pread`` per table
+   whose Bloom filter passes (none for a memtable hit), no block decoded
+   by a point read, and one socket write answering a burst of pipelined
+   ``GET`` requests on either serving engine.
 
 The check actually *runs* every operation against a real store, so it
 cannot drift from the implementation the way a static list would.
@@ -41,6 +42,7 @@ Exit status 0 when every operation is covered and within budget; 1 otherwise.
 
 from __future__ import annotations
 
+import os
 import socket
 import sys
 import tempfile
@@ -136,12 +138,17 @@ LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 #: What one cold GET may cost, as exact counts (sys.setprofile and a
 #: socket-write wrapper, no clock).  The read path's shape is the e2e
 #: spine's: a key that only the oldest of seven tables holds probes every
-#: table's Bloom filter, and so does an absent key.
+#: table's Bloom filter, and so does an absent key.  Only the oldest
+#: table's filter passes for that key (and none for the absent one), so
+#: each read is one ``pread`` at most -- there is no block cache in front
+#: of the file, and the OS page cache is below the syscall.
 COLD_GET_COUNTS = {
     "key_hash calls, key in the oldest of 7 tables": 1,
     "key_hash calls, absent key over 7 tables": 1,
-    "block record iterator runs, point read on a cache miss": 0,
-    "block record iterator runs, point read on a cache hit": 0,
+    "preads, key in the oldest of 7 tables": 1,
+    "preads, absent key over 7 tables": 0,
+    "preads, memtable hit": 0,
+    "block record iterator runs, point read": 0,
     "socket writes answering 16 pipelined GETs, threaded engine": 1,
     "socket writes answering 16 pipelined GETs, async engine": 1,
 }
@@ -325,13 +332,16 @@ def check_hit_call_budget() -> list[str]:
 
 
 def calls_to(function, action) -> int:
-    """Python-level entries into *function* while *action* runs in this
-    thread (a generator counts every resumption)."""
-    code, count = function.__code__, 0
+    """Entries into *function* while *action* runs in this thread: calls
+    of a Python function (a generator counts every resumption) or of a
+    builtin such as ``os.pread``."""
+    code, count = getattr(function, "__code__", None), 0
 
     def profile(frame, event, arg) -> None:
         nonlocal count
-        if event == "call" and frame.f_code is code:
+        if (event == "call" and frame.f_code is code) or (
+            event == "c_call" and arg is function
+        ):
             count += 1
 
     sys.setprofile(profile)
@@ -383,24 +393,24 @@ def cold_get_counts(root: Path) -> dict[str, int]:
     store = LSMStore(root, auto_compact=False)
     try:
         for table in range(COLD_GET_TABLES):
-            store.put_many({f"t{table}-{i:03d}": b"v" * 64 for i in range(64)})
+            store.put_many({f"{i:03d}-t{table}": b"v" * 64 for i in range(64)})
             store.flush()
         assert store.stats()["sstables"] == COLD_GET_TABLES
 
         def read(key: str):
             return lambda: store.get_or_default(key, None)
 
+        # Every table spans the same key range, so only its Bloom filter
+        # can spare a table the read; the memtable key shadows a table's.
+        store.put("020-t3", b"fresh")
         counts = {
-            "key_hash calls, key in the oldest of 7 tables": calls_to(key_hash, read("t0-017")),
-            "key_hash calls, absent key over 7 tables": calls_to(key_hash, read("absent")),
+            "key_hash calls, key in the oldest of 7 tables": calls_to(key_hash, read("017-t0")),
+            "key_hash calls, absent key over 7 tables": calls_to(key_hash, read("017-absent")),
+            "preads, key in the oldest of 7 tables": calls_to(os.pread, read("017-t0")),
+            "preads, absent key over 7 tables": calls_to(os.pread, read("017-absent")),
+            "preads, memtable hit": calls_to(os.pread, read("020-t3")),
+            "block record iterator runs, point read": calls_to(sstable._records, read("040-t0")),
         }
-        # The same key twice: its block is a cache miss, then a hit.
-        for outcome, counter in (("miss", "misses"), ("hit", "hits")):
-            before = store.stats()["block_cache"][counter]
-            counts[f"block record iterator runs, point read on a cache {outcome}"] = calls_to(
-                sstable._records, read("t0-040")
-            )
-            assert store.stats()["block_cache"][counter] > before, outcome
         for engine, server_class in (("threaded", StoreServer), ("async", AsyncStoreServer)):
             counts[f"socket writes answering 16 pipelined GETs, {engine} engine"] = burst_writes(
                 server_class

@@ -585,15 +585,6 @@ def cmd_lsm(options: argparse.Namespace) -> int:
             ("sstable records", stats["sstable_records"]),
             ("sstable bytes", stats["sstable_bytes"]),
         ]
-        cache = stats["block_cache"]
-        if cache is not None:
-            rows.append((
-                "block cache",
-                f"{cache['bytes']}/{cache['capacity_bytes']} B in "
-                f"{cache['blocks']} blocks, {cache['hits']} hits / "
-                f"{cache['misses']} misses ({cache['hit_rate']:.0%}), "
-                f"{cache['evictions']} evictions",
-            ))
         print(format_table(("metric", "value"), rows))
         if stats["tables"]:
             print(format_table(

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .blockcache import BlockCache
     from .compaction import (
         BackgroundScheduler,
         InlineScheduler,
@@ -44,7 +43,6 @@ _EXPORTS = {
     "SSTable": ".sstable",
     "MISSING": ".sstable",
     "write_sstable": ".sstable",
-    "BlockCache": ".blockcache",
     "Manifest": ".manifest",
     "MANIFEST_NAME": ".manifest",
     "SizeTieredPolicy": ".compaction",

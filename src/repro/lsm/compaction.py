@@ -126,14 +126,8 @@ class SizeTieredPolicy:
 def merge_tables(
     tables: Sequence[SSTable], *, drop_tombstones: bool
 ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
-    """K-way merge of *tables* (oldest first) into one sorted entry stream.
-
-    fill_cache=False: a merge sweeps every block of its inputs exactly
-    once, and the inputs are about to be retired -- letting that sweep
-    populate the block cache would evict the hot read working set for
-    blocks nobody will ever look up again.
-    """
-    runs = [table.items(fill_cache=False) for table in tables]
+    """K-way merge of *tables* (oldest first) into one sorted entry stream."""
+    runs = [table.items() for table in tables]
     return merge_runs(runs, drop_tombstones=drop_tombstones)
 
 
@@ -237,6 +231,10 @@ class BackgroundScheduler:
             except Exception:  # noqa: BLE001 - the store journalled it (lsm_task_failed)
                 pass
             finally:
+                # Drop the finished task before reporting idle: a merge's
+                # closure holds its input tables, whose descriptors close
+                # only with the last reference.
+                del task
                 if self._queue.unfinished_tasks <= 1:
                     self._idle.set()
                 self._queue.task_done()

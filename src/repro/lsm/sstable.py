@@ -28,14 +28,17 @@ do not hold the key -- the difference between O(tables) file probes per
 miss and near-zero.
 
 The run of records between two adjacent index entries is the table's
-**block**: the unit of disk I/O (one ``pread`` per block) and the unit of
-caching.  With a :class:`~repro.lsm.blockcache.BlockCache` attached,
-``get`` and the scan iterators read through the cache, so a hot working
-set is served without touching the file at all; without one, reads fall
-back to ``pread`` (no shared file position, so concurrent readers never
-contend).  A block stays the bytes ``pread`` returned: ``get`` walks its
+**block**: the unit of disk I/O.  Every block read is one ``pread`` (no
+shared file position, so concurrent readers never contend); the OS page
+cache keeps hot blocks in memory, so the engine keeps no block cache of
+its own.  A block stays the bytes ``pread`` returned: ``get`` walks its
 record headers in place and copies out only the value it returns, and
 the scans decode records one at a time through :func:`_records`.
+
+A table's descriptor closes when the table is closed explicitly or,
+failing that, when its last reference is dropped: compaction unlinks a
+retired table's file but leaves the descriptor to whichever snapshot
+reader still holds the table, and the descriptor goes with the reader.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import weakref
 from bisect import bisect_right
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -50,7 +54,6 @@ from typing import Iterable, Iterator
 from ..caching.bloom import BloomFilter, key_hash
 from ..errors import DataStoreError
 from ..fsutil import fsync_dir
-from .blockcache import BlockCache, next_table_id
 from .memtable import TOMBSTONE, Tombstone
 
 __all__ = ["MISSING", "SSTable", "write_sstable"]
@@ -178,22 +181,15 @@ class SSTable:
     """Read-only view over one on-disk table.
 
     The sparse index and Bloom filter live in memory; record data is
-    fetched block-at-a-time -- through the shared :class:`BlockCache`
-    when one is attached, with ``pread`` otherwise (no shared file
-    position, so concurrent reads need no lock).
+    fetched block-at-a-time with ``pread`` (no shared file position, so
+    concurrent reads need no lock).  The descriptor is closed by
+    :meth:`close` or, at the latest, when the table is garbage-collected.
     """
 
-    def __init__(
-        self, path: str | os.PathLike[str], *, cache: BlockCache | None = None
-    ) -> None:
+    def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
-        self.table_id = next_table_id()
-        self._cache = cache
-        #: Set by the store when compaction retires this table; stops the
-        #: table from re-filling the cache it was just invalidated from
-        #: (in-flight snapshot readers may still scan it).
-        self.defunct = False
         self._fd = os.open(self.path, os.O_RDONLY)
+        self._close_fd = weakref.finalize(self, os.close, self._fd)
         try:
             self.size_bytes = os.fstat(self._fd).st_size
             if self.size_bytes < len(_MAGIC) + _FOOTER.size:
@@ -211,7 +207,7 @@ class SSTable:
             self.bloom = BloomFilter.from_bytes(bloom_blob)
             self._data_end = index_off
         except BaseException:
-            os.close(self._fd)
+            self.close()
             raise
 
     @staticmethod
@@ -267,49 +263,32 @@ class SSTable:
         """Number of blocks (= sparse-index entries) in the table."""
         return len(self._index_offsets)
 
-    def _block(self, slot: int, *, fill_cache: bool = True, cached: bool = True) -> bytes:
-        """Raw bytes of block *slot*: one ``pread``, or the cache when
-        attached (``cached=False`` bypasses it, as key scans do)."""
-        cache = self._cache if cached else None
-        if cache is not None:
-            block = cache.get(self.table_id, slot)
-            if block is not None:
-                return block
+    def _block(self, slot: int) -> bytes:
+        """Raw bytes of block *slot*: one ``pread``."""
         start = self._index_offsets[slot]
         stop = (
             self._index_offsets[slot + 1]
             if slot + 1 < len(self._index_offsets)
             else self._data_end
         )
-        block = os.pread(self._fd, stop - start, start)
-        if cache is not None and fill_cache and not self.defunct:
-            cache.put(self.table_id, slot, block)
-        return block
+        return os.pread(self._fd, stop - start, start)
 
-    def items(
-        self, *, fill_cache: bool = True
-    ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
-        """Every record in key order (tombstones included).
-
-        Pass ``fill_cache=False`` for one-shot bulk readers (compaction):
-        a full-table sweep would otherwise evict the hot working set to
-        cache blocks it will never read again.
-        """
+    def items(self) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
+        """Every record in key order (tombstones included)."""
         for slot in range(len(self._index_offsets)):
-            yield from _records(self._block(slot, fill_cache=fill_cache))
+            yield from _records(self._block(slot))
 
     def items_from(
-        self, start: bytes, *, fill_cache: bool = True, values: bool = True
+        self, start: bytes, *, values: bool = True
     ) -> Iterator[tuple[bytes, "bytes | Tombstone"]]:
         """Records with ``key >= start`` in key order (sparse-index seek).
         ``values=False`` is a key scan: live values come back as ``b""``
-        and the blocks bypass the cache, so a scan never evicts the hot set."""
+        instead of being sliced out of the block."""
         if not self._index_keys:
             return
         first = max(0, bisect_right(self._index_keys, start) - 1)
         for slot in range(first, len(self._index_offsets)):
-            block = self._block(slot, fill_cache=fill_cache, cached=values)
-            for key, value in _records(block, values):
+            for key, value in _records(self._block(slot), values):
                 if key >= start:
                     yield key, value
 
@@ -319,12 +298,11 @@ class SSTable:
         return self._index_keys[0] if self._index_keys else None
 
     def close(self) -> None:
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
+        self._close_fd()
+        self._fd = -1
 
     def unlink(self) -> None:
-        """Close and remove the table file (after compaction replaced it)."""
+        """Close and remove the table file."""
         self.close()
         try:
             self.path.unlink()

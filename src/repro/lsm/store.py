@@ -28,8 +28,9 @@ Read path (newest wins, first hit returns)::
 
     memtable --> sealed memtables --> SSTables newest-to-oldest
                                       (per-table Bloom filter gates
-                                       each probe; a shared block cache
-                                       serves hot blocks without I/O)
+                                       each probe; one pread per probed
+                                       block, hot blocks served by the
+                                       OS page cache)
 
 Deletes write tombstones; compaction (size-tiered, see
 :mod:`repro.lsm.compaction`) merges tables and reclaims overwritten
@@ -44,8 +45,7 @@ survives; the procedure and the on-disk formats are documented in
 ``docs/lsm.md``.
 
 Observability: `lsm.wal.appends`, `lsm.memtable.flushes`, `lsm.sstables`
-(gauge), `lsm.compactions`, `lsm.read.level_hits.<level>`,
-`lsm.block_cache.{hits,misses,evictions,bytes}`, `lsm.tasks.failed`
+(gauge), `lsm.compactions`, `lsm.read.level_hits.<level>`, `lsm.tasks.failed`
 metrics plus `lsm_flush` / `lsm_compact` / `lsm_recovery` /
 `lsm_task_failed` journal events (see
 ``docs/observability.md``).
@@ -76,7 +76,6 @@ from ..errors import (
 from ..kv.interface import KeyValueStore, content_version
 from ..obs import Observability, resolve_obs
 from ..serialization import Serializer, default_serializer
-from .blockcache import BlockCache
 from .compaction import InlineScheduler, SizeTieredPolicy, merge_runs, merge_tables
 from .manifest import MANIFEST_NAME, Manifest, require_tables_on_disk
 from .memtable import ENTRY_OVERHEAD, Memtable, Tombstone
@@ -112,7 +111,6 @@ class LSMStore(KeyValueStore):
         policy: SizeTieredPolicy | None = None,
         scheduler: Any | None = None,
         auto_compact: bool = True,
-        block_cache_bytes: int = 8 * 1024 * 1024,
         fsync: bool = False,
         wal_batch_records: int = 128,
         wal_batch_bytes: int = 1 << 20,
@@ -136,10 +134,6 @@ class LSMStore(KeyValueStore):
             writing thread).  Use ``ManualScheduler`` in tests or
             ``BackgroundScheduler`` for true background work.
         :param auto_compact: consult the policy after every flush.
-        :param block_cache_bytes: byte budget for the shared LRU cache of
-            decoded SSTable blocks (default 8 MiB); hot point reads are
-            served from memory instead of ``pread`` (key scans bypass it).
-            ``0`` disables the cache.
         :param fsync: fsync the WAL on every commit batch (durable
             against OS crashes, not just process crashes; slower).  Also
             makes SSTable/MANIFEST renames durable (file + parent
@@ -162,8 +156,6 @@ class LSMStore(KeyValueStore):
             raise ConfigurationError("memtable_bytes must be positive")
         if index_interval < 1:
             raise ConfigurationError("index_interval must be positive")
-        if block_cache_bytes < 0:
-            raise ConfigurationError("block_cache_bytes must be >= 0 (0 disables)")
         if wal_batch_records < 1:
             raise ConfigurationError("wal_batch_records must be positive")
         if wal_batch_bytes < 1:
@@ -188,12 +180,8 @@ class LSMStore(KeyValueStore):
         self._close_done = threading.Event()
         self._compacting = False
         self._wal_failed = False
-        self._block_cache = (
-            BlockCache(block_cache_bytes, obs=self.obs) if block_cache_bytes else None
-        )
         self._manifest: Manifest | None = None
         self._tables: list[SSTable] = []      # oldest first
-        self._retired: list[SSTable] = []     # unlinked, kept open for readers
         self._immutables: list[tuple[Memtable, WriteAheadLog, int]] = []
         if create:
             self._root.mkdir(parents=True, exist_ok=True)
@@ -308,7 +296,7 @@ class LSMStore(KeyValueStore):
                 raise DataStoreError(
                     f"MANIFEST in {self._root} lists malformed table name {name!r}"
                 )
-            table = SSTable(self._root / name, cache=self._block_cache)
+            table = SSTable(self._root / name)
             table.seq = int(match.group(1))  # type: ignore[attr-defined]
             table.gen = int(match.group(2))  # type: ignore[attr-defined]
             self._tables.append(table)
@@ -603,14 +591,11 @@ class LSMStore(KeyValueStore):
                 for memtable, wal, _seq in self._immutables:
                     wal.close()
                 self._immutables.clear()
-                for table in self._tables + self._retired:
+                for table in self._tables:
                     table.close()
                 self._tables.clear()
-                self._retired.clear()
                 if self._manifest is not None:
                     self._manifest.close()
-                if self._block_cache is not None:
-                    self._block_cache.clear()
                 self._release_dir_lock()
         finally:
             self._close_done.set()
@@ -681,8 +666,8 @@ class LSMStore(KeyValueStore):
         (newest version wins, tombstones suppress everything older).
 
         A key scan: the tables are read with ``values=False``, so a
-        ``STATS`` / ``DBSIZE`` / ``KEYS`` over a store larger than the
-        block cache neither slices a value nor evicts the hot set.
+        ``STATS`` / ``DBSIZE`` / ``KEYS`` never slices a value out of a
+        block.
         """
         with self._lock:
             self._check_open()
@@ -820,7 +805,7 @@ class LSMStore(KeyValueStore):
             bloom_fp_rate=self._bloom_fp_rate,
             fsync=self._fsync,
         )
-        table = SSTable(path, cache=self._block_cache)
+        table = SSTable(path)
         table.seq = seq  # type: ignore[attr-defined]
         table.gen = gen  # type: ignore[attr-defined]
         return table
@@ -932,15 +917,11 @@ class LSMStore(KeyValueStore):
                     survivors.sort(key=lambda t: (t.seq, t.gen))  # type: ignore[attr-defined]
                 self._tables = survivors
                 for table in selected:
-                    # Unlink now, but keep the descriptor open: a reader
-                    # holding a pre-swap snapshot may still be scanning it.
-                    table.defunct = True
+                    # Unlink now; the descriptor closes with the last
+                    # reference -- a reader holding a pre-swap snapshot
+                    # may still be scanning the table.
                     table.path.unlink(missing_ok=True)
-                    self._retired.append(table)
                 self._sync_table_gauge()
-                if self._block_cache is not None:
-                    for table in selected:
-                        self._block_cache.invalidate(table.table_id)
             if self.obs.enabled:
                 self.obs.inc("lsm.compactions")
                 self.obs.observe("lsm.compaction.seconds", self._clock() - started)
@@ -979,9 +960,7 @@ class LSMStore(KeyValueStore):
                 "sstable_records": sum(t.record_count for t in tables),
                 "sstable_bytes": sum(t.size_bytes for t in tables),
                 "pending_tasks": self._scheduler.pending(),
-                "block_cache": (
-                    self._block_cache.stats() if self._block_cache is not None else None
-                ),
+                "block_cache": None,  # no block cache; the key stays for old readers
                 "tables": [
                     {
                         "file": t.path.name,

@@ -205,6 +205,7 @@ class TestLSMCommand:
         out = capsys.readouterr().out
         assert "sstables" in out
         assert ".sst" in out
+        assert "block cache" not in out  # reads go through the OS page cache
 
     def test_compact_merges_tables(self, tmp_path, capsys):
         root = self.seed(tmp_path)

@@ -76,10 +76,10 @@ GOLDEN_ALL = {
         THREADED_MAX_CLIENTS VirtualClock parse_moved probe_fd_budget
     """,
     "repro.lsm": """
-        BackgroundScheduler BlockCache CommitPipeline InlineScheduler
-        LSMStore MANIFEST_NAME MISSING Manifest ManualScheduler Memtable
-        OP_DELETE OP_PUT SSTable SizeTieredPolicy TOMBSTONE WalRecord
-        WriteAheadLog merge_tables write_sstable
+        BackgroundScheduler CommitPipeline InlineScheduler LSMStore
+        MANIFEST_NAME MISSING Manifest ManualScheduler Memtable OP_DELETE
+        OP_PUT SSTable SizeTieredPolicy TOMBSTONE WalRecord WriteAheadLog
+        merge_tables write_sstable
     """,
     "repro.cluster": """
         ClusterCoordinator ClusterStoreClient ClusterTopology

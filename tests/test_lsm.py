@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import shutil
 import stat
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -31,7 +34,7 @@ from repro.lsm import (
     OP_PUT,
     TOMBSTONE,
     BackgroundScheduler,
-    BlockCache,
+    InlineScheduler,
     Manifest,
     ManualScheduler,
     Memtable,
@@ -42,7 +45,6 @@ from repro.lsm import (
     write_sstable,
 )
 from repro.lsm import wal as wal_module
-from repro.lsm.blockcache import BLOCK_OVERHEAD
 from repro.lsm.memtable import Tombstone
 from repro.obs import EventLog, Observability
 
@@ -726,184 +728,212 @@ class TestLSMIntegration:
 
 
 # ----------------------------------------------------------------------
-# Block cache
+# Reads through the OS page cache; descriptors of retired tables
 # ----------------------------------------------------------------------
-def _charge(nbytes: int) -> bytes:
-    """A block the cache charges exactly *nbytes* for."""
-    return b"x" * (nbytes - BLOCK_OVERHEAD)
+def _open_sst_fds(root) -> dict[str, int]:
+    """This process's open descriptors on ``*.sst`` files under *root*:
+    ``{"live": n, "deleted": m}`` (Linux ``/proc/self/fd``)."""
+    counts = {"live": 0, "deleted": 0}
+    prefix = str(root)
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:
+            continue  # closed between listdir and readlink
+        if not target.startswith(prefix):
+            continue
+        if target.endswith(".sst (deleted)"):
+            counts["deleted"] += 1
+        elif target.endswith(".sst"):
+            counts["live"] += 1
+    return counts
 
 
-class TestBlockCache:
-    def test_lru_eviction_by_bytes(self):
-        cache = BlockCache(BLOCK_OVERHEAD * 3)
-        a, b, c = (_charge(BLOCK_OVERHEAD + 40 + i) for i in range(3))
-        cache.put(1, 0, a)
-        cache.put(1, 1, b)
-        assert cache.get(1, 0) is a        # touch: slot 0 becomes MRU
-        cache.put(1, 2, c)                 # evicts slot 1, the LRU entry
-        assert cache.get(1, 1) is None
-        assert cache.get(1, 0) is a
-        assert cache.get(1, 2) is c
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["bytes"] == 2 * (BLOCK_OVERHEAD + 40) + 2
-        assert stats["blocks"] == 2
-
-    def test_charge_is_length_plus_one_overhead(self):
-        cache = BlockCache(1 << 20)
-        cache.put(1, 0, b"")
-        cache.put(1, 1, b"x" * 1000)
-        assert cache.bytes_used == 2 * BLOCK_OVERHEAD + 1000
-
-    def test_oversized_block_not_admitted(self):
-        cache = BlockCache(100)
-        cache.put(1, 0, _charge(101))
-        assert cache.get(1, 0) is None
-        assert cache.bytes_used == 0
-
-    def test_replacing_a_block_reaccounts_bytes(self):
-        cache = BlockCache(BLOCK_OVERHEAD + 100)
-        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 60))
-        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 20))
-        assert cache.bytes_used == BLOCK_OVERHEAD + 20
-        assert cache.get(1, 0) == b"x" * 20
-
-    def test_invalidate_drops_only_that_table(self):
-        cache = BlockCache(1 << 20)
-        cache.put(1, 0, b"a")
-        cache.put(1, 1, b"b")
-        cache.put(2, 0, b"c")
-        assert cache.invalidate(1) == 2
-        assert cache.invalidate(1) == 0    # idempotent
-        assert cache.get(1, 0) is None
-        assert cache.get(2, 0) == b"c"
-        assert cache.bytes_used == BLOCK_OVERHEAD + 1
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            BlockCache(0)
-
-    def test_metrics_flow_through_obs(self):
-        obs = Observability()
-        cache = BlockCache(BLOCK_OVERHEAD + 100, obs=obs)
-        cache.put(1, 0, _charge(BLOCK_OVERHEAD + 90))
-        cache.get(1, 0)
-        cache.get(1, 1)
-        cache.put(1, 2, _charge(BLOCK_OVERHEAD + 90))  # evicts slot 0
-        registry = obs.registry
-        assert registry.counter("lsm.block_cache.hits").value == 1
-        assert registry.counter("lsm.block_cache.misses").value == 1
-        assert registry.counter("lsm.block_cache.evictions").value == 1
-        assert registry.gauge("lsm.block_cache.bytes").value == BLOCK_OVERHEAD + 90
+needs_proc_fds = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts descriptors via /proc/self/fd (Linux)"
+)
 
 
-class TestSSTableBlockCache:
+class TestSSTableReads:
     def entries(self, count=100):
         return [(b"key-%04d" % i, b"value-%d" % i) for i in range(count)]
 
-    def table(self, tmp_path, cache, **kwargs):
-        path = write_sstable(tmp_path / "t.sst", self.entries(),
-                             index_interval=8, **kwargs)
-        return SSTable(path, cache=cache)
+    def table(self, tmp_path):
+        return SSTable(write_sstable(tmp_path / "t.sst", self.entries(), index_interval=8))
 
-    def test_point_reads_read_through_cache(self, tmp_path, monkeypatch):
-        cache = BlockCache(1 << 20)
-        table = self.table(tmp_path, cache)
-        assert table.get(b"key-0042") == b"value-42"   # miss populates block
+    def test_every_point_read_is_one_pread(self, tmp_path, monkeypatch):
+        table = self.table(tmp_path)
         real_pread = os.pread
         preads = []
-        monkeypatch.setattr(
-            os, "pread", lambda *a: (preads.append(a), real_pread(*a))[1]
-        )
-        assert table.get(b"key-0042") == b"value-42"   # cache hit
-        assert table.get(b"key-0040") == b"value-40"   # same block, still hot
-        assert preads == []                             # zero disk reads
-        stats = cache.stats()
-        assert stats["hits"] == 2 and stats["misses"] >= 1
+        monkeypatch.setattr(os, "pread", lambda *a: (preads.append(a), real_pread(*a))[1])
+        for _ in range(2):  # the same key again: still one read, nothing cached
+            assert table.get(b"key-0042") == b"value-42"
+        assert table.get(b"key-0040") == b"value-40"  # same block
+        assert len(preads) == 3
+        monkeypatch.undo()
         table.close()
 
-    def test_scans_read_through_cache(self, tmp_path, monkeypatch):
-        cache = BlockCache(1 << 20)
-        table = self.table(tmp_path, cache)
-        assert list(table.items()) == self.entries()    # populates every block
-
-        def boom(*_a):
-            raise AssertionError("scan touched the disk despite a warm cache")
-
-        monkeypatch.setattr(os, "pread", boom)
+    def test_scans_read_every_block(self, tmp_path):
+        table = self.table(tmp_path)
         assert list(table.items()) == self.entries()
         tail = list(table.items_from(b"key-0090"))
         assert tail[0][0] == b"key-0090" and len(tail) == 10
+        assert list(table.items_from(b"key-0090", values=False)) == [
+            (key, b"") for key, _value in tail
+        ]
         table.close()
 
-    def test_fill_cache_false_skips_population(self, tmp_path):
-        cache = BlockCache(1 << 20)
-        table = self.table(tmp_path, cache)
-        assert list(table.items(fill_cache=False)) == self.entries()
-        assert len(cache) == 0                          # compaction-style sweep
+    @needs_proc_fds
+    def test_descriptor_closes_with_the_last_reference(self, tmp_path):
+        table = self.table(tmp_path)
+        assert _open_sst_fds(tmp_path)["live"] == 1
+        scan = table.items()
+        next(scan)
+        del table
+        assert _open_sst_fds(tmp_path)["live"] == 1  # the scan holds the table
+        del scan
+        assert _open_sst_fds(tmp_path)["live"] == 0
+
+    def test_close_is_idempotent(self, tmp_path):
+        table = self.table(tmp_path)
         table.close()
-
-    def test_defunct_table_stops_refilling(self, tmp_path):
-        cache = BlockCache(1 << 20)
-        table = self.table(tmp_path, cache)
-        table.defunct = True
-        assert table.get(b"key-0001") == b"value-1"     # still readable
-        assert len(cache) == 0                          # but never cached again
         table.close()
+        with pytest.raises(OSError):
+            table.get(b"key-0001")
 
-    def test_uncached_table_still_reads(self, tmp_path):
-        table = self.table(tmp_path, cache=None)
-        assert table.get(b"key-0007") == b"value-7"
-        assert list(table.items()) == self.entries()
-        table.close()
+    @needs_proc_fds
+    @pytest.mark.parametrize("damage", ["truncated", "bad magic"])
+    def test_a_failed_open_leaves_no_descriptor(self, tmp_path, damage):
+        path = write_sstable(tmp_path / "t.sst", self.entries(4))
+        data = path.read_bytes()
+        path.write_bytes(data[:10] if damage == "truncated" else b"NOTASSTB" + data[8:])
+        with pytest.raises(DataStoreError):
+            SSTable(path)
+        assert _open_sst_fds(tmp_path)["live"] == 0
 
 
-class TestStoreBlockCache:
-    def test_hot_reads_skip_disk_entirely(self, tmp_path, monkeypatch):
-        obs = Observability()
-        store = LSMStore(tmp_path / "db", auto_compact=False, obs=obs)
-        for i in range(50):
-            store.put(f"k{i:02d}", i)
-        store.flush()
-        assert store.get("k07") == 7                    # SSTable read, fills cache
+def _settle(scheduler) -> None:
+    """Run or wait out every queued flush and merge."""
+    if isinstance(scheduler, ManualScheduler):
+        scheduler.run_pending()
+    elif isinstance(scheduler, BackgroundScheduler):
+        assert scheduler.drain(timeout=30.0)
 
-        def boom(*_a):
-            raise AssertionError("hot read touched the disk")
 
-        monkeypatch.setattr(os, "pread", boom)
-        assert store.get("k07") == 7                    # served from the cache
-        assert obs.registry.counter("lsm.block_cache.hits").value >= 1
-        monkeypatch.undo()
-        cache = store.stats()["block_cache"]
-        assert cache is not None and cache["hits"] >= 1
-        store.close()
-
-    def test_compaction_invalidates_retired_tables(self, tmp_path):
-        store = LSMStore(tmp_path / "db", auto_compact=False)
-        for batch in range(2):
-            for i in range(20):
-                store.put(f"k{i:02d}", batch)
-            store.flush()
-        for i in range(20):
-            assert store.get(f"k{i:02d}") == 1          # warm the cache
-        populated = store.stats()["block_cache"]["blocks"]
-        assert populated > 0
-        store.compact()
-        # Retired tables' blocks are gone; the output repopulates on read.
-        for i in range(20):
-            assert store.get(f"k{i:02d}") == 1
-        store.close()
-
-    def test_block_cache_disabled_with_zero_budget(self, tmp_path):
-        with LSMStore(tmp_path / "db", block_cache_bytes=0) as store:
+class TestRetiredTables:
+    def test_stats_report_no_block_cache(self, tmp_path):
+        with LSMStore(tmp_path / "db") as store:
             store.put("a", 1)
             store.flush()
             assert store.get("a") == 1
             assert store.stats()["block_cache"] is None
 
-    def test_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            LSMStore(tmp_path / "db", block_cache_bytes=-1)
+    def test_the_block_cache_option_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            LSMStore(tmp_path / "db", block_cache_bytes=0)
+
+    @needs_proc_fds
+    @pytest.mark.parametrize("kind", ["inline", "manual", "background"])
+    def test_compaction_leaves_no_deleted_table_open(self, tmp_path, kind):
+        root = tmp_path / "db"
+        make = {"inline": InlineScheduler, "manual": ManualScheduler, "background": BackgroundScheduler}
+        scheduler = make[kind]()
+        store = LSMStore(root, memtable_bytes=64 * 1024, scheduler=scheduler)
+        try:
+            for start in range(0, 3000, 100):
+                store.put_many({f"k{i:05d}": b"v" * 1024 for i in range(start, start + 100)})
+            _settle(scheduler)  # no merge in flight, so compact() queues one
+            assert _open_sst_fds(root)["deleted"] == 0  # after the policy's merges
+            store.compact()
+            _settle(scheduler)
+            assert store.stats()["sstables"] == 1
+            assert store.size() == 3000
+            assert _open_sst_fds(root) == {"live": 1, "deleted": 0}
+        finally:
+            store.close()
+            scheduler.close()
+
+    @needs_proc_fds
+    def test_scan_started_before_a_merge_survives_it(self, tmp_path):
+        root = tmp_path / "db"
+        store = LSMStore(root, auto_compact=False)
+        try:
+            for table in range(4):
+                store.put_many({f"t{table}-{i:03d}": b"v" * 100 for i in range(50)})
+                store.flush()
+            scan = store.keys()
+            seen = [next(scan)]  # the scan has snapshotted the four tables
+            assert store.compact() == 4
+            assert _open_sst_fds(root) == {"live": 1, "deleted": 4}
+            seen += list(scan)
+            assert seen == sorted(f"t{t}-{i:03d}" for t in range(4) for i in range(50))
+            del scan
+            assert _open_sst_fds(root) == {"live": 1, "deleted": 0}
+        finally:
+            store.close()
+
+    @needs_proc_fds
+    def test_a_scan_outlives_the_store_and_then_leaks_nothing(self, tmp_path):
+        root = tmp_path / "db"
+        store = LSMStore(root, auto_compact=False)
+        for table in range(3):
+            store.put_many({f"t{table}-{i:03d}": b"v" * 100 for i in range(50)})
+            store.flush()
+        scan = store.keys()
+        seen = [next(scan)]
+        store.compact()
+        store.close()  # closes the merged output; the scan holds the inputs
+        assert _open_sst_fds(root) == {"live": 0, "deleted": 3}
+        seen += list(scan)
+        assert len(seen) == 150
+        assert _open_sst_fds(root) == {"live": 0, "deleted": 0}
+
+    @needs_proc_fds
+    def test_readers_racing_background_merges(self, tmp_path):
+        """Four readers and a rewriting writer over a store that flushes and
+        merges in the background: every read sees the one value each key
+        ever had, and no retired table stays open afterwards."""
+        root = tmp_path / "db"
+        scheduler = BackgroundScheduler()
+        obs = Observability()
+        store = LSMStore(root, memtable_bytes=32 * 1024, scheduler=scheduler, obs=obs)
+        keys = [f"k{i:04d}" for i in range(400)]
+        value = b"v" * 256
+        store.put_many(dict.fromkeys(keys, value))
+        done = threading.Event()
+        failures: list[str] = []
+
+        def read(seed: int) -> None:
+            rng = random.Random(seed)
+            while not done.is_set():
+                key = rng.choice(keys)
+                if store.get(key) != value:
+                    failures.append(key)
+                if rng.random() < 0.01 and sum(1 for _ in store.keys()) != len(keys):
+                    failures.append("scan")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for _round in range(6):  # rewrites force flushes and merges
+                store.put_many(dict.fromkeys(keys, value))
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(previous)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert failures == []
+            _settle(scheduler)
+            assert obs.registry.counter("lsm.compactions").value > 0  # merges did race
+            assert _open_sst_fds(root)["deleted"] == 0
+        finally:
+            store.close()
+            scheduler.close()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ def _loaded_store(root, *, records: int, events: EventLog | None = None) -> LSMS
         serializer=_RawBytes(),
         memtable_bytes=1 << 20,
         auto_compact=False,
-        block_cache_bytes=0,
         obs=Observability(events=events) if events is not None else None,
     )
     for start in range(0, records, 500):
