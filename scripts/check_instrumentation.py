@@ -33,6 +33,10 @@ modes are caught:
    whose Bloom filter passes (none for a memtable hit), no block decoded
    by a point read, and one socket write answering a burst of pipelined
    ``GET`` requests on either serving engine.
+6. **A durable acknowledgement waiting for someone else's sync** -- the
+   exact count of :data:`COMMIT_COUNTS`: with one follower queued behind
+   a commit leader, the leader's ``submit`` returns after its own batch's
+   commit; the follower leads its own batch (LevelDB's write-queue rule).
 
 The check actually *runs* every operation against a real store, so it
 cannot drift from the implementation the way a static list would.
@@ -64,6 +68,7 @@ from repro.kv import (  # noqa: E402
 from repro.kv.interface import KeyValueStore  # noqa: E402
 from repro.lsm import sstable  # noqa: E402
 from repro.lsm.store import LSMStore  # noqa: E402
+from repro.lsm.wal import CommitPipeline  # noqa: E402
 from repro.net import protocol  # noqa: E402
 from repro.net.aio import AsyncStoreServer  # noqa: E402
 from repro.net.server import StoreServer  # noqa: E402
@@ -154,6 +159,12 @@ COLD_GET_COUNTS = {
 }
 COLD_GET_TABLES = 7
 BURST_GETS = 16
+
+#: What a durable acknowledgement waits for, as an exact count (events and
+#: the pipeline's enqueue hook, no clock).  A commit leader hands the queue
+#: to the oldest waiter after one batch, so its ``submit`` waits for its
+#: own commit only; a leader that drains the queue itself reads 2.
+COMMIT_COUNTS = {"commits a leader's submit waits for, one follower queued": 1}
 
 
 def public_interface_ops() -> set[str]:
@@ -432,12 +443,64 @@ def check_cold_get_counts() -> list[str]:
     return failures
 
 
+def leader_commit_waits() -> int:
+    """Commits done when a leader's ``submit`` returns while one follower
+    is queued behind its batch.
+
+    The leader's commit holds until the follower is enqueued; a commit run
+    in any other thread holds until the leader has returned, so the count
+    does not depend on which thread the scheduler runs first.
+    """
+    in_commit, follower_queued, leader_returned = (threading.Event() for _ in range(3))
+    commits: list[list[bytes]] = []
+
+    def commit(frames: list[bytes]) -> None:
+        if frames == [b"leader"]:
+            in_commit.set()
+            follower_queued.wait(timeout=5.0)
+        elif threading.current_thread() is not leader:
+            leader_returned.wait(timeout=5.0)
+        commits.append(frames)
+
+    pipeline = CommitPipeline(commit, gather_window_s=0)
+    waited: list[int] = []
+
+    def lead() -> None:
+        pipeline.submit(b"leader")
+        waited.append(len(commits))
+        leader_returned.set()
+
+    leader = threading.Thread(target=lead)
+    leader.start()
+    try:
+        assert in_commit.wait(timeout=5.0), "the leader never committed"
+        pipeline._enqueue_hook = follower_queued.set
+        follower = threading.Thread(target=pipeline.submit, args=(b"follower",))
+        follower.start()
+        follower.join(timeout=10.0)
+    finally:
+        follower_queued.set()
+        leader.join(timeout=10.0)
+    pipeline.close()
+    assert commits == [[b"leader"], [b"follower"]], commits
+    return waited[0]
+
+
+def check_commit_counts() -> list[str]:
+    """Count what a leader's acknowledgement waits for; return failures."""
+    ((what, expected),) = COMMIT_COUNTS.items()
+    measured = leader_commit_waits()
+    print(f"group commit: {what}: {measured} (exactly {expected})")
+    return [] if measured == expected else [f"group commit: {what} is {measured}, not {expected}"]
+
+
 def main() -> int:
     failures = (
         check_interceptors()
         + check_enhanced_client()
         + check_hit_call_budget()
         + check_cold_get_counts()
+        + check_commit_counts()
     )
     covered = sorted(set(DRIVERS) & public_interface_ops())
     print(

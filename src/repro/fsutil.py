@@ -6,7 +6,8 @@ a power failure after the directory itself has been fsynced -- fsyncing
 the file's data is not enough.  Every temp-write-then-rename path that
 claims durability (``FileSystemStore`` with ``fsync=True``, SSTable and
 MANIFEST writes in the LSM engine) must therefore follow the rename with
-:func:`fsync_dir` on the parent.
+:func:`fsync_dir` on the parent.  A newly created file is the same case:
+the LSM engine syncs the directory once per WAL segment it creates.
 """
 
 from __future__ import annotations

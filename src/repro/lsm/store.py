@@ -73,6 +73,7 @@ from ..errors import (
     StoreClosedError,
     WalPoisonedError,
 )
+from ..fsutil import fsync_dir
 from ..kv.interface import KeyValueStore, content_version
 from ..obs import Observability, resolve_obs
 from ..serialization import Serializer, default_serializer
@@ -199,7 +200,7 @@ class LSMStore(KeyValueStore):
             self._release_dir_lock()
             raise
         # Group commit: every mutation's frame rides this pipeline, and
-        # only the leader thread ever swaps the active WAL -- through a
+        # only the current leader ever swaps the active WAL -- through a
         # barrier's apply (flush()) or the end-of-batch seal hook, both
         # at batch boundaries -- the invariant that makes the leader's
         # unlocked read of ``self._wal`` in ``_commit_frames`` safe and
@@ -362,7 +363,17 @@ class LSMStore(KeyValueStore):
         self._memtable = Memtable()
         self._wal_seq = next_seq
         self._wal = WriteAheadLog(self._wal_path(next_seq), fsync=self._fsync)
+        self._sync_segment_name()
         self._sync_table_gauge()
+
+    def _sync_segment_name(self) -> None:
+        """With ``fsync=True``, make the new WAL segment's directory entry
+        durable: a batch's fsync covers the file's bytes, not its name, so
+        without this a power loss could forget a freshly created segment
+        and every write acknowledged into it.  Called outside the store
+        lock, before any batch can commit to the segment."""
+        if self._fsync:
+            fsync_dir(self._root)
 
     def _wal_path(self, seq: int) -> Path:
         return self._root / f"wal-{seq:06d}.log"
@@ -501,8 +512,9 @@ class LSMStore(KeyValueStore):
         Runs in the pipeline leader's thread with no store lock held --
         an fsync never stalls readers, and waiting writers are queued in
         the pipeline, not on the lock.  Reading ``self._wal`` unlocked is
-        safe because only the apply stream (this same leader, running
-        seal barriers) ever swaps it.
+        safe because only the apply stream ever swaps it: one leader at a
+        time, each handing the queue on under the pipeline's mutex after
+        its seal.
         """
         wal = self._wal
         try:
@@ -704,6 +716,7 @@ class LSMStore(KeyValueStore):
             self._memtable = Memtable()
             self._wal_seq += 1
             self._wal = WriteAheadLog(self._wal_path(self._wal_seq), fsync=self._fsync)
+        self._sync_segment_name()
         self._submit("flush", lambda: self._flush_one(sealed, sealed_wal, sealed_seq))
 
     def _submit(self, kind: str, task: Callable[[], None]) -> None:
@@ -739,7 +752,7 @@ class LSMStore(KeyValueStore):
         across a barrier -- so a write acknowledged before ``flush()``
         returns is always in the sealed memtable, never split from its
         WAL segment, and a write queued behind the barrier is committed
-        to the fresh post-seal segment.  Only the leader thread ever
+        to the fresh post-seal segment.  Only the current leader ever
         swaps the active WAL.
         """
         self._check_writable()

@@ -35,11 +35,13 @@ Group commit
 :class:`CommitPipeline` amortizes the per-append ``write``/``fsync`` cost
 across concurrent writers, LevelDB/RocksDB-style: writers enqueue their
 framed record and block; the first writer to find no leader *becomes* the
-leader (no dedicated thread), drains the queue up to the batch bounds,
-performs **one** batched write and **one** sync for every frame, runs each
-waiter's apply callback in enqueue order, and wakes everyone.  N
-concurrent ``fsync=True`` writers pay ~one disk sync per batch instead of
-one each.
+leader (no dedicated thread), takes the queue's head up to the batch
+bounds, performs **one** batched write and **one** sync for every frame,
+runs each waiter's apply callback in enqueue order, and wakes everyone.
+It then hands leadership to the oldest writer still queued and returns,
+so a writer's acknowledgement waits for its own batch's sync, never for
+the batches queued behind it.  N concurrent ``fsync=True`` writers pay
+~one disk sync per batch instead of one each.
 
 Sync-failure poisoning
 ----------------------
@@ -336,18 +338,21 @@ class WriteAheadLog:
 
 class _Ticket:
     """One queued commit: its framed records (one for a ``put``, a chunk
-    for ``put_many``, none for a barrier), its visibility callback, and
-    the gate its writer is parked on.
+    for ``put_many``, none for a barrier), its visibility callback, the
+    gate its writer is parked on, and whether that writer was woken to
+    lead rather than because its batch resolved.
 
     The gate is a raw pre-acquired lock, not a ``threading.Event``: a
     follower blocks on ``gate.acquire()`` and the leader ``release``\\ s
     it -- one C-level lock instead of a Condition object per write,
     which matters on a path where python-side work bounds throughput.
-    The leader's own ticket has no gate at all: ``_lead`` drains the
-    queue before returning, so the leader never waits on itself.
+    A gate is released exactly once: when the ticket's batch resolved,
+    or with ``lead`` set when the previous leader handed over.  A writer
+    that found no leader gets no gate at all: its ticket heads the queue,
+    so the batch it leads resolves it.
     """
 
-    __slots__ = ("frames", "size", "apply", "gate", "error")
+    __slots__ = ("frames", "size", "apply", "gate", "error", "lead")
 
     def __init__(self, frames: list[bytes], apply: "Callable[[], None] | None") -> None:
         self.frames = frames
@@ -355,6 +360,7 @@ class _Ticket:
         self.apply = apply
         self.gate: threading.Lock | None = None
         self.error: BaseException | None = None
+        self.lead = False
 
 
 class CommitPipeline:
@@ -363,13 +369,20 @@ class CommitPipeline:
     Writers call :meth:`submit` with an encoded frame (or a list of them:
     one multi-record ticket, committed and applied as a unit); the first
     writer to find no leader becomes the leader (Rocks/LevelDB-style -- no
-    dedicated commit thread), drains the queue up to
-    ``max_batch_records``/``max_batch_bytes``, hands every frame of the
-    batch to *commit* (one write + one sync), then runs each waiter's
-    ``apply`` callback **in enqueue order** and wakes them.  That order
-    guarantee is what lets a store equate WAL order with visibility
-    order: replaying the log after a crash reconstructs exactly the
-    state the appliers built.
+    dedicated commit thread).  A leader commits **one** batch: its own
+    ticket plus the tickets queued behind it, up to
+    ``max_batch_records``/``max_batch_bytes``.  It hands every frame of
+    the batch to *commit* (one write + one sync), runs each waiter's
+    ``apply`` callback **in enqueue order**, wakes them and runs the
+    end-of-batch hook.  Then it hands leadership to the oldest queued
+    writer -- whose ticket heads the next batch -- and returns, or, with
+    the queue empty, abdicates (LevelDB's write-queue rule).  A
+    writer's ``submit`` therefore waits for one sync, its own batch's;
+    the next leader's sync overlaps whatever the previous one does with
+    its acknowledgement.  Batches still commit strictly in queue order,
+    one leader at a time, and that order guarantee is what lets a store
+    equate WAL order with visibility order: replaying the log after a
+    crash reconstructs exactly the state the appliers built.
 
     Error propagation is per waiter: a failed *commit* fails every
     waiter whose frame was in that batch (and, because a poisoned WAL
@@ -419,8 +432,8 @@ class CommitPipeline:
             where the owning store may seal (swap memtable + WAL)
             without splitting a committed batch across segments.  An
             exception here is re-raised from the leader's own
-            :meth:`submit` once the queue is drained and leadership
-            released, so it can never strand queued waiters.
+            :meth:`submit` once leadership has been handed on (or
+            released), so it can never strand queued waiters.
         :param gather_window_s: how long the leader may wait for more
             writers before committing a batch (the Postgres
             ``commit_delay`` idea, made adaptive).  The wait targets the
@@ -498,112 +511,121 @@ class CommitPipeline:
                 gate = threading.Lock()
                 gate.acquire()
                 ticket.gate = gate
-                if len(self._queue) > self._peak:
-                    self._peak = len(self._queue)
+                # A ticket handed the lead is not waiting behind a leader:
+                # counting it while its writer wakes up would have the
+                # next gather wait for a writer that does not exist.
+                depth = len(self._queue) - self._queue[0].lead
+                if depth > self._peak:
+                    self._peak = depth
                 if len(self._queue) >= self._goal:
                     self._grew.notify()
         if self._enqueue_hook is not None:
             self._enqueue_hook()
+        if not lead:
+            ticket.gate.acquire()  # parked until resolved or handed the lead
+            lead = ticket.lead
         if lead:
-            # _lead drains the queue before returning, so this ticket is
-            # guaranteed resolved -- no gate, no wait.
+            # This ticket heads the queue, so the one batch _lead commits
+            # resolves it.
             self._lead()
-        else:
-            ticket.gate.acquire()  # parked until the leader releases us
         if ticket.error is not None:
             raise ticket.error
 
     def _lead(self) -> None:
-        """Drain the queue batch by batch until it is empty, then abdicate."""
-        deferred: BaseException | None = None
-        while True:
-            with self._mutex:
-                if not self._queue:
-                    self._leading = False
-                    if self._shutdown:  # only close() ever waits on this
-                        self._drained.notify_all()
-                    break
-                # Gather: wait (bounded by the window) for the queue to
-                # reach the observed writer concurrency before paying a
-                # sync, so batches fill up instead of committing
-                # whatever trickled in during the previous fsync.  A
-                # lone writer has peak 0 and never waits, and the wait
-                # quiesces early: one grain with no new arrival means the
-                # stragglers are not coming, so burn a grain, not the
-                # whole window.
-                goal = min(self._peak, self._max_records)
-                if self._window and not self._shutdown and goal > len(self._queue):
-                    self._goal = goal
-                    deadline = time.monotonic() + self._window
-                    while len(self._queue) < goal and not self._shutdown:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        before = len(self._queue)
-                        self._grew.wait(min(remaining, self._grain))
-                        if len(self._queue) == before:
-                            break
-                    self._goal = sys.maxsize
-                batch = [self._queue.popleft()]
-                size = batch[0].size
-                records = len(batch[0].frames)
-                # A barrier (empty frame) commits alone: its apply may
-                # seal -- swap the memtable *and* the active WAL -- and a
-                # data frame batched behind it would be durable only in
-                # the pre-seal segment while its apply landed in the
-                # post-seal memtable (flushing the sealed memtable then
-                # unlinks the acknowledged write's only durable copy).
-                if records:
-                    while (
-                        self._queue
-                        and self._queue[0].frames  # never batch across a barrier
-                        and records + len(self._queue[0].frames) <= self._max_records
-                        and size + self._queue[0].size <= self._max_bytes
-                    ):
-                        ticket = self._queue.popleft()
-                        batch.append(ticket)
-                        size += ticket.size
-                        records += len(ticket.frames)
-                self._batches += 1
-                self._committed += records or 1  # a barrier counts as one
-                self._largest_batch = max(self._largest_batch, records or 1)
-                cut_short = records and not (
-                    self._queue and not self._queue[0].frames
-                )
-                if len(batch) < goal and cut_short:
-                    # Writers left (not a barrier cut): stop waiting for
-                    # them.
-                    self._peak = len(batch)
-            frames = [frame for ticket in batch for frame in ticket.frames]
-            error: BaseException | None = None
-            if frames:
+        """Commit the batch at the head of the queue, then hand off.
+
+        The caller's ticket heads the queue.  After the batch is applied,
+        its waiters woken and the end-of-batch hook run, leadership passes
+        to the oldest queued ticket (its writer leads the next batch from
+        its own ``submit``) or, with the queue empty, is released.
+        """
+        with self._mutex:
+            # Gather: wait (bounded by the window) for the queue to reach
+            # the observed writer concurrency before paying a sync, so
+            # batches fill up instead of committing whatever trickled in
+            # during the previous fsync.  A lone writer has peak 0 and
+            # never waits, and the wait quiesces early: one grain with no
+            # new arrival means the stragglers are not coming, so burn a
+            # grain, not the whole window.
+            goal = min(self._peak, self._max_records)
+            if self._window and not self._shutdown and goal > len(self._queue):
+                self._goal = goal
+                deadline = time.monotonic() + self._window
+                while len(self._queue) < goal and not self._shutdown:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    before = len(self._queue)
+                    self._grew.wait(min(remaining, self._grain))
+                    if len(self._queue) == before:
+                        break
+                self._goal = sys.maxsize
+            batch = [self._queue.popleft()]
+            size = batch[0].size
+            records = len(batch[0].frames)
+            # A barrier (empty frame) commits alone: its apply may seal --
+            # swap the memtable *and* the active WAL -- and a data frame
+            # batched behind it would be durable only in the pre-seal
+            # segment while its apply landed in the post-seal memtable
+            # (flushing the sealed memtable then unlinks the acknowledged
+            # write's only durable copy).
+            if records:
+                while (
+                    self._queue
+                    and self._queue[0].frames  # never batch across a barrier
+                    and records + len(self._queue[0].frames) <= self._max_records
+                    and size + self._queue[0].size <= self._max_bytes
+                ):
+                    ticket = self._queue.popleft()
+                    batch.append(ticket)
+                    size += ticket.size
+                    records += len(ticket.frames)
+            self._batches += 1
+            self._committed += records or 1  # a barrier counts as one
+            self._largest_batch = max(self._largest_batch, records or 1)
+            cut_short = records and not (self._queue and not self._queue[0].frames)
+            if len(batch) < goal and cut_short:
+                # Writers left (not a barrier cut): stop waiting for them.
+                self._peak = len(batch)
+        frames = [frame for ticket in batch for frame in ticket.frames]
+        error: BaseException | None = None
+        if frames:
+            try:
+                self._commit(frames)
+            except BaseException as exc:  # noqa: BLE001 - fanned out per waiter
+                error = exc
+        for ticket in batch:
+            if error is not None:
+                ticket.error = error
+            elif ticket.apply is not None:
                 try:
-                    self._commit(frames)
-                except BaseException as exc:  # noqa: BLE001 - fanned out per waiter
-                    error = exc
-            for ticket in batch:
-                if error is not None:
-                    ticket.error = error
-                elif ticket.apply is not None:
-                    try:
-                        ticket.apply()
-                    except BaseException as exc:  # noqa: BLE001
-                        ticket.error = exc
-                if ticket.gate is not None:
-                    ticket.gate.release()
-            if error is None and self._on_batch_applied is not None:
-                # End-of-batch hook: the store's size-triggered seal runs
-                # here, at a batch boundary, never between a batch's
-                # applies.  Failures are raised from the leader's submit
-                # only after the queue drains, so waiters are never
-                # stranded.
-                try:
-                    self._on_batch_applied()
+                    ticket.apply()
                 except BaseException as exc:  # noqa: BLE001
-                    if deferred is None:
-                        deferred = exc
-        if deferred is not None:
-            raise deferred
+                    ticket.error = exc
+            if ticket.gate is not None:
+                ticket.gate.release()
+        hook_error: BaseException | None = None
+        if error is None and self._on_batch_applied is not None:
+            # End-of-batch hook: the store's size-triggered seal runs
+            # here, at a batch boundary and before the next leader is
+            # woken, never between a batch's applies.  A failure is
+            # raised from this leader's submit only after leadership has
+            # moved on, so waiters are never stranded.
+            try:
+                self._on_batch_applied()
+            except BaseException as exc:  # noqa: BLE001
+                hook_error = exc
+        with self._mutex:
+            if self._queue:
+                successor = self._queue[0]
+                successor.lead = True
+                successor.gate.release()  # type: ignore[union-attr]
+            else:
+                self._leading = False
+                if self._shutdown:  # only close() ever waits on this
+                    self._drained.notify_all()
+        if hook_error is not None:
+            raise hook_error
 
     # ------------------------------------------------------------------
     def close(self) -> None:

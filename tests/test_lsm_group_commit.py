@@ -1,18 +1,23 @@
 """Group commit and sync-failure poisoning tests for the LSM engine.
 
 Covers the :class:`repro.lsm.CommitPipeline` leader/waiter protocol in
-isolation, WAL poisoning semantics (fsyncgate: never retry a failed
-sync), the store-level failure mode, and a concurrent ``fsync=True``
-soak with crash-sim recovery.  All multi-thread tests are driven by
-events/semaphores and the pipeline's ``_enqueue_hook`` seam -- zero real
-sleeps, deterministic batch shapes.
+isolation (including the hand-off of leadership after each batch), WAL
+poisoning semantics (fsyncgate: never retry a failed sync), the
+store-level failure mode, the directory sync of each new WAL segment,
+and concurrent ``fsync=True`` soaks with crash-sim recovery.  The
+multi-thread tests are driven by events/semaphores and the pipeline's
+``_enqueue_hook`` seam -- zero real sleeps, deterministic batch shapes --
+except the soaks, which are bounded in time and assert invariants.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +29,12 @@ from repro.errors import (
 )
 from repro.kv import LSMStore
 from repro.lsm import CommitPipeline, ManualScheduler, WriteAheadLog
+from repro.lsm import store as store_module
 from repro.lsm import wal as wal_module
 from repro.obs import EventLog, Observability
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from check_instrumentation import COMMIT_COUNTS, leader_commit_waits  # noqa: E402
 
 
 def crash_copy(store, tmp_path, name="crashed"):
@@ -262,8 +271,9 @@ class TestCommitPipeline:
         assert applied == [0, "boundary", 1, 2, 3, "boundary"]
 
     def test_on_batch_applied_error_defers_to_the_leader(self):
-        """A hook failure surfaces from the leader's submit after the
-        queue drains -- it never wedges leadership or strands waiters."""
+        """A hook failure surfaces from the leader's submit after it has
+        given up leadership -- it never wedges leadership or strands
+        waiters."""
         boom = OSError(5, "flush blew up")
         calls = []
 
@@ -327,6 +337,383 @@ class TestCommitPipeline:
             CommitPipeline(lambda frames: None, max_batch_records=0)
         with pytest.raises(ConfigurationError):
             CommitPipeline(lambda frames: None, max_batch_bytes=0)
+
+
+class _ParkSignal(threading.Condition):
+    """A pipeline's ``_drained`` condition that reports when ``close()``
+    parks on it -- by then the shutdown flag is set."""
+
+    def __init__(self, lock, parked: threading.Event) -> None:
+        super().__init__(lock)
+        self._parked = parked
+
+    def wait(self, timeout=None):
+        self._parked.set()
+        return super().wait(timeout)
+
+
+def hold_first_commit(commits, *, follower_queued, in_commit):
+    """A commit callback that records ``(frames, thread)`` and holds the
+    first batch until *follower_queued* is set."""
+
+    def commit(frames):
+        commits.append((list(frames), threading.current_thread()))
+        if len(commits) == 1:
+            in_commit.set()
+            assert follower_queued.wait(timeout=5.0)
+
+    return commit
+
+
+def submit_recording(pipeline, frame, errors, name):
+    """Start a thread submitting *frame*; its error (or None) lands in
+    ``errors[name]``."""
+
+    def target():
+        try:
+            pipeline.submit(frame)
+            errors[name] = None
+        except BaseException as exc:  # noqa: BLE001 - recorded for asserts
+            errors[name] = exc
+
+    thread = threading.Thread(target=target, name=name, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestLeaderHandOff:
+    """A leader commits one batch, then the oldest queued writer leads
+    the next one from its own ``submit`` (LevelDB's write-queue rule)."""
+
+    def test_leader_waits_only_for_its_own_commit(self):
+        assert leader_commit_waits() == COMMIT_COUNTS[
+            "commits a leader's submit waits for, one follower queued"
+        ]
+
+    def test_the_oldest_waiter_leads_the_next_batch(self):
+        commits = []
+        follower_queued, in_commit = threading.Event(), threading.Event()
+        pipeline = CommitPipeline(
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit),
+            gather_window_s=0,
+        )
+        errors: dict[str, BaseException | None] = {}
+        leader = submit_recording(pipeline, b"L", errors, "L")
+        assert in_commit.wait(timeout=5.0)
+        queued = threading.Semaphore(0)
+        pipeline._enqueue_hook = queued.release
+        first = submit_recording(pipeline, b"F1", errors, "F1")
+        assert queued.acquire(timeout=5.0)
+        second = submit_recording(pipeline, b"F2", errors, "F2")
+        assert queued.acquire(timeout=5.0)
+        follower_queued.set()
+        for thread in (leader, first, second):
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in (leader, first, second))
+        assert errors == {"L": None, "F1": None, "F2": None}
+        # F1 and F2 share the second batch, and F1 -- the oldest waiter --
+        # committed it from its own thread.
+        assert [(frames, thread.name) for frames, thread in commits] == [
+            ([b"L"], "L"),
+            ([b"F1", b"F2"], "F1"),
+        ]
+        pipeline.close()
+
+    def test_a_writer_woken_to_lead_is_not_counted_as_waiting(self):
+        """Between a hand-off and the new leader's first step, its ticket
+        still heads the queue.  A writer arriving in that gap must not
+        count it: with two writers the gather target stays at one queued
+        writer, so no gather waits for a third writer that does not
+        exist."""
+        commits = []
+        follower_queued, in_commit = threading.Event(), threading.Event()
+        release_follower, arrival_queued = threading.Event(), threading.Event()
+        pipeline = CommitPipeline(
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit)
+        )
+
+        def hook():
+            # Runs in each writer after it enqueued, before it parks: F
+            # stays out of its gate (and so out of its batch) until told.
+            if threading.current_thread().name == "F":
+                follower_queued.set()
+                assert release_follower.wait(timeout=5.0)
+            else:
+                arrival_queued.set()
+
+        errors: dict[str, BaseException | None] = {}
+        leader = submit_recording(pipeline, b"L", errors, "L")
+        assert in_commit.wait(timeout=5.0)
+        pipeline._enqueue_hook = hook
+        follower = submit_recording(pipeline, b"F", errors, "F")
+        leader.join(timeout=5.0)  # L committed, handed F the lead, returned
+        assert not leader.is_alive()
+        arrival = submit_recording(pipeline, b"A", errors, "A")
+        try:
+            assert arrival_queued.wait(timeout=5.0)
+            assert pipeline._peak == 1  # A is the only writer waiting behind F
+        finally:
+            release_follower.set()
+        for thread in (follower, arrival):
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in (follower, arrival))
+        assert errors == {"L": None, "F": None, "A": None}
+        assert [(frames, thread.name) for frames, thread in commits] == [
+            ([b"L"], "L"),
+            ([b"F", b"A"], "F"),
+        ]
+        pipeline.close()
+
+    def test_close_during_a_hand_off_drains_the_next_leader(self):
+        """close() lands after a leader's batch, with leadership about to
+        pass to a queued writer: that writer still leads and is
+        acknowledged, and close() returns only after it."""
+        commits = []
+        follower_queued, in_commit = threading.Event(), threading.Event()
+        parked = threading.Event()
+        closers: list[threading.Thread] = []
+
+        def hook():
+            # Runs in the leader after its batch, before the hand-off.
+            if not closers:
+                closers.append(threading.Thread(target=pipeline.close, name="close"))
+                closers[0].start()
+                assert parked.wait(timeout=5.0)  # shutdown is now set
+
+        pipeline = CommitPipeline(
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit),
+            on_batch_applied=hook,
+        )
+        pipeline._drained = _ParkSignal(pipeline._mutex, parked)
+        errors: dict[str, BaseException | None] = {}
+        leader = submit_recording(pipeline, b"L", errors, "L")
+        assert in_commit.wait(timeout=5.0)
+        pipeline._enqueue_hook = follower_queued.set
+        follower = submit_recording(pipeline, b"F", errors, "F")
+        for thread in (leader, follower):
+            thread.join(timeout=5.0)
+        closers[0].join(timeout=5.0)
+        assert not any(t.is_alive() for t in (leader, follower, closers[0]))
+
+        assert errors == {"L": None, "F": None}  # drained, not rejected
+        assert [(frames, thread.name) for frames, thread in commits] == [
+            ([b"L"], "L"),
+            ([b"F"], "F"),
+        ]
+        with pytest.raises(StoreClosedError):
+            pipeline.submit(b"late")
+
+    def test_failing_hook_raises_from_its_leader_after_the_hand_off(self):
+        """The end-of-batch hook fails in the leader that ran it; the
+        queued writer is still handed the lead and acknowledged."""
+        boom = OSError(5, "seal blew up")
+        commits = []
+        follower_queued, in_commit = threading.Event(), threading.Event()
+        hooks: list[str] = []
+
+        def hook():
+            hooks.append(threading.current_thread().name)
+            if len(hooks) == 1:
+                raise boom
+
+        pipeline = CommitPipeline(
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit),
+            on_batch_applied=hook,
+        )
+        errors: dict[str, BaseException | None] = {}
+        leader = submit_recording(pipeline, b"L", errors, "L")
+        assert in_commit.wait(timeout=5.0)
+        pipeline._enqueue_hook = follower_queued.set
+        follower = submit_recording(pipeline, b"F", errors, "F")
+        for thread in (leader, follower):
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in (leader, follower))
+
+        assert errors["L"] is boom
+        assert errors["F"] is None
+        assert hooks == ["L", "F"]  # each leader ran its own batch's hook
+        assert [thread.name for _frames, thread in commits] == ["L", "F"]
+        pipeline.close()
+
+    def test_poisoned_sync_then_hand_off(self, tmp_path, monkeypatch):
+        """A sync fails with writers queued: the failing leader hands off,
+        the next leader is refused with WalPoisonedError without syncing
+        again, and nobody hangs."""
+        obs = Observability()
+        store = LSMStore(tmp_path / "db", fsync=True, obs=obs)
+        store.put("acked", 0)
+
+        in_sync, fail = threading.Event(), threading.Event()
+        syncs = []
+
+        def failing_fsync(fd):
+            syncs.append(fd)
+            in_sync.set()
+            assert fail.wait(timeout=5.0)
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(wal_module, "_fsync", failing_fsync)
+        commit = store._pipeline._commit
+        committers: list[str] = []
+
+        def recording_commit(frames):
+            committers.append(threading.current_thread().name)
+            commit(frames)
+
+        store._pipeline._commit = recording_commit
+        results: dict[str, BaseException | None] = {}
+
+        def write(name):
+            def target():
+                try:
+                    store.put(name, name)
+                    results[name] = None
+                except BaseException as exc:  # noqa: BLE001
+                    results[name] = exc
+
+            thread = threading.Thread(target=target, name=name)
+            thread.start()
+            return thread
+
+        leader = write("L")
+        assert in_sync.wait(timeout=5.0)
+        queued = threading.Semaphore(0)
+        store._pipeline._enqueue_hook = queued.release
+        followers = []
+        for name in ("F1", "F2"):  # queued in this order behind the sync
+            followers.append(write(name))
+            assert queued.acquire(timeout=5.0)
+        fail.set()
+        for thread in followers + [leader]:
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in followers + [leader])
+        store._pipeline._enqueue_hook = None
+
+        assert all(isinstance(results[n], WalPoisonedError) for n in ("L", "F1", "F2"))
+        assert committers == ["L", "F1"]  # F1 led the second batch
+        assert len(syncs) == 1  # the poisoned segment never synced again
+        assert obs.registry.counter("lsm.wal.sync_failures").value == 1
+        for name in ("L", "F1", "F2"):
+            with pytest.raises(KeyNotFoundError):
+                store.get(name)
+        store.close()
+        with LSMStore(tmp_path / "db") as reopened:
+            assert reopened.get("acked") == 0
+            assert sorted(reopened.keys()) == ["acked"]
+
+    def test_many_writers_under_fast_thread_switching(self, tmp_path):
+        """8 durable writers on 2 cores with the interpreter switching
+        threads every 10 us: every acknowledged write survives a crash,
+        and the WAL replays in exactly the memtable's apply order."""
+        writers, per_writer, seconds = 8, 150, 1.0
+        store = LSMStore(tmp_path / "db", fsync=True)
+        acked: list[list[str]] = [[] for _ in range(writers)]
+        failures: list[BaseException] = []
+        start = threading.Barrier(writers)
+        deadline = time.monotonic() + seconds + 5.0  # bounds every join
+
+        def worker(w):
+            try:
+                start.wait(timeout=10.0)
+                stop = time.monotonic() + seconds
+                for i in range(per_writer):
+                    if time.monotonic() > stop:
+                        break
+                    if w == 0 and i % 3 == 0:  # a multi-record ticket
+                        keys = [f"w{w}-{i:04d}-{j}" for j in range(3)]
+                        store.put_many({key: key for key in keys})
+                    else:
+                        keys = [f"w{w}-{i:04d}"]
+                        store.put(keys[0], keys[0])
+                    acked[w].extend(keys)
+            except BaseException as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        saved_interval = sys.getswitchinterval()
+        pin = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 2
+        saved_cpus = os.sched_getaffinity(0) if pin else None
+        threads = []
+        try:
+            sys.setswitchinterval(1e-5)
+            if pin:  # threads started from here inherit this thread's mask
+                os.sched_setaffinity(0, sorted(saved_cpus)[:2])
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(writers)]
+            for thread in threads:
+                thread.start()
+        finally:
+            if pin:
+                os.sched_setaffinity(0, saved_cpus)
+        try:
+            for thread in threads:
+                thread.join(timeout=max(0.1, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(saved_interval)
+        assert not any(t.is_alive() for t in threads), "a writer hung"
+        assert failures == []
+        assert all(acked), "every writer was acknowledged at least once"
+
+        # One WAL segment (nothing sealed): its replay order must be the
+        # order the leaders applied records to the memtable (keys are
+        # unique, so the memtable dict's insertion order is apply order).
+        (segment,) = store.native().glob("wal-*.log")
+        applied = list(store._memtable._entries)
+        crashed = crash_copy(store, tmp_path)
+        replayed = [record.key for record in WriteAheadLog.replay(segment).records]
+        assert replayed == applied
+        store.close()
+        with LSMStore(crashed) as recovered:
+            for keys in acked:
+                for key in keys:
+                    assert recovered.get(key) == key
+
+
+class TestSegmentNameDurability:
+    """With ``fsync=True`` every WAL segment the store creates has its
+    directory entry synced before a batch can commit to it."""
+
+    @staticmethod
+    def count_dir_syncs(monkeypatch):
+        """Record each WAL-segment directory sync with the size of the
+        newest segment at that moment (0: nothing committed to it yet)."""
+        syncs: list[tuple[str, int]] = []
+
+        def recording_fsync_dir(path):
+            newest = max(Path(path).glob("wal-*.log"))
+            syncs.append((newest.name, newest.stat().st_size))
+
+        monkeypatch.setattr(store_module, "fsync_dir", recording_fsync_dir)
+        return syncs
+
+    def test_one_directory_sync_per_segment_created(self, tmp_path, monkeypatch):
+        syncs = self.count_dir_syncs(monkeypatch)
+        obs = Observability()
+        store = LSMStore(tmp_path / "db", fsync=True, memtable_bytes=2048, obs=obs)
+        assert syncs == [("wal-000001.log", 0)]  # the segment made at open
+        store.put("k", "v")
+        store.flush()  # a barrier seal
+        for i in range(20):  # size-triggered seals at batch boundaries
+            store.put(f"big-{i}", "x" * 400)
+        seals = obs.registry.counter("lsm.memtable.flushes").value
+        assert seals >= 3
+        assert len(syncs) == 1 + seals
+        assert len({name for name, _size in syncs}) == len(syncs)  # one per segment
+        assert all(size == 0 for _name, size in syncs)  # synced before any commit
+        store.close()
+
+        # Recovery replays the old segment and opens a fresh one: one more.
+        del syncs[:]
+        LSMStore(tmp_path / "db", fsync=True).close()
+        assert len(syncs) == 1
+
+    def test_no_directory_sync_without_fsync(self, tmp_path, monkeypatch):
+        syncs = self.count_dir_syncs(monkeypatch)
+        with LSMStore(tmp_path / "db", memtable_bytes=2048) as store:
+            store.put("k", "v")
+            store.flush()
+            for i in range(20):
+                store.put(f"big-{i}", "x" * 400)
+            assert store.stats()["sstables"] >= 1
+        assert syncs == []
 
 
 class TestWalPoisoning:
