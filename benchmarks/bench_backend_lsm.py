@@ -150,8 +150,7 @@ def test_fsync_write_path(benchmark, collector, tmp_path):
     """
     benchmark.group = "backend-lsm-write"
     obs = Observability()
-    per_op_store = LSMStore(tmp_path / "per_op.lsm", fsync=True,
-                            wal_batch_records=1, wal_gather_window_s=0.0)
+    per_op_store = LSMStore(tmp_path / "per_op.lsm", fsync=True, wal_batch_records=1)
     group = LSMStore(tmp_path / "group.lsm", fsync=True, obs=obs)
 
     def run() -> None:

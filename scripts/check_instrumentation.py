@@ -462,7 +462,7 @@ def leader_commit_waits() -> int:
             leader_returned.wait(timeout=5.0)
         commits.append(frames)
 
-    pipeline = CommitPipeline(commit, gather_window_s=0)
+    pipeline = CommitPipeline(commit)
     waited: list[int] = []
 
     def lead() -> None:

@@ -115,7 +115,6 @@ class LSMStore(KeyValueStore):
         fsync: bool = False,
         wal_batch_records: int = 128,
         wal_batch_bytes: int = 1 << 20,
-        wal_gather_window_s: float = 0.0003,
         clock: Callable[[], float] | None = None,
         create: bool = True,
         obs: Observability | None = None,
@@ -140,15 +139,12 @@ class LSMStore(KeyValueStore):
             makes SSTable/MANIFEST renames durable (file + parent
             directory fsync).  Group commit amortizes the sync across
             concurrent writers: N writers in flight pay ~one sync per
-            batch, not one each.
+            batch, not one each.  A batch is whatever is queued when its
+            leader takes it; no write waits for another to arrive.
         :param wal_batch_records: most records one commit batch -- and so
             one ``put_many`` chunk -- may carry (bounds how long any
             single waiter can be held).
         :param wal_batch_bytes: byte bound per commit batch and chunk.
-        :param wal_gather_window_s: how long a commit leader may wait
-            for more concurrent writers before syncing a batch.  Only
-            paid when the previous batch actually had company, so a
-            single writer keeps per-op latency; ``0`` disables it.
         :param clock: monotonic clock used to time flushes/compactions for
             the journal (injectable so tests are deterministic).
         :param obs: observability bundle (metrics + journal events).
@@ -209,7 +205,6 @@ class LSMStore(KeyValueStore):
             self._commit_frames,
             max_batch_records=wal_batch_records,
             max_batch_bytes=wal_batch_bytes,
-            gather_window_s=wal_gather_window_s,
             on_batch_applied=self._seal_after_batch,
         )
 

@@ -36,12 +36,13 @@ Group commit
 across concurrent writers, LevelDB/RocksDB-style: writers enqueue their
 framed record and block; the first writer to find no leader *becomes* the
 leader (no dedicated thread), takes the queue's head up to the batch
-bounds, performs **one** batched write and **one** sync for every frame,
-runs each waiter's apply callback in enqueue order, and wakes everyone.
-It then hands leadership to the oldest writer still queued and returns,
-so a writer's acknowledgement waits for its own batch's sync, never for
-the batches queued behind it.  N concurrent ``fsync=True`` writers pay
-~one disk sync per batch instead of one each.
+bounds -- whatever is queued at that moment; it never waits for more
+writers -- performs **one** batched write and **one** sync for every
+frame, runs each waiter's apply callback in enqueue order, and wakes
+everyone.  It then hands leadership to the oldest writer still queued
+and returns, so a writer's acknowledgement waits for its own batch's
+sync, never for the batches queued behind it.  N concurrent
+``fsync=True`` writers pay ~one disk sync per batch instead of one each.
 
 Sync-failure poisoning
 ----------------------
@@ -61,9 +62,7 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import threading
-import time
 import zlib
 from collections import deque
 from pathlib import Path
@@ -349,7 +348,9 @@ class _Ticket:
     A gate is released exactly once: when the ticket's batch resolved,
     or with ``lead`` set when the previous leader handed over.  A writer
     that found no leader gets no gate at all: its ticket heads the queue,
-    so the batch it leads resolves it.
+    so the batch it leads resolves it.  A ticket rides the first batch
+    whose leader finds it queued (within the batch bounds); no leader
+    ever waits for a ticket to arrive.
     """
 
     __slots__ = ("frames", "size", "apply", "gate", "error", "lead")
@@ -370,19 +371,21 @@ class CommitPipeline:
     one multi-record ticket, committed and applied as a unit); the first
     writer to find no leader becomes the leader (Rocks/LevelDB-style -- no
     dedicated commit thread).  A leader commits **one** batch: its own
-    ticket plus the tickets queued behind it, up to
-    ``max_batch_records``/``max_batch_bytes``.  It hands every frame of
-    the batch to *commit* (one write + one sync), runs each waiter's
-    ``apply`` callback **in enqueue order**, wakes them and runs the
-    end-of-batch hook.  Then it hands leadership to the oldest queued
-    writer -- whose ticket heads the next batch -- and returns, or, with
-    the queue empty, abdicates (LevelDB's write-queue rule).  A
-    writer's ``submit`` therefore waits for one sync, its own batch's;
-    the next leader's sync overlaps whatever the previous one does with
-    its acknowledgement.  Batches still commit strictly in queue order,
-    one leader at a time, and that order guarantee is what lets a store
-    equate WAL order with visibility order: replaying the log after a
-    crash reconstructs exactly the state the appliers built.
+    ticket plus the tickets already queued behind it when it takes the
+    head, up to ``max_batch_records``/``max_batch_bytes``.  It never
+    waits for writers that are not queued, so the write path has no
+    timed wait.  It hands every frame of the batch to *commit* (one
+    write + one sync), runs each waiter's ``apply`` callback **in
+    enqueue order**, wakes them and runs the end-of-batch hook.  Then it
+    hands leadership to the oldest queued writer -- whose ticket heads
+    the next batch -- and returns, or, with the queue empty, abdicates
+    (LevelDB's write-queue rule).  A writer's ``submit`` therefore
+    waits for one sync, its own batch's; the next leader's sync overlaps
+    whatever the previous one does with its acknowledgement.  Batches
+    still commit strictly in queue order, one leader at a time, and that
+    order guarantee is what lets a store equate WAL order with
+    visibility order: replaying the log after a crash reconstructs
+    exactly the state the appliers built.
 
     Error propagation is per waiter: a failed *commit* fails every
     waiter whose frame was in that batch (and, because a poisoned WAL
@@ -402,14 +405,6 @@ class CommitPipeline:
     For the same reason size-triggered seals are deferred to batch
     boundaries: *on_batch_applied* runs after a batch's last apply, so a
     seal can never split a committed batch across two WAL segments.
-
-    Batches fill through an adaptive **gather window** (see
-    ``gather_window_s``): the leader briefly waits for the queue to
-    reach the highest depth any writer has recently observed before
-    paying the next sync, which is what keeps batches full instead of
-    committing whatever trickled in during the previous ``fsync``.  The
-    wait quiesces as soon as arrivals stop for one grain, and a lone
-    writer never triggers it.
     """
 
     def __init__(
@@ -418,7 +413,6 @@ class CommitPipeline:
         *,
         max_batch_records: int = 128,
         max_batch_bytes: int = 1 << 20,
-        gather_window_s: float = 0.0003,
         on_batch_applied: "Callable[[], None] | None" = None,
     ) -> None:
         """:param commit: called by the leader with every non-empty frame
@@ -434,48 +428,23 @@ class CommitPipeline:
             exception here is re-raised from the leader's own
             :meth:`submit` once leadership has been handed on (or
             released), so it can never strand queued waiters.
-        :param gather_window_s: how long the leader may wait for more
-            writers before committing a batch (the Postgres
-            ``commit_delay`` idea, made adaptive).  The wait targets the
-            highest queue depth any writer has recently observed -- a
-            lone writer never pays it -- and ends early the moment the
-            target is reached or no new writer arrives for one grain
-            (<=50 us).  ``0`` disables gathering.
         """
         if max_batch_records < 1:
             raise ConfigurationError("max_batch_records must be positive")
         if max_batch_bytes < 1:
             raise ConfigurationError("max_batch_bytes must be positive")
-        if gather_window_s < 0:
-            raise ConfigurationError("gather_window_s cannot be negative")
         self._commit = commit
         self._on_batch_applied = on_batch_applied
         self._max_records = max_batch_records
         self._max_bytes = max_batch_bytes
-        self._window = gather_window_s
-        # One quiescence grain: long enough for a woken writer to reach
-        # submit() under the GIL, short enough that an expired grain is
-        # cheap next to a disk sync.
-        self._grain = min(gather_window_s, 0.00005) if gather_window_s else 0.0
         self._mutex = threading.Lock()
         self._drained = threading.Condition(self._mutex)
-        self._grew = threading.Condition(self._mutex)
         self._queue: deque[_Ticket] = deque()
         self._leading = False
         self._shutdown = False
         self._batches = 0
         self._committed = 0
         self._largest_batch = 0
-        # Gather target: the highest queue depth any follower has seen
-        # -- a live estimate of writer concurrency.  Decays whenever a
-        # gather times out short, so departed writers stop being waited
-        # for.
-        self._peak = 0
-        # Wake threshold for a gathering leader: submitters only notify
-        # ``_grew`` once the queue reaches it, so the leader sleeps in
-        # whole grains instead of waking (and contending for the mutex)
-        # on every arrival.  ``maxsize`` means nobody is gathering.
-        self._goal = sys.maxsize
         # Test seam: called in the submitting thread right after its
         # ticket is enqueued (before it blocks), so tests can build
         # multi-frame batches deterministically with zero sleeps.
@@ -511,14 +480,6 @@ class CommitPipeline:
                 gate = threading.Lock()
                 gate.acquire()
                 ticket.gate = gate
-                # A ticket handed the lead is not waiting behind a leader:
-                # counting it while its writer wakes up would have the
-                # next gather wait for a writer that does not exist.
-                depth = len(self._queue) - self._queue[0].lead
-                if depth > self._peak:
-                    self._peak = depth
-                if len(self._queue) >= self._goal:
-                    self._grew.notify()
         if self._enqueue_hook is not None:
             self._enqueue_hook()
         if not lead:
@@ -534,32 +495,14 @@ class CommitPipeline:
     def _lead(self) -> None:
         """Commit the batch at the head of the queue, then hand off.
 
-        The caller's ticket heads the queue.  After the batch is applied,
-        its waiters woken and the end-of-batch hook run, leadership passes
-        to the oldest queued ticket (its writer leads the next batch from
-        its own ``submit``) or, with the queue empty, is released.
+        The caller's ticket heads the queue; the batch is it plus the
+        tickets queued behind it right now, within the bounds.  After the
+        batch is applied, its waiters woken and the end-of-batch hook run,
+        leadership passes to the oldest queued ticket (its writer leads
+        the next batch from its own ``submit``) or, with the queue empty,
+        is released.
         """
         with self._mutex:
-            # Gather: wait (bounded by the window) for the queue to reach
-            # the observed writer concurrency before paying a sync, so
-            # batches fill up instead of committing whatever trickled in
-            # during the previous fsync.  A lone writer has peak 0 and
-            # never waits, and the wait quiesces early: one grain with no
-            # new arrival means the stragglers are not coming, so burn a
-            # grain, not the whole window.
-            goal = min(self._peak, self._max_records)
-            if self._window and not self._shutdown and goal > len(self._queue):
-                self._goal = goal
-                deadline = time.monotonic() + self._window
-                while len(self._queue) < goal and not self._shutdown:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    before = len(self._queue)
-                    self._grew.wait(min(remaining, self._grain))
-                    if len(self._queue) == before:
-                        break
-                self._goal = sys.maxsize
             batch = [self._queue.popleft()]
             size = batch[0].size
             records = len(batch[0].frames)
@@ -583,10 +526,6 @@ class CommitPipeline:
             self._batches += 1
             self._committed += records or 1  # a barrier counts as one
             self._largest_batch = max(self._largest_batch, records or 1)
-            cut_short = records and not (self._queue and not self._queue[0].frames)
-            if len(batch) < goal and cut_short:
-                # Writers left (not a barrier cut): stop waiting for them.
-                self._peak = len(batch)
         frames = [frame for ticket in batch for frame in ticket.frames]
         error: BaseException | None = None
         if frames:
@@ -639,7 +578,6 @@ class CommitPipeline:
         """
         with self._mutex:
             self._shutdown = True
-            self._grew.notify_all()  # cut short a leader's gather wait
             while self._leading or self._queue:
                 self._drained.wait()
 

