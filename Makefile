@@ -66,9 +66,11 @@ check-cluster:
 
 # In fresh interpreters, assert what a process loads: `import repro` is the
 # lazy surface only, the serving closure stays free of sqlite3/cryptography
-# and the layers it does not compose, the threaded server never loads
-# asyncio, and a served request imports nothing (structural asserts, no
-# wall-clock; see docs/architecture.md and scripts/check_imports.py).
+# and the layers it does not compose, importing either engine loads neither
+# asyncio nor argparse nor subprocess (a started async engine has asyncio),
+# the threaded server child never loads asyncio, and a served request
+# imports nothing (structural asserts, no wall-clock; see
+# docs/architecture.md and scripts/check_imports.py).
 check-imports:
 	$(PYTHON) scripts/check_imports.py
 

@@ -1,13 +1,16 @@
 """Import footprint: what a process pays before it does any work.
 
-Four processes every deployment starts, each measured in a fresh
+Five processes a deployment starts, each measured in a fresh
 interpreter (:data:`ROUNDS` times, alternating the two modes):
 
 * ``root`` -- ``import repro`` and nothing else;
 * ``client`` -- the paper's embedded client: ``EnhancedDataStoreClient``
   over an ``InMemoryStore`` with an ``InProcessCache``, gzip and AES-GCM;
 * ``serving_threaded`` / ``serving_async`` -- a serving child: one engine
-  over an ``LSMStore``, measured once it is listening (the state the e2e
+  over an ``LSMStore``, measured once it is listening;
+* ``serving_threaded_both_engines`` -- the e2e spine's serving child: it
+  imports ``repro.net.aio`` beside ``repro.net.server`` so that it can pick
+  an engine from a flag, then starts the threaded one (the state the
   spine's ``server_rss_mb`` starts from).
 
 Two modes per process: **after** (x = 2) imports what the process names
@@ -77,6 +80,9 @@ client = EnhancedDataStoreClient(
 """, "client.close()"),
     "serving_threaded": (SERVING.format(engine="threaded"), SERVING_TEARDOWN),
     "serving_async": (SERVING.format(engine="async"), SERVING_TEARDOWN),
+    "serving_threaded_both_engines": (
+        "import repro.net.aio" + SERVING.format(engine="threaded"), SERVING_TEARDOWN
+    ),
 }
 
 MODES = {"before": 1.0, "after": 2.0}
@@ -146,7 +152,9 @@ def test_import_footprint_rows(benchmark, collector, footprints, process):
         "imports).  Processes: root = `import repro`; client = "
         "EnhancedDataStoreClient + InProcessCache + gzip + AES-GCM over "
         "InMemoryStore; serving_threaded / serving_async = build_server(engine, "
-        "LSMStore) started, measured at LISTENING.  Series suffix gives the "
+        "LSMStore) started, measured at LISTENING; serving_threaded_both_engines = "
+        "the same threaded child after `import repro.net.aio` (the e2e spine "
+        "child's shape).  Series suffix gives the "
         "unit: .import_ms (wall-clock of the imports + construction), .modules "
         "(len(sys.modules)), .repro_modules, .rss_mib (VmRSS).",
     )

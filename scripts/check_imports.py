@@ -11,7 +11,10 @@ structural asserts only -- module sets, never wall-clock:
   ``repro.*`` modules and loads none of :data:`FORBIDDEN` -- no sqlite3, no
   ``cryptography``, no replication, cluster, UDSM, txn, delta, consistency,
   security or compression layer, and no wire client (``repro.net.client``:
-  a member never dials its peers);
+  a member never dials its peers) -- nor any of :data:`START_ONLY`
+  (``asyncio``, ``argparse``, ``subprocess``): importing the async engine
+  is not starting it.  A *started* async engine does have ``asyncio``, so
+  the import is paid at start, not dropped;
 * ``python -m repro.net.server --backend lsm`` with the default engine
   never imports ``asyncio``, not even while serving;
 * a **served request imports nothing**: ``sys.modules`` is identical before
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -58,6 +62,26 @@ FORBIDDEN = (
 #: Barred from the serving closure only, since a server never dials anyone
 #: (the request-round child below imports it for its own probe client).
 WIRE_CLIENT = ("repro.net.client",)
+
+#: Loaded by what *starts* a server, never by importing one: the event loop
+#: (a started async engine), the CLI parser and the process launcher.
+START_ONLY = ("asyncio", "argparse", "subprocess")
+
+#: Seconds the server child gets to announce ``LISTENING``.
+STARTUP_TIMEOUT = 30
+
+#: Build and start an async engine over an LSMStore, then stop it.
+STARTED_ASYNC = """
+import tempfile
+from repro.lsm.store import LSMStore
+from repro.net.server import build_server
+with tempfile.TemporaryDirectory() as root:
+    store = LSMStore(root)
+    server = build_server("async", store)
+    server.start()
+    server.stop()
+    store.close()
+"""
 
 SERVING_IMPORTS = "from repro.lsm.store import LSMStore; from repro.net.server import StoreServer"
 
@@ -138,17 +162,20 @@ def check_root(errors: list[str]) -> None:
 
 def check_serving_closure(errors: list[str]) -> None:
     print("[2/4] the serving closure loads only the layers it composes")
-    for label, statement, banned in (
-        ("threaded", SERVING_IMPORTS, FORBIDDEN + WIRE_CLIENT + ("asyncio",)),
-        ("async", SERVING_IMPORTS + "; import repro.net.aio", FORBIDDEN + WIRE_CLIENT),
+    for label, statement in (
+        ("threaded", SERVING_IMPORTS),
+        ("async", SERVING_IMPORTS + "; import repro.net.aio"),
     ):
         modules = _loaded_after(statement)
         count = len(_repro_modules(modules))
         _expect(errors, count <= SERVING_BUDGET,
                 f"{label}: {count} repro.* modules <= {SERVING_BUDGET}")
-        forbidden = _forbidden_in(modules, banned)
+        forbidden = _forbidden_in(modules, FORBIDDEN + WIRE_CLIENT + START_ONLY)
         _expect(errors, not forbidden,
-                f"{label}: no forbidden layer loaded" + (f" (found {forbidden})" if forbidden else ""))
+                f"{label}: no forbidden layer or start-only module loaded"
+                + (f" (found {forbidden})" if forbidden else ""))
+    _expect(errors, "asyncio" in _loaded_after(STARTED_ASYNC),
+            "a started async engine has asyncio loaded (paid at start, not dropped)")
 
 
 def check_server_module(errors: list[str]) -> None:
@@ -160,7 +187,8 @@ def check_server_module(errors: list[str]) -> None:
             env=_environment(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            line = process.stdout.readline()
+            ready = select.select([process.stdout], [], [], STARTUP_TIMEOUT)[0]
+            line = process.stdout.readline() if ready else ""
             _expect(errors, line.startswith("LISTENING"), "server child announced LISTENING")
             if line.startswith("LISTENING"):
                 _token, host, port = line.split()

@@ -29,6 +29,11 @@ Design notes (the long-form story is ``docs/serving.md``):
   that a slow store operation stalls the whole loop -- the engines trade
   per-connection parallelism for connection scalability (see
   ``docs/serving.md`` for when to pick which).
+* **Loaded on start.**  ``asyncio`` (and the ``ssl``, ``logging`` and
+  ``concurrent.futures`` it pulls in) is imported when an engine starts,
+  not when this module is imported: a process that imports both engines
+  to pick one from its config and runs the threaded one never pays for
+  the event loop (``docs/architecture.md``, "What a process loads").
 * **Backpressure.**  After writing a reply batch the handler awaits
   ``drain()``, so a slow reader suspends only its own connection's
   coroutine, and the read loop stops pulling new requests from a peer
@@ -44,7 +49,6 @@ from an already-buffered batch beyond the first), ``net.aio.batch``
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -55,6 +59,8 @@ from . import protocol
 from .server import CacheServer, StoreServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio
+
     from ..kv.interface import KeyValueStore
 
 __all__ = [
@@ -217,6 +223,8 @@ class AsyncServerEngine:
             if self._stopped:
                 raise ConfigurationError("engine already stopped; build a new one")
             self._started = True
+        import asyncio  # paid by a started engine, not by importing this module
+
         self._core.prepare()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -250,6 +258,8 @@ class AsyncServerEngine:
             return
         loop = self._loop
         if loop is not None and not loop.is_closed():
+            import asyncio
+
             future = asyncio.run_coroutine_threadsafe(self._close_all(), loop)
             try:
                 future.result(timeout=5)
@@ -273,6 +283,8 @@ class AsyncServerEngine:
     # Loop-side internals
     # ------------------------------------------------------------------
     def _run_loop(self) -> None:
+        import asyncio
+
         assert self._loop is not None
         asyncio.set_event_loop(self._loop)
         try:
@@ -300,6 +312,8 @@ class AsyncServerEngine:
         self._server = None
 
     async def _open_listener(self) -> tuple[str, int]:
+        import asyncio
+
         self._server = await asyncio.start_server(
             self._handle_connection,
             self._core.host,

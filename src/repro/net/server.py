@@ -31,18 +31,16 @@ cache is no longer a black box (see ``docs/observability.md``).
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import pickle
+import select
 import socket
-import subprocess
 import sys
 import threading
 import time
 from collections import OrderedDict
 from contextlib import suppress
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from ..errors import (
     ConfigurationError,
@@ -54,6 +52,10 @@ from ..errors import (
 from ..obs import Observability
 from . import protocol
 from ..kv.interface import KeyValueStore, content_version
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import argparse
+    import subprocess
 
 __all__ = [
     "CacheServer",
@@ -667,8 +669,7 @@ class StoreServer:
             return _NIL
         if not isinstance(value, (bytes, bytearray)):
             return _NOT_BYTES
-        digest = hashlib.sha1(bytes(value)).hexdigest().encode("ascii")
-        return protocol.encode_bulk(digest)
+        return protocol.encode_bulk(content_version(value).encode("ascii"))
 
     def _cmd_save(self, args, connection):
         if self._store.snapshot_path is None:
@@ -1014,7 +1015,7 @@ class ServerHandle:
         port: int,
         *,
         server: "CacheServer | object | None" = None,
-        process: "subprocess.Popen[bytes] | None" = None,
+        process: subprocess.Popen[bytes] | None = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -1066,7 +1067,13 @@ class ServerHandle:
             over an :class:`~repro.lsm.LSMStore` rooted at *database*).
         :param engine: ``"threaded"`` or ``"async"`` (see
             :func:`build_server`).
+
+        A child that neither announces itself nor exits within
+        *startup_timeout* seconds (a long WAL replay, say) is killed and
+        reaped, and :class:`~repro.errors.StoreConnectionError` is raised.
         """
+        import subprocess
+
         cmd = [sys.executable, "-m", "repro.net.server", "--port", str(port)]
         if max_entries is not None:
             cmd += ["--max-entries", str(max_entries)]
@@ -1078,19 +1085,24 @@ class ServerHandle:
             cmd += ["--backend", backend]
             if database is not None:
                 cmd += ["--database", database]
-        process = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        # Unbuffered, so a readable pipe (select) always means an unread line.
+        process = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, bufsize=0
+        )
         assert process.stdout is not None
         deadline = time.monotonic() + startup_timeout
         line = b""
-        while time.monotonic() < deadline:
+        while not line.startswith(b"LISTENING"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([process.stdout], [], [], remaining)[0]:
+                _reap(process)
+                raise StoreConnectionError(
+                    f"cache server process did not report readiness within {startup_timeout}s"
+                )
             line = process.stdout.readline()
-            if line.startswith(b"LISTENING"):
-                break
-            if not line and process.poll() is not None:
+            if not line:
+                _reap(process)
                 raise StoreConnectionError("cache server process exited during startup")
-        if not line.startswith(b"LISTENING"):
-            process.kill()
-            raise StoreConnectionError("cache server process did not report readiness")
         _token, host, port_str = line.decode("ascii").split()
         return cls(host, int(port_str), process=process)
 
@@ -1101,12 +1113,7 @@ class ServerHandle:
             self._server.stop()
             self._server = None
         if self._process is not None:
-            self._process.terminate()
-            try:
-                self._process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._process.kill()
-                self._process.wait(timeout=5)
+            _reap(self._process, grace=5)
             self._process = None
 
     def __enter__(self) -> "ServerHandle":
@@ -1114,6 +1121,21 @@ class ServerHandle:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+def _reap(process: subprocess.Popen[bytes], grace: float = 0.0) -> None:
+    """End a child server: SIGTERM and up to *grace* seconds to exit, then
+    SIGKILL; reap it and close its stdout pipe."""
+    import subprocess
+
+    if grace > 0:
+        process.terminate()
+        with suppress(subprocess.TimeoutExpired):
+            process.wait(timeout=grace)
+    process.kill()  # a no-op once the child has been reaped
+    process.wait(timeout=5)
+    if process.stdout is not None:
+        process.stdout.close()
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1187,6 +1209,8 @@ def serve(options: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> None:
     """CLI entry point: run a cache server in the foreground."""
+    import argparse
+
     parser = argparse.ArgumentParser(description="repro remote-process cache server")
     add_serve_arguments(parser)
     serve(parser.parse_args(argv))

@@ -420,3 +420,35 @@ class TestProcessMode:
         handle = ServerHandle.spawn_process()
         handle.stop()
         handle.stop()
+
+    def test_stop_closes_the_child_pipe(self):
+        handle = ServerHandle.spawn_process()
+        process = handle._process
+        handle.stop()
+        assert process.returncode is not None and process.stdout.closed
+
+    @pytest.mark.parametrize(
+        "script, reason",
+        [("import time; time.sleep(60)", "readiness"), ("pass", "exited during startup")],
+        ids=["silent", "exits"],
+    )
+    def test_failed_startup_reaps_the_child(self, monkeypatch, script, reason):
+        """A child that never announces LISTENING -- silent, or gone -- is
+        given up on within startup_timeout, killed, reaped, pipe closed."""
+        import subprocess
+        import sys
+
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def stand_in(cmd, **kwargs):
+            spawned.append(real_popen([sys.executable, "-c", script], **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", stand_in)
+        began = time.monotonic()
+        with pytest.raises(StoreConnectionError, match=reason):
+            ServerHandle.spawn_process(startup_timeout=0.5)
+        assert time.monotonic() - began < 3
+        (process,) = spawned
+        assert process.returncode is not None and process.stdout.closed
