@@ -11,7 +11,7 @@ whatever it costs):
   counters, histograms, and spans on every op;
 * ``obs_anomaly`` -- the same bundle **plus** an
   :class:`~repro.obs.anomaly.AnomalyEngine` with the default rule set,
-  polled inline every :data:`POLL_EVERY` ops so the sketch/rule work lands
+  polled inline every :data:`POLL_EVERY` ops so the exemplar/rule work lands
   in the measured tail exactly where a background poller would put it.
 
 Per-op cost is measured in batches (:data:`BATCH` timed ops per sample) to

@@ -30,6 +30,7 @@ block fails, with the offending file, block number, and source line printed.
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import sys
 import tempfile
@@ -120,10 +121,11 @@ def scripted_names() -> set[str]:
     The run: the enhanced-client and ``MonitoredStore`` drivers of
     ``make check-obs`` (``scripts/check_instrumentation.py``) over a gzip +
     AES-GCM client with a slow-op journal and a two-trace ring; an
-    ``LSMStore`` through flush, block-cache eviction, compaction, a failed
-    flush, recovery and a poisoned WAL; and a threaded server over that
-    store answering ``STATS``, an unknown command and a refused
-    connection, through an observed ``CacheClient``.
+    ``LSMStore`` through flush, compaction, a failed flush, recovery and a
+    poisoned WAL; a threaded server over that store answering ``STATS``,
+    an unknown command and a refused connection, through an observed
+    ``CacheClient``; and an ``AnomalyEngine`` on an injected clock through
+    one detect -> engage -> clear -> revert cycle over the SSTable gauge.
     """
     import check_instrumentation as checked
 
@@ -136,6 +138,7 @@ def scripted_names() -> set[str]:
     from repro.net.protocol import WireError
     from repro.net.server import build_server
     from repro.obs import EventLog, Observability
+    from repro.obs.anomaly import AnomalyEngine, CallbackAction, ThresholdRule
     from repro.security import AesGcmEncryptor
 
     obs = Observability(events=EventLog(), slow_op_threshold=0.0, max_traces=2)
@@ -217,6 +220,20 @@ def scripted_names() -> set[str]:
         finally:
             wal_module._fsync = saved_fsync
         store.close()
+
+    # Manual polls; each reads the next tick of the injected clock.
+    engine = AnomalyEngine(obs, clock=itertools.count(1.0).__next__)
+    engine.add_rule(
+        ThresholdRule(
+            "sstables", "lsm.sstables", limit=1000.0, trigger_after=1, clear_after=1
+        ),
+        actions=[CallbackAction("page", on_engage=dict, on_revert=dict)],
+    )
+    sstables = obs.registry.gauge("lsm.sstables")
+    level = sstables.value  # the closed store's count, far below the limit
+    for value in (level, 1000.0, level):  # prime, detect + engage, clear + revert
+        sstables.set(value)
+        engine.poll()
     return set(obs.registry.names()) | {record["kind"] for record in obs.events.tail()}
 
 

@@ -7,21 +7,18 @@ online, decides when a series has left its normal regime, and closes the
 loop by journaling structured events and -- optionally -- engaging the
 fault-tolerance plane before callers feel the failure.
 
-Four pieces, smallest first:
+Three pieces, smallest first:
 
-* :mod:`~repro.obs.anomaly.sketch` -- constant-memory online summaries:
-  exponentially-decayed Welford mean/variance, a windowed quantile sketch,
-  and a frequent-directions matrix sketch for correlating many series;
 * :mod:`~repro.obs.anomaly.detectors` -- composable detector rules (static
-  threshold, robust z-score, rate-of-change, error-ratio) wrapped in one
-  shared hysteresis + debounce state machine so flapping series do not spam
-  events;
+  threshold, robust z-score over an exponentially-decayed Welford baseline,
+  rate-of-change, error-ratio) wrapped in one shared hysteresis + debounce
+  state machine so flapping series do not spam events;
 * :mod:`~repro.obs.anomaly.engine` -- the :class:`AnomalyEngine`: polls
   registry deltas on an injectable clock, derives per-interval series
   (counter rates, gauge levels, histogram interval percentiles), evaluates
   the rules, and emits ``anomaly_detected`` / ``anomaly_cleared`` records
-  into the event log with the offending series' recent window attached as
-  an exemplar;
+  into the event log with the offending series' last 32 values attached
+  as an exemplar;
 * :mod:`~repro.obs.anomaly.actions` -- reversible resilience actions an
   anomaly can engage (trip a circuit breaker preemptively, enable hedged
   reads, switch a client into serve-stale mode), each journaled on engage
@@ -45,6 +42,7 @@ from .actions import (
     TripCircuitAction,
 )
 from .detectors import (
+    DecayedMeanVar,
     DetectorRule,
     ErrorRatioRule,
     RateOfChangeRule,
@@ -53,12 +51,9 @@ from .detectors import (
     ZScoreRule,
 )
 from .engine import AnomalyEngine, default_rules
-from .sketch import DecayedMeanVar, FrequentDirections, WindowedQuantileSketch
 
 __all__ = [
     "DecayedMeanVar",
-    "WindowedQuantileSketch",
-    "FrequentDirections",
     "DetectorRule",
     "RuleEvent",
     "ThresholdRule",

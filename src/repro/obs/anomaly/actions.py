@@ -69,11 +69,20 @@ class AnomalyAction:
         return self._engaged
 
     def engage(self) -> dict[str, Any]:
-        """Engage once; applies the change on the first holder only."""
+        """Engage once; applies the change on the first holder only.
+
+        If ``_apply`` raises, the hold is rolled back before the error
+        propagates, so a later :meth:`revert` restores nothing that was
+        never applied.
+        """
         self._engaged += 1
         if self._engaged == 1:
+            try:
+                detail = self._apply() or {}
+            except BaseException:
+                self._engaged -= 1
+                raise
             self.applications += 1
-            detail = self._apply() or {}
             return {"applied": True, **detail}
         return {"applied": False, "holders": self._engaged}
 

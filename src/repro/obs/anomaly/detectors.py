@@ -20,10 +20,10 @@ plane is testable by calling ``update`` in a loop.
 Concrete rules:
 
 * :class:`ThresholdRule` -- static bound on a series (above or below);
-* :class:`ZScoreRule` -- robust deviation from a
-  :class:`~repro.obs.anomaly.sketch.DecayedMeanVar` baseline that is
-  *frozen while the anomaly is active*, so a latency step cannot absorb
-  itself into "normal" and silently clear;
+* :class:`ZScoreRule` -- robust deviation from a :class:`DecayedMeanVar`
+  baseline (O(1) state, defined here) that is *frozen while the anomaly
+  is active*, so a latency step cannot absorb itself into "normal" and
+  silently clear;
 * :class:`RateOfChangeRule` -- per-second drift bound (the slow-leak
   detector);
 * :class:`ErrorRatioRule` -- errors / total over the poll interval with a
@@ -33,13 +33,14 @@ Concrete rules:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ...errors import ConfigurationError
-from .sketch import DecayedMeanVar
 
 __all__ = [
+    "DecayedMeanVar",
     "RuleEventKind",
     "RuleEvent",
     "DetectorRule",
@@ -243,6 +244,83 @@ class ThresholdRule(DetectorRule):
             breached = value <= self.limit
             calm = value > self.clear_threshold
         return breached, calm, value, self.limit, {"direction": self.direction}
+
+
+class DecayedMeanVar:
+    """Exponentially-decayed Welford mean/variance.
+
+    ``alpha`` is the weight of each new observation: the effective memory is
+    roughly the last ``1/alpha`` observations (``alpha=0.05`` ~ the last 20
+    polls).  ``update`` keeps the classic numerically-stable recurrence::
+
+        diff      = x - mean
+        mean     += alpha * diff
+        variance  = (1 - alpha) * (variance + alpha * diff^2)
+
+    which for a stationary stream converges to the stream's variance, and
+    for a shifting stream forgets the old regime at rate ``1 - alpha``.
+    ``zscore`` guards against a degenerate (constant) baseline with a
+    minimum standard deviation floor.
+    """
+
+    __slots__ = ("_alpha", "_mean", "_var", "_count", "_min_std")
+
+    def __init__(self, *, alpha: float = 0.05, min_std: float = 1e-9) -> None:
+        if not 0.0 < alpha <= 1.0:
+            raise ConfigurationError("alpha must be within (0, 1]")
+        if min_std < 0:
+            raise ConfigurationError("min_std must be non-negative")
+        self._alpha = alpha
+        self._mean = 0.0
+        self._var = 0.0
+        self._count = 0
+        self._min_std = min_std
+
+    def update(self, value: float) -> None:
+        """Fold one observation into the decayed baseline."""
+        if self._count == 0:
+            self._mean = float(value)
+            self._var = 0.0
+        else:
+            diff = float(value) - self._mean
+            increment = self._alpha * diff
+            self._mean += increment
+            self._var = (1.0 - self._alpha) * (self._var + diff * increment)
+        self._count += 1
+
+    @property
+    def count(self) -> int:
+        """Observations folded in so far (undecayed tally)."""
+        return self._count
+
+    @property
+    def mean(self) -> float:
+        return self._mean
+
+    @property
+    def variance(self) -> float:
+        return self._var
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self._var)
+
+    def zscore(self, value: float) -> float:
+        """Robust deviation of *value* from the decayed baseline.
+
+        Returns 0.0 until at least one observation exists; the divisor is
+        floored at ``min_std`` so a perfectly flat baseline (variance 0)
+        yields a large-but-finite score instead of a division error.
+        """
+        if self._count == 0:
+            return 0.0
+        return (float(value) - self._mean) / max(self.std, self._min_std)
+
+    def __repr__(self) -> str:
+        return (
+            f"DecayedMeanVar(mean={self._mean:.6g}, std={self.std:.6g}, "
+            f"count={self._count})"
+        )
 
 
 class ZScoreRule(DetectorRule):

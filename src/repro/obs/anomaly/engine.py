@@ -20,14 +20,14 @@ Each poll the engine:
                              values)
    ========================  =============================================
 
-3. feeds per-series exemplar windows
-   (:class:`~repro.obs.anomaly.sketch.WindowedQuantileSketch`) and the
-   optional :class:`~repro.obs.anomaly.sketch.FrequentDirections`
-   correlation sketch;
-4. runs every rule; ``DETECTED`` transitions journal an
-   ``anomaly_detected`` event (with the series' recent window attached as
-   an exemplar) and engage any bound actions; ``CLEARED`` journals
-   ``anomaly_cleared`` and reverts them.
+3. appends each watched series to its exemplar window: the last
+   :data:`EXEMPLAR_WINDOW` values, newest last;
+4. runs every rule; ``DETECTED`` transitions engage any bound actions and
+   journal an ``anomaly_detected`` event (with the series' exemplar
+   window attached); ``CLEARED`` reverts them and journals
+   ``anomaly_cleared``.  Each engage/revert is journalled as an
+   ``anomaly_action`` record; one that raises is journalled with
+   ``error=`` and the cycle goes on.
 
 Time is injectable (``clock=``) and :meth:`AnomalyEngine.poll` can be
 driven manually, so every behaviour above is testable with zero real
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict, deque
 from typing import Any, Iterable, Mapping
 
 from ...errors import ConfigurationError
@@ -63,7 +64,7 @@ DEFAULT_POLL_INTERVAL = 1.0
 
 #: How many recent values of each watched series are kept as the exemplar
 #: attached to ``anomaly_detected`` records.
-DEFAULT_EXEMPLAR_WINDOW = 32
+EXEMPLAR_WINDOW = 32
 
 
 class AnomalyEngine:
@@ -87,9 +88,6 @@ class AnomalyEngine:
         rules: Iterable[DetectorRule] = (),
         clock=time.monotonic,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
-        exemplar_window: int = DEFAULT_EXEMPLAR_WINDOW,
-        correlate: Iterable[str] = (),
-        correlate_sketch_size: int = 8,
     ) -> None:
         """Wire the engine to a metrics plane.
 
@@ -102,11 +100,6 @@ class AnomalyEngine:
         :param clock: monotonic-seconds source; injectable for tests.
         :param poll_interval: background-thread cadence (seconds); manual
             :meth:`poll` ignores it.
-        :param exemplar_window: recent values retained per watched series.
-        :param correlate: series names to feed the frequent-directions
-            correlation sketch (reported via :meth:`status`); empty
-            disables it.
-        :param correlate_sketch_size: sketch rows for the FD sketch.
         """
         if isinstance(obs, Observability):
             if not obs.enabled:
@@ -124,20 +117,19 @@ class AnomalyEngine:
             )
         if poll_interval <= 0:
             raise ConfigurationError("poll_interval must be positive")
-        if exemplar_window < 1:
-            raise ConfigurationError("exemplar_window must be at least 1")
         self.registry = registry
         self.events = events
         self.clock = clock
         self.poll_interval = poll_interval
-        self._exemplar_window = exemplar_window
         self._rules: list[DetectorRule] = []
         self._actions: dict[str, list[AnomalyAction]] = {}
         self._lock = threading.Lock()
         self._previous_snapshot: dict[str, Any] | None = None
         self._previous_time: float | None = None
         self._series: dict[str, float] = {}
-        self._exemplars: dict[str, Any] = {}
+        self._exemplars: defaultdict[str, deque[float]] = defaultdict(
+            lambda: deque(maxlen=EXEMPLAR_WINDOW)
+        )
         self._active: dict[str, dict[str, Any]] = {}
         self._polls = registry.counter("obs.anomaly.polls")
         self._detected = registry.counter("obs.anomaly.detected")
@@ -146,14 +138,6 @@ class AnomalyEngine:
         self._active_gauge = registry.gauge("obs.anomaly.active")
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._correlate = tuple(correlate)
-        self._fd = None
-        if self._correlate:
-            from .sketch import FrequentDirections
-
-            self._fd = FrequentDirections(
-                len(self._correlate), sketch_size=correlate_sketch_size
-            )
         for rule in rules:
             self.add_rule(rule)
 
@@ -218,7 +202,6 @@ class AnomalyEngine:
             total = getattr(rule, "total_series", None)
             if total:
                 watched.add(total)
-        watched.update(self._correlate)
         return watched
 
     # ------------------------------------------------------------------
@@ -247,7 +230,7 @@ class AnomalyEngine:
             return []
         series = self.derive_series(delta, current, interval)
         self._series = series
-        self._feed_sketches(series)
+        self._feed_exemplars(series)
         transitions: list[RuleEvent] = []
         for rule in self._rules:
             event = rule.update(series, interval=interval)
@@ -261,88 +244,69 @@ class AnomalyEngine:
         self._active_gauge.set(float(len(self._active)))
         return transitions
 
-    def _feed_sketches(self, series: Mapping[str, float]) -> None:
-        from .sketch import WindowedQuantileSketch
-
+    def _feed_exemplars(self, series: Mapping[str, float]) -> None:
         for name in self._watched_series():
             value = series.get(name)
-            if value is None:
-                continue
-            sketch = self._exemplars.get(name)
-            if sketch is None:
-                sketch = self._exemplars[name] = WindowedQuantileSketch(
-                    window=self._exemplar_window
-                )
-            sketch.update(value)
-        if self._fd is not None:
-            self._fd.update([series.get(name, 0.0) for name in self._correlate])
+            if value is not None:
+                self._exemplars[name].append(float(value))
 
     def _exemplar(self, name: str) -> list[float]:
-        sketch = self._exemplars.get(name)
-        return [round(v, 9) for v in sketch.recent()] if sketch is not None else []
+        return [round(v, 9) for v in self._exemplars.get(name, ())]
 
-    def _emit(self, kind: str, **fields: Any) -> None:
+    def _emit(self, kind: str, detail: Mapping[str, Any], **fields: Any) -> None:
+        """Journal one record: the engine's *fields*, then the keys of an
+        action's or a rule's *detail* that do not collide with them (or
+        with the record's ``kind``) -- the engine's own fields win."""
         if self.events is not None:
+            for key, value in detail.items():
+                if key != "kind":
+                    fields.setdefault(key, value)
             self.events.emit(kind, **fields)
 
-    def _correlation_hint(self, series: str) -> dict[str, Any] | None:
-        """Root-cause hint from the frequent-directions sketch.
+    def _run_action(self, action: AnomalyAction, rule: str, direction: str) -> bool:
+        """Engage or revert *action* and journal it as ``anomaly_action``.
 
-        The sketch's top direction names the series that have been moving
-        *together*; the ones co-moving with the firing series are the first
-        places to look for a cause (``docs/anomaly.md``).
+        An action that raises (a pager that is down) is journalled with
+        ``error=`` and reported as failed instead of propagating: the
+        rule's other actions still run, its ``anomaly_*`` record is still
+        journalled, and the polling thread survives.
         """
-        if self._fd is None or not self._fd.appended:
-            return None
-        directions = self._fd.directions()
-        if not directions:
-            return None
-        weight, _direction = directions[0]
-        correlated = [self._correlate[i] for i in self._fd.correlates()]
-        return {
-            "weight": round(weight, 6),
-            "correlated": correlated,
-            "co_moving": [name for name in correlated if name != series],
-        }
+        try:
+            detail = action.engage() if direction == "engage" else action.revert()
+        except Exception as exc:
+            detail, ok = {"error": f"{type(exc).__name__}: {exc}"}, False
+        else:
+            ok = True
+        self._emit(
+            "anomaly_action", detail, action=action.name, rule=rule, direction=direction
+        )
+        return ok
 
     def _on_detected(self, rule: DetectorRule, event: RuleEvent, now: float) -> None:
         self._detected.inc()
-        record = {
+        engaged: list[str] = []
+        self._active[rule.name] = {
             "rule": rule.name,
             "series": event.series,
             "value": round(event.value, 9),
             "threshold": event.threshold,
             "since": now,
             "detail": dict(event.detail),
-            "actions": [],
+            "actions": engaged,
         }
-        hint = self._correlation_hint(event.series)
-        if hint is not None:
-            record["correlation"] = hint
-        self._active[rule.name] = record
-        action_names: list[str] = []
         for action in self._actions.get(rule.name, ()):
-            detail = action.engage()
-            self._action_count.inc()
-            action_names.append(action.name)
-            self._emit(
-                "anomaly_action",
-                action=action.name,
-                rule=rule.name,
-                direction="engage",
-                **detail,
-            )
-        record["actions"] = action_names
+            if self._run_action(action, rule.name, "engage"):
+                self._action_count.inc()
+                engaged.append(action.name)
         self._emit(
             "anomaly_detected",
+            event.detail,
             rule=rule.name,
             series=event.series,
-            value=record["value"],
+            value=round(event.value, 9),
             threshold=event.threshold,
             exemplar=self._exemplar(event.series),
-            actions=action_names,
-            co_moving=None if hint is None else hint["co_moving"],
-            **event.detail,
+            actions=engaged,
         )
 
     def _on_cleared(self, rule: DetectorRule, event: RuleEvent, now: float) -> None:
@@ -350,22 +314,15 @@ class AnomalyEngine:
         record = self._active.pop(rule.name, None)
         duration = round(now - record["since"], 9) if record else None
         for action in self._actions.get(rule.name, ()):
-            detail = action.revert()
-            self._emit(
-                "anomaly_action",
-                action=action.name,
-                rule=rule.name,
-                direction="revert",
-                **detail,
-            )
+            self._run_action(action, rule.name, "revert")
         self._emit(
             "anomaly_cleared",
+            event.detail,
             rule=rule.name,
             series=event.series,
             value=round(event.value, 9),
             threshold=event.threshold,
             duration=duration,
-            **event.detail,
         )
 
     # ------------------------------------------------------------------
@@ -382,7 +339,7 @@ class AnomalyEngine:
     def status(self) -> dict[str, Any]:
         """Plain-data engine report (JSON-safe)."""
         with self._lock:
-            status: dict[str, Any] = {
+            return {
                 "polls": self._polls.value,
                 "detected": self._detected.value,
                 "cleared": self._cleared.value,
@@ -400,19 +357,6 @@ class AnomalyEngine:
                     name: round(value, 9) for name, value in sorted(self._series.items())
                 },
             }
-            if self._fd is not None and self._fd.appended:
-                directions = self._fd.directions()
-                if directions:
-                    weight, direction = directions[0]
-                    status["correlation"] = {
-                        "series": list(self._correlate),
-                        "weight": round(weight, 6),
-                        "direction": [round(c, 6) for c in direction],
-                        "correlated": [
-                            self._correlate[i] for i in self._fd.correlates()
-                        ],
-                    }
-            return status
 
     # ------------------------------------------------------------------
     # Background polling (production mode; tests drive poll() directly)

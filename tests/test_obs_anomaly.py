@@ -1,4 +1,4 @@
-"""The anomaly-detection plane: sketches, rules, actions, and the engine.
+"""The anomaly-detection plane: baseline, rules, actions, and the engine.
 
 Everything here runs on injected virtual clocks and manual ``poll()``
 calls -- zero real sleeps -- which is itself part of the contract: the
@@ -7,8 +7,10 @@ detection plane must be drivable deterministically.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
+import threading
 
 import pytest
 
@@ -24,22 +26,21 @@ from repro.obs.anomaly import (
     DecayedMeanVar,
     EnableHedgingAction,
     ErrorRatioRule,
-    FrequentDirections,
     RateOfChangeRule,
     ServeStaleAction,
     ThresholdRule,
     TripCircuitAction,
-    WindowedQuantileSketch,
     ZScoreRule,
     default_rules,
 )
+from repro.obs import anomaly
+from repro.obs.anomaly import detectors
 from repro.obs.anomaly.detectors import RuleEventKind
-from repro.obs.anomaly.sketch import _jacobi_eigh
 from repro.obs.metrics import MetricsRegistry
 
 
 # ----------------------------------------------------------------------
-# Sketches
+# Baseline
 # ----------------------------------------------------------------------
 class TestDecayedMeanVar:
     def test_constant_stream_converges_exactly(self):
@@ -85,102 +86,25 @@ class TestDecayedMeanVar:
             DecayedMeanVar(min_std=-1.0)
 
 
-class TestWindowedQuantileSketch:
-    def test_nearest_rank_quantiles(self):
-        sketch = WindowedQuantileSketch(window=10)
-        for value in range(1, 11):
-            sketch.update(float(value))
-        assert sketch.quantile(0.5) == 5.0
-        assert sketch.quantile(1.0) == 10.0
-        assert sketch.quantile(0.0) == 1.0
+class TestRemovedSketches:
+    """The correlation and quantile sketches are gone; the decayed baseline
+    lives beside the rule that reads it. Removed names are spelled in parts
+    so that the live tree names them nowhere but here."""
 
-    def test_window_evicts_oldest(self):
-        sketch = WindowedQuantileSketch(window=4)
-        for value in range(100):
-            sketch.update(float(value))
-        assert len(sketch) == 4
-        assert sketch.recent() == [96.0, 97.0, 98.0, 99.0]
-        assert sketch.recent(2) == [98.0, 99.0]
-        assert sketch.quantile(0.5) == 97.0
+    def test_decayed_baseline_lives_beside_its_rule(self):
+        assert detectors.DecayedMeanVar is DecayedMeanVar
 
-    def test_empty_quantile_is_zero(self):
-        assert WindowedQuantileSketch().quantile(0.99) == 0.0
+    def test_sketch_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.anomaly." + "sketch")
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WindowedQuantileSketch(window=0)
-        with pytest.raises(ConfigurationError):
-            WindowedQuantileSketch().quantile(1.5)
-
-
-class TestJacobi:
-    def test_diagonalizes_known_matrix(self):
-        values, vectors = _jacobi_eigh([[2.0, 1.0], [1.0, 2.0]])
-        assert values[0] == pytest.approx(3.0)
-        assert values[1] == pytest.approx(1.0)
-        # A v = lambda v for each returned (row) eigenvector
-        a = [[2.0, 1.0], [1.0, 2.0]]
-        for value, vec in zip(values, vectors):
-            av = [sum(a[i][j] * vec[j] for j in range(2)) for i in range(2)]
-            for got, want in zip(av, [value * c for c in vec]):
-                assert got == pytest.approx(want, abs=1e-9)
-
-
-class TestFrequentDirections:
-    def test_finds_dominant_co_movement(self):
-        fd = FrequentDirections(4, sketch_size=4)
-        rng = random.Random(3)
-        for _ in range(200):
-            # dims 0 and 1 move together; 2 and 3 are small noise
-            driver = rng.gauss(0.0, 1.0)
-            fd.update([driver, driver, rng.gauss(0, 0.05), rng.gauss(0, 0.05)])
-        top = fd.top_direction()
-        assert abs(top[0]) > 0.5 and abs(top[1]) > 0.5
-        assert abs(top[2]) < 0.2 and abs(top[3]) < 0.2
-        assert set(fd.correlates(threshold=0.3)) == {0, 1}
-        assert fd.appended == 200
-        assert fd.shrinkages > 0
-
-    def test_error_bound_holds(self):
-        # The FD guarantee: 0 <= |Ax|^2 - |Bx|^2 <= |A|_F^2 / (k/2).
-        dim, size = 6, 4
-        fd = FrequentDirections(dim, sketch_size=size)
-        rng = random.Random(11)
-        rows = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(64)]
-        for row in rows:
-            fd.update(row)
-        frob_sq = sum(v * v for row in rows for v in row)
-        bound = frob_sq / (size / 2)
-        for probe in range(dim):
-            x = [1.0 if i == probe else 0.0 for i in range(dim)]
-            true_energy = sum(sum(r[i] * x[i] for i in range(dim)) ** 2 for r in rows)
-            sketched = sum(
-                sum(r[i] * x[i] for i in range(dim)) ** 2 for r in fd._rows
-            )
-            assert sketched <= true_energy + 1e-6
-            assert true_energy - sketched <= bound + 1e-6
-
-    def test_directions_sorted_heaviest_first(self):
-        fd = FrequentDirections(2, sketch_size=2)
-        fd.update([10.0, 0.0])
-        weights = [w for w, _vec in fd.directions()]
-        assert weights == sorted(weights, reverse=True)
-
-    def test_empty_sketch(self):
-        fd = FrequentDirections(3)
-        assert fd.top_direction() is None
-        assert fd.correlates() == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FrequentDirections(0)
-        with pytest.raises(ConfigurationError):
-            FrequentDirections(3, sketch_size=1)
-        fd = FrequentDirections(3)
-        with pytest.raises(ConfigurationError):
-            fd.update([1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            fd.covariance_with(5)
+    @pytest.mark.parametrize(
+        "name",
+        ["Frequent" + "Directions", "Windowed" + "QuantileSketch"],
+    )
+    def test_removed_class_leaves_the_package(self, name):
+        assert name not in anomaly.__all__
+        assert not hasattr(anomaly, name)
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +387,21 @@ class TestCallbackAction:
         assert action.revert() == {"restored": True}
         assert calls == ["up", "down"]
 
+    def test_failed_apply_rolls_back_the_hold(self):
+        restored = []
+
+        def page():
+            raise ConnectionError("pager down")
+
+        action = CallbackAction(
+            "page", on_engage=page, on_revert=lambda: restored.append(1)
+        )
+        with pytest.raises(ConnectionError):
+            action.engage()
+        assert not action.engaged and action.applications == 0
+        assert action.revert() == {"restored": False, "reason": "not engaged"}
+        assert restored == []
+
     def test_missing_revert_callback(self):
         action = CallbackAction("page", on_engage=lambda: None)
         action.engage()
@@ -584,8 +523,20 @@ class TestEngineConstruction:
         obs = Observability()
         with pytest.raises(ConfigurationError):
             AnomalyEngine(obs, poll_interval=0.0)
-        with pytest.raises(ConfigurationError):
-            AnomalyEngine(obs, exemplar_window=0)
+
+    # The removed correlation-sketch and exemplar-size options, spelled in
+    # parts so that the live tree names them nowhere but here.
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("correl" + "ate", ("a", "b")),
+            ("_".join(("correl" + "ate", "sketch", "size")), 8),
+            ("_".join(("exemplar", "window")), 32),
+        ],
+    )
+    def test_removed_options_raise(self, option, value):
+        with pytest.raises(TypeError):
+            AnomalyEngine(Observability(), **{option: value})
 
 
 class TestDeriveSeries:
@@ -727,51 +678,177 @@ class TestEnginePolling:
         assert status["series"]["g"] == 10.0
         assert status["active"][0]["rule"] == "deep"
 
-    def test_correlation_sketch_in_status(self, stack):
-        clock, obs, engine_default = stack
-        engine = AnomalyEngine(obs, clock=clock, correlate=("a", "b"))
-        a, b = obs.registry.gauge("a"), obs.registry.gauge("b")
-        for step in range(12):
-            a.set(float(step))
-            b.set(float(step))
+    def test_exemplar_is_the_last_32_values_newest_last(self, stack):
+        clock, obs, engine = stack
+        engine.add_rule(ThresholdRule("r", "g", limit=1000.0, trigger_after=1))
+        gauge = obs.registry.gauge("g")
+        for step in range(39):
+            gauge.set(step + 0.1234567891)
             tick(clock, engine)
-        correlation = engine.status()["correlation"]
-        assert correlation["series"] == ["a", "b"]
-        assert set(correlation["correlated"]) == {"a", "b"}
-
-    def test_detection_carries_correlation_hint(self, stack):
-        """A firing rule names the co-moving series (root-cause hint)."""
-        clock, obs, _default = stack
-        engine = AnomalyEngine(obs, clock=clock, correlate=("a", "b", "quiet"))
-        engine.add_rule(ThresholdRule("hot", "a", limit=100.0, trigger_after=1))
-        a, b = obs.registry.gauge("a"), obs.registry.gauge("b")
-        for step in range(12):
-            a.set(float(step))
-            b.set(float(step))
-            tick(clock, engine)
-        a.set(500.0)
-        b.set(500.0)
-        [event] = tick(clock, engine)
-        record = engine.active()[0]
-        hint = record["correlation"]
-        assert "a" in hint["correlated"]
-        assert hint["co_moving"] == ["b"]  # the firing series itself excluded
-        assert "quiet" not in hint["co_moving"]
-        assert hint["weight"] > 0
+        gauge.set(5000.0)
+        [event] = tick(clock, engine)  # the 40th poll breaches
+        assert event.kind is RuleEventKind.DETECTED
         [detected] = obs.events.tail(kind="anomaly_detected")
-        assert detected["co_moving"] == ["b"]
-        assert record["correlation"] == engine.status()["active"][0]["correlation"]
+        # The first poll only primes: 39 values were fed, the window keeps 32.
+        want = [round(step + 0.1234567891, 9) for step in range(8, 39)] + [5000.0]
+        assert detected["exemplar"] == want
+        assert len(detected["exemplar"]) == 32
+        assert "_".join(("co", "moving")) not in detected  # the removed hint
+        assert "correlation" not in engine.active()[0]
+        assert "correlation" not in engine.status()
 
-    def test_detection_without_sketch_has_no_hint(self, stack):
-        clock, obs, engine = stack  # default engine: no correlate series
-        engine.add_rule(ThresholdRule("r", "g", limit=5.0, trigger_after=1))
+    def test_exemplar_holds_every_value_before_the_window_fills(self, stack):
+        clock, obs, engine = stack
+        engine.add_rule(ThresholdRule("r", "g", limit=100.0, trigger_after=1))
+        gauge = obs.registry.gauge("g")
+        for value in (1.0, 2.0, 3.0, 4.0):
+            gauge.set(value)
+            tick(clock, engine)
+        gauge.set(500.0)
+        [event] = tick(clock, engine)
+        assert event.kind is RuleEventKind.DETECTED
+        [detected] = obs.events.tail(kind="anomaly_detected")
+        assert detected["exemplar"] == [2.0, 3.0, 4.0, 500.0]  # poll 1 primes
+
+    def test_each_watched_series_keeps_its_own_exemplar(self, stack):
+        clock, obs, engine = stack
+        engine.add_rule(ThresholdRule("a", "ga", limit=100.0, trigger_after=1))
+        engine.add_rule(ThresholdRule("b", "gb", limit=100.0, trigger_after=1))
+        ga, gb = obs.registry.gauge("ga"), obs.registry.gauge("gb")
+        tick(clock, engine)
+        for value in (1.0, 2.0):
+            ga.set(value)
+            gb.set(-value)
+            tick(clock, engine)
+        ga.set(200.0)
+        gb.set(300.0)
+        assert len(tick(clock, engine)) == 2
+        exemplars = {
+            r["rule"]: r["exemplar"] for r in obs.events.tail(kind="anomaly_detected")
+        }
+        assert exemplars == {
+            "a": [1.0, 2.0, 200.0],
+            "b": [-1.0, -2.0, 300.0],
+        }
+
+    def test_exemplar_skips_polls_where_the_series_is_absent(self, stack):
+        clock, obs, engine = stack
+        engine.add_rule(
+            ThresholdRule("slow", "op.seconds.p99", limit=1.0, trigger_after=1)
+        )
+        latency = obs.registry.histogram("op.seconds")
+        tick(clock, engine)
+        latency.observe(0.003)
+        tick(clock, engine)
+        tick(clock, engine)  # quiet interval: no p99, nothing appended
+        latency.observe(5.0)
+        [event] = tick(clock, engine)
+        assert event.kind is RuleEventKind.DETECTED
+        [detected] = obs.events.tail(kind="anomaly_detected")
+        assert len(detected["exemplar"]) == 2
+        assert detected["exemplar"][0] < 1.0 < detected["exemplar"][1]
+
+    def test_raising_action_is_journalled_and_the_cycle_goes_on(self, stack):
+        clock, obs, engine = stack
+
+        def page():
+            raise ConnectionError("pager down")
+
+        def unpage():
+            raise ConnectionError("still down")
+
+        pager = CallbackAction("pager", on_engage=page)
+        recording = RecordingAction()
+        flaky = CallbackAction("flaky", on_engage=lambda: None, on_revert=unpage)
+        engine.add_rule(
+            ThresholdRule("r", "g", limit=5.0, trigger_after=1, clear_after=1),
+            actions=[pager, recording, flaky],
+        )
         gauge = obs.registry.gauge("g")
         tick(clock, engine)
         gauge.set(10.0)
-        tick(clock, engine)
-        assert "correlation" not in engine.active()[0]
+        [event] = tick(clock, engine)
+        assert event.kind is RuleEventKind.DETECTED
+        engages = obs.events.tail(kind="anomaly_action")
+        assert [(r["action"], r.get("error")) for r in engages] == [
+            ("pager", "ConnectionError: pager down"),
+            ("recording", None),
+            ("flaky", None),
+        ]
+        assert not pager.engaged and pager.applications == 0
+        assert recording.engaged and flaky.engaged
         [detected] = obs.events.tail(kind="anomaly_detected")
-        assert detected["co_moving"] is None
+        assert detected["actions"] == ["recording", "flaky"]
+        assert engine.active()[0]["actions"] == ["recording", "flaky"]
+        assert obs.registry.counter("obs.anomaly.actions").value == 2
+
+        gauge.set(0.0)
+        [event] = tick(clock, engine)
+        assert event.kind is RuleEventKind.CLEARED
+        reverts = obs.events.tail(kind="anomaly_action")[3:]
+        assert [r["direction"] for r in reverts] == ["revert"] * 3
+        # The pager's engage never applied, so its revert restores nothing.
+        assert reverts[0]["restored"] is False
+        assert reverts[0]["reason"] == "not engaged"
+        assert reverts[1]["restored"] is True and recording.log == ["apply", "restore"]
+        assert reverts[2]["error"] == "ConnectionError: still down"
+        assert len(obs.events.tail(kind="anomaly_cleared")) == 1
+        assert engine.active() == []
+
+    def test_action_detail_cannot_override_engine_fields(self, stack):
+        clock, obs, engine = stack
+        spoof = {
+            "rule": "spoofed",
+            "action": "spoofed",
+            "direction": "sideways",
+            "kind": "spoofed",
+            "mode": "on",
+        }
+        action = CallbackAction("cb", on_engage=lambda: dict(spoof))
+        engine.add_rule(
+            ThresholdRule("r", "g", limit=5.0, trigger_after=1), actions=[action]
+        )
+        gauge = obs.registry.gauge("g")
+        tick(clock, engine)
+        gauge.set(10.0)
+        [event] = tick(clock, engine)
+        assert event.kind is RuleEventKind.DETECTED
+        [record] = obs.events.tail(kind="anomaly_action")
+        assert record["kind"] == "anomaly_action"
+        assert (record["rule"], record["action"], record["direction"]) == (
+            "r",
+            "cb",
+            "engage",
+        )
+        assert record["mode"] == "on" and record["applied"] is True
+        [detected] = obs.events.tail(kind="anomaly_detected")
+        assert detected["actions"] == ["cb"]
+
+    def test_raising_action_leaves_the_polling_thread_running(self, stack):
+        _clock, obs, engine = stack
+        engine.poll_interval = 0.001
+        later = threading.Event()
+
+        def page():
+            raise ConnectionError("pager down")
+
+        engine.add_rule(
+            ThresholdRule("now", "g", limit=5.0, trigger_after=1),
+            actions=[CallbackAction("pager", on_engage=page)],
+        )
+        engine.add_rule(
+            ThresholdRule("later", "g", limit=5.0, trigger_after=3),
+            actions=[CallbackAction("mark", on_engage=later.set)],
+        )
+        obs.registry.gauge("g").set(10.0)
+        with engine:
+            # "later" fires two polls after the pager raised.
+            assert later.wait(10.0)
+            assert engine.running
+        assert [r["rule"] for r in obs.events.tail(kind="anomaly_detected")] == [
+            "now",
+            "later",
+        ]
 
     def test_three_anomaly_classes_detect_and_clear_on_one_engine(self, stack):
         """Latency step (tripping a circuit), error burst and slow leak each
