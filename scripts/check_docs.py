@@ -34,6 +34,7 @@ import itertools
 import re
 import sys
 import tempfile
+import time
 import traceback
 from contextlib import chdir, redirect_stdout
 from pathlib import Path
@@ -120,7 +121,10 @@ def scripted_names() -> set[str]:
 
     The run: the enhanced-client and ``MonitoredStore`` drivers of
     ``make check-obs`` (``scripts/check_instrumentation.py``) over a gzip +
-    AES-GCM client with a slow-op journal and a two-trace ring; an
+    AES-GCM client with a slow-op journal and a two-trace ring; one
+    resilience cycle on an injected clock (a retry and an exhausted ladder,
+    a breaker opening, rejecting one call, half-opening and closing, a
+    deadline expiry, a serve-stale client's revalidation and stale serve); an
     ``LSMStore`` through flush, compaction, a failed flush, recovery and a
     poisoned WAL; a threaded server over that store answering ``STATS``,
     an unknown command and a refused connection, through an observed
@@ -131,10 +135,12 @@ def scripted_names() -> set[str]:
 
     from repro import EnhancedDataStoreClient, InMemoryStore, LSMStore
     from repro.compression import GzipCompressor
-    from repro.errors import DataStoreError
+    from repro.errors import CircuitOpenError, DataStoreError, DeadlineExceededError
+    from repro.kv import CircuitBreakerStore, FlakyStore, RetryingStore, deadline_scope
     from repro.lsm import ManualScheduler
     from repro.lsm import wal as wal_module
     from repro.net.client import CacheClient
+    from repro.net.latency import VirtualClock
     from repro.net.protocol import WireError
     from repro.net.server import build_server
     from repro.obs import EventLog, Observability
@@ -158,6 +164,44 @@ def scripted_names() -> set[str]:
         inner = InMemoryStore()
         inner.put_many({"seed-1": b"value-1", "seed-2": b"value-2"})
         drive(checked.INTERCEPTORS["MonitoredStore"](inner, obs.registry))
+
+    # The resilience cycle: a serve-stale client over a retry ladder over a
+    # breaker over a fault injector, on an injected clock (zero sleeps).
+    clock = VirtualClock()
+    flaky = FlakyStore(InMemoryStore(), failure_rate=0.0)
+    breaker = CircuitBreakerStore(
+        flaky, failure_threshold=2, recovery_timeout=30.0, clock=clock.time, obs=obs
+    )
+    retrying = RetryingStore(breaker, max_attempts=2, sleep=clock.advance, obs=obs)
+    pending: list = []
+    stale = EnhancedDataStoreClient(
+        retrying, default_ttl=60.0, serve_stale=True,
+        stale_revalidator=pending.append, obs=obs,
+    )
+
+    def expire(key: str) -> None:
+        stale.dscl.cache_lookup(key).entry.expires_at = time.time() - 1.0
+
+    stale.put("k", 1)
+    flaky.fail_next(1)
+    retrying.get("k")  # one retry, then success
+    expire("k")
+    stale.get("k")  # a revalidation: not modified
+    expire("k")
+    flaky.fail_next(2)
+    stale.get("k")  # the ladder is exhausted, the breaker opens: served stale
+    try:
+        breaker.get("k")  # rejected while open
+    except CircuitOpenError:
+        pass
+    clock.advance(30.0)
+    pending.pop()()  # the queued revalidation half-opens and closes the breaker
+    with deadline_scope(1.0, clock=clock.time):
+        clock.advance(2.0)
+        try:
+            retrying.get("k")
+        except DeadlineExceededError:
+            pass
 
     with tempfile.TemporaryDirectory(prefix="check-docs-names-") as workdir:
         root = Path(workdir) / "db"

@@ -8,8 +8,9 @@ fault-tolerance plane must (a) emit its documented metric vocabulary --
 :class:`repro.errors.DataStoreError` subclass, never a bare exception.
 
 Like ``check_instrumentation.py``, the check *drives* the real wrappers
-end to end (breaker lifecycle, deadline expiry, hedged read, stale serve,
-UDSM health routing) with injected clocks, so it cannot drift from the
+end to end (breaker lifecycle, deadline expiry, hedged read, a client's
+stale serve, UDSM health routing) with injected clocks -- the stale serve
+moves its cached entry's expiry back instead -- so it cannot drift from the
 implementation and completes without any real sleeping.
 
 Exit status 0 when every scenario holds; 1 otherwise.
@@ -18,11 +19,12 @@ Exit status 0 when every scenario holds; 1 otherwise.
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.caching import ServeStaleStore  # noqa: E402
+from repro.core import EnhancedDataStoreClient  # noqa: E402
 from repro.errors import (  # noqa: E402
     CircuitOpenError,
     DataStoreError,
@@ -39,7 +41,7 @@ from repro.kv import (  # noqa: E402
     deadline_scope,
 )
 from repro.net.latency import VirtualClock  # noqa: E402
-from repro.obs import Observability  # noqa: E402
+from repro.obs import EventLog, Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.udsm.manager import UniversalDataStoreManager  # noqa: E402
 
@@ -146,38 +148,60 @@ def check_hedged_read() -> list[str]:
 
 
 def check_serve_stale() -> list[str]:
-    """An unreachable origin must be answered from the snapshot, flagged
-    and counted, with revalidation catching the snapshot up afterwards."""
+    """An unreachable origin must be answered from the client's expired
+    entry, flagged and counted, with revalidation catching it up afterwards.
+    Expiry is set by moving the entry's ``expires_at`` back: no sleeping."""
     errors: list[str] = []
-    obs, registry = _obs()
-    clock = VirtualClock()
+    registry = MetricsRegistry()
+    events = EventLog()
     pending: list = []
     backend = InMemoryStore()
     flaky = FlakyStore(backend, failure_rate=0.0)
-    store = ServeStaleStore(
-        flaky, max_stale=300.0, clock=clock.time, revalidator=pending.append, obs=obs
+    client = EnhancedDataStoreClient(
+        flaky,
+        default_ttl=60.0,
+        serve_stale=True,
+        max_stale=300.0,
+        stale_revalidator=pending.append,
+        obs=Observability(registry=registry, events=events),
     )
 
-    store.put("k", "v1")
-    backend.put("k", "v2")  # origin moves on behind the snapshot
-    clock.advance(10.0)
+    def expire(seconds_ago: float) -> float:
+        """Move the cached entry's expiry *seconds_ago* into the past."""
+        entry = client.dscl.cache_lookup("k").entry
+        now = time.time()
+        entry.expires_at = now - seconds_ago
+        return now
 
+    client.put("k", "v1")
+    backend.put("k", "v2")  # origin moves on behind the cached entry
+
+    start = expire(10.0)
     flaky.fail_next(1)
-    _expect(errors, store.get("k") == "v1", "degraded read did not serve the stale snapshot")
+    value = client.get("k")
+    elapsed = time.time() - start
+    _expect(errors, value == "v1", "degraded read did not serve the expired entry")
     served = registry.counter("cache.stale_served").value
     _expect(errors, served == 1, f"cache.stale_served == {served}, want 1")
-    _expect(errors, store.staleness("k") == 10.0, "served value's staleness not tracked")
+    ages = [record["age"] for record in events.tail(kind="stale_served")]
+    # The event rounds the age to the microsecond; rounding is monotonic, so
+    # the bound is exact: 10 s past expiry plus at most the read's duration.
+    _expect(
+        errors,
+        len(ages) == 1 and 10.0 <= ages[0] <= round(10.0 + elapsed, 6),
+        f"stale_served ages {ages}, want one in [10, {10.0 + elapsed}]",
+    )
 
     _expect(errors, len(pending) == 1, "stale serve did not schedule one revalidation")
     if pending:
         pending.pop()()
-        flaky.fail_next(1)
-        _expect(errors, store.get("k") == "v2", "revalidation did not refresh the snapshot")
+        flaky.fail_next(1)  # a read that reached the origin would serve stale
+        _expect(errors, client.get("k") == "v2", "revalidation did not refresh the entry")
 
-    clock.advance(400.0)  # beyond max_stale: the error must win now
+    expire(400.0)  # beyond max_stale: the error must win now
     flaky.fail_next(1)
     try:
-        store.get("k")
+        client.get("k")
         errors.append("value older than max_stale was served")
     except StoreConnectionError:
         pass

@@ -62,7 +62,6 @@ if TYPE_CHECKING:
         FlakyStore,
         InMemoryStore,
         KeyValueStore,
-        LaggyStore,
         LSMStore,
         NamespacedStore,
         ReadOnlyStore,
@@ -85,7 +84,6 @@ if TYPE_CHECKING:
         InProcessCache,
         KeyValueStoreCache,
         RemoteProcessCache,
-        ServeStaleStore,
         TieredCache,
         make_policy,
     )
@@ -166,7 +164,6 @@ _EXPORTS = {
     "TransformingStore": ".kv.wrappers",
     "NOT_MODIFIED": ".kv.interface",
     "FlakyStore": ".kv.chaos",
-    "LaggyStore": ".kv.chaos",
     "RetryingStore": ".kv.resilience",
     "ReplicatedStore": ".kv.quorum",
     "CircuitBreaker": ".kv.circuit",
@@ -175,7 +172,6 @@ _EXPORTS = {
     "Deadline": ".kv.deadline",
     "deadline_scope": ".kv.deadline",
     "current_deadline": ".kv.deadline",
-    "ServeStaleStore": ".caching.stale",
     "StoreHealth": ".udsm.monitoring",
     "LatencyModel": ".net.latency",
     "RealClock": ".net.latency",

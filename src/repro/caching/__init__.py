@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from .sharded import HashRing, ShardedCache
     from .profiling import StackDistanceProfiler
     from .bloom import BloomFilter, BloomFrontedCache
-    from .stale import ServeStaleStore
 
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
@@ -76,7 +75,6 @@ _EXPORTS = {
     "StackDistanceProfiler": ".profiling",
     "BloomFilter": ".bloom",
     "BloomFrontedCache": ".bloom",
-    "ServeStaleStore": ".stale",
 }
 
 __all__ = list(_EXPORTS)

@@ -19,7 +19,7 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .pipeline import ValuePipeline
     from .dscl import DSCL
-    from .enhanced import CacheConsistency, EnhancedDataStoreClient, WritePolicy
+    from .enhanced import EnhancedDataStoreClient, WritePolicy
 
 #: name -> defining module; resolved on first access (see ``repro._lazy``).
 _EXPORTS = {
@@ -27,7 +27,6 @@ _EXPORTS = {
     "DSCL": ".dscl",
     "EnhancedDataStoreClient": ".enhanced",
     "WritePolicy": ".enhanced",
-    "CacheConsistency": ".enhanced",
 }
 
 __all__ = list(_EXPORTS)

@@ -25,7 +25,7 @@ from ..caching.expiration import ExpiringCache, LookupResult
 from ..caching.inprocess import InProcessCache
 from ..caching.interface import Cache
 from ..compression.interface import Compressor
-from ..delta.encoder import DEFAULT_WINDOW_SIZE, DeltaCodec
+from ..delta.encoder import DeltaCodec
 from ..kv.interface import KeyValueStore
 from ..kv.wrappers import TransformingStore
 from ..obs import Observability, resolve_obs
@@ -47,7 +47,6 @@ class DSCL:
         serializer: Serializer | None = None,
         compressor: Compressor | None = None,
         encryptor: Encryptor | None = None,
-        delta_window: int = DEFAULT_WINDOW_SIZE,
         obs: Observability | None = None,
     ) -> None:
         """Assemble a DSCL instance.
@@ -57,7 +56,6 @@ class DSCL:
         :param default_ttl: expiration applied to cached objects unless a
             ``put`` overrides it (``None`` = no expiry).
         :param serializer/compressor/encryptor: value pipeline stages.
-        :param delta_window: minimum match length for delta encoding.
         :param obs: observability bundle shared with the pipeline; cache
             operations become ``cache.*`` spans and the cache's hit/miss
             counters are re-homed into the shared metrics registry.
@@ -68,7 +66,7 @@ class DSCL:
         )
         self.cache = cache if cache is not None else InProcessCache()
         self.expiring = ExpiringCache(self.cache, default_ttl=default_ttl)
-        self.delta_codec = DeltaCodec(delta_window)
+        self.delta_codec = DeltaCodec()
         self._m_cache = f"cache.{self.cache.name}"
         self._m_cache_put = self._m_cache + ".put"
         self._m_cache_lookup = self._m_cache + ".lookup"

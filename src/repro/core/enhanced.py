@@ -30,17 +30,29 @@ from typing import Any, Callable, Iterable, Iterator
 from ..caching.entry import CacheEntry
 from ..caching.expiration import Freshness
 from ..caching.interface import Cache
-from ..caching.stale import DEFAULT_DEGRADE_ON
 from ..compression.interface import Compressor
-from ..delta.encoder import DEFAULT_WINDOW_SIZE
-from ..errors import ConfigurationError, KeyNotFoundError
+from ..errors import (
+    CircuitOpenError,
+    ConfigurationError,
+    DeadlineExceededError,
+    KeyNotFoundError,
+    StoreConnectionError,
+)
 from ..kv.interface import NOT_MODIFIED, KeyValueStore
 from ..obs import Counter, Observability
 from ..security.interface import Encryptor
 from ..serialization import Serializer
 from .dscl import DSCL
 
-__all__ = ["WritePolicy", "CacheConsistency", "ClientCounters", "EnhancedDataStoreClient"]
+__all__ = ["WritePolicy", "ClientCounters", "EnhancedDataStoreClient"]
+
+#: Error types worth serving stale for: the origin is unreachable or out of
+#: time.  Semantic errors (key not found...) always propagate.
+DEGRADE_ON: tuple[type[Exception], ...] = (
+    CircuitOpenError,
+    DeadlineExceededError,
+    StoreConnectionError,
+)
 
 
 class WritePolicy(enum.Enum):
@@ -52,10 +64,6 @@ class WritePolicy(enum.Enum):
     INVALIDATE = "invalidate"
     #: Touch the origin only; the application manages the cache itself.
     NONE = "none"
-
-
-#: Backwards-friendly alias: the knob is really a cache-consistency choice.
-CacheConsistency = WritePolicy
 
 
 def _counter_field(field: str, doc: str | None = None) -> property:
@@ -157,12 +165,10 @@ class EnhancedDataStoreClient:
         coalesce_misses: bool = False,
         serve_stale: bool = False,
         max_stale: float = 300.0,
-        degrade_on: tuple[type[Exception], ...] = DEFAULT_DEGRADE_ON,
         stale_revalidator: "Callable[[Callable[[], None]], None] | None" = None,
         serializer: Serializer | None = None,
         compressor: Compressor | None = None,
         encryptor: Encryptor | None = None,
-        delta_window: int = DEFAULT_WINDOW_SIZE,
         obs: Observability | None = None,
     ) -> None:
         """Enhance *store*.
@@ -184,15 +190,16 @@ class EnhancedDataStoreClient:
             rest wait and reuse its result.  Costs one lock acquisition per
             miss; leave off for single-threaded clients.
         :param serve_stale: graceful degradation -- when a fetch or
-            revalidation fails with a *degradable* error (circuit open,
-            deadline exhausted, connection lost) and an expired entry is
-            still cached, return that entry's value instead of raising,
-            provided it expired less than ``max_stale`` seconds ago.  Each
-            stale serve counts as ``cache.stale_served`` and schedules a
-            background revalidation of the key.
+            revalidation fails with a *degradable* error (:data:`DEGRADE_ON`:
+            circuit open, deadline exhausted, connection lost) and an
+            expired entry is still cached, return that entry's value instead
+            of raising, provided it expired less than ``max_stale`` seconds
+            ago.  A failed :meth:`get_many` batch degrades only when every
+            missed key has such an entry.  Each stale serve counts as
+            ``cache.stale_served`` and schedules a background revalidation
+            of the key.
         :param max_stale: how long past expiry an entry may still be
             served under degradation (seconds).
-        :param degrade_on: error types that trigger stale serving.
         :param stale_revalidator: how background revalidation thunks run
             (default: one daemon thread per key); tests inject a collector
             and drain it synchronously.
@@ -210,7 +217,6 @@ class EnhancedDataStoreClient:
             serializer=serializer,
             compressor=compressor,
             encryptor=encryptor,
-            delta_window=delta_window,
             obs=obs,
         )
         self._obs = self.dscl.obs
@@ -221,8 +227,7 @@ class EnhancedDataStoreClient:
         self._negative_ttl = negative_ttl
         self._coalesce = coalesce_misses
         self._serve_stale = serve_stale
-        self._max_stale = max_stale
-        self._degrade_on = degrade_on
+        self.max_stale = max_stale  # validated by the setter
         self._stale_revalidator = stale_revalidator
         self._stale_revalidating: set[str] = set()
         self._inflight: dict[str, threading.Lock] = {}
@@ -334,48 +339,54 @@ class EnhancedDataStoreClient:
                 return self._revalidate_entry(
                     key, lookup.entry.value, lookup.entry.version
                 )
-            except self._degrade_on as exc:
-                return self._maybe_serve_stale(key, stale_entry, exc)
+            except DEGRADE_ON as exc:
+                return self._degrade({key: stale_entry}, exc)[key]
 
         self._count("cache_misses")
         try:
             if self._coalesce:
                 return self._fetch_coalesced(key)
             return self._fetch_and_cache(key)
-        except self._degrade_on as exc:
-            return self._maybe_serve_stale(key, stale_entry, exc)
+        except DEGRADE_ON as exc:
+            return self._degrade({key: stale_entry}, exc)[key]
 
     # ------------------------------------------------------------------
     # Graceful degradation (serve-stale)
     # ------------------------------------------------------------------
-    def _maybe_serve_stale(
-        self, key: str, entry: "CacheEntry | None", error: Exception
-    ) -> Any:
-        """Serve the expired *entry* instead of raising, when allowed."""
-        if (
-            not self._serve_stale
-            or entry is None
-            or entry.value is _NEGATIVE
-            or entry.expires_at is None
-        ):
+    def _degrade(
+        self, entries: "dict[str, CacheEntry | None]", error: Exception
+    ) -> dict[str, Any]:
+        """Answer every key from its expired entry instead of raising *error*.
+
+        All or nothing: *error* propagates, and no key is served, when
+        serve-stale is off or any key lacks a positive entry that expired
+        at most ``max_stale`` seconds ago.
+        """
+        if not self._serve_stale:
             raise error
-        age = max(0.0, time.time() - entry.expires_at)
-        if age > self._max_stale:
-            raise error
-        self._count("stale_serves")
-        if self._obs.enabled:
-            self._obs.event(
-                "stale_served", key=key, age=round(age, 6), error=type(error).__name__
-            )
-            self._obs.emit(
-                "stale_served",
-                client=self.name,
-                key=key,
-                age=round(age, 6),
-                error=type(error).__name__,
-            )
-        self._schedule_stale_revalidation(key)
-        return entry.value
+        now = time.time()
+        ages: dict[str, float] = {}
+        for key, entry in entries.items():
+            if entry is None or entry.value is _NEGATIVE or entry.expires_at is None:
+                raise error
+            ages[key] = max(0.0, now - entry.expires_at)
+            if ages[key] > self._max_stale:
+                raise error
+        for key, age in ages.items():
+            self._count("stale_serves")
+            if self._obs.enabled:
+                self._obs.event(
+                    "stale_served", key=key, age=round(age, 6), error=type(error).__name__
+                )
+                self._obs.emit(
+                    "stale_served",
+                    client=self.name,
+                    key=key,
+                    age=round(age, 6),
+                    error=type(error).__name__,
+                )
+            self._schedule_stale_revalidation(key)
+        return {key: entry.value for key, entry in entries.items()}
 
     def _schedule_stale_revalidation(self, key: str) -> None:
         """Refresh a stale-served key in the background (deduplicated)."""
@@ -445,11 +456,18 @@ class EnhancedDataStoreClient:
             with self._obs.stage("store.get", metric=self._m_store_get):
                 value, version = self._store.get_with_version(key)
         except KeyNotFoundError:
-            if self._negative_ttl is not None:
-                self.dscl.cache_put(key, _NEGATIVE, ttl=self._negative_ttl)
+            self._cache_absent(key)
             raise
         self.dscl.cache_put(key, value, version=version)
         return value
+
+    def _cache_absent(self, key: str) -> None:
+        """The origin says *key* is absent: cache a negative entry, or drop
+        any expired copy so that it is never served stale."""
+        if self._negative_ttl is not None:
+            self.dscl.cache_put(key, _NEGATIVE, ttl=self._negative_ttl)
+        else:
+            self.dscl.cache_delete(key)
 
     def get_or_default(self, key: str, default: Any = None) -> Any:
         try:
@@ -461,10 +479,15 @@ class EnhancedDataStoreClient:
         """Batched read-through: cached keys answer locally, the misses are
         fetched from the origin in ONE ``get_many`` call (one MGET round
         trip on remote stores) and cached.  Absent keys are omitted.
+
+        Under ``serve_stale``, a batch failing with a degradable error
+        answers each missed key from its expired entry, or re-raises the
+        error when any missed key has none within ``max_stale``.
         """
         with self._obs.stage("dscl.get_many", metric="client.get_many"):
             result: dict[str, Any] = {}
-            misses: list[str] = []
+            # missed key -> its expired entry (the degradation parachute)
+            misses: dict[str, CacheEntry | None] = {}
             for key in keys:
                 lookup = self.dscl.cache_lookup(key)
                 if lookup.freshness is Freshness.FRESH and lookup.entry is not None:
@@ -474,19 +497,24 @@ class EnhancedDataStoreClient:
                     self._count("cache_hits")
                     result[key] = lookup.entry.value
                 else:
-                    misses.append(key)
+                    misses[key] = (
+                        lookup.entry if lookup.freshness is Freshness.EXPIRED else None
+                    )
             if misses:
                 self._count("cache_misses", len(misses))
                 self._count("store_reads")
-                with self._obs.stage("store.get_many", metric=self._m_store_get):
-                    fetched = self._store.get_many(misses)
+                try:
+                    with self._obs.stage("store.get_many", metric=self._m_store_get):
+                        fetched = self._store.get_many(list(misses))
+                except DEGRADE_ON as exc:
+                    result.update(self._degrade(misses, exc))
+                    return result
                 for key, value in fetched.items():
                     self.dscl.cache_put(key, value)
                     result[key] = value
-                if self._negative_ttl is not None:
-                    for key in misses:
-                        if key not in fetched:
-                            self.dscl.cache_put(key, _NEGATIVE, ttl=self._negative_ttl)
+                for key in misses:
+                    if key not in fetched:
+                        self._cache_absent(key)
             return result
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
     from .cloudsim import CLOUD_STORE_1, CLOUD_STORE_2, CloudStoreProfile, SimulatedCloudStore
     from .remote import RemoteKeyValueStore
     from .wrappers import NamespacedStore, ReadOnlyStore, TransformingStore
-    from .chaos import FlakyStore, LaggyStore, PartitionedStore
+    from .chaos import FlakyStore, PartitionedStore
     from .circuit import CircuitBreaker, CircuitBreakerStore, CircuitState
     from .deadline import Deadline, current_deadline, deadline_scope
     from .resilience import RetryingStore
@@ -52,7 +52,6 @@ _EXPORTS = {
     "ReadOnlyStore": ".wrappers",
     "TransformingStore": ".wrappers",
     "FlakyStore": ".chaos",
-    "LaggyStore": ".chaos",
     "PartitionedStore": ".chaos",
     "RetryingStore": ".resilience",
     "ReplicatedStore": ".quorum",

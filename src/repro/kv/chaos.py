@@ -38,7 +38,7 @@ from ..obs import Observability, resolve_obs
 from .interface import KeyValueStore
 from .wrappers import _DelegatingStore
 
-__all__ = ["FlakyStore", "LaggyStore", "PartitionedStore"]
+__all__ = ["FlakyStore", "PartitionedStore"]
 
 
 class FlakyStore(_DelegatingStore):
@@ -310,32 +310,3 @@ class PartitionedStore(_DelegatingStore):
             )
         return method(*args)
 
-
-class LaggyStore(FlakyStore):
-    """A store that is merely *slow*: injected latency, no failures.
-
-    The tool for hedged-read and deadline tests -- e.g. a primary replica
-    with ``LaggyStore(inner, latency=0.2)`` reliably exceeds a 10 ms hedge
-    threshold.  Equivalent to ``FlakyStore(failure_rate=0.0, latency=...)``
-    with a clearer name.
-    """
-
-    def __init__(
-        self,
-        inner: KeyValueStore,
-        *,
-        latency: float,
-        latency_jitter: float = 0.0,
-        seed: int = 0,
-        sleep: Callable[[float], None] | None = None,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(
-            inner,
-            failure_rate=0.0,
-            seed=seed,
-            latency=latency,
-            latency_jitter=latency_jitter,
-            sleep=sleep,
-            name=name if name is not None else f"laggy({inner.name})",
-        )

@@ -18,7 +18,6 @@ import pytest
 
 import repro
 
-from repro.caching import ServeStaleStore
 from repro.kv import (
     CLOUD_STORE_1,
     CLOUD_STORE_2,
@@ -26,7 +25,6 @@ from repro.kv import (
     FileSystemStore,
     FlakyStore,
     InMemoryStore,
-    LaggyStore,
     LSMStore,
     NamespacedStore,
     PartitionedStore,
@@ -179,7 +177,6 @@ _DECORATORS = {
     "retrying": RetryingStore,
     "circuit": CircuitBreakerStore,
     "flaky": lambda inner: FlakyStore(inner, failure_rate=0.0),
-    "laggy": lambda inner: LaggyStore(inner, latency=0.0),
     "partitioned": _healed_partition,
     "monitored": lambda inner: MonitoredStore(inner, PerformanceMonitor()),
     "namespaced": _namespace_beside_a_foreign_key,
@@ -187,7 +184,6 @@ _DECORATORS = {
     "transforming": lambda inner: TransformingStore(
         inner, encode=lambda value: ("encoded", value), decode=lambda stored: stored[1]
     ),
-    "stale": ServeStaleStore,
 }
 
 

@@ -29,12 +29,12 @@ GOLDEN_ALL = {
         EventLog ExpiringCache FileSystemStore FlakyStore Freshness
         GzipCompressor InMemoryStore InProcessCache InvalidationBus
         JsonSerializer KeyNotFoundError KeyValueStore KeyValueStoreCache
-        LSMStore LaggyStore LatencyModel ListenableFuture LzmaCompressor
+        LSMStore LatencyModel ListenableFuture LzmaCompressor
         MISS MetricsRegistry MonitoredStore NOT_MODIFIED NULL_OBS
         NamespacedStore Observability PerformanceMonitor PickleSerializer
         ReadOnlyStore RealClock RemoteKeyValueStore RemoteProcessCache
         ReplicatedStore RetryingStore RotatingEncryptor SQLStore
-        SerializationError Serializer ServeStaleStore ServerHandle
+        SerializationError Serializer ServerHandle
         SimulatedCloudStore Span StoreConnectionError StoreHealth
         StringSerializer ThreadPool TieredCache TraceCollector Tracer
         TransformingStore TwoPhaseCommitCoordinator
@@ -48,7 +48,7 @@ GOLDEN_ALL = {
         AntiEntropyReport CLOUD_STORE_1 CLOUD_STORE_2 CircuitBreaker
         CircuitBreakerStore CircuitState CloudStoreProfile Deadline
         FileSystemStore FlakyStore InMemoryStore KeyValueStore LSMStore
-        LaggyStore MerkleTree NOT_MODIFIED NamespacedStore NotModified
+        MerkleTree NOT_MODIFIED NamespacedStore NotModified
         PartitionedStore QuorumReplicatedStore ReadOnlyStore
         RemoteKeyValueStore ReplicatedStore RetryingStore SQLStore
         SimulatedCloudStore TransformingStore VersionStamp current_deadline
@@ -59,7 +59,7 @@ GOLDEN_ALL = {
         ClockPolicy EvictionPolicy ExpiringCache FIFOPolicy Freshness
         GreedyDualSizePolicy HashRing InProcessCache KeyValueStoreCache
         LFUPolicy LRUPolicy LookupResult MISS Miss RemoteProcessCache
-        ServeStaleStore ShardedCache StackDistanceProfiler TieredCache
+        ShardedCache StackDistanceProfiler TieredCache
         load_cache make_policy save_cache
     """,
     "repro.udsm": """
@@ -87,7 +87,7 @@ GOLDEN_ALL = {
         purge_stale_keys rebalance
     """,
     "repro.core": """
-        CacheConsistency DSCL EnhancedDataStoreClient ValuePipeline
+        DSCL EnhancedDataStoreClient ValuePipeline
         WritePolicy
     """,
     "repro.delta": """

@@ -24,7 +24,6 @@ from repro.kv import (
     Deadline,
     FlakyStore,
     InMemoryStore,
-    LaggyStore,
     RetryingStore,
     current_deadline,
     deadline_scope,
@@ -466,13 +465,14 @@ class TestFlakyStoreChaos:
 
         assert run() == run()
 
-    def test_laggy_store_never_fails(self):
+    def test_latency_only_store_never_fails(self):
         delays: list[float] = []
-        laggy = LaggyStore(InMemoryStore(), latency=0.2, sleep=delays.append)
+        laggy = FlakyStore(
+            InMemoryStore(), failure_rate=0.0, latency=0.2, sleep=delays.append
+        )
         laggy.put("k", "v")
         assert laggy.get("k") == "v"
         assert delays == [0.2, 0.2]
-        assert laggy.name == "laggy(memory)"
         assert laggy.injected_failures == 0
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.caching import ServeStaleStore
 from repro.errors import (
     CircuitOpenError,
     DataStoreError,
@@ -22,7 +21,6 @@ from repro.kv import (
     FlakyStore,
     InMemoryStore,
     KeyValueStore,
-    LaggyStore,
     LSMStore,
     NamespacedStore,
     PartitionedStore,
@@ -45,7 +43,6 @@ INTERCEPTORS = {
     "retrying": lambda inner: RetryingStore(inner, sleep=lambda delay: None),
     "circuit": lambda inner: CircuitBreakerStore(inner, failure_threshold=1),
     "flaky": lambda inner: FlakyStore(inner, failure_rate=0.0),
-    "laggy": lambda inner: LaggyStore(inner, latency=0.0),
     "partitioned": PartitionedStore,
     "monitored": lambda inner: MonitoredStore(inner, PerformanceMonitor(), name="m"),
 }
@@ -239,36 +236,6 @@ class TestBatchShapeSurvivesTheUdsm:
             "cmd.dbsize.calls": 1,  # RemoteKeyValueStore.clear = DBSIZE + FLUSHALL
             "cmd.flushall.calls": 1,
         }
-
-
-class TestServeStaleStoreBatches:
-    def _dying(self):
-        backend = FlakyStore(InMemoryStore(), failure_rate=0.0)
-        return backend, ServeStaleStore(backend, revalidator=lambda thunk: None)
-
-    def test_a_value_first_seen_through_get_many_is_served_stale(self):
-        backend, store = self._dying()
-        backend.inner.put("k", "seen")
-        assert store.get_many(["k", "absent"]) == {"k": "seen"}
-        backend.fail_next(3)
-        assert store.get("k") == "seen"
-        assert store.get_many(["k"]) == {"k": "seen"}
-        with pytest.raises(StoreConnectionError):
-            store.get_many(["never-seen"])
-        assert store.stale_serves == 2
-
-    def test_put_many_remembers_and_removals_forget(self):
-        backend, store = self._dying()
-        store.put_many({"a": 1, "b": 2, "c": 3})
-        assert store.delete_many(["a"]) == 1
-        backend.fail_next(2)
-        assert store.get("b") == 2
-        with pytest.raises(StoreConnectionError):
-            store.get("a")
-        assert store.clear() == 2
-        backend.fail_next(1)
-        with pytest.raises(StoreConnectionError):
-            store.get("b")
 
 
 class TestNamespacedStore:

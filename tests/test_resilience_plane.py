@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.caching import InProcessCache, ServeStaleStore
+from repro.caching import InProcessCache
 from repro.core import EnhancedDataStoreClient
 from repro.errors import (
     CircuitOpenError,
@@ -32,6 +32,7 @@ from repro.kv import (
     Deadline,
     FlakyStore,
     InMemoryStore,
+    ReadOnlyStore,
     ReplicatedStore,
     RetryingStore,
     deadline_scope,
@@ -57,127 +58,6 @@ def expire_cached_entry(client: EnhancedDataStoreClient, key: str) -> None:
     entry = client.dscl.cache_lookup(key).entry
     assert entry is not None
     entry.expires_at = time.time() - 0.001
-
-
-# ----------------------------------------------------------------------
-# ServeStaleStore (the KV-level wrapper)
-# ----------------------------------------------------------------------
-class TestServeStaleStore:
-    def make(self, **options):
-        backend = InMemoryStore()
-        flaky = FlakyStore(backend, failure_rate=0.0)
-        options.setdefault("revalidator", lambda thunk: None)  # collect, don't run
-        store = ServeStaleStore(flaky, **options)
-        return backend, flaky, store
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ServeStaleStore(InMemoryStore(), max_stale=-1)
-        with pytest.raises(ConfigurationError):
-            ServeStaleStore(InMemoryStore(), max_entries=0)
-
-    def test_successful_reads_and_writes_feed_the_snapshot(self):
-        _backend, flaky, store = self.make()
-        store.put("k", "v1")
-        flaky.fail_next(1)
-        assert store.get("k") == "v1"  # served from the write snapshot
-        assert store.stale_serves == 1
-
-    def test_degradable_errors_serve_stale(self):
-        clock = FakeClock()
-        _backend, flaky, store = self.make(max_stale=60.0, clock=clock)
-        store.put("k", "v1")
-        clock.advance(30.0)
-        flaky.fail_next(1)
-        assert store.get("k") == "v1"
-        assert store.staleness("k") == pytest.approx(30.0)
-
-    def test_too_stale_reraises_original_error(self):
-        clock = FakeClock()
-        _backend, flaky, store = self.make(max_stale=60.0, clock=clock)
-        store.put("k", "v1")
-        clock.advance(61.0)
-        flaky.fail_next(1)
-        with pytest.raises(StoreConnectionError):
-            store.get("k")
-        assert store.stale_serves == 0
-
-    def test_no_snapshot_reraises(self):
-        _backend, flaky, store = self.make()
-        flaky.fail_next(1)
-        with pytest.raises(StoreConnectionError):
-            store.get("never-seen")
-
-    def test_semantic_errors_propagate(self):
-        _backend, _flaky, store = self.make()
-        with pytest.raises(KeyNotFoundError):
-            store.get("absent")
-
-    def test_delete_forgets_the_snapshot(self):
-        _backend, flaky, store = self.make()
-        store.put("k", "v1")
-        store.delete("k")
-        flaky.fail_next(1)
-        with pytest.raises(StoreConnectionError):
-            store.get("k")
-
-    def test_snapshot_capacity_is_bounded(self):
-        _backend, flaky, store = self.make(max_entries=2)
-        for index in range(3):
-            store.put(f"k{index}", index)
-        flaky.fail_next(1)
-        with pytest.raises(StoreConnectionError):
-            store.get("k0")  # evicted, oldest first
-        flaky.fail_next(1)
-        assert store.get("k2") == 2
-
-    def test_revalidation_refreshes_the_snapshot(self):
-        pending = []
-        backend = InMemoryStore()
-        flaky = FlakyStore(backend, failure_rate=0.0)
-        store = ServeStaleStore(flaky, revalidator=pending.append)
-        store.put("k", "v1")
-        backend.put("k", "v2")  # origin moved on behind our back
-        flaky.fail_next(1)
-        assert store.get("k") == "v1"
-        assert len(pending) == 1
-        pending.pop()()  # backend healthy again: revalidate
-        flaky.fail_next(1)
-        assert store.get("k") == "v2"  # snapshot caught up
-
-    def test_revalidations_are_deduplicated(self):
-        pending = []
-        _backend, flaky, store = self.make(revalidator=pending.append)
-        store.put("k", "v1")
-        flaky.fail_next(2)
-        store.get("k")
-        store.get("k")
-        assert store.revalidations == 1
-        assert len(pending) == 1
-
-    def test_stale_serves_are_observable(self):
-        obs = Observability(events=EventLog())
-        backend = InMemoryStore()
-        flaky = FlakyStore(backend, failure_rate=0.0)
-        store = ServeStaleStore(flaky, obs=obs, revalidator=lambda thunk: None)
-        store.put("k", "v1")
-        flaky.fail_next(1)
-        store.get("k")
-        assert obs.registry.snapshot()["counters"]["cache.stale_served"] == 1
-        (record,) = obs.events.tail(kind="stale_served")
-        assert record["key"] == "k"
-        assert record["error"] == "StoreConnectionError"
-
-    def test_open_circuit_is_degradable(self):
-        flaky = FlakyStore(InMemoryStore(), failure_rate=0.0)
-        guarded = CircuitBreakerStore(flaky, failure_threshold=1)
-        store = ServeStaleStore(guarded, revalidator=lambda thunk: None)
-        store.put("k", "v1")
-        flaky.fail_next(1)
-        assert store.get("k") == "v1"  # the failure that opened the circuit
-        assert guarded.breaker.state is CircuitState.OPEN
-        assert store.get("k") == "v1"  # shed fast, still served
-        assert store.stale_serves == 2
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +263,131 @@ class TestClientServeStale:
             client.get("ghost")
         assert client.counters.stale_serves == 0
 
+    def test_max_stale_is_validated(self):
+        with pytest.raises(ConfigurationError):
+            EnhancedDataStoreClient(InMemoryStore(), max_stale=-1)
+        client = EnhancedDataStoreClient(InMemoryStore(), max_stale=0.0)
+        with pytest.raises(ConfigurationError):
+            client.max_stale = -1
+
+    @pytest.mark.parametrize(
+        "read, revalidate", [("get", True), ("get", False), ("get_many", False)]
+    )
+    def test_an_origin_delete_is_never_served_stale(self, read, revalidate):
+        """"Absent" is a semantic answer: it propagates, and the expired copy
+        goes with the key, so a later outage cannot serve it."""
+        clock = FakeClock()
+        backend, flaky, _guarded, client, pending = self.make_client(
+            clock, revalidate_expired=revalidate
+        )
+        with pytest.raises(KeyNotFoundError):
+            client.get("absent")
+        client.put("user", {"name": "ada"})
+        backend.delete("user")  # deleted behind the cache
+        expire_cached_entry(client, "user")
+        if read == "get":
+            with pytest.raises(KeyNotFoundError):
+                client.get("user")
+        else:
+            assert client.get_many(["user"]) == {}
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get("user")
+        assert client.counters.stale_serves == 0
+        assert pending == []
+
+    def test_delete_forgets_the_entry(self):
+        clock = FakeClock()
+        _backend, flaky, _guarded, client, _pending = self.make_client(clock)
+        client.put("user", {"name": "ada"})
+        client.delete("user")
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get("user")
+        assert client.counters.stale_serves == 0
+
+    def test_in_flight_revalidation_is_deduplicated(self):
+        clock = FakeClock()
+        _backend, flaky, _guarded, client, pending = self.make_client(clock)
+        client.put("user", {"name": "ada"})
+        expire_cached_entry(client, "user")
+        flaky.fail_next(100)
+        assert client.get("user") == {"name": "ada"}
+        assert client.get("user") == {"name": "ada"}
+        assert client.get_many(["user"]) == {"user": {"name": "ada"}}
+        assert client.counters.stale_serves == 3
+        assert len(pending) == 1
+        flaky.fail_next(0)
+        clock.advance(5.0)
+        pending.pop()()  # done: the next stale serve may queue one again
+        expire_cached_entry(client, "user")
+        flaky.fail_next(100)
+        assert client.get("user") == {"name": "ada"}
+        assert len(pending) == 1
+
+    def test_open_circuit_is_degradable(self):
+        flaky = FlakyStore(InMemoryStore(), failure_rate=0.0)
+        guarded = CircuitBreakerStore(flaky, failure_threshold=1)
+        client = EnhancedDataStoreClient(
+            guarded, default_ttl=60.0, serve_stale=True,
+            stale_revalidator=lambda thunk: None,
+        )
+        for key in ("a", "b"):
+            client.put(key, key.upper())
+            expire_cached_entry(client, key)
+        flaky.fail_next(1)
+        assert client.get("a") == "A"  # the failure that opened the circuit
+        assert guarded.breaker.state is CircuitState.OPEN
+        assert client.get("a") == "A"  # shed fast, still served
+        assert client.get_many(["a", "b"]) == {"a": "A", "b": "B"}  # one shed batch
+        assert client.counters.stale_serves == 4
+
+    def test_get_many_degrades_to_expired_entries(self):
+        clock = FakeClock()
+        obs = Observability(events=EventLog())
+        _backend, flaky, _guarded, client, pending = self.make_client(clock, obs)
+        for key in ("fresh", "old-1", "old-2"):
+            client.put(key, {"key": key})
+        expire_cached_entry(client, "old-1")
+        expire_cached_entry(client, "old-2")
+        flaky.fail_next(100)
+        assert client.get_many(["fresh", "old-1", "old-2"]) == {
+            "fresh": {"key": "fresh"},  # a fresh hit never reaches the origin
+            "old-1": {"key": "old-1"},
+            "old-2": {"key": "old-2"},
+        }
+        assert client.counters.stale_serves == 2
+        assert obs.registry.snapshot()["counters"]["cache.stale_served"] == 2
+        records = obs.events.tail(kind="stale_served")
+        assert [record["key"] for record in records] == ["old-1", "old-2"]
+        assert len(pending) == 2
+
+    def test_get_many_reraises_when_a_missed_key_has_no_entry(self):
+        clock = FakeClock()
+        _backend, flaky, _guarded, client, pending = self.make_client(clock)
+        client.put("user", {"name": "ada"})
+        expire_cached_entry(client, "user")
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get_many(["user", "never-seen"])
+        assert client.counters.stale_serves == 0  # all or nothing
+        assert pending == []
+        # The key with no entry is what failed the batch: alone, "user" degrades.
+        assert client.get_many(["user"]) == {"user": {"name": "ada"}}
+
+    def test_a_value_first_seen_through_get_many_is_served_stale(self):
+        clock = FakeClock()
+        backend, flaky, _guarded, client, _pending = self.make_client(clock)
+        backend.put("k", "seen")
+        assert client.get_many(["k", "absent"]) == {"k": "seen"}
+        expire_cached_entry(client, "k")
+        flaky.fail_next(100)
+        assert client.get("k") == "seen"
+        assert client.get_many(["k"]) == {"k": "seen"}
+        with pytest.raises(CircuitOpenError):  # the shed error, re-raised
+            client.get_many(["never-seen"])
+        assert client.counters.stale_serves == 2
+
     def test_max_stale_bounds_degradation(self):
         clock = FakeClock()
         _backend, flaky, _guarded, client, _pending = self.make_client(
@@ -395,6 +400,108 @@ class TestClientServeStale:
         with pytest.raises(StoreConnectionError):
             client.get("user")
         assert client.counters.stale_serves == 0
+
+
+class TestServeStaleOverEveryStore:
+    """The client's serve-stale path over every backend and decorator of
+    the KV contract matrix (``any_store``): the version tokens each store
+    hands out must drive revalidation, and an outage below any of them
+    must degrade to the expired entry.  The origin is seeded behind the
+    client, so the read-only store takes part too."""
+
+    @staticmethod
+    def origin(store):
+        """Where a test writes behind the client (a read-only store's inner)."""
+        return store._inner if isinstance(store, ReadOnlyStore) else store
+
+    def make_client(self, store, **options):
+        flaky = FlakyStore(store, failure_rate=0.0)
+        pending = []
+        client = EnhancedDataStoreClient(
+            flaky,
+            cache=InProcessCache(),
+            default_ttl=60.0,
+            serve_stale=True,
+            max_stale=options.pop("max_stale", 3600.0),
+            stale_revalidator=pending.append,
+            **options,
+        )
+        return flaky, client, pending
+
+    def test_an_expired_entry_is_served_stale_in_an_outage(self, any_store):
+        flaky, client, pending = self.make_client(any_store)
+        self.origin(any_store).put("user", {"name": "ada"})
+        assert client.get("user") == {"name": "ada"}
+        expire_cached_entry(client, "user")
+        flaky.fail_next(100)
+        assert client.get("user") == {"name": "ada"}
+        assert client.counters.stale_serves == 1
+        assert len(pending) == 1
+
+    def test_an_unchanged_origin_revalidates_as_not_modified(self, any_store):
+        _flaky, client, _pending = self.make_client(any_store)
+        self.origin(any_store).put("user", {"name": "ada"})
+        assert client.get("user") == {"name": "ada"}
+        expire_cached_entry(client, "user")
+        assert client.get("user") == {"name": "ada"}
+        assert client.counters.revalidations == 1
+        assert client.counters.revalidated_not_modified == 1
+        assert client.counters.stale_serves == 0
+
+    def test_revalidation_picks_up_an_origin_change(self, any_store):
+        _flaky, client, _pending = self.make_client(any_store)
+        self.origin(any_store).put("user", {"name": "ada"})
+        assert client.get("user") == {"name": "ada"}
+        self.origin(any_store).put("user", {"name": "grace"})
+        expire_cached_entry(client, "user")
+        assert client.get("user") == {"name": "grace"}
+        assert client.counters.revalidated_modified == 1
+
+    def test_get_many_is_served_stale_in_an_outage(self, any_store):
+        flaky, client, pending = self.make_client(any_store)
+        self.origin(any_store).put_many({"a": "A", "b": "B"})
+        assert client.get_many(["a", "b"]) == {"a": "A", "b": "B"}
+        expire_cached_entry(client, "a")
+        expire_cached_entry(client, "b")
+        flaky.fail_next(100)
+        assert client.get_many(["a", "b"]) == {"a": "A", "b": "B"}
+        assert client.counters.stale_serves == 2
+        assert len(pending) == 2
+
+    def test_get_many_reraises_when_a_missed_key_has_no_entry(self, any_store):
+        flaky, client, pending = self.make_client(any_store)
+        self.origin(any_store).put("a", "A")
+        assert client.get("a") == "A"
+        expire_cached_entry(client, "a")
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get_many(["a", "never-seen"])
+        assert client.counters.stale_serves == 0
+        assert pending == []
+
+    def test_past_max_stale_the_origin_error_wins(self, any_store):
+        flaky, client, _pending = self.make_client(any_store, max_stale=0.5)
+        self.origin(any_store).put("user", {"name": "ada"})
+        assert client.get("user") == {"name": "ada"}
+        client.dscl.cache_lookup("user").entry.expires_at = time.time() - 10.0
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get("user")
+        assert client.counters.stale_serves == 0
+
+    def test_an_origin_delete_is_never_served_stale(self, any_store):
+        flaky, client, pending = self.make_client(any_store)
+        self.origin(any_store).put("user", {"name": "ada"})
+        assert client.get("user") == {"name": "ada"}
+        self.origin(any_store).delete("user")
+        expire_cached_entry(client, "user")
+        with pytest.raises(KeyNotFoundError):
+            client.get("user")
+        flaky.fail_next(100)
+        with pytest.raises(StoreConnectionError):
+            client.get("user")
+        assert client.counters.stale_serves == 0
+        assert pending == []
 
 
 # ----------------------------------------------------------------------
