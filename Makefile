@@ -65,12 +65,12 @@ check-cluster:
 	$(PYTHON) scripts/check_cluster.py
 
 # In fresh interpreters, assert what a process loads: `import repro` is the
-# lazy surface only, the serving closure stays free of sqlite3/cryptography
-# and the layers it does not compose, importing either engine loads neither
-# asyncio nor argparse nor subprocess (a started async engine has asyncio),
-# the threaded server child never loads asyncio, and a served request
-# imports nothing (structural asserts, no wall-clock; see
-# docs/architecture.md and scripts/check_imports.py).
+# lazy surface only, the serving closure stays free of asyncio, sqlite3,
+# cryptography and the layers it does not compose, importing either engine
+# loads neither argparse nor subprocess, neither server child (threaded or
+# async) ever loads asyncio, and a served request imports nothing
+# (structural asserts, no wall-clock; see docs/architecture.md and
+# scripts/check_imports.py).
 check-imports:
 	$(PYTHON) scripts/check_imports.py
 

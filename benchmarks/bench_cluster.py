@@ -6,8 +6,8 @@ Every shard hosts a :class:`~repro.kv.chaos.FlakyStore` (failure rate 0)
 that holds each operation for ``SERVICE_TIME`` on the shard's serving
 thread -- so a single shard has a hard capacity ceiling of about
 ``1 / SERVICE_TIME`` ops/s no matter how many clients pile on, exactly
-like a backend bound by its own I/O.  Shards run on the asyncio serving
-engine (one loop thread each), so their service windows overlap and the
+like a backend bound by its own I/O.  Shards run on the reactor serving
+engine (one reactor thread each), so their service windows overlap and the
 cluster's aggregate ceiling grows with the shard count.
 
 The driver is a pool of threads, each reading single keys through its own

@@ -25,7 +25,8 @@ from repro.udsm.loadgen import LoadGenerator, LoadSpec, RVConfig
 FIGURE = "serving_async"
 ENGINES = ("threaded", "async")
 #: Offered load levels (requests/second).  The top level is chosen to
-#: push queueing on the 1-CPU benchmark box without drowning it.
+#: push queueing without drowning the host; the committed results come
+#: from a 2-CPU host (``config.cpus`` in the results file).
 LOAD_LEVELS = (300, 900, 1800)
 DURATION = 1.0
 WORKERS = 4

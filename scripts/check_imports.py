@@ -8,15 +8,15 @@ structural asserts only -- module sets, never wall-clock:
   else (at most :data:`ROOT_BUDGET` ``repro.*`` modules);
 * the **serving closure** (``repro.lsm.store`` + ``repro.net.server``, and
   the same plus ``repro.net.aio``) stays within :data:`SERVING_BUDGET`
-  ``repro.*`` modules and loads none of :data:`FORBIDDEN` -- no sqlite3, no
+  ``repro.*`` modules and loads none of :data:`FORBIDDEN` -- no ``asyncio``
+  (the async engine is a ``selectors`` reactor), no sqlite3, no
   ``cryptography``, no replication, cluster, UDSM, txn, delta, consistency,
   security or compression layer, and no wire client (``repro.net.client``:
   a member never dials its peers) -- nor any of :data:`START_ONLY`
-  (``asyncio``, ``argparse``, ``subprocess``): importing the async engine
-  is not starting it.  A *started* async engine does have ``asyncio``, so
-  the import is paid at start, not dropped;
-* ``python -m repro.net.server --backend lsm`` with the default engine
-  never imports ``asyncio``, not even while serving;
+  (``argparse``, ``subprocess``).  A started async engine that has served
+  a request round still has no ``asyncio`` loaded;
+* ``python -m repro.net.server --backend lsm``, with either engine, never
+  imports ``asyncio`` or a forbidden layer, from start-up through requests;
 * a **served request imports nothing**: ``sys.modules`` is identical before
   and after a GET/SET/MGET/MSET/DEL/STATS round against a started
   ``StoreServer`` and ``AsyncStoreServer`` over an ``LSMStore`` -- laziness
@@ -43,6 +43,7 @@ SERVING_BUDGET = 40  # the eager package surfaces loaded 85
 
 #: Top-level modules and ``repro`` layers a serving child must not load.
 FORBIDDEN = (
+    "asyncio",
     "sqlite3",
     "cryptography",
     "repro.kv.quorum",
@@ -63,25 +64,12 @@ FORBIDDEN = (
 #: (the request-round child below imports it for its own probe client).
 WIRE_CLIENT = ("repro.net.client",)
 
-#: Loaded by what *starts* a server, never by importing one: the event loop
-#: (a started async engine), the CLI parser and the process launcher.
-START_ONLY = ("asyncio", "argparse", "subprocess")
+#: Loaded by what *starts* a server, never by importing one: the CLI parser
+#: and the process launcher.
+START_ONLY = ("argparse", "subprocess")
 
 #: Seconds the server child gets to announce ``LISTENING``.
 STARTUP_TIMEOUT = 30
-
-#: Build and start an async engine over an LSMStore, then stop it.
-STARTED_ASYNC = """
-import tempfile
-from repro.lsm.store import LSMStore
-from repro.net.server import build_server
-with tempfile.TemporaryDirectory() as root:
-    store = LSMStore(root)
-    server = build_server("async", store)
-    server.start()
-    server.stop()
-    store.close()
-"""
 
 SERVING_IMPORTS = "from repro.lsm.store import LSMStore; from repro.net.server import StoreServer"
 
@@ -110,7 +98,8 @@ with tempfile.TemporaryDirectory() as root:
     server.stop()
     store.close()
 print(json.dumps({"imported": imported, "got": [None if v is None else v.decode() for v in got],
-                  "deleted": deleted, "engine": stats.get("server.engine")}))
+                  "deleted": deleted, "engine": stats.get("server.engine"),
+                  "asyncio": "asyncio" in sys.modules}))
 """
 
 
@@ -174,22 +163,25 @@ def check_serving_closure(errors: list[str]) -> None:
         _expect(errors, not forbidden,
                 f"{label}: no forbidden layer or start-only module loaded"
                 + (f" (found {forbidden})" if forbidden else ""))
-    _expect(errors, "asyncio" in _loaded_after(STARTED_ASYNC),
-            "a started async engine has asyncio loaded (paid at start, not dropped)")
 
 
 def check_server_module(errors: list[str]) -> None:
     print("[3/4] `python -m repro.net.server --backend lsm` never imports asyncio")
+    for engine in ("threaded", "async"):
+        _check_server_child(errors, engine)
+
+
+def _check_server_child(errors: list[str], engine: str) -> None:
     with tempfile.TemporaryDirectory() as root:
         process = subprocess.Popen(
-            [sys.executable, "-X", "importtime", "-m", "repro.net.server",
+            [sys.executable, "-X", "importtime", "-m", "repro.net.server", "--engine", engine,
              "--backend", "lsm", "--database", str(Path(root) / "kv.lsm"), "--port", "0"],
             env=_environment(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
             ready = select.select([process.stdout], [], [], STARTUP_TIMEOUT)[0]
             line = process.stdout.readline() if ready else ""
-            _expect(errors, line.startswith("LISTENING"), "server child announced LISTENING")
+            _expect(errors, line.startswith("LISTENING"), f"{engine}: server child announced LISTENING")
             if line.startswith("LISTENING"):
                 _token, host, port = line.split()
                 _probe(
@@ -206,11 +198,12 @@ def check_server_module(errors: list[str]) -> None:
             _out, import_log = process.communicate(timeout=30)
     imported = [entry.rsplit("|", 1)[-1].strip() for entry in import_log.splitlines()
                 if entry.startswith("import time:")]
-    _expect(errors, "repro.lsm.store" in imported, "import log captured (repro.lsm.store seen)")
-    forbidden = _forbidden_in(imported, FORBIDDEN + ("asyncio",))
+    _expect(errors, "repro.lsm.store" in imported,
+            f"{engine}: import log captured (repro.lsm.store seen)")
+    forbidden = _forbidden_in(imported, FORBIDDEN)
     _expect(errors, not forbidden,
-            "neither asyncio nor a forbidden layer in the child's import log, start-up "
-            "through requests" + (f" (found {forbidden})" if forbidden else ""))
+            f"{engine}: neither asyncio nor a forbidden layer in the child's import log, "
+            "start-up through requests" + (f" (found {forbidden})" if forbidden else ""))
 
 
 def check_request_round(errors: list[str]) -> None:
@@ -222,6 +215,8 @@ def check_request_round(errors: list[str]) -> None:
         _expect(errors, not outcome["imported"],
                 f"{engine}: sys.modules unchanged by GET/SET/MGET/MSET/DEL/STATS"
                 + (f" (imported {outcome['imported']})" if outcome["imported"] else ""))
+        _expect(errors, not outcome["asyncio"],
+                f"{engine}: no asyncio in sys.modules after a started engine served the round")
 
 
 def main() -> int:

@@ -1,43 +1,37 @@
-"""Event-loop serving engine for the cache/store wire protocol.
+"""Reactor serving engine for the cache/store wire protocol.
 
 The threaded server (:mod:`repro.net.server`) spends one OS thread per
-connection.  That is the right shape for a handful of chatty benchmark
-clients, but it caps concurrent clients at the thread budget -- far below
-the "traffic from millions of users" target.  This module rebuilds the
-serving plane as a **reactor**: one ``asyncio`` event loop multiplexes
-every connection, a connection costs a socket plus a read buffer instead of
-a thread, and request **pipelining** falls out naturally -- whatever burst
-of requests arrives in one socket read is dispatched back-to-back and
-answered with one batched write.
+connection, which caps concurrent clients at the thread budget.  This
+module serves every connection from one **reactor**, a
+``selectors.DefaultSelector`` (epoll on Linux) on one daemon thread --
+Redis's shape, with no event-loop framework under it.  A connection
+costs a socket and its buffers, not a thread, and whatever burst of
+pipelined requests one read returns is answered with one ``send``.
 
 Design notes (the long-form story is ``docs/serving.md``):
 
-* **Same protocol, same commands.**  The engine does not reimplement the
-  command set.  It owns a :class:`~repro.net.server.StoreServer` (or its
+* **Same protocol, same commands.**  The engine owns a
+  :class:`~repro.net.server.StoreServer` (or its
   :class:`~repro.net.server.CacheServer` subclass) as its *command core*
   and hands every socket read to ``core.serve_burst`` -- the threaded
-  engine's request loop too -- so parsing, GET/SET semantics, STATS,
-  pub/sub, and per-command observability are byte-identical across
-  engines, and every existing synchronous client works unchanged.  The engine touches the core only
-  through its public names (``docs/serving.md`` lists them).
-* **Sync facade.**  The loop runs on a dedicated daemon thread;
-  :meth:`AsyncServerEngine.start`/:meth:`~AsyncServerEngine.stop` look
-  exactly like the threaded server's, so :class:`~repro.net.server.ServerHandle`,
-  the CLI, and the tests drive either engine interchangeably.
-* **Ordering.**  Commands execute on the loop thread in arrival order per
-  connection; replies never interleave within a connection.  The price is
-  that a slow store operation stalls the whole loop -- the engines trade
-  per-connection parallelism for connection scalability (see
-  ``docs/serving.md`` for when to pick which).
-* **Loaded on start.**  ``asyncio`` (and the ``ssl``, ``logging`` and
-  ``concurrent.futures`` it pulls in) is imported when an engine starts,
-  not when this module is imported: a process that imports both engines
-  to pick one from its config and runs the threaded one never pays for
-  the event loop (``docs/architecture.md``, "What a process loads").
-* **Backpressure.**  After writing a reply batch the handler awaits
-  ``drain()``, so a slow reader suspends only its own connection's
-  coroutine, and the read loop stops pulling new requests from a peer
-  whose replies it cannot flush.
+  engine's request loop too -- so parsing, command semantics, STATS,
+  pub/sub and per-command observability are byte-identical across
+  engines.  The engine touches the core only through its public names
+  (``docs/serving.md`` lists them).
+* **Sync facade.**  :meth:`AsyncServerEngine.start` / :meth:`~AsyncServerEngine.stop`
+  look exactly like the threaded server's, so ``ServerHandle``, the CLI
+  and the tests drive either engine interchangeably.
+* **Ordering.**  Commands execute on the reactor thread in arrival order
+  per connection; replies never interleave within a connection.  The
+  price is that a slow store operation stalls every connection -- the
+  engines trade per-connection parallelism for connection scalability.
+* **Backpressure.**  Replies a peer has not taken stay in its unsent
+  buffer with ``EVENT_WRITE`` armed; while that buffer exceeds
+  :data:`WRITE_HIGH_WATER` the reactor stops reading the peer's requests,
+  so a slow reader stalls only itself and holds at most the mark plus
+  one burst.  A closing command (``QUIT``, a protocol error) or the
+  peer's EOF ends the request stream; the socket closes once its replies
+  are flushed.
 
 Metrics (on the core's bundle, beside the shared ``server.*`` family):
 ``net.aio.connections`` (gauge), ``net.aio.pipelined`` (requests served
@@ -49,7 +43,11 @@ from an already-buffered batch beyond the first), ``net.aio.batch``
 
 from __future__ import annotations
 
+import selectors
+import socket
+import sys
 import threading
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,8 +57,6 @@ from . import protocol
 from .server import CacheServer, StoreServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import asyncio
-
     from ..kv.interface import KeyValueStore
 
 __all__ = [
@@ -105,44 +101,48 @@ def probe_fd_budget(headroom: int = FD_HEADROOM) -> int:
     return max(_FD_BUDGET_FLOOR, min(soft - headroom, _FD_BUDGET_CEILING))
 
 
-#: Default concurrent-connection bound for the event-loop engine.  A
-#: connection here is a file descriptor and a buffer, not a thread, so the
-#: bound is probed from the process fd budget (:func:`probe_fd_budget`)
-#: rather than hardcoded -- on a typical 20k-fd container that lands well
-#: above the old 4096 constant and ~150x above the threaded engine's
-#: :data:`~repro.net.server.THREADED_MAX_CLIENTS`.
+#: Default concurrent-connection bound for the reactor engine.  A
+#: connection here is a file descriptor and buffers, not a thread, so the
+#: bound is probed from the process fd budget (:func:`probe_fd_budget`).
 ASYNC_MAX_CLIENTS = probe_fd_budget()
 
 #: Bytes pulled per socket read; one read may carry many pipelined requests.
 READ_CHUNK = 64 * 1024
 
+#: Unsent reply bytes above which the reactor stops reading from a peer
+#: (the transport high-water mark a stream writer's ``drain()`` waits on).
+WRITE_HIGH_WATER = 64 * 1024
 
-class _AsyncConnection:
-    """A connection's write side, as seen by the command core.
 
-    Fills the same role as the threaded server's ``_ConnectionContext``:
-    pub/sub fan-out calls :meth:`send` to push a frame at a subscriber.
-    All sends happen on the loop thread (fan-out runs inside a dispatch),
-    so no lock is needed -- the transport buffers the write.
-
-    Carries the connection's declared topology epoch exactly like the
-    threaded ``_ConnectionContext`` (set by the ``CEPOCH`` command).
+class _Connection:
+    """One accepted socket and what the reactor keeps for it -- the
+    ``connection`` the command core sees, like the threaded
+    ``_ConnectionContext``: pub/sub fan-out calls :meth:`send`, ``CEPOCH``
+    sets :attr:`cluster_epoch`.  Only the reactor thread touches it (fan-out
+    runs inside a dispatch), so it takes no lock.
     """
 
-    __slots__ = ("_writer", "cluster_epoch")
+    __slots__ = ("engine", "sock", "parser", "buffer", "unsent", "keep_open", "events",
+                 "cluster_epoch")
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
+    def __init__(self, engine: AsyncServerEngine, sock: socket.socket) -> None:
+        self.engine = engine
+        self.sock: socket.socket | None = sock  # None once closed
+        self.parser = protocol.CommandParser()
+        self.buffer = bytearray()
+        self.unsent = bytearray()
+        self.keep_open = True  # False: close once ``unsent`` is flushed
+        self.events = selectors.EVENT_READ
         self.cluster_epoch: int | None = None
 
     def send(self, frame: bytes) -> None:
-        if self._writer.is_closing():
-            raise OSError("connection is closing")
-        self._writer.write(frame)
+        if self.sock is None:
+            raise OSError("connection is closed")
+        self.engine._write(self, frame)
 
 
 class AsyncServerEngine:
-    """Run a threaded-server command core on an asyncio event loop.
+    """Run a threaded-server command core on a ``selectors`` reactor.
 
     Generic over the core: pass any constructed (but not started)
     :class:`~repro.net.server.StoreServer` (or subclass) instance.  The
@@ -151,10 +151,11 @@ class AsyncServerEngine:
 
     Lifecycle mirrors the threaded server: :meth:`start` binds and returns
     ``(host, port)``, :meth:`stop` tears everything down (idempotent; the
-    loop, its thread, the listener, and every live connection are released,
-    so the port is immediately reusable), :meth:`serve_forever` blocks
-    until shutdown.  ``STATS``, :attr:`obs`, and :meth:`stats_pairs` are
-    served by the core and report ``server.engine = async``.
+    reactor thread is joined and the listener, every live connection and
+    the selector are closed, so the port is immediately reusable),
+    :meth:`serve_forever` blocks until shutdown.  ``STATS``, :attr:`obs`,
+    and :meth:`stats_pairs` are served by the core and report
+    ``server.engine = async``.
     """
 
     engine = "async"
@@ -165,10 +166,13 @@ class AsyncServerEngine:
         core.carrier = self  # STATS reports this engine's label, bound and connections
         self._core = core
         self.max_clients = max_clients
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._selector: selectors.BaseSelector | None = None
+        self._listener: socket.socket | None = None
+        # stop() writes a byte into this pair to end a blocking select()
+        self._wake_pair: tuple[socket.socket, socket.socket] | None = None
         self._thread: threading.Thread | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
+        self._chunk = memoryview(bytearray(READ_CHUNK))
         self._lifecycle_lock = threading.Lock()
         self._started = False
         self._stopped = False
@@ -215,7 +219,7 @@ class AsyncServerEngine:
     def start(self) -> tuple[str, int]:
         """Bind, warm-load any snapshot, and begin serving.  Calling
         ``start`` on an already-running engine returns the bound address
-        instead of leaking a second loop."""
+        instead of starting a second reactor."""
         with self._lifecycle_lock:
             if self._started and not self._stopped:
                 assert self.address is not None
@@ -223,20 +227,19 @@ class AsyncServerEngine:
             if self._stopped:
                 raise ConfigurationError("engine already stopped; build a new one")
             self._started = True
-        import asyncio  # paid by a started engine, not by importing this module
-
         self._core.prepare()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="aio-server-loop", daemon=True
+        listener = socket.create_server(
+            (self._core.host, self._core.port), backlog=min(self.max_clients, 1024)
         )
+        listener.setblocking(False)
+        self._listener = listener
+        self.address = listener.getsockname()
+        self._wake_pair = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_pair[0], selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._run, name="aio-server-loop", daemon=True)
         self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self._open_listener(), self._loop)
-        try:
-            self.address = future.result(timeout=10)
-        except Exception:
-            self._teardown_loop()
-            raise
         if self.obs.enabled:
             self.obs.emit(
                 "aio_server_started",
@@ -247,25 +250,20 @@ class AsyncServerEngine:
         return self.address
 
     def stop(self) -> None:
-        """Stop accepting, drop every connection, tear the loop down.
-        Idempotent and callable from any thread (including, via a helper
-        thread, the loop thread itself -- the SHUTDOWN command path)."""
+        """Stop accepting, drop every connection, join the reactor thread.
+        Idempotent and callable from any thread (SHUTDOWN uses a helper)."""
         with self._lifecycle_lock:
             already = self._stopped or not self._started
             self._stopped = True
         self._core.stop()  # unblocks serve_forever(), closes cluster peers
         if already:
             return
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            import asyncio
-
-            future = asyncio.run_coroutine_threadsafe(self._close_all(), loop)
-            try:
-                future.result(timeout=5)
-            except Exception:  # noqa: BLE001 - teardown is best effort
-                pass
-        self._teardown_loop()
+        if self._wake_pair is not None:
+            with suppress(OSError):
+                self._wake_pair[1].send(b"\0")
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=5)
         if self.obs.enabled:
             self.obs.emit("aio_server_stopped")
 
@@ -280,121 +278,128 @@ class AsyncServerEngine:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Loop-side internals
+    # Reactor thread
     # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
-        import asyncio
-
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
+    def _run(self) -> None:
+        selector = self._selector
         try:
-            self._loop.run_forever()
-            # Drain whatever stop() left behind so the loop closes clean.
-            pending = asyncio.all_tasks(self._loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
+            while not self._stopped:  # the wake pair's byte only ends select()
+                for key, events in selector.select():
+                    connection = key.data
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif connection is not None and connection.sock is not None:
+                        self._serve_events(connection, events)
         finally:
-            self._loop.close()
+            for connection in list(self._connections):
+                self._close(connection)  # force-drop, like the threaded stop()
+            selector.close()
+            for sock in (self._listener, *self._wake_pair):
+                sock.close()
 
-    def _teardown_loop(self) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(loop.stop)
-            except RuntimeError:
-                pass  # loop already closed under us
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5)
-        self._server = None
-
-    async def _open_listener(self) -> tuple[str, int]:
-        import asyncio
-
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._core.host,
-            self._core.port,
-            backlog=min(self.max_clients, 1024),
-        )
-        return self._server.sockets[0].getsockname()
-
-    async def _close_all(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._connections):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()  # force-drop, like the threaded stop()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> None:
         core, obs = self._core, self._core.obs
-        if len(self._connections) >= self.max_clients:
-            writer.write(core.refuse())
-            if obs.enabled:
-                obs.inc("net.aio.rejected")
+        while True:
             try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
-            return
-        connection = _AsyncConnection(writer)
-        self._connections.add(writer)
-        core.connected()
-        if obs.enabled:
-            obs.gauge("net.aio.connections").inc()
-        try:
-            await self._connection_loop(reader, writer, connection)
-        finally:
-            core.disconnected(connection)
-            self._connections.discard(writer)
-            if obs.enabled:
-                obs.gauge("net.aio.connections").dec()
-            if not writer.is_closing():
-                writer.close()
-
-    async def _connection_loop(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        connection: _AsyncConnection,
-    ) -> None:
-        core, obs = self._core, self._core.obs
-        buffer = bytearray()
-        parser = protocol.CommandParser()
-        keep_open = True
-        while keep_open:
-            data = await reader.read(READ_CHUNK)
-            if not data:
-                return  # clean disconnect
-            buffer += data
-            replies, keep_open = core.serve_burst(parser, buffer, connection)
-            if replies:
-                if obs.enabled:
-                    obs.histogram("net.aio.batch").observe(len(replies))
-                    if len(replies) > 1:
-                        obs.inc("net.aio.pipelined", len(replies) - 1)
-                writer.write(b"".join(replies))
-                try:
-                    await writer.drain()  # backpressure: suspend this peer only
-                except (ConnectionError, OSError):
-                    return
-            if core.stopping.is_set():
-                # A SHUTDOWN command was dispatched on this loop; the
-                # engine must be stopped from *outside* the loop thread.
-                threading.Thread(target=self.stop, daemon=True).start()
+                sock, _peer = self._listener.accept()
+            except OSError:  # none left (BlockingIOError), or fd exhaustion
                 return
+            if len(self._connections) >= self.max_clients:
+                if obs.enabled:
+                    obs.inc("net.aio.rejected")
+                with suppress(OSError):
+                    sock.send(core.refuse())
+                sock.close()
+                continue
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(self, sock)
+            self._selector.register(sock, selectors.EVENT_READ, connection)
+            self._connections.add(connection)
+            core.connected()
+            if obs.enabled:
+                obs.gauge("net.aio.connections").inc()
+
+    def _serve_events(self, connection: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_WRITE:
+                self._flush(connection)
+            if events & selectors.EVENT_READ and connection.sock is not None:
+                self._read(connection)
+        except Exception:  # noqa: BLE001 - one failing connection must not end the reactor
+            sys.excepthook(*sys.exc_info())
+            self._close(connection)
+
+    def _read(self, connection: _Connection) -> None:
+        core, obs = self._core, self._core.obs
+        try:
+            received = connection.sock.recv_into(self._chunk)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(connection)
+            return
+        if not received:  # EOF: flush the replies owed, then close
+            connection.keep_open = False
+            self._flush(connection)
+            return
+        connection.buffer += self._chunk[:received]
+        replies, connection.keep_open = core.serve_burst(
+            connection.parser, connection.buffer, connection
+        )
+        if replies:
+            if obs.enabled:
+                obs.histogram("net.aio.batch").observe(len(replies))
+                if len(replies) > 1:
+                    obs.inc("net.aio.pipelined", len(replies) - 1)
+            self._write(connection, b"".join(replies))
+        if core.stopping.is_set():
+            # SHUTDOWN was dispatched here; stop() joins this thread, so run it elsewhere
+            threading.Thread(target=self.stop, daemon=True).start()
+
+    def _write(self, connection: _Connection, data: bytes) -> None:
+        if connection.sock is None:
+            return  # closed inside the burst (a failed push to itself)
+        connection.unsent += data
+        self._flush(connection)
+
+    def _flush(self, connection: _Connection) -> None:
+        """Send what the peer will take, then re-arm: write while bytes are
+        unsent, read while under the high-water mark, close a flushed end."""
+        unsent = connection.unsent
+        if unsent:
+            try:
+                sent = connection.sock.send(unsent)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                self._close(connection)
+                return
+            del unsent[:sent]
+        if not connection.keep_open and not unsent:
+            self._close(connection)
+            return
+        events = selectors.EVENT_WRITE if unsent else 0
+        if connection.keep_open and len(unsent) <= WRITE_HIGH_WATER:
+            events |= selectors.EVENT_READ
+        if events != connection.events:
+            self._selector.modify(connection.sock, events, connection)
+            connection.events = events
+
+    def _close(self, connection: _Connection) -> None:
+        sock, connection.sock = connection.sock, None
+        if sock is None:
+            return
+        self._selector.unregister(sock)
+        sock.close()
+        self._connections.discard(connection)
+        self._core.disconnected(connection)
+        if self._core.obs.enabled:
+            self._core.obs.gauge("net.aio.connections").dec()
 
 
 class AsyncCacheServer(AsyncServerEngine):
-    """Event-loop engine over an in-memory cache keyspace.
+    """Reactor engine over an in-memory cache keyspace.
 
     Drop-in for :class:`~repro.net.server.CacheServer`: same constructor
     surface (plus ``max_clients``), same lifecycle, same commands.
@@ -411,22 +416,17 @@ class AsyncCacheServer(AsyncServerEngine):
         obs: Observability | None = None,
     ) -> None:
         super().__init__(
-            CacheServer(
-                host,
-                port,
-                max_entries=max_entries,
-                snapshot_path=snapshot_path,
-                obs=obs,
-            ),
+            CacheServer(host, port, max_entries=max_entries,
+                        snapshot_path=snapshot_path, obs=obs),
             max_clients=max_clients,
         )
 
 
 class AsyncStoreServer(AsyncServerEngine):
-    """Event-loop engine hosting any :class:`~repro.kv.interface.KeyValueStore`.
+    """Reactor engine hosting any :class:`~repro.kv.interface.KeyValueStore`.
 
     Drop-in for :class:`~repro.net.server.StoreServer`.  Store operations
-    execute on the loop thread; a store with slow synchronous operations
+    execute on the reactor thread; a store with slow synchronous operations
     (e.g. ``fsync``-per-write) will stall every connection for their
     duration -- prefer the threaded engine for such backends, or batch via
     MSET/pipelining (see docs/serving.md).

@@ -493,19 +493,16 @@ class TestMemberNeverMovesBackwards:
         group.put("k", "v1")                         # c missed v1
         group.drain()
         members[2].heal()
-        c_has_v2 = threading.Event()
         landed_on_c = []
-
-        def record(key, raw):
-            landed_on_c.append(_unwrap(raw)[1])
-            on_value("v2", c_has_v2)(key, raw)
-
-        hooked[2].after_put = record
+        hooked[2].after_put = lambda key, raw: landed_on_c.append(_unwrap(raw)[1])
 
         def write_v2_mid_copy(key):
             hooked[0].after_get = hooked[1].after_get = None
             group.put("k", "v2")                     # lands on c before the copy
-            assert c_has_v2.wait(10)
+            # Wait for v2 on every member, trees included: a member still
+            # at v1 when the round reaches its pair with c would have v2
+            # copied forward to it, a repair this test would count.
+            assert group.drain(10)
 
         hooked[0].after_get = hooked[1].after_get = write_v2_mid_copy
         report = group.anti_entropy_round()          # copies the v1 it read

@@ -1,12 +1,14 @@
 """The serving engines behind one contract: every wire-visible behaviour
-tested here runs against BOTH the threaded server and the asyncio engine,
+tested here runs against BOTH the threaded server and the reactor engine,
 parametrized over ``engine`` -- the compatibility matrix docs/serving.md
-promises is enforced, not asserted.  Async-only lifecycle behaviour
-(idempotent stop, loop teardown, SHUTDOWN-from-the-wire, max_clients) has
-its own classes below."""
+promises is enforced, not asserted.  Async-only behaviour (idempotent
+stop, reactor teardown, SHUTDOWN-from-the-wire, max_clients, backpressure
+and leak-freedom) has its own classes below."""
 
 from __future__ import annotations
 
+import os
+import selectors
 import socket
 import threading
 import time
@@ -23,7 +25,7 @@ from repro.net import (
     ServerHandle,
     StoreServer,
 )
-from repro.net import protocol
+from repro.net import aio, protocol
 from repro.net.client import SubscriberClient
 from repro.net.protocol import WireError
 
@@ -104,6 +106,23 @@ class TestEngineContract:
         reply = c._roundtrip(["QUIT"])  # noqa: SLF001
         assert reply == protocol.SimpleString("OK")
         c.close()
+
+    def test_quit_flushes_replies_larger_than_one_send(self, server):
+        """QUIT pipelined behind ~8 MiB of replies: every reply, then +OK,
+        then EOF -- the connection closes only once its replies are out."""
+        value = bytes(range(256)) * 1024  # 256 KiB
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(protocol.encode_command(["SET", b"big", value]))
+        reader = protocol.FrameReader(sock.makefile("rb"))
+        assert reader.read_frame() == protocol.SimpleString("OK")
+        sock.sendall(
+            protocol.encode_command(["GET", b"big"]) * 32 + protocol.encode_command(["QUIT"])
+        )
+        for _ in range(32):
+            assert reader.read_frame() == value
+        assert reader.read_frame() == protocol.SimpleString("OK")
+        assert sock.recv(1) == b""
+        sock.close()
 
     def test_concurrent_clients(self, server):
         errors: list[Exception] = []
@@ -357,6 +376,129 @@ class TestAsyncLifecycle:
         assert snapshot["counters"]["server.cmd.set.calls"] >= 10
         c.close()
         srv.stop()
+
+
+class TestReactorEdges:
+    """What the reactor owes a peer that reads slowly or not at all."""
+
+    def test_backpressure_stops_reading_a_peer_that_never_reads(self):
+        """A peer pipelines GETs of 4 KiB values and never reads.  The
+        engine stops reading its requests, so the unsent replies stay under
+        the high-water mark plus one burst, and other clients are served."""
+        srv = AsyncCacheServer()
+        srv.start()
+        key, value = b"k" * 1000, b"v" * 4096
+        c = CacheClient(*srv.address)
+        c.set(key, value)
+        request = protocol.encode_command(["GET", key])
+        reply_size = len(protocol.encode_bulk(value))
+        one_burst = (aio.READ_CHUNK // len(request) + 1) * reply_size
+        peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+        peer.connect(srv.address)
+        peer.settimeout(0.5)
+        sent = 0
+        try:
+            while sent < 8000:  # 32 MiB of replies owed, far beyond any socket buffer
+                peer.sendall(request * 16)
+                sent += 16
+        except socket.timeout:
+            pass  # the engine stopped reading and every buffer is full
+        try:
+            assert sent < 8000, "the engine never stopped reading the peer"
+            [connection] = [x for x in srv._connections if x.unsent]  # noqa: SLF001
+            assert aio.WRITE_HIGH_WATER < len(connection.unsent) <= aio.WRITE_HIGH_WATER + one_burst
+            assert not connection.events & selectors.EVENT_READ
+            assert srv.commands_served - 1 < sent  # not every GET was read (1 is the SET)
+            assert c.ping()  # a second client is still answered
+        finally:
+            peer.close()
+            c.close()
+            srv.stop()
+
+    def test_publish_reaches_a_subscriber_with_unsent_bytes(self):
+        """PUBLISH to a subscriber whose earlier replies are still queued in
+        the engine: the message goes out after them, not lost or spliced."""
+        srv = AsyncCacheServer()
+        srv.start()
+        value = b"x" * 65536
+        publisher = CacheClient(*srv.address)
+        publisher.set(b"big", value)
+        sub = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sub.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        sub.connect(srv.address)
+        sub.settimeout(10)
+        reader = protocol.FrameReader(sub.makefile("rb"))
+        try:
+            sub.sendall(protocol.encode_command(["SUBSCRIBE", b"chan"]))
+            assert reader.read_frame()[0] == b"subscribe"
+            [connection] = srv.core._subscribers[b"chan"]  # noqa: SLF001
+            gets = 0
+            deadline = time.monotonic() + 5
+            while not connection.unsent and time.monotonic() < deadline:
+                sub.sendall(protocol.encode_command(["GET", b"big"]) * 8)
+                gets += 8
+                time.sleep(0.01)
+            assert connection.unsent, "the subscriber's replies never backed up"
+            assert publisher.publish(b"chan", b"payload") == 1
+            for _ in range(gets):
+                assert reader.read_frame() == value
+            assert reader.read_frame() == [b"message", b"chan", b"payload"]
+        finally:
+            sub.close()
+            publisher.close()
+            srv.stop()
+
+    def test_start_stop_cycles_leak_no_fd_or_thread(self):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+
+        def cycle() -> None:
+            srv = AsyncCacheServer()
+            srv.start()
+            c = CacheClient(*srv.address)
+            assert c.ping()
+            srv.stop()
+            c.close()
+
+        cycle()  # first use pays any lazy set-up
+        fds, threads = len(os.listdir("/proc/self/fd")), threading.active_count()
+        for _ in range(50):
+            cycle()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert threading.active_count() == threads
+
+    def test_a_started_and_served_engine_never_loads_asyncio(self, fresh_interpreter):
+        out = fresh_interpreter(
+            "import sys\n"
+            "from repro.net.aio import AsyncCacheServer\n"
+            "from repro.net.client import CacheClient\n"
+            "srv = AsyncCacheServer(); srv.start()\n"
+            "c = CacheClient(*srv.address); c.set(b'k', b'v'); assert c.get(b'k') == b'v'\n"
+            "c.close(); srv.stop()\n"
+            "print('asyncio' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
+
+    def test_a_failing_handler_drops_only_its_connection(self, capsys):
+        class BrokenStore(InMemoryStore):
+            def get(self, key):
+                raise RuntimeError("bug in the store")
+
+        srv = AsyncStoreServer(BrokenStore())
+        srv.start()
+        try:
+            broken = CacheClient(*srv.address)
+            with pytest.raises(StoreConnectionError):
+                broken.get(b"k")
+            broken.close()
+            c = CacheClient(*srv.address)
+            assert c.ping()
+            c.close()
+        finally:
+            srv.stop()
+        assert "bug in the store" in capsys.readouterr().err
 
 
 class TestMaxClients:
