@@ -92,6 +92,7 @@ def test_serving_curve(benchmark, collector, sweeps, engine):
     benchmark.group = "serving-async"
     benchmark.pedantic(lambda: None, rounds=1)
     collector.x_is_size[FIGURE] = False  # x is offered req/s, not bytes
+    collector.open_loop.add(FIGURE)  # the schedule sets the rate: no 1e3 / mean "throughput"
     for rate, result in sweeps[engine].items():
         # raw per-request samples: the collector derives p50/p95/p99 per x
         for latency in result.latencies:

@@ -149,6 +149,10 @@ class FigureCollector:
         self.notes: dict[str, str] = {}
         self.units: dict[str, str] = {}
         self.x_is_size: dict[str, bool] = {}
+        #: Latency figures whose JSON carries no derived throughput: in an
+        #: open loop the arrival schedule sets the rate, so ``1e3 / mean``
+        #: is inverse latency, not operations per second.
+        self.open_loop: set[str] = set()
 
     def record(self, figure: str, series: str, x: float, y_seconds: float) -> None:
         """Add one latency point (y in seconds; stored and reported as ms)."""
@@ -254,8 +258,8 @@ class FigureCollector:
         benchmark output without re-parsing gnuplot columns.
 
         Per series and x: sample count, mean/min/max and p50/p95/p99 over
-        the raw repeats, plus derived throughput (ops/s) for latency
-        figures.
+        the raw repeats, plus derived throughput (ops/s) for closed-loop
+        latency figures (not for those in :attr:`open_loop`).
         """
         series_out: dict[str, list[dict[str, object]]] = {}
         for name in sorted(series_map):
@@ -276,7 +280,7 @@ class FigureCollector:
                     "p95": percentile(samples, 0.95),
                     "p99": percentile(samples, 0.99),
                 }
-                if unit == "ms" and mean > 0:
+                if unit == "ms" and mean > 0 and figure not in self.open_loop:
                     point["throughput_ops_per_s"] = 1e3 / mean
                 points.append(point)
             series_out[name] = points

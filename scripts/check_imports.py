@@ -13,14 +13,20 @@ structural asserts only -- module sets, never wall-clock:
   ``cryptography``, no replication, cluster, UDSM, txn, delta, consistency,
   security or compression layer, and no wire client (``repro.net.client``:
   a member never dials its peers) -- nor any of :data:`START_ONLY`
-  (``argparse``, ``subprocess``).  A started async engine that has served
-  a request round still has no ``asyncio`` loaded;
+  (``argparse``, ``subprocess``) or :data:`FIRST_GETVER` (``hashlib``,
+  ``_hashlib``: Bloom keys hash on CPython's built-in SHA-256, so OpenSSL
+  is not mapped).  A started async engine that has served a request round
+  still has no ``asyncio`` loaded;
 * ``python -m repro.net.server --backend lsm``, with either engine, never
-  imports ``asyncio`` or a forbidden layer, from start-up through requests;
+  imports ``asyncio``, ``hashlib`` or a forbidden layer, from start-up
+  through requests;
 * a **served request imports nothing**: ``sys.modules`` is identical before
   and after a GET/SET/MGET/MSET/DEL/STATS round against a started
   ``StoreServer`` and ``AsyncStoreServer`` over an ``LSMStore`` -- laziness
   is paid at first attribute access on a package, never on a request path.
+  The one documented first-use import follows: a ``GETVER`` loads
+  ``hashlib`` for ``content_version``, and its reply must equal
+  ``hashlib.sha1(value).hexdigest()``.
 
 Every probe runs in a fresh interpreter.  Exit status 0 when every check
 holds; 1 otherwise.
@@ -28,6 +34,7 @@ holds; 1 otherwise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import select
@@ -68,6 +75,10 @@ WIRE_CLIENT = ("repro.net.client",)
 #: and the process launcher.
 START_ONLY = ("argparse", "subprocess")
 
+#: Loaded by a server only when it answers its first ``GETVER``
+#: (``content_version`` imports ``hashlib``, and with it OpenSSL).
+FIRST_GETVER = ("hashlib", "_hashlib")
+
 #: Seconds the server child gets to announce ``LISTENING``.
 STARTUP_TIMEOUT = 30
 
@@ -94,12 +105,16 @@ with tempfile.TemporaryDirectory() as root:
     deleted = client.delete(b"k1", b"k2")
     stats = client.stats()
     imported = sorted(set(sys.modules) - before)
+    client.set(b"k4", b"versioned")
+    getver = client.getver(b"k4")
+    getver_imported = sorted(set(sys.modules) - before - set(imported))
     client.close()
     server.stop()
     store.close()
 print(json.dumps({"imported": imported, "got": [None if v is None else v.decode() for v in got],
                   "deleted": deleted, "engine": stats.get("server.engine"),
-                  "asyncio": "asyncio" in sys.modules}))
+                  "asyncio": "asyncio" in sys.modules,
+                  "getver": getver, "getver_imported": getver_imported}))
 """
 
 
@@ -159,14 +174,14 @@ def check_serving_closure(errors: list[str]) -> None:
         count = len(_repro_modules(modules))
         _expect(errors, count <= SERVING_BUDGET,
                 f"{label}: {count} repro.* modules <= {SERVING_BUDGET}")
-        forbidden = _forbidden_in(modules, FORBIDDEN + WIRE_CLIENT + START_ONLY)
+        forbidden = _forbidden_in(modules, FORBIDDEN + WIRE_CLIENT + START_ONLY + FIRST_GETVER)
         _expect(errors, not forbidden,
-                f"{label}: no forbidden layer or start-only module loaded"
+                f"{label}: no forbidden layer, start-only module or hashlib loaded"
                 + (f" (found {forbidden})" if forbidden else ""))
 
 
 def check_server_module(errors: list[str]) -> None:
-    print("[3/4] `python -m repro.net.server --backend lsm` never imports asyncio")
+    print("[3/4] `python -m repro.net.server --backend lsm` never imports asyncio or hashlib")
     for engine in ("threaded", "async"):
         _check_server_child(errors, engine)
 
@@ -200,9 +215,9 @@ def _check_server_child(errors: list[str], engine: str) -> None:
                 if entry.startswith("import time:")]
     _expect(errors, "repro.lsm.store" in imported,
             f"{engine}: import log captured (repro.lsm.store seen)")
-    forbidden = _forbidden_in(imported, FORBIDDEN)
+    forbidden = _forbidden_in(imported, FORBIDDEN + FIRST_GETVER)
     _expect(errors, not forbidden,
-            f"{engine}: neither asyncio nor a forbidden layer in the child's import log, "
+            f"{engine}: neither asyncio, hashlib nor a forbidden layer in the child's import log, "
             "start-up through requests" + (f" (found {forbidden})" if forbidden else ""))
 
 
@@ -217,6 +232,11 @@ def check_request_round(errors: list[str]) -> None:
                 + (f" (imported {outcome['imported']})" if outcome["imported"] else ""))
         _expect(errors, not outcome["asyncio"],
                 f"{engine}: no asyncio in sys.modules after a started engine served the round")
+        _expect(errors, outcome["getver"] == hashlib.sha1(b"versioned").hexdigest(),
+                f"{engine}: GETVER answers hashlib.sha1(value).hexdigest()")
+        _expect(errors, "hashlib" in outcome["getver_imported"],
+                f"{engine}: the first GETVER is what loads hashlib "
+                f"(imported {outcome['getver_imported']})")
 
 
 def main() -> int:

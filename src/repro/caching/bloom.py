@@ -19,10 +19,19 @@ Properties of the classic Bloom filter apply:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from typing import Any, Iterator
+
+# CPython's built-in SHA-256, as ``random`` takes ``_sha512``: the digest is
+# hashlib's, but importing it does not map OpenSSL into a serving process.
+try:
+    from _sha256 import sha256 as _sha256  # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # CPython 3.12+
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 from ..errors import ConfigurationError
 from .interface import MISS, Cache
@@ -41,7 +50,7 @@ def key_hash(key: "str | bytes") -> tuple[int, int]:
     to :meth:`BloomFilter.might_contain_hash`.
     """
     data = key if isinstance(key, bytes) else key.encode("utf-8")
-    return _HASH_PAIR.unpack_from(hashlib.sha256(data).digest())
+    return _HASH_PAIR.unpack_from(_sha256(data).digest())
 
 
 class BloomFilter:

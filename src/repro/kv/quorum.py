@@ -105,6 +105,9 @@ _ENVELOPE_MARK = "__quorum_envelope__"
 #: unique "absent" sentinel (None is a legal stored value)
 _ABSENT = object()
 
+#: What one anti-entropy copy did: only a failed one defers convergence.
+_COPIED, _SKIPPED, _FAILED = "copied", "skipped", "failed"
+
 
 class VersionStamp(NamedTuple):
     """A per-key versioned timestamp: ``(counter, writer)``.
@@ -1149,17 +1152,20 @@ class QuorumReplicatedStore(_MemberGroup):
                     source, target = left, right
                 else:
                     source, target = right, left
-                if self._copy_entry(key, source, target):
+                outcome = self._copy_entry(key, source, target)
+                if outcome == _COPIED:
                     report.keys_repaired += 1
                     if self._members[target].name not in report.repaired_members:
                         report.repaired_members.append(self._members[target].name)
-                else:
+                elif outcome == _FAILED:
                     report.member_failures += 1
 
-    def _copy_entry(self, key: str, source: int, target: int) -> bool:
+    def _copy_entry(self, key: str, source: int, target: int) -> str:
         """Copy the authoritative copy of *key* from one member to another
-        (a write on the target's worker); ``True`` when the copy landed,
-        ``False`` when it failed or the target already held a newer write."""
+        (a write on the target's worker).  Returns :data:`_COPIED` when the
+        copy landed, :data:`_SKIPPED` when there was nothing to copy (the
+        target already held a newer write, or the source had lost the key)
+        and :data:`_FAILED` when a member could not be reached."""
         try:
             raw = self._members[source].get(key)
         except KeyNotFoundError:
@@ -1167,15 +1173,15 @@ class QuorumReplicatedStore(_MemberGroup):
             # member and forget the entry so the other side wins next round.
             with self._lock:
                 self._trees[source].discard(key)
-            return False
+            return _SKIPPED
         except DataStoreError:
-            return False
+            return _FAILED
         stamp, _value, tombstone = _unwrap(raw)
         try:
             copy = self._submit(target, self._apply, target, key, raw, stamp, tombstone)
-            return copy.result()
+            return _COPIED if copy.result() else _SKIPPED
         except DataStoreError:
-            return False
+            return _FAILED
 
     def rebuild_trees(self) -> int:
         """Full-scan fallback: rebuild every reachable member's tree.

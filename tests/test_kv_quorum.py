@@ -509,6 +509,8 @@ class TestMemberNeverMovesBackwards:
         group.drain()
         assert landed_on_c == ["v2"]                 # the older copy was skipped
         assert report.keys_repaired == 0
+        assert report.member_failures == 0           # skipped, not failed
+        assert report.converged is True
         assert group.get("k") == "v2"
         group.close()
 
