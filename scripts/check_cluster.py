@@ -6,7 +6,7 @@ Guards the headline promises of ``docs/cluster.md`` over real sockets:
 * a member serves only the keys it owns: a write for any other key, sent
   on a plain connection, is refused with ``-MOVED`` naming the owner and
   stores nothing anywhere; writes through the cluster client land only on
-  their owners;
+  their owners and read back -- keys that are not UTF-8 included;
 * the cluster client hash-routes every operation straight to the owning
   shard -- zero redirects while the topology is stable;
 * adding a shard **mid-traffic** loses nothing: every key written before
@@ -36,6 +36,11 @@ from repro.obs import EventLog, Observability  # noqa: E402
 
 KEYSPACE = 200
 
+#: Keys another client wrote as bytes that are not UTF-8, in the
+#: surrogate-escaped form ``repro.kv.interface.decode_key`` gives them.
+BINARY_KEYS = [raw.decode("utf-8", "surrogateescape")
+               for raw in (b"\xff-k", b"\xfe\xfd", b"bin\x80ary", b"\xc3(", b"\x80" * 8)]
+
 
 def _expect(errors: list[str], condition: bool, message: str) -> None:
     if not condition:
@@ -51,12 +56,13 @@ def _boot(obs: Observability | None = None) -> ClusterCoordinator:
 
 def check_non_owner_refuses_and_writes_land_on_owners() -> list[str]:
     """A non-owner refuses with -MOVED and stores nothing; writes through
-    the cluster client land only on their owners."""
+    the cluster client land only on their owners and read back.  The key
+    set includes keys that are not UTF-8."""
     errors: list[str] = []
     coordinator = _boot()
     try:
         topology = coordinator.topology
-        keys = [f"key-{i}" for i in range(KEYSPACE)]
+        keys = [f"key-{i}" for i in range(KEYSPACE)] + BINARY_KEYS
         foreign = [key for key in keys if topology.owner(key) != "shard-0"]
         with CacheClient(*topology.address("shard-0")) as plain:
             wrong = []
@@ -84,13 +90,17 @@ def check_non_owner_refuses_and_writes_land_on_owners() -> list[str]:
                 total += 1
                 if topology.owner(key) != name:
                     misplaced += 1
-        _expect(errors, total == KEYSPACE,
-                f"{total} keys stored for {KEYSPACE} written")
+        _expect(errors, total == len(keys),
+                f"{total} keys stored for {len(keys)} written")
         _expect(errors, misplaced == 0,
                 f"{misplaced} keys on non-owner shards after client writes")
         spread = [coordinator.store(name).size() for name in topology.members]
         _expect(errors, all(count > 0 for count in spread),
                 f"keys did not spread across every shard: {spread}")
+        with coordinator.client() as client:
+            readback = client.get_many(keys)
+        _expect(errors, readback == {key: {"n": i} for i, key in enumerate(keys)},
+                f"{len(keys) - len(readback)} of {len(keys)} keys did not read back")
     finally:
         coordinator.stop()
     return errors

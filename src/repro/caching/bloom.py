@@ -34,6 +34,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from ..errors import ConfigurationError
+from ..kv.interface import encode_key
 from .interface import MISS, Cache
 
 __all__ = ["BloomFilter", "BloomFrontedCache", "key_hash"]
@@ -49,7 +50,7 @@ def key_hash(key: "str | bytes") -> tuple[int, int]:
     probes many filters (one per SSTable) hashes once and passes the pair
     to :meth:`BloomFilter.might_contain_hash`.
     """
-    data = key if isinstance(key, bytes) else key.encode("utf-8")
+    data = key if isinstance(key, bytes) else encode_key(key)
     return _HASH_PAIR.unpack_from(_sha256(data).digest())
 
 

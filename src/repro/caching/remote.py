@@ -1,11 +1,13 @@
 """Remote-process cache (the paper's Redis/memcached role).
 
-Adapts a :class:`~repro.net.client.CacheClient` to the DSCL
-:class:`~repro.caching.interface.Cache` interface.  Values cross a
-serializer on every operation and a TCP round trip carries them to a cache
-server running in another process (possibly another machine) -- the two
-costs the paper identifies as the price of sharing a cache across clients
-(Section III, Figures 12/14/16/18).
+"Via the key-value interface, any data store can serve as a cache": this
+cache is :class:`~repro.caching.kvadapter.KeyValueStoreCache` over
+:class:`~repro.kv.remote.RemoteKeyValueStore`, the adapter that already maps
+keys and values onto the wire for the store role.  Values cross a serializer
+on every operation and a TCP round trip carries them to a cache server
+running in another process (possibly another machine) -- the two costs the
+paper identifies as the price of sharing a cache across clients (Section
+III, Figures 12/14/16/18).
 
 TTLs passed by :class:`~repro.caching.expiration.ExpiringCache` are *not*
 forwarded to the server: the paper is explicit that expiration must be
@@ -16,18 +18,18 @@ direct users of the protocol client.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
-
 from ..errors import StoreConnectionError
+from ..kv.remote import RemoteKeyValueStore
+from ..kv.wrappers import NamespacedStore
 from ..net.client import CacheClient
 from ..obs import Observability, resolve_obs
-from ..serialization import Serializer, default_serializer
-from .interface import MISS, Cache
+from ..serialization import Serializer
+from .kvadapter import KeyValueStoreCache
 
 __all__ = ["RemoteProcessCache"]
 
 
-class RemoteProcessCache(Cache):
+class RemoteProcessCache(KeyValueStoreCache):
     """DSCL cache backed by the remote cache server."""
 
     def __init__(
@@ -43,75 +45,24 @@ class RemoteProcessCache(Cache):
     ) -> None:
         """Connect to a cache server.
 
-        :param namespace: optional key prefix so several logical caches can
-            share one server (the paper's "shared by multiple clients").
+        :param namespace: optional key prefix (``namespace:``) so several
+            logical caches can share one server (the paper's "shared by
+            multiple clients"); ``clear`` and ``size`` then cover only this
+            namespace.  Unprefixed, ``clear`` flushes the whole server.
         :param client: reuse an existing connection instead of opening one;
             the cache then does not own (and will not close) it.
         :param obs: observability bundle; routes hit/miss counters into the
-            shared registry, wraps operations in ``cache.*`` spans, and --
-            when this cache opens its own connection -- times every TCP
-            round trip as a nested ``net.roundtrip`` span.
+            shared registry and -- when this cache opens its own
+            connection -- times every TCP round trip as a
+            ``net.roundtrip`` span.
         """
-        super().__init__()
-        self.name = name
-        self._obs = resolve_obs(obs)
-        if self._obs.enabled:
-            self.stats.bind(self._obs.registry, f"cache.{name}")
-        self._m_get = f"cache.{name}.get"
-        self._m_put = f"cache.{name}.put"
-        self._serializer = serializer if serializer is not None else default_serializer()
-        self._prefix = (namespace + ":").encode("utf-8") if namespace else b""
         self._owns_client = client is None
         self._client = client if client is not None else CacheClient(host, port, obs=obs)
-
-    # ------------------------------------------------------------------
-    def _wire_key(self, key: str) -> bytes:
-        return self._prefix + key.encode("utf-8")
-
-    def get(self, key: str) -> Any:
-        payload = self._client.get(self._wire_key(key))
-        if payload is None:
-            self.stats.record_miss()
-            return MISS
-        self.stats.record_hit()
-        return self._serializer.loads(payload)
-
-    def get_quiet(self, key: str) -> Any:
-        payload = self._client.get(self._wire_key(key))
-        if payload is None:
-            return MISS
-        return self._serializer.loads(payload)
-
-    def put(self, key: str, value: Any) -> None:
-        self._client.set(self._wire_key(key), self._serializer.dumps(value))
-        self.stats.record_put()
-
-    def delete(self, key: str) -> bool:
-        removed = self._client.delete(self._wire_key(key)) > 0
-        if removed:
-            self.stats.record_delete()
-        return removed
-
-    def clear(self) -> int:
-        """Drop this cache's namespace (or the whole server if unprefixed)."""
-        if not self._prefix:
-            count = self._client.dbsize()
-            self._client.flushall()
-            return count
-        mine = [k for k in self._client.keys() if k.startswith(self._prefix)]
-        if not mine:
-            return 0
-        return self._client.delete(*mine)
-
-    def size(self) -> int:
-        if not self._prefix:
-            return self._client.dbsize()
-        return sum(1 for k in self._client.keys() if k.startswith(self._prefix))
-
-    def keys(self) -> Iterator[str]:
-        for raw in self._client.keys():
-            if raw.startswith(self._prefix):
-                yield raw[len(self._prefix):].decode("utf-8")
+        store = RemoteKeyValueStore(host, port, name, serializer=serializer, client=self._client)
+        super().__init__(NamespacedStore(store, namespace) if namespace else store, name=name)
+        obs = resolve_obs(obs)
+        if obs.enabled:
+            self.stats.bind(obs.registry, f"cache.{name}")
 
     def close(self) -> None:
         if self._owns_client:

@@ -21,6 +21,7 @@ import hashlib
 from typing import Any, Iterator
 
 from ..errors import CacheError, ConfigurationError
+from ..kv.interface import encode_key
 from .interface import MISS, Cache
 
 __all__ = ["HashRing", "ShardedCache"]
@@ -39,7 +40,7 @@ class HashRing:
 
     @staticmethod
     def _hash(data: str) -> int:
-        return int.from_bytes(hashlib.sha1(data.encode("utf-8")).digest()[:8], "big")
+        return int.from_bytes(hashlib.sha1(encode_key(data)).digest()[:8], "big")
 
     # ------------------------------------------------------------------
     def add(self, member: str) -> None:

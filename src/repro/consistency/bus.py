@@ -13,6 +13,7 @@ import uuid
 from typing import Callable
 
 from ..errors import StoreConnectionError
+from ..kv.interface import decode_key, encode_key
 from ..net.client import CacheClient, SubscriberClient
 
 __all__ = ["InvalidationBus"]
@@ -71,13 +72,13 @@ class InvalidationBus:
 
     def publish(self, key: str) -> int:
         """Announce that *key* changed; returns subscribers reached."""
-        message = f"{self.origin_id}:{key}".encode("utf-8")
+        message = encode_key(f"{self.origin_id}:{key}")
         count = self._publisher.publish(self._channel, message)
         self.published += 1
         return count
 
     def _on_message(self, _channel: bytes, payload: bytes) -> None:
-        origin, _sep, key = payload.decode("utf-8", errors="replace").partition(":")
+        origin, _sep, key = decode_key(payload).partition(":")
         if origin == self.origin_id:
             return  # our own write; local cache is already correct
         self.received += 1

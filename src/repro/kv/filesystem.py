@@ -23,23 +23,19 @@ from typing import Any, Iterator
 from ..errors import DataStoreError, KeyNotFoundError, StoreClosedError
 from ..fsutil import fsync_dir
 from ..serialization import Serializer, default_serializer
-from .interface import KeyValueStore, content_version
+from .interface import KeyValueStore, content_version, decode_key, encode_key
 
 __all__ = ["FileSystemStore"]
 
-_SAFE_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
+_SAFE_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 _SUFFIX = ".kv"
 
 
 def _encode_key(key: str) -> str:
-    """Encode *key* into a safe, injective file name (without suffix)."""
-    out: list[str] = []
-    for ch in key:
-        if ch in _SAFE_CHARS and ch != "%":
-            out.append(ch)
-        else:
-            for byte in ch.encode("utf-8"):
-                out.append(f"%{byte:02X}")
+    """Encode *key* into a safe, injective file name (without suffix): each
+    byte of its :func:`~repro.kv.interface.encode_key` form that is not a
+    safe ASCII character becomes ``%XX``."""
+    out = [chr(byte) if byte in _SAFE_BYTES else f"%{byte:02X}" for byte in encode_key(key)]
     if not out:
         return "%00EMPTY"
     encoded = "".join(out)
@@ -61,9 +57,9 @@ def _decode_key(encoded: str) -> str:
             raw.extend(bytes.fromhex(encoded[i + 1 : i + 3]))
             i += 3
         else:
-            raw.extend(ch.encode("ascii"))
+            raw.append(ord(ch))
             i += 1
-    return raw.decode("utf-8")
+    return decode_key(bytes(raw))
 
 
 class FileSystemStore(KeyValueStore):

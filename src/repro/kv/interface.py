@@ -8,7 +8,10 @@ swap one store for another without source changes.
 
 Keys are strings.  Values are arbitrary Python objects; each backend decides
 how to persist them (typically through a pluggable
-:class:`~repro.serialization.Serializer`).
+:class:`~repro.serialization.Serializer`).  Where a key must become bytes --
+on the wire, on disk, in a hash -- every layer maps it through
+:func:`encode_key` / :func:`decode_key`, so every client and store agrees on
+which bytes a key names.
 
 Versioning and revalidation
 ---------------------------
@@ -28,7 +31,14 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import KeyNotFoundError
 
-__all__ = ["KeyValueStore", "NotModified", "NOT_MODIFIED", "content_version"]
+__all__ = [
+    "KeyValueStore",
+    "NotModified",
+    "NOT_MODIFIED",
+    "content_version",
+    "decode_key",
+    "encode_key",
+]
 
 
 class NotModified:
@@ -73,6 +83,19 @@ def content_version(payload: bytes) -> str:
     return hashlib.sha1(payload).hexdigest()
 
 
+def encode_key(key: str) -> bytes:
+    """The bytes a key names: UTF-8, with ``surrogateescape`` restoring the
+    original bytes of a key that :func:`decode_key` read from non-UTF-8
+    input.  A UTF-8 key's bytes are its plain UTF-8 encoding."""
+    return key.encode("utf-8", "surrogateescape")
+
+
+def decode_key(raw: bytes) -> str:
+    """The key some bytes name; lossless for any bytes, and the inverse of
+    :func:`encode_key`, so a key one client wrote is addressable by all."""
+    return raw.decode("utf-8", "surrogateescape")
+
+
 class KeyValueStore(ABC):
     """Abstract key-value data store.
 
@@ -84,6 +107,13 @@ class KeyValueStore(ABC):
     ``put_many`` into one transaction).
 
     Stores are context managers; leaving the ``with`` block closes the store.
+
+    Keys are any ``str`` whose :func:`encode_key` bytes exist: every valid
+    Unicode string, and the surrogate-escaped form of any byte string (a
+    key another client wrote as bytes that are not UTF-8).  Every bundled
+    store accepts them all except :class:`~repro.kv.sqlstore.SQLStore`,
+    whose ``TEXT`` column refuses a surrogate-escaped key with
+    :class:`~repro.errors.DataStoreError`.
     """
 
     #: Human-readable store name, used in monitoring and reports.

@@ -89,7 +89,7 @@ from ..obs import Observability, resolve_obs
 from ..udsm.futures import ListenableFuture
 from ..udsm.pool import ThreadPool
 from .deadline import current_deadline, expired
-from .interface import KeyValueStore
+from .interface import KeyValueStore, encode_key
 
 __all__ = [
     "VersionStamp",
@@ -171,7 +171,7 @@ def _unwrap(raw: Any) -> tuple[VersionStamp, Any, bool]:
 # ----------------------------------------------------------------------
 def _bucket_of(key: str, buckets: int) -> int:
     """Stable key -> bucket mapping (must agree across all members)."""
-    digest = hashlib.sha1(key.encode("utf-8", "surrogateescape")).digest()
+    digest = hashlib.sha1(encode_key(key)).digest()
     return int.from_bytes(digest[:8], "big") % buckets
 
 
@@ -184,7 +184,7 @@ def _entry_digest(key: str, stamp: VersionStamp, tombstone: bool) -> int:
     incrementally updatable in O(1) without rescanning the bucket.
     """
     payload = f"{key}\x00{stamp.counter}\x00{stamp.writer}\x00{int(tombstone)}"
-    digest = hashlib.sha1(payload.encode("utf-8", "surrogateescape")).digest()
+    digest = hashlib.sha1(encode_key(payload)).digest()
     return int.from_bytes(digest[:16], "big")
 
 

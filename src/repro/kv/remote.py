@@ -8,8 +8,10 @@ a full :class:`~repro.kv.interface.KeyValueStore` over our TCP cache server,
 with values crossing a serializer (Jedis-style), so reads and writes pay
 real IPC and serialization costs.
 
-The second role is played by :class:`repro.caching.remote.RemoteProcessCache`,
-which shares the same client.
+The second role is this store behind the cache interface:
+:class:`repro.caching.remote.RemoteProcessCache` is a ``KeyValueStoreCache``
+over it.  Keys cross the wire as their :func:`~repro.kv.interface.encode_key`
+bytes, so it addresses any key the server holds, whichever client wrote it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Any, Iterable, Iterator, Mapping
 from ..errors import KeyNotFoundError
 from ..net.client import CacheClient
 from ..serialization import Serializer, default_serializer
-from .interface import NOT_MODIFIED, KeyValueStore, NotModified, content_version
+from .interface import (
+    NOT_MODIFIED,
+    KeyValueStore,
+    NotModified,
+    content_version,
+    decode_key,
+    encode_key,
+)
 
 __all__ = ["RemoteKeyValueStore"]
 
@@ -48,18 +57,14 @@ class RemoteKeyValueStore(KeyValueStore):
         self._client = client if client is not None else CacheClient(host, port)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _encode_key(key: str) -> bytes:
-        return key.encode("utf-8")
-
     def get(self, key: str) -> Any:
-        payload = self._client.get(self._encode_key(key))
+        payload = self._client.get(encode_key(key))
         if payload is None:
             raise KeyNotFoundError(key, self.name)
         return self._serializer.loads(payload)
 
     def get_with_version(self, key: str) -> tuple[Any, str]:
-        payload = self._client.get(self._encode_key(key))
+        payload = self._client.get(encode_key(key))
         if payload is None:
             raise KeyNotFoundError(key, self.name)
         return self._serializer.loads(payload), content_version(payload)
@@ -70,12 +75,12 @@ class RemoteKeyValueStore(KeyValueStore):
         A match costs one round trip but transfers no payload -- the
         If-Modified-Since behaviour from Section III.
         """
-        current = self._client.getver(self._encode_key(key))
+        current = self._client.getver(encode_key(key))
         if current is None:
             raise KeyNotFoundError(key, self.name)
         if current == version:
             return NOT_MODIFIED
-        payload = self._client.get(self._encode_key(key))
+        payload = self._client.get(encode_key(key))
         if payload is None:  # deleted between the two commands
             raise KeyNotFoundError(key, self.name)
         return self._serializer.loads(payload), content_version(payload)
@@ -83,11 +88,11 @@ class RemoteKeyValueStore(KeyValueStore):
     def put(self, key: str, value: Any) -> None:
         # The same SET as put_with_version, minus the version-token hash
         # nobody asked for.
-        self._client.set(self._encode_key(key), self._serializer.dumps(value))
+        self._client.set(encode_key(key), self._serializer.dumps(value))
 
     def put_with_version(self, key: str, value: Any) -> str:
         payload = self._serializer.dumps(value)
-        self._client.set(self._encode_key(key), payload)
+        self._client.set(encode_key(key), payload)
         return content_version(payload)
 
     def get_many(self, keys: "Iterable[str]") -> dict[str, Any]:
@@ -95,7 +100,7 @@ class RemoteKeyValueStore(KeyValueStore):
         key_list = list(keys)
         if not key_list:
             return {}
-        payloads = self._client.mget([self._encode_key(key) for key in key_list])
+        payloads = self._client.mget([encode_key(key) for key in key_list])
         return {
             key: self._serializer.loads(payload)
             for key, payload in zip(key_list, payloads)
@@ -108,26 +113,25 @@ class RemoteKeyValueStore(KeyValueStore):
             return
         self._client.mset(
             {
-                self._encode_key(key): self._serializer.dumps(value)
+                encode_key(key): self._serializer.dumps(value)
                 for key, value in items.items()
             }
         )
 
     def delete(self, key: str) -> bool:
-        return self._client.delete(self._encode_key(key)) > 0
+        return self._client.delete(encode_key(key)) > 0
 
     def delete_many(self, keys: "Iterable[str]") -> int:
-        key_list = [self._encode_key(key) for key in keys]
+        key_list = [encode_key(key) for key in keys]
         if not key_list:
             return 0
         return self._client.delete(*key_list)
 
     def contains(self, key: str) -> bool:
-        return self._client.exists(self._encode_key(key))
+        return self._client.exists(encode_key(key))
 
     def keys(self) -> Iterator[str]:
-        for raw in self._client.keys():
-            yield raw.decode("utf-8")
+        return map(decode_key, self._client.keys())
 
     def size(self) -> int:
         return self._client.dbsize()

@@ -10,6 +10,11 @@ is a real SQL transaction with a commit (so the paper's observation that
 hands back the DB-API connection plus an :meth:`SQLStore.execute` helper as
 the SQL escape hatch.
 
+Keys live in a ``TEXT`` column, which holds valid UTF-8 only: a
+surrogate-escaped key (one another client wrote as bytes that are not
+UTF-8, see :func:`~repro.kv.interface.encode_key`) is refused with
+:class:`~repro.errors.DataStoreError` by every operation that binds it.
+
 sqlite connections are not thread-safe by default; this store serializes all
 access through one lock, which matches the single-client-thread usage in the
 paper's evaluation while staying safe under the UDSM's thread-pool async
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..errors import DataStoreError, KeyNotFoundError, StoreClosedError
 from ..serialization import Serializer, default_serializer
@@ -75,9 +80,20 @@ class SQLStore(KeyValueStore):
         if self._closed:
             raise StoreClosedError(f"store {self.name!r} is closed")
 
+    def _bind(self, run: Callable[..., sqlite3.Cursor], sql: str, params: Any) -> sqlite3.Cursor:
+        """``run(sql, params)``, turning sqlite's refusal to bind a key it
+        cannot encode into a typed error (and undoing any partial batch)."""
+        try:
+            return run(sql, params)
+        except UnicodeEncodeError as exc:
+            self._conn.rollback()
+            raise DataStoreError(
+                f"store {self.name!r} cannot hold a key that is not valid UTF-8: {exc.reason}"
+            ) from None
+
     def _fetch_payload(self, key: str) -> bytes:
-        row = self._conn.execute(
-            f"SELECT value FROM {self._table} WHERE key = ?", (key,)
+        row = self._bind(
+            self._conn.execute, f"SELECT value FROM {self._table} WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             raise KeyNotFoundError(key, self.name)
@@ -103,7 +119,8 @@ class SQLStore(KeyValueStore):
         payload = self._serializer.dumps(value)
         with self._lock:
             self._check_open()
-            self._conn.execute(
+            self._bind(
+                self._conn.execute,
                 f"INSERT INTO {self._table}(key, value) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
                 (key, payload),
@@ -116,7 +133,8 @@ class SQLStore(KeyValueStore):
         rows = [(key, self._serializer.dumps(value)) for key, value in items.items()]
         with self._lock:
             self._check_open()
-            self._conn.executemany(
+            self._bind(
+                self._conn.executemany,
                 f"INSERT INTO {self._table}(key, value) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
                 rows,
@@ -126,8 +144,8 @@ class SQLStore(KeyValueStore):
     def delete(self, key: str) -> bool:
         with self._lock:
             self._check_open()
-            cursor = self._conn.execute(
-                f"DELETE FROM {self._table} WHERE key = ?", (key,)
+            cursor = self._bind(
+                self._conn.execute, f"DELETE FROM {self._table} WHERE key = ?", (key,)
             )
             self._conn.commit()
             return cursor.rowcount > 0
@@ -145,7 +163,8 @@ class SQLStore(KeyValueStore):
         )
         with self._lock:
             self._check_open()
-            rows = self._conn.execute(
+            rows = self._bind(
+                self._conn.execute,
                 f"SELECT key FROM {self._table} WHERE key LIKE ? ESCAPE '\\'",
                 (escaped + "%",),
             ).fetchall()
@@ -154,8 +173,8 @@ class SQLStore(KeyValueStore):
     def contains(self, key: str) -> bool:
         with self._lock:
             self._check_open()
-            row = self._conn.execute(
-                f"SELECT 1 FROM {self._table} WHERE key = ? LIMIT 1", (key,)
+            row = self._bind(
+                self._conn.execute, f"SELECT 1 FROM {self._table} WHERE key = ? LIMIT 1", (key,)
             ).fetchone()
             return row is not None
 

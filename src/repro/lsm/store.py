@@ -74,7 +74,7 @@ from ..errors import (
     WalPoisonedError,
 )
 from ..fsutil import fsync_dir
-from ..kv.interface import KeyValueStore, content_version
+from ..kv.interface import KeyValueStore, content_version, decode_key, encode_key
 from ..obs import Observability, resolve_obs
 from ..serialization import Serializer, default_serializer
 from .compaction import InlineScheduler, SizeTieredPolicy, merge_runs, merge_tables
@@ -87,14 +87,6 @@ __all__ = ["LSMStore"]
 
 _SST_NAME = re.compile(r"^(\d{6})-(\d{3})\.sst$")
 _WAL_NAME = re.compile(r"^wal-(\d{6})\.log$")
-
-
-def _encode_key(key: str) -> bytes:
-    return key.encode("utf-8", errors="surrogateescape")
-
-
-def _decode_key(raw: bytes) -> str:
-    return raw.decode("utf-8", errors="surrogateescape")
 
 
 class LSMStore(KeyValueStore):
@@ -397,33 +389,33 @@ class LSMStore(KeyValueStore):
             )
 
     def get(self, key: str) -> Any:
-        return self._serializer.loads(self._read_payload(_encode_key(key), key))
+        return self._serializer.loads(self._read_payload(encode_key(key), key))
 
     def get_with_version(self, key: str) -> tuple[Any, str]:
-        payload = self._read_payload(_encode_key(key), key)
+        payload = self._read_payload(encode_key(key), key)
         return self._serializer.loads(payload), content_version(payload)
 
     def put(self, key: str, value: Any) -> None:
         # Same write path as put_with_version, minus the version-token
         # hash nobody asked for.
-        self._write(OP_PUT, [(_encode_key(key), self._serializer.dumps(value))])
+        self._write(OP_PUT, [(encode_key(key), self._serializer.dumps(value))])
 
     def put_with_version(self, key: str, value: Any) -> str:
         payload = self._serializer.dumps(value)
-        self._write(OP_PUT, [(_encode_key(key), payload)])
+        self._write(OP_PUT, [(encode_key(key), payload)])
         return content_version(payload)
 
     def put_many(self, items: Mapping[str, Any]) -> None:
         """All-or-error, one WAL commit per chunk; not atomic for readers, and
         a batch whose call did not return may survive a crash as a prefix."""
         dumps = self._serializer.dumps
-        self._write(OP_PUT, ((_encode_key(k), dumps(v)) for k, v in items.items()))
+        self._write(OP_PUT, ((encode_key(k), dumps(v)) for k, v in items.items()))
 
     def delete(self, key: str) -> bool:
-        return self._write(OP_DELETE, [(_encode_key(key), b"")]) == 1
+        return self._write(OP_DELETE, [(encode_key(key), b"")]) == 1
 
     def delete_many(self, keys: Iterable[str]) -> int:
-        return self._write(OP_DELETE, ((_encode_key(key), b"") for key in keys))
+        return self._write(OP_DELETE, ((encode_key(key), b"") for key in keys))
 
     def _write(self, op: int, records: Iterable[tuple[bytes, bytes]]) -> int:
         """The one mutation path: frame, chunk, commit, apply.
@@ -556,19 +548,19 @@ class LSMStore(KeyValueStore):
 
     def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
         keys = list(keys)
-        payloads = self._probe([_encode_key(key) for key in keys])
+        payloads = self._probe([encode_key(key) for key in keys])
         loads = self._serializer.loads
         return {k: loads(p) for k, p in zip(keys, payloads) if p is not None}
 
     def keys(self) -> Iterator[str]:
-        return map(_decode_key, self._merged_keys())
+        return map(decode_key, self._merged_keys())
 
     def keys_with_prefix(self, prefix: str) -> Iterator[str]:
         """Prefix scan by seeking every sorted run to *prefix* (no full scan)."""
-        return map(_decode_key, self._merged_keys(_encode_key(prefix)))
+        return map(decode_key, self._merged_keys(encode_key(prefix)))
 
     def contains(self, key: str) -> bool:
-        return self._probe((_encode_key(key),))[0] is not None
+        return self._probe((encode_key(key),))[0] is not None
 
     def close(self) -> None:
         with self._lock:

@@ -3,9 +3,11 @@
 The Python analogue of the Jedis client used in the paper's evaluation: a
 thin, thread-safe TCP client speaking the protocol in
 :mod:`repro.net.protocol`.  Values are raw ``bytes`` at this layer --
-serialization happens above, in :class:`repro.caching.remote.RemoteProcessCache`
-or :class:`repro.kv.wrappers.TransformingStore` -- so the per-byte IPC cost the
-paper measures is visible and attributable.
+serialization happens above, in :class:`repro.kv.remote.RemoteKeyValueStore`
+(which :class:`repro.caching.remote.RemoteProcessCache` puts behind the cache
+interface) -- so the per-byte IPC cost the paper measures is visible and
+attributable.  A ``str`` key or argument is sent as its
+:func:`~repro.kv.interface.encode_key` bytes.
 
 The client transparently reconnects once after a dropped connection (servers
 restart; long-lived applications should not fall over because of it), then

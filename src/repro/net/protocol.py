@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import BinaryIO, Sequence, Union
 
 from ..errors import ProtocolError
+from ..kv.interface import encode_key
 
 __all__ = [
     "NIL",
@@ -96,12 +97,13 @@ Frame = Union[SimpleString, bytes, int, _Nil, list, WireError]
 
 
 def encode_command(args: Sequence[bytes | str]) -> bytes:
-    """Encode a request: an array of bulk strings."""
+    """Encode a request: an array of bulk strings; a ``str`` argument is
+    sent as its :func:`~repro.kv.interface.encode_key` bytes."""
     if not args:
         raise ProtocolError("cannot encode an empty command")
     parts = [b"*%d\r\n" % len(args)]
     for arg in args:
-        data = arg.encode("utf-8") if isinstance(arg, str) else arg
+        data = encode_key(arg) if isinstance(arg, str) else arg
         parts.append(b"$%d\r\n" % len(data))
         parts.append(data)
         parts.append(_CRLF)

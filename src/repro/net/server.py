@@ -51,7 +51,7 @@ from ..errors import (
 )
 from ..obs import Observability
 from . import protocol
-from ..kv.interface import KeyValueStore, content_version
+from ..kv.interface import KeyValueStore, content_version, decode_key, encode_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import argparse
@@ -84,12 +84,6 @@ RECV_CHUNK = 16 * 1024
 _OK = protocol.encode_simple("OK")
 _NIL = protocol.encode_nil()
 _NOT_BYTES = protocol.encode_error("ERR stored value is not bytes")
-
-
-def _key(raw: bytes) -> str:
-    """Wire key -> store key (and cluster routing key).  ``surrogateescape``
-    is lossless, so one ``str``-keyed keyspace serves arbitrary binary keys."""
-    return raw.decode("utf-8", errors="surrogateescape")
 
 
 class _Entry:
@@ -204,7 +198,7 @@ class _CacheKeyspace(KeyValueStore):
         with self._lock:
             # Persist remaining TTL (monotonic clocks don't survive restarts).
             snapshot = {
-                key.encode("utf-8", errors="surrogateescape"): (
+                encode_key(key): (
                     entry.value,
                     None if entry.expires_at is None else max(0.0, entry.expires_at - now),
                 )
@@ -226,7 +220,7 @@ class _CacheKeyspace(KeyValueStore):
         with self._lock:
             for key, (value, remaining_ttl) in snapshot.items():
                 expires_at = None if remaining_ttl is None else now + remaining_ttl
-                self._data[_key(key)] = _Entry(value, expires_at)
+                self._data[decode_key(key)] = _Entry(value, expires_at)
 
 
 #: Which arguments of a command are routing keys (a slice of its arguments).
@@ -596,7 +590,7 @@ class StoreServer:
         return protocol.encode_simple("PONG")
 
     def _cmd_get(self, args, connection):
-        value = self._store.get_or_default(_key(args[0]))
+        value = self._store.get_or_default(decode_key(args[0]))
         if value is None:
             return _NIL
         if not isinstance(value, (bytes, bytearray)):
@@ -604,7 +598,7 @@ class StoreServer:
         return protocol.encode_bulk(bytes(value))
 
     def _cmd_set(self, args, connection):
-        self._store.put(_key(args[0]), args[1])
+        self._store.put(decode_key(args[0]), args[1])
         return _OK
 
     def _cmd_setex(self, args, connection):
@@ -614,16 +608,16 @@ class StoreServer:
             ttl = 0.0
         if ttl <= 0:
             return protocol.encode_error("ERR invalid TTL")
-        self._store.put(_key(args[0]), args[2], ttl=ttl)
+        self._store.put(decode_key(args[0]), args[2], ttl=ttl)
         return _OK
 
     def _cmd_del(self, args, connection):
-        removed = self._store.delete_many([_key(key) for key in args])
+        removed = self._store.delete_many([decode_key(key) for key in args])
         return protocol.encode_integer(removed)
 
     def _cmd_mget(self, args, connection):
         """Fetch many keys in one round trip; absent keys come back nil."""
-        keys = [_key(key) for key in args]
+        keys = [decode_key(key) for key in args]
         found = self._store.get_many(keys)
         frames = []
         for key in keys:
@@ -637,17 +631,17 @@ class StoreServer:
     def _cmd_mset(self, args, connection):
         """Store many (key, value) pairs in one round trip."""
         self._store.put_many(
-            {_key(args[index]): args[index + 1] for index in range(0, len(args), 2)}
+            {decode_key(args[index]): args[index + 1] for index in range(0, len(args), 2)}
         )
         return _OK
 
     def _cmd_exists(self, args, connection):
-        present = self._store.contains(_key(args[0]))
+        present = self._store.contains(decode_key(args[0]))
         return protocol.encode_integer(1 if present else 0)
 
     def _cmd_keys(self, args, connection):
         frames = [
-            protocol.encode_bulk(key.encode("utf-8", errors="surrogateescape"))
+            protocol.encode_bulk(encode_key(key))
             for key in self._store.keys()
         ]
         return protocol.encode_array(frames)
@@ -660,11 +654,11 @@ class StoreServer:
         return _OK
 
     def _cmd_ttl(self, args, connection):
-        return protocol.encode_integer(self._store.ttl(_key(args[0])))
+        return protocol.encode_integer(self._store.ttl(decode_key(args[0])))
 
     def _cmd_getver(self, args, connection):
         """Version token for a key (content hash) -- used for revalidation."""
-        value = self._store.get_or_default(_key(args[0]))
+        value = self._store.get_or_default(decode_key(args[0]))
         if value is None:
             return _NIL
         if not isinstance(value, (bytes, bytearray)):
@@ -930,7 +924,7 @@ class _ClusterRouter:
         or ``None`` when it owns them all (an arity error included: no keys,
         so the local handler reports it)."""
         for key in keys:
-            owner = topology.owner(_key(key))
+            owner = topology.owner(decode_key(key))
             if owner != self.self_name:
                 host, port = topology.address(owner)
                 if self._server.obs.enabled:

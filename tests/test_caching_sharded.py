@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import hashlib
+
 import pytest
 
 from repro.caching import HashRing, InProcessCache, MISS, ShardedCache
@@ -71,6 +74,30 @@ class TestHashRing:
     def test_invalid_replicas(self):
         with pytest.raises(ConfigurationError):
             HashRing(replicas=0)
+
+    def test_placement_of_utf8_keys_is_sha1_of_their_utf8_bytes(self):
+        """Ring placement (and so cluster ownership) of a UTF-8 key is
+        pinned to SHA-1 over its UTF-8 bytes: moving it would strand every
+        key a running cluster holds."""
+
+        def position(text: str) -> int:
+            return int.from_bytes(hashlib.sha1(text.encode("utf-8")).digest()[:8], "big")
+
+        members = ("s1", "s2", "s3")
+        ring = HashRing(replicas=16)
+        for member in members:
+            ring.add(member)
+        reference = sorted((position(f"{m}#{r}"), m) for m in members for r in range(16))
+        for i in range(200):
+            key = f"key-{i}-ключ-{'鍵' * (i % 3)}"
+            index = bisect.bisect_left(reference, (position(key), "")) % len(reference)
+            assert ring.locate(key) == reference[index][1], key
+
+    def test_surrogate_escaped_key_is_placed(self):
+        ring = HashRing()
+        ring.add("s1")
+        ring.add("s2")
+        assert ring.locate("\udcff\udcfe-k") in ("s1", "s2")
 
 
 class TestShardedCache:

@@ -245,6 +245,21 @@ class TestWireCluster:
             assert moved == (engine_cluster.epoch, owner, *topology.address(owner))
             assert client.last_epoch is None
 
+    def test_non_utf8_key_is_routed_and_the_connection_lives(self, engine_cluster):
+        """A member routes a key that is not UTF-8 like any other -- served
+        if it owns it, ``-MOVED`` otherwise -- and keeps serving the
+        connection."""
+        topology = engine_cluster.topology
+        for raw in (b"\xff-k", b"\xfe\xfd", b"bin\x80ary"):  # owned by shard-1, 0, 1
+            owner = topology.owner(raw.decode("utf-8", "surrogateescape"))
+            with CacheClient(*topology.address("shard-0")) as client:
+                reply = client.call([b"SET", raw, b"v"])
+                if owner == "shard-0":
+                    assert reply == "OK"
+                else:
+                    assert parse_moved(str(reply)).shard == owner
+                assert client.ping()
+
     def test_cross_shard_mset_to_a_non_owner_writes_nothing(self, engine_cluster):
         keys = self.spanning_keys(engine_cluster.topology)
         with CacheClient(*engine_cluster.topology.address("shard-0")) as client:

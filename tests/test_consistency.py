@@ -129,6 +129,19 @@ class TestInvalidationBus:
         bus_a.close()
         bus_b.close()
 
+    def test_surrogate_escaped_key_delivered_unchanged(self, cache_server):
+        """A key read off the wire as non-UTF-8 bytes reaches peers as the
+        same ``str``, so they invalidate the entry it names."""
+        bus_a = InvalidationBus(cache_server.host, cache_server.port, channel="t3", origin_id="A")
+        bus_b = InvalidationBus(cache_server.host, cache_server.port, channel="t3", origin_id="B")
+        seen = []
+        bus_b.start()
+        bus_b.add_listener(lambda key, origin: seen.append(key))
+        bus_a.publish("\udcff\udcfe-k")
+        assert wait_for(lambda: seen == ["\udcff\udcfe-k"])
+        bus_a.close()
+        bus_b.close()
+
 
 class TestCoherentClient:
     def make_pair(self, cache_server, shared_store, channel):

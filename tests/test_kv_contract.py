@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import KeyNotFoundError
-from repro.kv import NOT_MODIFIED
+from repro.errors import DataStoreError, KeyNotFoundError
+from repro.kv import NOT_MODIFIED, SQLStore
 
 
 class TestBasicOperations:
@@ -50,6 +50,16 @@ class TestBasicOperations:
         for key in ("héllo", "a/b\\c", "sp ace", "dot.", "%41", "日本語"):
             any_store.put(key, key.upper())
             assert any_store.get(key) == key.upper()
+        # A key another client wrote as bytes that are not UTF-8, in the
+        # surrogate-escaped form ``repro.kv.interface.decode_key`` gives it.
+        escaped = "\udcff\udcfe-escaped"
+        if isinstance(any_store, SQLStore):  # a TEXT column holds UTF-8 only
+            with pytest.raises(DataStoreError):
+                any_store.put(escaped, b"v")
+            return
+        any_store.put(escaped, b"v")
+        assert any_store.get(escaped) == b"v"
+        assert escaped in set(any_store.keys())
 
     def test_empty_bytes_value(self, any_store):
         any_store.put("k", b"")

@@ -32,6 +32,31 @@ class TestKeyEncoding:
             assert not encoded.startswith(".")
 
 
+    @pytest.mark.parametrize(
+        "key, name",
+        [
+            ("héllo", "h%C3%A9llo"),
+            ("a/b\\c", "a%2Fb%5Cc"),
+            ("sp ace", "sp%20ace"),
+            ("dot.", "dot."),
+            ("%41", "%2541"),
+            ("日本語", "%E6%97%A5%E6%9C%AC%E8%AA%9E"),
+            ("", "%00EMPTY"),
+            (".hidden", "%2Ehidden"),
+        ],
+    )
+    def test_file_names_are_pinned(self, key, name):
+        """Existing stores keep addressing their files: a UTF-8 key's name
+        percent-encodes its UTF-8 bytes, as it always has."""
+        assert _encode_key(key) == name
+        assert _decode_key(name) == key
+
+    def test_surrogate_escaped_key_names_its_original_bytes(self):
+        key = b"\xff\xfe-k".decode("utf-8", "surrogateescape")
+        assert _encode_key(key) == "%FF%FE-k"
+        assert _decode_key("%FF%FE-k") == key
+
+
 class TestDiskBehaviour:
     def test_one_file_per_key(self, tmp_path):
         store = FileSystemStore(tmp_path)

@@ -8,6 +8,9 @@ import pytest
 
 from repro.errors import DataStoreError, StoreClosedError
 from repro.kv import SQLStore
+from repro.net.client import CacheClient
+from repro.net.protocol import WireError
+from repro.net.server import build_server
 
 
 class TestNativeEscapeHatch:
@@ -30,6 +33,41 @@ class TestNativeEscapeHatch:
         sql_store.put("kv-key", "kv-value")
         assert sql_store.execute("SELECT label FROM custom") == [("row",)]
         assert sql_store.get("kv-key") == "kv-value"
+
+
+class TestKeysThatAreNotUtf8:
+    """A TEXT column holds UTF-8 only: a surrogate-escaped key is refused
+    with a typed error, not a ``UnicodeEncodeError``."""
+
+    KEY = b"\xff-k".decode("utf-8", "surrogateescape")
+
+    @pytest.mark.parametrize("op", ["put", "get", "contains", "delete", "keys_with_prefix"])
+    def test_refused_with_data_store_error(self, sql_store, op):
+        args = (self.KEY, b"v") if op == "put" else (self.KEY,)
+        with pytest.raises(DataStoreError) as raised:
+            getattr(sql_store, op)(*args)
+        assert type(raised.value) is DataStoreError
+
+    def test_batch_with_one_such_key_stores_nothing(self, sql_store):
+        with pytest.raises(DataStoreError):
+            sql_store.put_many({"a": 1, self.KEY: 2, "b": 3})
+        assert sql_store.size() == 0
+        sql_store.put("c", 4)
+        assert list(sql_store.keys()) == ["c"]
+
+    @pytest.mark.parametrize("engine", ["threaded", "async"])
+    def test_server_answers_err_and_keeps_the_connection(self, sql_store, engine):
+        server = build_server(engine, sql_store)
+        try:
+            with CacheClient(*server.start()) as client:
+                reply = client.call([b"SET", b"\xff-k", b"v"])
+                assert isinstance(reply, WireError)
+                assert str(reply).startswith("ERR DataStoreError: ")
+                assert client.ping()
+                client.set(b"k", b"v")
+                assert client.get(b"k") == b"v"
+        finally:
+            server.stop()
 
 
 class TestConfiguration:
