@@ -128,12 +128,15 @@ def scripted_names() -> set[str]:
     ``LSMStore`` through flush, compaction, a failed flush, recovery and a
     poisoned WAL; a threaded server over that store answering ``STATS``,
     an unknown command and a refused connection, through an observed
-    ``CacheClient``; and an ``AnomalyEngine`` on an injected clock through
-    one detect -> engage -> clear -> revert cycle over the SSTable gauge.
+    ``CacheClient``; an observed ``ClusterStoreClient`` over two in-thread
+    members through one ``-MOVED`` and the topology refresh it triggers; and
+    an ``AnomalyEngine`` on an injected clock through one detect -> engage ->
+    clear -> revert cycle over the SSTable gauge.
     """
     import check_instrumentation as checked
 
     from repro import EnhancedDataStoreClient, InMemoryStore, LSMStore
+    from repro.cluster import ClusterCoordinator, ClusterStoreClient
     from repro.compression import GzipCompressor
     from repro.errors import CircuitOpenError, DataStoreError, DeadlineExceededError
     from repro.kv import CircuitBreakerStore, FlakyStore, RetryingStore, deadline_scope
@@ -264,6 +267,21 @@ def scripted_names() -> set[str]:
         finally:
             wal_module._fsync = saved_fsync
         store.close()
+
+    # Bootstrapped on member "a", the client reads a key that "b" took
+    # over: "a" answers -MOVED and the client refreshes its topology.
+    with ClusterCoordinator() as coordinator:
+        coordinator.add_shard("a", InMemoryStore())
+        routed = ClusterStoreClient(coordinator.seeds, obs=obs)
+        routed.put_many({f"c{index}": index for index in range(20)})
+        before = coordinator.topology
+        coordinator.add_shard("b", InMemoryStore())
+        moved = next(
+            key for key in (f"c{index}" for index in range(20))
+            if coordinator.topology.owner(key) != before.owner(key)
+        )
+        routed.get(moved)
+        routed.close()
 
     # Manual polls; each reads the next tick of the injected clock.
     engine = AnomalyEngine(obs, clock=itertools.count(1.0).__next__)

@@ -8,16 +8,19 @@ fault-tolerance plane must (a) emit its documented metric vocabulary --
 :class:`repro.errors.DataStoreError` subclass, never a bare exception.
 
 Like ``check_instrumentation.py``, the check *drives* the real wrappers
-end to end (breaker lifecycle, deadline expiry, hedged read, a client's
-stale serve, UDSM health routing) with injected clocks -- the stale serve
-moves its cached entry's expiry back instead -- so it cannot drift from the
-implementation and completes without any real sleeping.
+end to end (breaker lifecycle, deadline expiry -- in a retry ladder, and
+on the wire before a pipeline or a cluster connection writes a byte --
+hedged read, a client's stale serve, UDSM health routing) with injected
+clocks -- the stale serve moves its cached entry's expiry back instead --
+so it cannot drift from the implementation and completes without any real
+sleeping.
 
 Exit status 0 when every scenario holds; 1 otherwise.
 """
 
 from __future__ import annotations
 
+import socket
 import sys
 import time
 from pathlib import Path
@@ -40,6 +43,7 @@ from repro.kv import (  # noqa: E402
     RetryingStore,
     deadline_scope,
 )
+from repro.net.client import CacheClient, ClusterAwareClient  # noqa: E402
 from repro.net.latency import VirtualClock  # noqa: E402
 from repro.obs import EventLog, Observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
@@ -127,6 +131,56 @@ def check_deadline_budget() -> list[str]:
     _expect(errors, store.retries < 49, "deadline did not cut the retry ladder short")
     expired = registry.counter("kv.deadline.expired").value
     _expect(errors, expired >= 1, f"kv.deadline.expired == {expired}, want >= 1")
+    return errors
+
+
+def _bytes_received(listener: socket.socket) -> bytes:
+    """Everything clients sent to *listener* so far, without waiting."""
+    listener.setblocking(False)
+    received = b""
+    while True:
+        try:
+            conn, _ = listener.accept()
+        except BlockingIOError:
+            return received
+        with conn:
+            conn.setblocking(False)
+            try:
+                received += conn.recv(65536)
+            except BlockingIOError:
+                pass
+
+
+def check_wire_deadline() -> list[str]:
+    """Under a spent budget, a pipeline and a cluster client's first
+    connect must fail typed before a byte reaches the wire."""
+    errors: list[str] = []
+    clock = VirtualClock()
+    listener = socket.create_server(("127.0.0.1", 0), backlog=8)
+    host, port = listener.getsockname()[:2]
+    cases = [
+        ("pipeline", CacheClient, lambda client: client.pipeline().get(b"k").execute()),
+        ("cluster connect", ClusterAwareClient, lambda client: client.ping()),
+    ]
+    try:
+        for label, make, call in cases:
+            client = make(host, port, operation_timeout=1.0)
+            with deadline_scope(0.5, clock=clock.time):
+                clock.advance(1.0)
+                try:
+                    call(client)
+                    errors.append(f"{label} under a spent deadline returned")
+                except DeadlineExceededError:
+                    pass
+                except Exception as exc:
+                    errors.append(
+                        f"{label}: expected DeadlineExceededError, got {type(exc).__name__}"
+                    )
+            client.close()
+            sent = _bytes_received(listener)
+            _expect(errors, sent == b"", f"{label} wrote {len(sent)} bytes under a spent deadline")
+    finally:
+        listener.close()
     return errors
 
 
@@ -237,6 +291,7 @@ def check_health_routing() -> list[str]:
 CHECKS = [
     ("breaker lifecycle", check_breaker_lifecycle),
     ("deadline budget", check_deadline_budget),
+    ("deadline on the wire", check_wire_deadline),
     ("hedged read", check_hedged_read),
     ("serve-stale", check_serve_stale),
     ("health routing", check_health_routing),

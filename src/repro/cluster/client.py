@@ -41,6 +41,23 @@ Address = tuple[str, int]
 MAX_REDIRECTS = 3
 
 
+def _by_owner(keys: list[str]):
+    """A routing plan: *keys* grouped by owner address."""
+
+    def plan(topology: ClusterTopology) -> dict[Address, list[str]]:
+        groups: dict[Address, list[str]] = {}
+        for key in keys:
+            groups.setdefault(topology.address(topology.owner(key)), []).append(key)
+        return groups
+
+    return plan
+
+
+def _every_member(topology: ClusterTopology) -> dict[Address, None]:
+    """A routing plan: one step on every member."""
+    return {topology.address(name): None for name in topology.members}
+
+
 class ClusterStoreClient(KeyValueStore):
     """One key-value namespace over many shards, routed client-side.
 
@@ -72,7 +89,7 @@ class ClusterStoreClient(KeyValueStore):
         self._obs = resolve_obs(obs)
         self._coordinator = coordinator
         self._lock = threading.Lock()
-        self._conns: dict[Address, ClusterAwareClient] = {}
+        #: One store per member address, over its own ClusterAwareClient.
         self._stores: dict[Address, RemoteKeyValueStore] = {}
         self._closed = False
         #: MOVED redirects followed (stale routing table moments).
@@ -100,7 +117,7 @@ class ClusterStoreClient(KeyValueStore):
         change: convergence must not cost a single reconnect.
         """
         with self._lock:
-            return sum(conn.reconnects for conn in self._conns.values())
+            return sum(store.native().reconnects for store in self._stores.values())
 
     # ------------------------------------------------------------------
     # Connections and routing
@@ -109,47 +126,34 @@ class ClusterStoreClient(KeyValueStore):
         topology = self._topology
         return 0 if topology is None else topology.epoch
 
-    def _connection(self, address: Address) -> ClusterAwareClient:
+    def _store_at(self, address: Address) -> RemoteKeyValueStore:
         with self._lock:
             if self._closed:
                 raise StoreConnectionError("cluster client is closed")
-            conn = self._conns.get(address)
-            if conn is None:
-                conn = self._conns[address] = ClusterAwareClient(
+            store = self._stores.get(address)
+            if store is None:
+                conn = ClusterAwareClient(
                     address[0],
                     address[1],
                     epoch_source=self._current_epoch,
                     connect_timeout=self._connect_timeout,
                     operation_timeout=self._operation_timeout,
                 )
-                self._stores[address] = RemoteKeyValueStore(
+                store = self._stores[address] = RemoteKeyValueStore(
                     address[0],
                     address[1],
                     name=f"{self.name}@{address[0]}:{address[1]}",
                     serializer=self._serializer,
                     client=conn,
                 )
-            return conn
-
-    def _store_at(self, address: Address) -> RemoteKeyValueStore:
-        self._connection(address)
-        with self._lock:
-            return self._stores[address]
+            return store
 
     def _drop_connection(self, address: Address) -> None:
         """Forget a dead member's connection so nothing retries through it."""
         with self._lock:
-            conn = self._conns.pop(address, None)
-            self._stores.pop(address, None)
-        if conn is not None:
-            conn.close()
-
-    def _address_for(self, key: str) -> Address:
-        """The owner of *key* under the client's routing table."""
-        topology = self._topology
-        if self._obs.enabled:
-            self._obs.inc("cluster.client.routed")
-        return topology.address(topology.owner(key))
+            store = self._stores.pop(address, None)
+        if store is not None:
+            store.native().close()
 
     # ------------------------------------------------------------------
     # Topology maintenance
@@ -160,14 +164,14 @@ class ClusterStoreClient(KeyValueStore):
         if prefer is not None:
             candidates.append(prefer)
         with self._lock:
-            known = list(self._conns)
+            known = list(self._stores)
         for address in known + self._seeds:
             if address not in candidates:
                 candidates.append(address)
         last_error: Exception | None = None
         for address in candidates:
             try:
-                frame = self._connection(address).call(["TOPOLOGY"])
+                frame = self._store_at(address).native().call(["TOPOLOGY"])
             except (StoreConnectionError, ProtocolError) as exc:
                 last_error = exc
                 self._drop_connection(address)
@@ -190,8 +194,10 @@ class ClusterStoreClient(KeyValueStore):
                 return current  # a concurrent refresh already learned more
             self._topology = topology
             members = {topology.address(name) for name in topology.members}
-            departed = [addr for addr in self._conns if addr not in members]
-            conns = [conn for addr, conn in self._conns.items() if addr in members]
+            departed = [addr for addr in self._stores if addr not in members]
+            conns = [
+                store.native() for addr, store in self._stores.items() if addr in members
+            ]
         for address in departed:
             self._drop_connection(address)
         self.refreshes += 1
@@ -211,153 +217,88 @@ class ClusterStoreClient(KeyValueStore):
             self._obs.gauge("cluster.client.epoch").set(epoch)
             self._obs.emit("topology_refreshed", name=self.name, epoch=epoch)
 
-    def _is_stale(self, address: Address) -> bool:
-        """Has the member at *address* piggybacked a newer epoch than ours?"""
-        with self._lock:
-            conn = self._conns.get(address)
-        seen = None if conn is None else conn.last_epoch
-        return seen is not None and seen > self._current_epoch()
-
-    def _observe_reply_epoch(self, address: Address) -> None:
-        """React to a piggybacked epoch: newer than ours -> refresh now."""
-        if self._is_stale(address):
-            self._refresh_topology(prefer=address)
-
-    def _note_redirect(self) -> None:
-        self.redirects += 1
-        if self._obs.enabled:
-            self._obs.inc("cluster.client.redirects")
-
     # ------------------------------------------------------------------
-    # The routed-operation engine
+    # The routing loop
     # ------------------------------------------------------------------
-    def _execute(self, key: str, op):
-        """Run *op* against the store the routing table points at, following
-        MOVED redirects (each one refreshes the topology) up to the bound.
-        A dead member (shard removed, server gone) drops its connection and
-        refreshes the topology instead of failing the operation."""
-        address: Address | None = None
+    def _route(self, plan, op) -> list:
+        """Run ``op(store, part)`` for each ``address -> part`` step that
+        ``plan(topology)`` maps the routing table to; one result per step.
+
+        What a member answers decides what happens next:
+
+        * ``-MOVED``: refresh the topology, asking the named member first,
+          and re-run the plan (a refresh no member answers raises);
+        * a dead member (shard removed, server gone): forget its connection,
+          refresh and re-run;
+        * a reply stamped with a newer epoch: refresh, then carry on if the
+          new map plans the same steps, or re-run if it does not.
+
+        Re-runs are bounded by ``MAX_REDIRECTS`` and safe because every
+        routed operation is idempotent.
+        """
         last_error: Exception | None = None
         for _attempt in range(MAX_REDIRECTS + 1):
-            target = self._address_for(key) if address is None else address
-            address = None
-            store = self._store_at(target)
-            try:
-                result = op(store)
-            except WireError as err:
-                moved = parse_moved(str(err))
-                if moved is None:
-                    raise
-                self._note_redirect()
-                last_error = err
-                try:
-                    self._refresh_topology(prefer=moved.address)
-                except StoreConnectionError:
-                    pass  # the redirect target itself is authoritative
-                address = moved.address
-                continue
-            except StoreConnectionError as err:
-                last_error = err
-                self._drop_connection(target)
-                self._refresh_topology()  # the member is likely gone
-                continue
-            self._observe_reply_epoch(target)
-            return result
-        raise StoreConnectionError(
-            f"cluster routing for key {key!r} did not converge after "
-            f"{MAX_REDIRECTS} redirects"
-        ) from last_error
-
-    def _grouped(self, keys: Iterable[str]) -> dict[Address, list[str]]:
-        topology = self._topology
-        groups: dict[Address, list[str]] = {}
-        for key in keys:
-            groups.setdefault(topology.address(topology.owner(key)), []).append(key)
-        return groups
-
-    def _execute_grouped(self, keys: list[str], op):
-        """Scatter a batched op by owner, retrying the whole batch once per
-        MOVED hop or dead member.  Batched ops here are idempotent
-        (get/put/delete), so re-running already-succeeded groups is safe."""
-        last_error: Exception | None = None
-        for _attempt in range(MAX_REDIRECTS + 1):
-            groups = self._grouped(keys)
-            results: list[tuple[Address, Any]] = []
-            try:
-                for address, group in groups.items():
-                    results.append((address, op(self._store_at(address), group)))
-            except WireError as err:
-                moved = parse_moved(str(err))
-                if moved is None:
-                    raise
-                self._note_redirect()
-                last_error = err
-                self._refresh_topology(prefer=moved.address)
-                continue
-            except StoreConnectionError as err:
-                last_error = err
-                self._drop_connection(address)
-                self._refresh_topology()  # the member is likely gone
-                continue
-            for address, _result in results:
-                self._observe_reply_epoch(address)
-            return [result for _address, result in results]
-        raise StoreConnectionError(
-            f"cluster routing for a {len(keys)}-key batch did not converge "
-            f"after {MAX_REDIRECTS} redirects"
-        ) from last_error
-
-    def _on_every_member(self, op) -> list:
-        """Run *op* on every member's store under one topology, one result
-        per member.  A reply stamped with a newer epoch or a dead member
-        refreshes the topology and re-runs the whole pass over the new map,
-        within the same bound as a redirect."""
-        last_error: Exception | None = None
-        for _attempt in range(MAX_REDIRECTS + 1):
-            topology = self._topology
+            steps = plan(self._topology)
             results = []
-            for name in topology.members:
-                address = topology.address(name)
+            for address, part in steps.items():
+                store = self._store_at(address)
+                if self._obs.enabled:
+                    self._obs.inc("cluster.client.routed")
                 try:
-                    results.append(op(self._store_at(address)))
+                    results.append(op(store, part))
+                except WireError as err:
+                    moved = parse_moved(str(err))
+                    if moved is None:
+                        raise
+                    last_error = err
+                    self.redirects += 1
+                    if self._obs.enabled:
+                        self._obs.inc("cluster.client.redirects")
+                    self._refresh_topology(prefer=moved.address)
+                    break
                 except StoreConnectionError as err:
                     last_error = err
                     self._drop_connection(address)
                     self._refresh_topology()  # the member is likely gone
                     break
-                if self._is_stale(address):
+                seen = store.native().last_epoch
+                if seen is not None and seen > self._current_epoch():
                     self._refresh_topology(prefer=address)
-                    break
+                    if plan(self._topology) != steps:
+                        break
             else:
                 return results
         raise StoreConnectionError(
-            f"a cluster-wide operation did not converge after {MAX_REDIRECTS} "
-            f"topology refreshes"
+            f"cluster routing did not converge after {MAX_REDIRECTS} redirects"
         ) from last_error
+
+    def _on_owner(self, key: str, op):
+        """Run ``op(store)`` on the owner of *key*: a one-key batch."""
+        return self._route(_by_owner([key]), lambda store, _keys: op(store))[0]
 
     # ------------------------------------------------------------------
     # KeyValueStore: single-key operations
     # ------------------------------------------------------------------
     def get(self, key: str) -> Any:
-        return self._execute(key, lambda store: store.get(key))
+        return self._on_owner(key, lambda store: store.get(key))
 
     def get_with_version(self, key: str) -> tuple[Any, str]:
-        return self._execute(key, lambda store: store.get_with_version(key))
+        return self._on_owner(key, lambda store: store.get_with_version(key))
 
     def get_if_modified(self, key: str, version: str) -> "tuple[Any, str] | NotModified":
-        return self._execute(key, lambda store: store.get_if_modified(key, version))
+        return self._on_owner(key, lambda store: store.get_if_modified(key, version))
 
     def put(self, key: str, value: Any) -> None:
-        self._execute(key, lambda store: store.put(key, value))
+        self._on_owner(key, lambda store: store.put(key, value))
 
     def put_with_version(self, key: str, value: Any) -> str:
-        return self._execute(key, lambda store: store.put_with_version(key, value))
+        return self._on_owner(key, lambda store: store.put_with_version(key, value))
 
     def delete(self, key: str) -> bool:
-        return self._execute(key, lambda store: store.delete(key))
+        return self._on_owner(key, lambda store: store.delete(key))
 
     def contains(self, key: str) -> bool:
-        return self._execute(key, lambda store: store.contains(key))
+        return self._on_owner(key, lambda store: store.contains(key))
 
     # ------------------------------------------------------------------
     # KeyValueStore: batched operations
@@ -367,8 +308,8 @@ class ClusterStoreClient(KeyValueStore):
         if not key_list:
             return {}
         out: dict[str, Any] = {}
-        for found in self._execute_grouped(
-            key_list, lambda store, group: store.get_many(group)
+        for found in self._route(
+            _by_owner(key_list), lambda store, group: store.get_many(group)
         ):
             out.update(found)
         return out
@@ -376,8 +317,8 @@ class ClusterStoreClient(KeyValueStore):
     def put_many(self, items: "Mapping[str, Any]") -> None:
         if not items:
             return
-        self._execute_grouped(
-            list(items),
+        self._route(
+            _by_owner(list(items)),
             lambda store, group: store.put_many({key: items[key] for key in group}),
         )
 
@@ -386,7 +327,9 @@ class ClusterStoreClient(KeyValueStore):
         if not key_list:
             return 0
         return sum(
-            self._execute_grouped(key_list, lambda store, group: store.delete_many(group))
+            self._route(
+                _by_owner(key_list), lambda store, group: store.delete_many(group)
+            )
         )
 
     # ------------------------------------------------------------------
@@ -394,7 +337,8 @@ class ClusterStoreClient(KeyValueStore):
     # ------------------------------------------------------------------
     def keys(self) -> Iterator[str]:
         seen: set[str] = set()
-        for member_keys in self._on_every_member(lambda store: list(store.keys())):
+        listed = self._route(_every_member, lambda store, _: list(store.keys()))
+        for member_keys in listed:
             for key in member_keys:
                 if key not in seen:
                     seen.add(key)
@@ -403,13 +347,13 @@ class ClusterStoreClient(KeyValueStore):
     def size(self) -> int:
         # Mid-rebalance a moved key may momentarily live on two shards, so
         # this can transiently over-count; it converges with the topology.
-        return sum(self._on_every_member(lambda store: store.size()))
+        return sum(self._route(_every_member, lambda store, _: store.size()))
 
     def clear(self) -> int:
         # Count every key a pass removed, including a pass cut short by a
         # newer epoch: those keys are gone too.
         cleared: list[int] = []
-        self._on_every_member(lambda store: cleared.append(store.clear()))
+        self._route(_every_member, lambda store, _: cleared.append(store.clear()))
         return sum(cleared)
 
     # ------------------------------------------------------------------
@@ -418,11 +362,10 @@ class ClusterStoreClient(KeyValueStore):
             if self._closed:
                 return
             self._closed = True
-            conns = list(self._conns.values())
-            self._conns.clear()
+            stores = list(self._stores.values())
             self._stores.clear()
-        for conn in conns:
-            conn.close()
+        for store in stores:
+            store.native().close()
         if self._coordinator is not None:
             self._coordinator.stop()
 

@@ -11,7 +11,9 @@ attributable.  A ``str`` key or argument is sent as its
 
 The client transparently reconnects once after a dropped connection (servers
 restart; long-lived applications should not fall over because of it), then
-surfaces :class:`~repro.errors.StoreConnectionError`.
+surfaces :class:`~repro.errors.StoreConnectionError`; a pipeline is never
+retried.  Every request, pipelines included, goes through one exchange that
+honours the ambient :mod:`~repro.kv.deadline` budget.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import threading
 from typing import Any, NamedTuple
 
 from ..errors import DeadlineExceededError, ProtocolError, StoreConnectionError
-from ..kv.deadline import current_deadline
+from ..kv.deadline import current_deadline, expired
 from ..obs import Observability, resolve_obs
 from . import protocol
 from .protocol import NIL, SimpleString, WireError
@@ -102,17 +104,13 @@ class CacheClient:
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _connect(self, timeout: float | None = None) -> None:
+    def _connect(self, timeout: float) -> None:
         try:
-            sock = socket.create_connection(
-                (self._host, self._port),
-                timeout=self._connect_timeout if timeout is None else timeout,
-            )
+            sock = socket.create_connection((self._host, self._port), timeout=timeout)
         except OSError as exc:
             raise StoreConnectionError(
                 f"cannot connect to cache server {self._host}:{self._port}: {exc}"
             ) from exc
-        sock.settimeout(self._operation_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._stream = sock.makefile("rwb")
@@ -133,41 +131,57 @@ class CacheClient:
         self._stream = None
         self._reader = None
 
+    def _handshake(self) -> "list[list[bytes | str]]":
+        """Commands a fresh connection sends in its first write, ahead of the
+        request; their replies are read and discarded.  A plain client sends
+        none."""
+        return []
+
     def _roundtrip(self, args: list[bytes | str]) -> protocol.Frame:
         """Send one command and read one reply, reconnecting once on failure."""
+        return self._exchange([args], 2)[0]
+
+    def _exchange(
+        self, commands: "list[list[bytes | str]]", attempts: int
+    ) -> list[protocol.Frame]:
+        """Every request's way to the socket, timed as one ``net.roundtrip``."""
         if not self._obs.enabled:
-            return self._roundtrip_impl(args)
-        command = args[0]
+            return self._transact(commands, attempts)
+        command = commands[0][0] if len(commands) == 1 else "PIPELINE"
         if isinstance(command, bytes):
             command = command.decode("ascii", "replace")
         with self._obs.stage("net.roundtrip", metric="net.roundtrip", command=command):
-            return self._roundtrip_impl(args)
+            return self._transact(commands, attempts)
 
-    def _roundtrip_impl(self, args: list[bytes | str]) -> protocol.Frame:
+    def _transact(
+        self, commands: "list[list[bytes | str]]", attempts: int
+    ) -> list[protocol.Frame]:
+        """Write *commands* in one write and read one reply per command.
+
+        A failed attempt drops the connection; up to *attempts* connections
+        are tried.  Each attempt takes its connect and socket timeouts from
+        the ambient deadline (``operation_timeout`` when none is in scope,
+        which also restores it after a deadline-scoped call) and none starts
+        once the budget is spent.  A fresh connection's first write carries
+        :meth:`_handshake` ahead of *commands*.
+        """
         with self._lock:
             if self._closed:
                 raise StoreConnectionError("client is closed")
             last_error: Exception | None = None
             deadline = current_deadline()
-            for attempt in range(2):
+            for attempt in range(attempts):
                 if deadline is not None and deadline.expired:
-                    # The budget ran out (e.g. the first attempt timed out);
-                    # fail typed rather than spending time we don't have.
-                    if self._obs.enabled:
-                        self._obs.inc("kv.deadline.expired")
-                        self._obs.event("deadline_expired", layer="net")
-                    raise DeadlineExceededError(
-                        f"no deadline budget left for cache operation against "
-                        f"{self._host}:{self._port}"
-                    ) from last_error
+                    raise self._deadline_expired() from last_error
+                batch = commands
                 if self._sock is None:
                     self._connect(
-                        None if deadline is None else deadline.cap(self._connect_timeout)
+                        self._connect_timeout
+                        if deadline is None
+                        else deadline.cap(self._connect_timeout)
                     )
+                    batch = self._handshake() + commands
                 assert self._sock is not None
-                # Per-attempt timeout derived from the remaining budget (the
-                # configured timeout when no deadline is in scope -- which
-                # also restores it after a deadline-scoped call).
                 self._sock.settimeout(
                     self._operation_timeout
                     if deadline is None
@@ -175,24 +189,31 @@ class CacheClient:
                 )
                 try:
                     assert self._stream is not None and self._reader is not None
-                    self._stream.write(protocol.encode_command(args))
+                    self._stream.write(b"".join(map(protocol.encode_command, batch)))
                     self._stream.flush()
-                    frame = self._reader.read_frame(allow_eof=True)
-                    if frame is None:
-                        raise StoreConnectionError("server closed the connection")
-                    return frame
-                except (OSError, StoreConnectionError, ProtocolError) as exc:
+                    replies = []
+                    for _ in batch:
+                        replies.append(self._reader.read_frame(allow_eof=False))
+                except (OSError, ProtocolError) as exc:
                     last_error = exc
                     self._drop_connection()
-                    if attempt == 1:
-                        break
-                    self.reconnects += 1
-                    if self._obs.enabled:
-                        self._obs.inc("net.client.reconnects")
-                        self._obs.event("reconnect", error=type(exc).__name__)
+                    if attempt + 1 < attempts:
+                        self.reconnects += 1
+                        if self._obs.enabled:
+                            self._obs.inc("net.client.reconnects")
+                            self._obs.event("reconnect", error=type(exc).__name__)
+                    continue
+                return replies[len(batch) - len(commands):]
+            if deadline is not None and deadline.expired:
+                raise self._deadline_expired() from last_error
             raise StoreConnectionError(
                 f"cache operation failed against {self._host}:{self._port}: {last_error}"
             ) from last_error
+
+    def _deadline_expired(self) -> DeadlineExceededError:
+        address = f"{self._host}:{self._port}"
+        message = f"no deadline budget left for cache operation against {address}"
+        return expired(self._obs, address, message)
 
     @staticmethod
     def _raise_on_error(frame: protocol.Frame) -> protocol.Frame:
@@ -338,32 +359,12 @@ class CacheClient:
         network flush plus N server dispatches instead of N round trips.
         Error replies come back as :class:`~repro.net.protocol.WireError`
         *values* in the result list (other commands still succeed), exactly
-        like Redis pipelines.
+        like Redis pipelines.  A pipeline is one attempt, never retried (some
+        commands may already have run), bounded by the ambient deadline.
         """
         if not commands:
             return []
-        with self._lock:
-            if self._closed:
-                raise StoreConnectionError("client is closed")
-            if self._sock is None:
-                self._connect()
-            assert self._stream is not None and self._reader is not None
-            try:
-                payload = b"".join(protocol.encode_command(args) for args in commands)
-                self._stream.write(payload)
-                self._stream.flush()
-                replies: list[protocol.Frame] = []
-                for _ in commands:
-                    frame = self._reader.read_frame(allow_eof=True)
-                    if frame is None:
-                        raise StoreConnectionError("server closed mid-pipeline")
-                    replies.append(frame)
-                return replies
-            except (OSError, ProtocolError) as exc:
-                # A pipeline is not transparently retryable: some commands
-                # may already have executed server-side.
-                self._drop_connection()
-                raise StoreConnectionError(f"pipeline failed: {exc}") from exc
+        return self._exchange(commands, 1)
 
     def pipeline(self) -> "Pipeline":
         """Start collecting commands for one batched flush."""
@@ -394,8 +395,8 @@ class CacheClient:
 class ClusterAwareClient(CacheClient):
     """A :class:`CacheClient` that declares its routing epoch on connect.
 
-    Immediately after every (re)connect it sends ``CEPOCH <epoch>``, telling
-    the server which topology version it routes by.  The server then
+    Every fresh connection's first write carries ``CEPOCH <epoch>`` ahead of
+    the request, telling the server which topology version it routes by.  The server then
     piggybacks its own epoch on replies whenever the declared one is stale
     (see ``docs/cluster.md``).
 
@@ -425,25 +426,8 @@ class ClusterAwareClient(CacheClient):
         #: owning smart client supplies its topology's epoch.
         self._epoch_source = epoch_source if epoch_source is not None else (lambda: 0)
 
-    def _connect(self, timeout: float | None = None) -> None:
-        super()._connect(timeout)
-        # Declare the epoch on the fresh connection.  We are inside the
-        # client lock (callers hold it around _connect), so writing directly
-        # to the stream cannot interleave with another command.
-        try:
-            assert self._stream is not None and self._reader is not None
-            self._stream.write(
-                protocol.encode_command(["CEPOCH", str(int(self._epoch_source()))])
-            )
-            self._stream.flush()
-            self._reader.read_frame(allow_eof=False)
-        except (OSError, ProtocolError) as exc:
-            self._drop_connection()
-            raise StoreConnectionError(
-                f"cluster declaration failed against {self._host}:{self._port}: {exc}"
-            ) from exc
-        # An error reply means a pre-cluster server: keep the connection and
-        # degrade to plain-client behaviour.
+    def _handshake(self) -> "list[list[bytes | str]]":
+        return [["CEPOCH", str(int(self._epoch_source()))]]
 
     def declare(self, epoch: int) -> None:
         """Re-declare the routed-by epoch on the live connection.
@@ -539,8 +523,13 @@ class SubscriberClient:
         """Register *callback(channel, payload)* for *channel*.
 
         Blocks until the server confirms the subscription, so a
-        ``publish`` issued afterwards is guaranteed to reach it.
+        ``publish`` issued afterwards is guaranteed to reach it: at most
+        10 s, or what is left of the ambient deadline
+        (:class:`~repro.errors.DeadlineExceededError` when that runs out).
         """
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check("subscription")
         with self._lock:
             if self._closed:
                 raise StoreConnectionError("subscriber is closed")
@@ -548,7 +537,13 @@ class SubscriberClient:
             self._subscribed.clear()
             self._stream.write(protocol.encode_command([b"SUBSCRIBE", channel]))
             self._stream.flush()
-        if not self._subscribed.wait(timeout=10):
+        wait = 10.0 if deadline is None else deadline.cap(10.0)
+        if not self._subscribed.wait(wait):
+            if wait < 10.0:
+                raise DeadlineExceededError(
+                    f"subscription was not confirmed within its "
+                    f"{deadline.timeout:.3f}s deadline"
+                )
             raise StoreConnectionError("subscription was not confirmed")
 
     def unsubscribe(self, channel: bytes) -> None:

@@ -11,6 +11,7 @@ zero-sleep).
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.kv import (
     RetryingStore,
     deadline_scope,
 )
+from repro.net.client import CacheClient, ClusterAwareClient, SubscriberClient
 from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.udsm import UniversalDataStoreManager
@@ -708,7 +710,77 @@ class TestNetClientDeadline:
             cache_client.set(b"k", b"v")
             assert cache_client.get(b"k") == b"v"
 
-    def test_socket_timeout_restored_after_deadline_scope(self, cache_client):
-        with deadline_scope(30.0):
+    @pytest.mark.parametrize(
+        "follow_up",
+        [
+            lambda client: client.get(b"k"),
+            lambda client: client.pipeline().get(b"k").execute()[0],
+        ],
+        ids=["command", "pipeline"],
+    )
+    def test_socket_timeout_restored_after_deadline_scope(self, cache_client, follow_up):
+        with deadline_scope(5.0):
             cache_client.set(b"k", b"v")
-        assert cache_client.get(b"k") == b"v"  # plain call still works
+        assert follow_up(cache_client) == b"v"  # plain call still works
+        assert cache_client._sock.gettimeout() == 30.0  # operation_timeout
+
+    # A listener that accepts (the kernel completes the handshake from its
+    # backlog) and never answers: only a deadline ends a wait on it.
+    @pytest.fixture()
+    def silent_address(self):
+        listener = socket.create_server(("127.0.0.1", 0), backlog=8)
+        yield listener.getsockname()[:2]
+        listener.close()
+
+    @pytest.mark.parametrize(
+        "connect, call",
+        [
+            (CacheClient, lambda client: client.set(b"k", b"v")),
+            (CacheClient, lambda client: client.pipeline().set(b"k", b"v").execute()),
+            (ClusterAwareClient, lambda client: client.ping()),
+            (SubscriberClient, lambda client: client.subscribe(b"ch", print)),
+        ],
+        ids=["command", "pipeline", "cluster-connect", "subscribe"],
+    )
+    def test_silent_server_fails_typed_within_the_budget(
+        self, silent_address, connect, call
+    ):
+        """Each would wait out its own timeout (3 s, or the subscription's
+        10 s) without the deadline."""
+        if connect is SubscriberClient:
+            client = connect(*silent_address)
+        else:
+            client = connect(*silent_address, operation_timeout=3.0)
+        began = time.monotonic()
+        with deadline_scope(0.2):
+            with pytest.raises(DeadlineExceededError):
+                call(client)
+        assert time.monotonic() - began < 1.0
+        client.close()
+
+    @pytest.mark.parametrize(
+        "connect, call",
+        [
+            (CacheClient, lambda client: client.pipeline().set(b"k", b"v").execute()),
+            (ClusterAwareClient, lambda client: client.ping()),
+        ],
+        ids=["pipeline", "cluster-connect"],
+    )
+    def test_spent_deadline_writes_nothing(self, silent_address, connect, call):
+        client = connect(*silent_address, operation_timeout=3.0)
+        clock = FakeClock()
+        expired = Deadline(0.0, clock=clock)
+        clock.advance(1.0)
+        with deadline_scope(expired):
+            with pytest.raises(DeadlineExceededError):
+                call(client)
+        assert client._sock is None  # never connected, so not a byte sent
+        client.close()
+
+    def test_observed_pipeline_is_one_roundtrip(self, cache_server):
+        obs = Observability()
+        client = CacheClient(cache_server.host, cache_server.port, obs=obs)
+        assert client.pipeline().set(b"p", b"1").get(b"p").execute()[1] == b"1"
+        assert obs.registry.histogram("net.roundtrip.seconds").count == 1
+        client.delete(b"p")
+        client.close()
